@@ -16,11 +16,13 @@ entropies and logarithmic negativity of its reductions::
 from .covariance import (
     Bipartition,
     CovarianceMatrix,
+    RingCovariance,
     angle_average_covariance,
     classical_covariance,
     partial_transpose,
     quantum_ground_covariance,
     reduce_modes,
+    ring_covariance,
 )
 from .experiments import (
     FitResult,
@@ -72,12 +74,14 @@ from .models import (
     model_from_dict,
     model_to_dict,
     normal_modes,
+    ring_frequencies,
     save_model,
     stability,
     two_mode_angles,
 )
 from .negativity import (
     NegativityResult,
+    log_negativities,
     log_negativity,
     log_negativity_via_symplectic,
 )

@@ -77,6 +77,17 @@ def _parse_grid(text):
     return np.linspace(start, stop, steps)
 
 
+def _parse_int_grid(text, name):
+    """start:stop:steps whose every point is an integer -> list of ints."""
+    values = [float(v) for v in _parse_grid(text)]
+    for value in values:
+        if not value.is_integer():
+            raise ValueError(
+                f"{name} grid {text!r} must hold integers, but it has {value:.17g}"
+            )
+    return [int(value) for value in values]
+
+
 def _parse_floats(text):
     return tuple(float(v) for v in text.split(",") if v.strip())
 
@@ -118,11 +129,14 @@ def _emit_fit(fit, args, extra=()):
     _emit_table(experiments.SweepTable(columns, (row,)), args)
 
 
-def _add_common(parser, grid_help, grid_default):
-    parser.add_argument("--grid", default=grid_default, help=grid_help)
+def _add_alphas(parser):
     parser.add_argument("--alphas", default=None,
                         help="comma list of entropy orders (default "
                              + ",".join(f"{a:g}" for a in DEFAULT_ALPHAS) + ")")
+
+
+def _add_common(parser, grid_help, grid_default):
+    parser.add_argument("--grid", default=grid_default, help=grid_help)
     parser.add_argument("--out", default=None, help="output file (default stdout)")
     parser.add_argument("--json", action="store_true",
                         help="emit the same rows as JSON records")
@@ -140,6 +154,7 @@ def build_parser():
                        help="one-oscillator measures along a coupling grid")
     p.add_argument("--A", type=float, default=5.0)
     p.add_argument("--B", type=float, default=20.0)
+    _add_alphas(p)
     _add_common(p, "C grid start:stop:steps", "0:19.9:100")
 
     p = sub.add_parser("ghoc-sweep",
@@ -149,6 +164,7 @@ def build_parser():
     p.add_argument("--X2", type=float, default=2.0)
     p.add_argument("--Y1", type=float, default=0.0)
     p.add_argument("--Z", type=float, default=1.0)
+    _add_alphas(p)
     _add_common(p, "Y2 grid start:stop:steps", "0:1.6:100")
 
     p = sub.add_parser("lattice-d",
@@ -204,7 +220,7 @@ def build_parser():
     p.add_argument("--subsystem", default=None,
                    help="comma list of 1-based oscillator indices "
                         "(default: the whole system)")
-    p.add_argument("--alphas", default=None)
+    _add_alphas(p)
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
 
@@ -234,19 +250,19 @@ def _run(args):
             z=args.Z, alphas=_alphas_from(args))
         _emit_table(table, args)
     elif args.command == "lattice-d":
-        d_grid = [int(round(v)) for v in _parse_grid(args.grid)]
+        d_grid = _parse_int_grid(args.grid, "d")
         table = experiments.lattice_disjoint_sweep(
             d_grid, kappas=_parse_floats(args.kappas), n=args.N, k=args.k,
             n1=args.n1, n2=args.n2)
         _emit_table(table, args)
     elif args.command == "lattice-adjacent":
-        n1_grid = [int(round(v)) for v in _parse_grid(args.grid)]
+        n1_grid = _parse_int_grid(args.grid, "n1")
         table = experiments.lattice_adjacent_sweep(
             n1_grid, kappas=_parse_floats(args.kappas), n=args.N, k=args.k,
             block=args.block)
         _emit_table(table, args)
     elif args.command == "lattice-size":
-        n_grid = [int(round(v)) for v in _parse_grid(args.grid)]
+        n_grid = _parse_int_grid(args.grid, "N")
         table = experiments.lattice_size_sweep(
             n_grid, kappas=_parse_floats(args.kappas), k=args.k,
             n1=args.n1, n2=args.n2)

@@ -12,6 +12,11 @@ The quantum ground-state covariance is the same construction evaluated at
 actions hbar/2, so classical and quantum results share one code path. Each
 matrix carries a scale tag: the common action value (or hbar), which is what
 downstream measures divide out.
+
+On the circular lattice the normal modes are Fourier modes, so qq and pp are
+circulant and a unit-action state is fixed by their first rows alone
+(RingCovariance). Both kinds of state reach the measures through
+reduce_modes, which returns the dense reduced CovarianceMatrix either way.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .errors import (
     IndexOutOfRangeError,
     OverlappingGroupsError,
 )
-from .models import NormalModes
+from .models import CircularLattice, NormalModes, ring_frequencies
 
 CROSS_BLOCK_RTOL = 1e-12
 
@@ -81,14 +86,40 @@ class CovarianceMatrix:
             return None
         return 0.5 * self.scale if self.kind == "quantum" else self.scale
 
-    def reduced(self, indices):
-        return reduce_modes(self, indices)
+    def _select(self, idx):
+        n = self.n_modes
+        sel = np.concatenate([idx, idx + n])
+        return self.matrix[np.ix_(sel, sel)]
 
     def write_csv(self, path):
         """Row-major CSV dump, 17 significant digits, LF line endings."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for row in self.matrix:
                 fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+
+
+@dataclass(frozen=True, eq=False)
+class RingCovariance:
+    """Unit-action classical state of a CircularLattice, stored as rows.
+
+    ``cq[d]`` and ``cp[d]`` are the qq and pp entries between sites d apart
+    on the ring; the q-p cross block is zero. No N x N matrix is formed, so
+    reductions cost O(m**2) for m kept sites whatever the ring size.
+    """
+
+    cq: np.ndarray
+    cp: np.ndarray
+    kind = "classical"
+    scale = 1.0
+
+    @property
+    def n_modes(self):
+        return self.cq.shape[0]
+
+    def _select(self, idx):
+        d = (idx[:, np.newaxis] - idx[np.newaxis, :]) % self.n_modes
+        zero = np.zeros((idx.size, idx.size))
+        return np.block([[self.cq[d], zero], [zero, self.cp[d]]])
 
 
 @dataclass(frozen=True)
@@ -154,6 +185,25 @@ def classical_covariance(modes: NormalModes, actions):
     return CovarianceMatrix(np.vstack([top, bottom]), "classical", _uniform_scale(actions))
 
 
+def _circulant_row(eigenvalues):
+    # First row of the circulant matrix with these Fourier-order
+    # eigenvalues, made exactly even (row[d] == row[N - d]) so that every
+    # reduced block is exactly symmetric.
+    row = np.fft.ifft(eigenvalues).real
+    return 0.5 * (row + np.roll(row[::-1], 1))
+
+
+def ring_covariance(model: CircularLattice):
+    """Unit-action classical covariance of a ring from its closed form.
+
+    Row d of qq is (1/N) sum_j cos(2 pi j d / N) / omega_j and row d of pp
+    the same sum over omega_j; agrees with classical_covariance of the
+    ring's normal modes at unit actions to roundoff.
+    """
+    omegas = ring_frequencies(model)
+    return RingCovariance(_circulant_row(1.0 / omegas), _circulant_row(omegas))
+
+
 def quantum_ground_covariance(modes: NormalModes, hbar=1.0):
     """Ground-state covariance: the classical build at actions hbar/2."""
     if hbar <= 0.0:
@@ -210,11 +260,12 @@ def angle_average_covariance(modes: NormalModes, actions, grid_points=64):
     return CovarianceMatrix(0.5 * (cov + cov.T), "classical", _uniform_scale(actions))
 
 
-def reduce_modes(cov: CovarianceMatrix, indices):
+def reduce_modes(cov, indices):
     """Covariance of a subsystem, keeping (q..., p...) ordering.
 
-    ``indices`` are 0-based oscillator labels; duplicates collapse, order is
-    ascending in the output.
+    ``cov`` is a CovarianceMatrix or a RingCovariance; the result is a
+    CovarianceMatrix either way. ``indices`` are 0-based oscillator labels;
+    duplicates collapse, order is ascending in the output.
     """
     idx = sorted(set(int(i) for i in indices))
     if not idx:
@@ -223,8 +274,7 @@ def reduce_modes(cov: CovarianceMatrix, indices):
     if idx[0] < 0 or idx[-1] >= n:
         bad = idx[0] if idx[0] < 0 else idx[-1]
         raise IndexOutOfRangeError(f"oscillator index {bad} outside [0, {n})")
-    sel = np.array(idx + [i + n for i in idx])
-    return CovarianceMatrix(cov.matrix[np.ix_(sel, sel)], cov.kind, cov.scale)
+    return CovarianceMatrix(cov._select(np.array(idx)), cov.kind, cov.scale)
 
 
 def partial_transpose(cov: CovarianceMatrix, partition: Bipartition):

@@ -13,7 +13,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .covariance import Bipartition, classical_covariance, reduce_modes
+from .covariance import Bipartition, classical_covariance, reduce_modes, ring_covariance
 from .errors import (
     DegenerateDesignError,
     InvalidModelError,
@@ -22,7 +22,7 @@ from .errors import (
 )
 from .measures import DEFAULT_ALPHAS, measure_report
 from .models import CircularLattice, TwoMode, TwoModeGeneralized, normal_modes
-from .negativity import log_negativity
+from .negativity import log_negativities
 
 DEFAULT_KAPPAS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
@@ -132,12 +132,21 @@ def sweep_ghoc_y2(y2_grid, x1=2.0, x2=2.0, y1=0.0, z=1.0, alphas=DEFAULT_ALPHAS)
     return SweepTable(tuple(["Y2", "sigma"] + _measure_columns(alphas)), tuple(rows))
 
 
-def _lattice_covariances(kappas, n, k):
-    cache = {}
-    for kappa in kappas:
-        modes = normal_modes(CircularLattice(n, k, float(kappa)))
-        cache[float(kappa)] = classical_covariance(modes, np.ones(n))
-    return cache
+def _ring_rows(keys, partitions, kappas, n, k):
+    """Rows (key, kappa, E_N, N) on the ring (n, k): key outer, kappa inner.
+
+    ``partitions[i]`` belongs to ``keys[i]``; the state at each kappa
+    evaluates all of them in one batch.
+    """
+    batches = {kappa: log_negativities(ring_covariance(CircularLattice(n, k, kappa)),
+                                       partitions)
+               for kappa in kappas}
+    rows = []
+    for i, key in enumerate(keys):
+        for kappa in kappas:
+            res = batches[kappa][i]
+            rows.append((float(key), kappa, res.log_negativity, res.negativity))
+    return rows
 
 
 def _ring_group(start, count, n):
@@ -153,19 +162,16 @@ def lattice_disjoint_sweep(d_grid, kappas=(1.0, 8.0, 64.0), n=200, k=0.1,
     """
     d_grid = [int(d) for d in d_grid]
     kappas = [float(kappa) for kappa in kappas]
-    cache = _lattice_covariances(kappas, n, k)
     group1 = _ring_group(0, n1, n)
-    rows = []
+    parts = []
     for d in d_grid:
         group2 = _ring_group(n1 + d, n2, n)
         if set(group1) & set(group2):
             raise OverlappingGroupsError(
                 f"separation d = {d} makes the windows overlap"
             )
-        part = Bipartition(group1, group2)
-        for kappa in kappas:
-            res = log_negativity(cache[kappa], part)
-            rows.append((float(d), kappa, res.log_negativity, res.negativity))
+        parts.append(Bipartition(group1, group2))
+    rows = _ring_rows(d_grid, parts, kappas, n, k)
     return SweepTable(("d", "kappa", "log_negativity", "negativity"), tuple(rows))
 
 
@@ -174,7 +180,8 @@ def lattice_adjacent_sweep(n1_grid, kappas=DEFAULT_KAPPAS, n=200, k=1e-4,
     """E_N of the split (0..n1-1 | n1..block-1) of a half-ring block.
 
     n1 = 0 and n1 = block are legitimate rows: one side is empty, all
-    eigenvalues sit at or above 1, and E_N is exactly zero.
+    eigenvalues sit at or above 1, and E_N is exactly zero. Every split has
+    the same members, so each kappa factors the block's qq only once.
     """
     n1_grid = [int(n1) for n1 in n1_grid]
     kappas = [float(kappa) for kappa in kappas]
@@ -183,18 +190,17 @@ def lattice_adjacent_sweep(n1_grid, kappas=DEFAULT_KAPPAS, n=200, k=1e-4,
     for n1 in n1_grid:
         if n1 < 0 or n1 > block:
             raise ValueError(f"n1 = {n1} outside [0, {block}]")
-    cache = _lattice_covariances(kappas, n, k)
-    rows = []
-    for n1 in n1_grid:
-        part = Bipartition(tuple(range(n1)), tuple(range(n1, block)))
-        for kappa in kappas:
-            res = log_negativity(cache[kappa], part)
-            rows.append((float(n1), kappa, res.log_negativity, res.negativity))
+    parts = [Bipartition(tuple(range(n1)), tuple(range(n1, block))) for n1 in n1_grid]
+    rows = _ring_rows(n1_grid, parts, kappas, n, k)
     return SweepTable(("n1", "kappa", "log_negativity", "negativity"), tuple(rows))
 
 
 def lattice_size_sweep(n_grid, kappas=DEFAULT_KAPPAS, k=0.1, n1=10, n2=10):
-    """E_N of two fixed adjacent windows as the ring size N grows."""
+    """E_N of two fixed adjacent windows as the ring size N grows.
+
+    Only the two windows are ever assembled, so N may run far beyond what
+    a dense N x N eigensolve allows.
+    """
     n_grid = [int(n) for n in n_grid]
     kappas = [float(kappa) for kappa in kappas]
     for n in n_grid:
@@ -203,10 +209,7 @@ def lattice_size_sweep(n_grid, kappas=DEFAULT_KAPPAS, k=0.1, n1=10, n2=10):
     part = Bipartition(tuple(range(n1)), tuple(range(n1, n1 + n2)))
     rows = []
     for n in n_grid:
-        cache = _lattice_covariances(kappas, n, k)
-        for kappa in kappas:
-            res = log_negativity(cache[kappa], part)
-            rows.append((float(n), kappa, res.log_negativity, res.negativity))
+        rows += _ring_rows([n], [part], kappas, n, k)
     return SweepTable(("N", "kappa", "log_negativity", "negativity"), tuple(rows))
 
 

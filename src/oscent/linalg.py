@@ -54,12 +54,12 @@ def require_symmetric(mat, name="matrix", rtol=SYMMETRY_RTOL):
 
 def _canonical_column_signs(vecs):
     # Flip each eigenvector so its first non-negligible component is positive.
+    if not vecs.size:
+        return vecs.copy()
+    big = np.abs(vecs) > 1e-12
+    lead = vecs[np.argmax(big, axis=0), np.arange(vecs.shape[1])]
     v = vecs.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0.0:
-            v[:, k] = -col
+    np.negative(v, out=v, where=big.any(axis=0) & (lead < 0.0))
     return v
 
 

@@ -131,10 +131,12 @@ def validate_model(model):
     elif isinstance(model, CircularLattice):
         if int(model.N) != model.N or model.N < 3:
             raise InvalidModelError(f"field 'N': need an integer >= 3, got {model.N}")
-        if model.k < 0.0:
-            raise InvalidModelError(f"field 'k': must be >= 0, got {model.k}")
-        if model.kappa < 0.0:
-            raise InvalidModelError(f"field 'kappa': must be >= 0, got {model.kappa}")
+        for field in ("k", "kappa"):
+            value = getattr(model, field)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise InvalidModelError(
+                    f"field '{field}': must be finite and >= 0, got {value}"
+                )
     else:
         raise InvalidModelError(f"unknown model type {type(model).__name__}")
     return model
@@ -194,6 +196,29 @@ def normal_modes(model):
             f"system is not stable: min eigenvalue of K - Y^2 is {w[0]:.6e}"
         )
     return NormalModes(s, np.sqrt(w), y)
+
+
+def ring_frequencies(model: CircularLattice):
+    """Closed-form normal-mode frequencies of a ring, in Fourier order.
+
+    The ring's K is circulant, so its eigenvectors are the Fourier modes
+    and mode j has omega_j**2 = k + 2 kappa (1 - cos(2 pi j / N)),
+    j = 0..N-1 (not sorted).
+
+    Raises
+    ------
+    UnstableSystemError
+        If any omega_j**2 is not strictly positive (k = 0 leaves the
+        uniform translation at zero frequency).
+    """
+    validate_model(model)
+    n = int(model.N)
+    w2 = model.k + 2.0 * model.kappa * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
+    if not np.all(w2 > 0.0):
+        raise UnstableSystemError(
+            f"system is not stable: min eigenvalue of K - Y^2 is {np.min(w2):.6e}"
+        )
+    return np.sqrt(w2)
 
 
 def two_mode_angles(model):

@@ -26,7 +26,6 @@ import numpy as np
 from .covariance import (
     CROSS_BLOCK_RTOL,
     Bipartition,
-    CovarianceMatrix,
     partial_transpose,
     reduce_modes,
 )
@@ -50,8 +49,8 @@ class NegativityResult:
     negativity: float
 
 
-def _reduced_unit_blocks(cov: CovarianceMatrix, partition: Bipartition):
-    red = reduce_modes(cov, partition.members)
+def _reduced_unit_blocks(cov, members):
+    red = reduce_modes(cov, members)
     scale = red.action_scale
     if scale is None:
         raise ValueError("negativity needs a uniform-action covariance")
@@ -60,7 +59,7 @@ def _reduced_unit_blocks(cov: CovarianceMatrix, partition: Bipartition):
         raise CrossBlockNotZeroError(
             "q-p cross block of the reduced covariance must vanish"
         )
-    return red.qq / scale, red.pp / scale, red, partition.momentum_signs()
+    return red.qq / scale, red.pp / scale, red
 
 
 def _bits_from_lambdas(lambdas):
@@ -70,28 +69,47 @@ def _bits_from_lambdas(lambdas):
     return float(-np.sum(np.log2(lambdas[small])))
 
 
-def log_negativity(cov: CovarianceMatrix, partition: Bipartition):
+def log_negativities(cov, partitions):
+    """E_N of many bipartitions of one state, in the order given.
+
+    ``cov`` is the full-system state (a CovarianceMatrix or a
+    RingCovariance). Partitions with the same members share one reduction
+    and one eigendecomposition of the reduced qq block; each partition then
+    costs one symmetric eigensolve of qq_u^1/2 P pp_u P qq_u^1/2. The
+    results equal those of :func:`log_negativity` on each partition.
+    """
+    by_members = {}
+    for i, partition in enumerate(partitions):
+        by_members.setdefault(partition.members, []).append(i)
+    results = [None] * len(partitions)
+    for members, positions in by_members.items():
+        qq_u, pp_u, _ = _reduced_unit_blocks(cov, members)
+        wq, vq = np.linalg.eigh(0.5 * (qq_u + qq_u.T))
+        if wq[0] <= 0.0:
+            raise NotPositiveDefiniteError("reduced qq block is not positive definite")
+        root = vq * np.sqrt(wq)
+        for i in positions:
+            signs = partitions[i].momentum_signs()
+            sym = root.T @ (pp_u * np.outer(signs, signs)) @ root
+            lambdas = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+            lambdas = np.maximum(lambdas, np.finfo(float).tiny)
+            e_n = _bits_from_lambdas(lambdas)
+            results[i] = NegativityResult(lambdas, e_n, 0.5 * (2.0**e_n - 1.0))
+    return results
+
+
+def log_negativity(cov, partition: Bipartition):
     """E_N from the m eigenvalues of qq_u P pp_u P (symmetrized product).
 
-    ``cov`` is the full-system covariance; the reduction to the partition's
+    ``cov`` is the full-system state; the reduction to the partition's
     members happens here. The cross block of the reduced covariance must
     vanish (true whenever the model has no position-momentum coupling on the
     kept oscillators).
     """
-    qq_u, pp_u, _, signs = _reduced_unit_blocks(cov, partition)
-    flipped_pp = pp_u * np.outer(signs, signs)
-    wq, vq = np.linalg.eigh(0.5 * (qq_u + qq_u.T))
-    if wq[0] <= 0.0:
-        raise NotPositiveDefiniteError("reduced qq block is not positive definite")
-    root = vq * np.sqrt(wq)
-    sym = root.T @ flipped_pp @ root
-    lambdas = np.linalg.eigvalsh(0.5 * (sym + sym.T))
-    lambdas = np.maximum(lambdas, np.finfo(float).tiny)
-    e_n = _bits_from_lambdas(lambdas)
-    return NegativityResult(lambdas, e_n, 0.5 * (2.0**e_n - 1.0))
+    return log_negativities(cov, [partition])[0]
 
 
-def log_negativity_via_symplectic(cov: CovarianceMatrix, partition: Bipartition):
+def log_negativity_via_symplectic(cov, partition: Bipartition):
     """E_N from the 2m eigenvalue moduli of J^-1 times the flipped covariance.
 
     Independent of :func:`log_negativity`: different matrix, general complex
@@ -99,7 +117,7 @@ def log_negativity_via_symplectic(cov: CovarianceMatrix, partition: Bipartition)
     sqrt(lambda) pairs); a relative real part above 1e-9 raises
     ComplexEigenvalueError.
     """
-    _, _, red, _ = _reduced_unit_blocks(cov, partition)
+    _, _, red = _reduced_unit_blocks(cov, partition.members)
     scale = red.action_scale
     m = red.n_modes
     flipped = partial_transpose(red, partition)

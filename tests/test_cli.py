@@ -187,6 +187,29 @@ def test_bad_grid_string(capsys):
     assert code == 2 and "grid" in err
 
 
+@pytest.mark.parametrize("command", ["lattice-d", "lattice-adjacent", "lattice-size"])
+def test_lattice_commands_have_no_alphas_flag(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--alphas", "nonsense"])
+    assert exc.value.code == 2
+    assert "--alphas" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["lattice-d", "lattice-adjacent", "lattice-size"])
+def test_lattice_grid_must_hold_integers(command, capsys):
+    code, out, err = run([command, "--grid", "0:1:4"], capsys)
+    assert code == 2 and out == ""
+    assert "grid '0:1:4' must hold integers" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--k", "nan"), ("--k", "inf"),
+                                         ("--kappas", "inf"), ("--kappas", "nan")])
+def test_non_finite_ring_parameters_exit_two(flag, value, capsys):
+    code, _, err = run(["lattice-size", "--kappas", "4", "--grid", "20:20:1",
+                        flag, value], capsys)
+    assert code == 2 and "finite" in err
+
+
 def test_missing_model_file(tmp_path, capsys):
     code, _, err = run(["measures", "--model", str(tmp_path / "nope.json")],
                        capsys)

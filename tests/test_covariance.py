@@ -12,6 +12,7 @@ from oscent.covariance import (
     partial_transpose,
     quantum_ground_covariance,
     reduce_modes,
+    ring_covariance,
 )
 from oscent.errors import (
     CrossBlockNotZeroError,
@@ -246,6 +247,41 @@ def test_reduce_errors():
         reduce_modes(cov, [2])
     with pytest.raises(IndexOutOfRangeError):
         reduce_modes(cov, [-1])
+
+
+@pytest.mark.parametrize("n", [37, 40])
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 64.0])
+def test_ring_reduction_matches_dense_route(n, kappa):
+    model = CircularLattice(N=n, k=0.1, kappa=kappa)
+    dense = classical_covariance(normal_modes(model), np.ones(n))
+    ring = ring_covariance(model)
+    rng = np.random.default_rng(n)
+    index_sets = (
+        sorted(int(i) for i in rng.choice(n, size=9, replace=False)),
+        [0, 2, 3, 7, 11, 30],
+        [n - 3, n - 2, n - 1, 0, 1, 2],      # a window across the seam
+    )
+    for idx in index_sets:
+        got, expect = reduce_modes(ring, idx), reduce_modes(dense, idx)
+        tol = 1e-9 * float(np.max(np.abs(expect.matrix)))
+        assert_allclose(got.qq, expect.qq, rtol=0.0, atol=tol)
+        assert_allclose(got.pp, expect.pp, rtol=0.0, atol=tol)
+        assert np.all(got.qp == 0.0)
+        assert_array_equal(got.qq, got.qq.T)
+        assert_array_equal(got.pp, got.pp.T)
+        assert (got.kind, got.scale) == (expect.kind, expect.scale)
+
+
+def test_ring_reduction_checks_indices_like_dense():
+    ring = ring_covariance(CircularLattice(N=6, k=0.1, kappa=1.0))
+    assert_array_equal(reduce_modes(ring, [4, 1, 4]).matrix,
+                       reduce_modes(ring, [1, 4]).matrix)
+    with pytest.raises(EmptySubsystemError):
+        reduce_modes(ring, [])
+    with pytest.raises(IndexOutOfRangeError):
+        reduce_modes(ring, [6])
+    with pytest.raises(IndexOutOfRangeError):
+        reduce_modes(ring, [-1])
 
 
 # --- partial transpose -------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import curve_fit
 
+from oscent.covariance import Bipartition, classical_covariance
 from oscent.errors import (
     DegenerateDesignError,
     InvalidModelError,
@@ -27,6 +28,8 @@ from oscent.experiments import (
     sweep_ghoc_y2,
     sweep_two_mode_coupling,
 )
+from oscent.models import CircularLattice, normal_modes
+from oscent.negativity import log_negativity
 
 SIGMA_REF = 0.5167716231557249
 GHOC_SIGMA_REF = 0.5075258825641088
@@ -151,6 +154,26 @@ def test_size_sweep_settles_from_above():
     e = table.column("log_negativity")
     assert np.all(np.diff(e) < 0.0)
     assert np.all(np.abs(np.diff(e)[1:]) < np.abs(np.diff(e)[:-1]))
+
+
+def test_ring_sweeps_match_the_dense_route():
+    n, k, kappa = 24, 1e-3, 8.0
+    dense = classical_covariance(normal_modes(CircularLattice(n, k, kappa)), np.ones(n))
+    table = lattice_adjacent_sweep((0, 3, 7, 12), kappas=(kappa,), n=n, k=k, block=12)
+    for n1, e in zip(table.column("n1"), table.column("log_negativity")):
+        part = Bipartition(range(int(n1)), range(int(n1), 12))
+        assert abs(e - log_negativity(dense, part).log_negativity) <= 1e-9
+    table = lattice_disjoint_sweep((0, 4), kappas=(kappa,), n=n, k=k, n1=6, n2=6)
+    for d, e in zip(table.column("d"), table.column("log_negativity")):
+        part = Bipartition(range(6), [(6 + int(d) + j) % n for j in range(6)])
+        assert abs(e - log_negativity(dense, part).log_negativity) <= 1e-9
+
+
+def test_size_sweep_never_forms_the_ring_matrix():
+    # A dense 100000 x 100000 float64 matrix alone would take 80 GB.
+    table = lattice_size_sweep((100000,), kappas=(1.0,))
+    e = table.column("log_negativity")
+    assert e.shape == (1,) and np.isfinite(e[0]) and e[0] > 0.0
 
 
 # --- tables -----------------------------------------------------------------------

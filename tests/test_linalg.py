@@ -11,6 +11,7 @@ from oscent.errors import (
     UnpairedSpectrumError,
 )
 from oscent.linalg import (
+    _canonical_column_signs,
     _pair_up,
     eig_sym,
     jacobi_eig_sym,
@@ -109,6 +110,39 @@ def test_eig_sym_sign_convention_deterministic():
         col = v1[:, k]
         nz = np.flatnonzero(np.abs(col) > 1e-12)
         assert col[nz[0]] > 0.0
+
+
+def loop_column_signs(vecs):
+    # The column-by-column rule that _canonical_column_signs vectorises.
+    v = vecs.copy()
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size and col[nz[0]] < 0.0:
+            v[:, k] = -col
+    return v
+
+
+def test_canonical_column_signs_match_the_loop_bit_for_bit():
+    rng = np.random.default_rng(23)
+    random_cols = rng.normal(size=(7, 7))
+    # Degenerate eigenspaces: eigh picks an arbitrary basis of each one.
+    _, degenerate = np.linalg.eigh(np.diag([1.0, 1.0, 1.0, 2.0, 2.0, 3.0]))
+    _, ring = np.linalg.eigh(np.eye(8) * 2.0 - np.roll(np.eye(8), 1, axis=1)
+                             - np.roll(np.eye(8), -1, axis=1))
+    # Leading entries that are zero or below the 1e-12 cut decide nothing.
+    leading = rng.normal(size=(6, 5))
+    leading[:2, 0] = 0.0
+    leading[:3, 1] = [-1e-13, 5e-13, -0.0]
+    leading[:, 2] = 0.0
+    leading[:, 3] = [-1e-14, 0.0, 1e-13, 0.0, 0.0, -2e-13]
+    leading[0, 4] = -1e-12
+    for vecs in (random_cols, -random_cols, degenerate, ring, leading,
+                 np.zeros((0, 0))):
+        expect = loop_column_signs(vecs)
+        got = _canonical_column_signs(vecs)
+        assert got.shape == expect.shape
+        assert expect.tobytes() == got.tobytes()
 
 
 # --- jacobi_eig_sym ---------------------------------------------------------

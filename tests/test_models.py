@@ -22,6 +22,7 @@ from oscent.models import (
     model_from_dict,
     model_to_dict,
     normal_modes,
+    ring_frequencies,
     save_model,
     stability,
     two_mode_angles,
@@ -90,6 +91,11 @@ def test_validate_rejects_bad_lattice():
         validate_model(CircularLattice(N=4, k=-0.1, kappa=1.0))
     with pytest.raises(InvalidModelError):
         validate_model(CircularLattice(N=4, k=0.1, kappa=-1.0))
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InvalidModelError):
+            validate_model(CircularLattice(N=4, k=bad, kappa=1.0))
+        with pytest.raises(InvalidModelError):
+            validate_model(CircularLattice(N=4, k=0.1, kappa=bad))
 
 
 def test_validate_rejects_asymmetric_chain():
@@ -142,6 +148,17 @@ def test_normal_modes_lattice_dft_oracle():
     j = np.arange(n)
     oracle = np.sort(k + 2.0 * kappa * (1.0 - np.cos(2.0 * np.pi * j / n)))
     assert_allclose(modes.omegas**2, oracle, atol=1e-12)
+
+
+def test_ring_frequencies_match_the_eigensolver():
+    for n in (3, 8, 13):
+        model = CircularLattice(N=n, k=0.2, kappa=3.0)
+        assert_allclose(np.sort(ring_frequencies(model)),
+                        normal_modes(model).omegas, rtol=1e-12)
+    with pytest.raises(UnstableSystemError):
+        ring_frequencies(CircularLattice(N=8, k=0.0, kappa=1.0))
+    with pytest.raises(InvalidModelError):
+        ring_frequencies(CircularLattice(N=8, k=float("nan"), kappa=1.0))
 
 
 def test_normal_modes_decoupled_pair():

@@ -9,6 +9,8 @@ from oscent.covariance import (
     CovarianceMatrix,
     classical_covariance,
     quantum_ground_covariance,
+    reduce_modes,
+    ring_covariance,
 )
 from oscent.errors import (
     ComplexEigenvalueError,
@@ -16,7 +18,11 @@ from oscent.errors import (
     NotPositiveDefiniteError,
 )
 from oscent.models import CircularLattice, GeneralizedChain, TwoMode, normal_modes
-from oscent.negativity import log_negativity, log_negativity_via_symplectic
+from oscent.negativity import (
+    log_negativities,
+    log_negativity,
+    log_negativity_via_symplectic,
+)
 
 
 def random_chain(rng, n):
@@ -44,12 +50,32 @@ def brute_force_lambdas(cov, partition):
     return np.sort(lam.real)
 
 
+def one_partition_lambdas(cov, partition):
+    # The one-partition arithmetic as it stood before the batch existed,
+    # step for step, so the batch can be held to it bit for bit.
+    red = reduce_modes(cov, partition.members)
+    qq_u, pp_u = red.qq / red.action_scale, red.pp / red.action_scale
+    signs = partition.momentum_signs()
+    flipped_pp = pp_u * np.outer(signs, signs)
+    wq, vq = np.linalg.eigh(0.5 * (qq_u + qq_u.T))
+    root = vq * np.sqrt(wq)
+    sym = root.T @ flipped_pp @ root
+    lambdas = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+    return np.maximum(lambdas, np.finfo(float).tiny)
+
+
 def test_decoupled_lattice_is_exactly_zero():
     cov = classical_covariance(normal_modes(CircularLattice(N=8, k=0.5, kappa=0.0)),
                                np.ones(8))
     part = Bipartition([0, 1, 2], [4, 5])
     assert log_negativity(cov, part).log_negativity == 0.0
     assert log_negativity_via_symplectic(cov, part).log_negativity == 0.0
+    for n in (8, 9, 200):
+        ring = ring_covariance(CircularLattice(N=n, k=0.5, kappa=0.0))
+        for part in (Bipartition([0, 1, 2], [4, 5]), Bipartition([0, 1], [2, 3]),
+                     Bipartition([n - 1], [0, 1])):
+            assert log_negativity(ring, part).log_negativity == 0.0
+            assert log_negativity_via_symplectic(ring, part).log_negativity == 0.0
 
 
 def test_single_group_partition_is_zero():
@@ -83,6 +109,38 @@ def test_routes_agree_on_random_chains():
         assert_allclose(r1.log_negativity, r2.log_negativity,
                         rtol=1e-9, atol=1e-9)
         assert_allclose(r1.lambda_tilde, r2.lambda_tilde, rtol=1e-8, atol=1e-10)
+
+
+def test_batch_equals_one_partition_at_a_time_bit_for_bit():
+    rng = np.random.default_rng(163)
+    for _ in range(5):
+        n = int(rng.integers(3, 9))
+        cov = classical_covariance(normal_modes(random_chain(rng, n)), np.ones(n))
+        # Several sign patterns over the same members, plus other member sets.
+        parts = [random_partition(rng, n) for _ in range(4)]
+        parts += [Bipartition([0], [n - 1]), Bipartition([1, 2], []),
+                  Bipartition([0], [n - 1])]
+        batch = log_negativities(cov, parts)
+        assert len(batch) == len(parts)
+        for part, got in zip(parts, batch):
+            one = log_negativity(cov, part)
+            assert got.lambda_tilde.tobytes() == one.lambda_tilde.tobytes()
+            assert got.lambda_tilde.tobytes() == one_partition_lambdas(cov, part).tobytes()
+            assert got.log_negativity == one.log_negativity
+            assert got.negativity == one.negativity
+
+
+def test_ring_state_matches_dense_route():
+    model = CircularLattice(N=30, k=1e-4, kappa=16.0)
+    dense = classical_covariance(normal_modes(model), np.ones(30))
+    ring = ring_covariance(model)
+    parts = [Bipartition(range(n1), range(n1, 12)) for n1 in (0, 3, 6, 12)]
+    parts.append(Bipartition([28, 29, 0], [1, 2, 3, 4]))
+    for part, got in zip(parts, log_negativities(ring, parts)):
+        expect = log_negativity(dense, part).log_negativity
+        assert abs(got.log_negativity - expect) <= 1e-9
+        assert abs(log_negativity_via_symplectic(ring, part).log_negativity
+                   - expect) <= 1e-9
 
 
 def test_lambdas_sorted_ascending_both_routes():
