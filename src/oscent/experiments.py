@@ -8,6 +8,7 @@ byte-identical CSV files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -51,7 +52,10 @@ class SweepTable:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
 
     def to_records(self):
-        return [dict(zip(self.columns, row)) for row in self.rows]
+        """Rows as dicts; NaN and inf cells become None (JSON null)."""
+        return [{col: None if isinstance(v, float) and not math.isfinite(v) else v
+                 for col, v in zip(self.columns, row)}
+                for row in self.rows]
 
     def write_json(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -37,12 +37,18 @@ def require_symmetric(mat, name="matrix", rtol=SYMMETRY_RTOL):
     Raises
     ------
     AsymmetricInputError
-        If ``mat`` is not square or the symmetry residual exceeds tolerance.
+        If ``mat`` is not square, has a NaN or infinite entry, or the
+        symmetry residual exceeds tolerance.
     """
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise AsymmetricInputError(f"{name} must be square, got shape {a.shape}")
     scale = float(np.max(np.abs(a))) if a.size else 0.0
+    if not np.isfinite(scale):  # max|a| is NaN or inf exactly when an entry is
+        i, j = np.argwhere(~np.isfinite(a))[0]
+        raise AsymmetricInputError(
+            f"{name} has a non-finite entry {a[i, j]} at ({i}, {j})"
+        )
     resid = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     if resid > rtol * scale:
         raise AsymmetricInputError(
@@ -186,8 +192,11 @@ def symplectic_spectrum(cov, method="auto", name="covariance"):
     These are the moduli of the eigenvalues of ``i J^-1 cov`` (which occur
     in +/- pairs), computed here without complex arithmetic:
 
-    * general path: ``eig(cov^1/2 J^T cov J cov^1/2)`` gives each squared
-      symplectic eigenvalue twice;
+    * general path: with the Cholesky factor ``cov = L L^T``, the
+      antisymmetric ``K = L^T J L`` is similar to ``J cov``, so the
+      symplectic eigenvalues are the singular values of ``K``, each
+      appearing twice, read as ``sqrt(eig(K^T K))``. ``J`` is applied as a
+      signed swap of the q and p row blocks; no eigenvectors are computed;
     * fast path (zero ``qp`` cross block): ``sqrt(eig(qq @ pp))`` via the
       symmetrized product ``qq^1/2 pp qq^1/2``.
 
@@ -233,14 +242,15 @@ def symplectic_spectrum(cov, method="auto", name="covariance"):
             )
         return np.sqrt(lam)
 
-    w, v = np.linalg.eigh(a)
+    w = np.linalg.eigvalsh(a)
     if w[0] <= POSDEF_RTOL * max(w[-1], 0.0):
         raise NotPositiveDefiniteError(
             f"{name} must be positive definite: eigenvalue {w[0]:.6e}"
         )
-    half = v * np.sqrt(w)            # cov^(1/2) = half @ v.T
-    j = symplectic_form(n)
-    jl = j @ half @ v.T
-    g = jl.T @ a @ jl
-    squared = np.linalg.eigvalsh(0.5 * (g + g.T))
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"{name} has no Cholesky factor: {exc}") from exc
+    k = low.T @ np.concatenate([low[n:], -low[:n]])   # L^T J L, antisymmetric
+    squared = np.linalg.eigvalsh(k.T @ k)
     return _pair_up(np.sqrt(np.maximum(squared, 0.0)), scale)

@@ -65,11 +65,11 @@ def sigma_tilde(cov: CovarianceMatrix):
 def g_alpha(sigma, alpha):
     """Per-mode generalized-purity factor g_alpha(sigma).
 
-    Defined for alpha > 0, alpha != 1; g_alpha(1/2) = 1 for every alpha,
-    and g_2(sigma) = 1/(2 sigma).
+    Defined for finite alpha > 0, alpha != 1; g_alpha(1/2) = 1 for every
+    alpha, and g_2(sigma) = 1/(2 sigma).
     """
     alpha = float(alpha)
-    if not (alpha > 0.0) or alpha == 1.0:
+    if not (0.0 < alpha < np.inf) or alpha == 1.0:
         raise AlphaOutOfDomainError(f"alpha must be in (0, inf) excluding 1, got {alpha}")
     sigma = np.asarray(sigma, dtype=float)
     return 1.0 / ((sigma + 0.5) ** alpha - np.maximum(sigma - 0.5, 0.0) ** alpha)

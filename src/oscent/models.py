@@ -102,9 +102,17 @@ class TwoModeAngles(NamedTuple):
     permuted: bool
 
 
+def _require_finite(model, fields):
+    for field in fields:
+        value = getattr(model, field)
+        if not np.isfinite(value):
+            raise InvalidModelError(f"field '{field}': must be finite, got {value}")
+
+
 def validate_model(model):
     """Raise InvalidModelError if the parameters violate the model's domain."""
     if isinstance(model, TwoMode):
+        _require_finite(model, ("A", "B", "C"))
         if not (model.A > 0.0 and model.B > 0.0):
             raise InvalidModelError(f"A and B must be positive, got A={model.A}, B={model.B}")
         if model.A == model.B:
@@ -114,10 +122,7 @@ def validate_model(model):
                 f"4AB - C^2 = {4.0 * model.A * model.B - model.C ** 2} < 0"
             )
     elif isinstance(model, TwoModeGeneralized):
-        for field in ("X1", "X2", "Y1", "Y2", "Z"):
-            value = getattr(model, field)
-            if not np.isfinite(value):
-                raise InvalidModelError(f"field '{field}': must be finite, got {value}")
+        _require_finite(model, ("X1", "X2", "Y1", "Y2", "Z"))
     elif isinstance(model, GeneralizedChain):
         try:
             k = require_symmetric(model.K, name="K")
@@ -128,6 +133,8 @@ def validate_model(model):
             raise InvalidModelError(
                 f"field 'Y': expected length-{k.shape[0]} vector, got shape {y.shape}"
             )
+        if not np.all(np.isfinite(y)):
+            raise InvalidModelError(f"field 'Y': must be finite, got {y[~np.isfinite(y)][0]}")
     elif isinstance(model, CircularLattice):
         if int(model.N) != model.N or model.N < 3:
             raise InvalidModelError(f"field 'N': need an integer >= 3, got {model.N}")

@@ -61,6 +61,22 @@ def test_twomode_sweep_json(capsys):
     assert_allclose(records[1]["sigma"], 0.5167716231557249, rtol=1e-12)
 
 
+def test_json_output_is_strict_json(tmp_path, capsys):
+    # The alpha = 1 column mu_1 is NaN; JSON has no NaN, so it must be null.
+    def no_constants(token):
+        raise ValueError(f"bare {token} is not JSON")
+
+    path = tmp_path / "sweep.json"
+    code, out, _ = run(["twomode-sweep", "--grid", "0:10:2", "--json"], capsys)
+    assert code == 0
+    assert run(["twomode-sweep", "--grid", "0:10:2", "--json", "--out", str(path)],
+               capsys)[0] == 0
+    for text in (out, path.read_text()):
+        records = json.loads(text, parse_constant=no_constants)
+        assert [r["mu_1"] for r in records] == [None, None]
+        assert_allclose(records[1]["sigma"], 0.5167716231557249, rtol=1e-12)
+
+
 def test_twomode_sweep_out_file(tmp_path, capsys):
     path = tmp_path / "sweep.csv"
     code, out, _ = run(["twomode-sweep", "--grid", "0:15:4",
@@ -208,6 +224,20 @@ def test_non_finite_ring_parameters_exit_two(flag, value, capsys):
     code, _, err = run(["lattice-size", "--kappas", "4", "--grid", "20:20:1",
                         flag, value], capsys)
     assert code == 2 and "finite" in err
+
+
+def test_non_finite_coupling_grid_exits_two(capsys):
+    code, out, err = run(["twomode-sweep", "--grid", "0:nan:3"], capsys)
+    assert code == 2 and out == ""
+    assert "field 'C': must be finite" in err
+
+
+def test_non_finite_model_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text('{"variant": "GeneralizedChain", "K": [[2.0, NaN], [NaN, 2.0]], '
+                    '"Y": [0.0, 0.0]}')
+    code, _, err = run(["measures", "--model", str(path)], capsys)
+    assert code == 2 and "non-finite" in err
 
 
 def test_missing_model_file(tmp_path, capsys):

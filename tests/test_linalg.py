@@ -10,8 +10,10 @@ from oscent.errors import (
     NotPositiveDefiniteError,
     UnpairedSpectrumError,
 )
+from oscent.covariance import classical_covariance, reduce_modes
 from oscent.linalg import (
     _canonical_column_signs,
+    POSDEF_RTOL,
     _pair_up,
     eig_sym,
     jacobi_eig_sym,
@@ -20,6 +22,7 @@ from oscent.linalg import (
     symplectic_form,
     symplectic_spectrum,
 )
+from oscent.models import GeneralizedChain, normal_modes
 
 
 def random_spd(rng, n, shift=0.5):
@@ -59,6 +62,14 @@ def test_require_symmetric_symmetrizes_roundoff():
 def test_require_symmetric_rejects_asymmetry():
     with pytest.raises(AsymmetricInputError):
         require_symmetric(np.array([[1.0, 2.0], [2.5, 3.0]]))
+
+
+def test_require_symmetric_rejects_non_finite_entries():
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        a = np.eye(3)
+        a[1, 2] = a[2, 1] = bad
+        with pytest.raises(AsymmetricInputError, match=r"non-finite entry .* at \(1, 2\)"):
+            require_symmetric(a, name="A")
 
 
 def test_require_symmetric_rejects_nonsquare():
@@ -257,6 +268,75 @@ def test_symplectic_spectrum_auto_handles_cross_block():
     base = random_spd(rng, 6, shift=1.0)
     assert_allclose(symplectic_spectrum(base, method="auto"),
                     symplectic_oracle(base), rtol=1e-9, atol=1e-11)
+
+
+def eigh_general_route(cov):
+    # The general route before the Cholesky form: cov^1/2 from a full eigh,
+    # then eig(cov^1/2 J^T cov J cov^1/2), each squared value twice.
+    a = require_symmetric(cov)
+    n = a.shape[0] // 2
+    w, v = np.linalg.eigh(a)
+    assert w[0] > POSDEF_RTOL * w[-1]
+    jl = symplectic_form(n) @ (v * np.sqrt(w)) @ v.T
+    g = jl.T @ a @ jl
+    squared = np.linalg.eigvalsh(0.5 * (g + g.T))
+    return _pair_up(np.sqrt(np.maximum(squared, 0.0)), float(np.max(np.abs(a))))
+
+
+def qp_chain_covariance(seed, n):
+    # Random chain with a live q-p block; M = K - Y**2 is diagonally dominant.
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, size=(n, n))
+    k = 0.5 * (a + a.T)
+    np.fill_diagonal(k, 0.0)
+    y = rng.uniform(-0.5, 0.5, size=n)
+    k[np.diag_indices(n)] = np.sum(np.abs(k), axis=1) + 1.0 + y**2
+    return classical_covariance(normal_modes(GeneralizedChain(K=k, Y=y)), np.ones(n))
+
+
+def test_general_route_matches_the_eigh_route_on_qp_chains():
+    n = 300
+    cov = qp_chain_covariance(61, n)
+    rng = np.random.default_rng(67)
+    for m in (10, 50, 150, 300):
+        subset = np.sort(rng.choice(n, size=m, replace=False))
+        red = reduce_modes(cov, subset).matrix
+        assert np.max(np.abs(red[:m, m:])) > 1e-3 * np.max(np.abs(red))
+        got = symplectic_spectrum(red, method="general")
+        assert_allclose(got, eigh_general_route(red), rtol=1e-12, atol=0.0)
+        assert_array_equal(symplectic_spectrum(red, method="auto"), got)
+
+
+def test_general_route_refuses_near_singular_cross_block_matrix():
+    # Eigenvalue ratio 1e-13: the Cholesky factor exists, but the relative
+    # positive-definiteness test still refuses the matrix.
+    rng = np.random.default_rng(71)
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    cov = (q * np.array([1e-13, 0.3, 0.5, 0.7, 0.9, 1.0])) @ q.T
+    cov = 0.5 * (cov + cov.T)
+    assert np.max(np.abs(cov[:3, 3:])) > 1e-2
+    np.linalg.cholesky(cov)
+    for method in ("general", "auto"):
+        with pytest.raises(NotPositiveDefiniteError):
+            symplectic_spectrum(cov, method=method)
+
+
+def test_general_route_maps_cholesky_failure(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    with pytest.raises(NotPositiveDefiniteError, match="Cholesky"):
+        symplectic_spectrum(np.eye(4), method="general")
+
+
+def test_symplectic_spectrum_rejects_non_finite_entries():
+    rng = np.random.default_rng(73)
+    cov = random_spd(rng, 4, shift=1.0)
+    cov[0, 3] = cov[3, 0] = np.nan
+    for method in ("general", "auto"):
+        with pytest.raises(AsymmetricInputError, match="non-finite"):
+            symplectic_spectrum(cov, method=method)
 
 
 def test_symplectic_spectrum_rejects_indefinite():

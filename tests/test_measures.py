@@ -117,9 +117,14 @@ def test_g_alpha_hand_value():
 
 
 def test_g_alpha_domain():
-    for alpha in (1.0, 0.0, -2.0):
+    for alpha in (1.0, 0.0, -2.0, float("inf"), float("nan")):
         with pytest.raises(AlphaOutOfDomainError):
             g_alpha(1.0, alpha)
+
+
+def test_alpha_family_rejects_infinite_order():
+    with pytest.raises(AlphaOutOfDomainError):
+        alpha_family(np.array([0.5, 0.7]), [2.0, float("inf")])
 
 
 # --- entropy ------------------------------------------------------------------

@@ -82,6 +82,13 @@ def test_validate_rejects_bad_two_mode():
         validate_model(TwoMode(A=2.0, B=2.0, C=0.5))
     with pytest.raises(InvalidModelError):
         validate_model(TwoMode(A=1.0, B=1.5, C=10.0))  # 4AB < C^2
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        for model in (TwoMode(A=bad, B=2.0, C=0.5), TwoMode(A=1.0, B=bad, C=0.5),
+                      TwoMode(A=1.0, B=2.0, C=bad)):
+            with pytest.raises(InvalidModelError, match="finite"):
+                validate_model(model)
+            with pytest.raises(InvalidModelError, match="finite"):
+                normal_modes(model)
 
 
 def test_validate_rejects_bad_lattice():
@@ -104,6 +111,16 @@ def test_validate_rejects_asymmetric_chain():
                                         Y=np.zeros(2)))
     with pytest.raises(InvalidModelError, match="'Y'"):
         validate_model(GeneralizedChain(K=np.eye(2), Y=np.zeros(3)))
+
+
+def test_validate_rejects_non_finite_chain():
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        k = np.array([[2.0, 0.5], [0.5, 2.0]])
+        k[0, 1] = k[1, 0] = bad
+        with pytest.raises(InvalidModelError, match="'K'.*non-finite"):
+            normal_modes(GeneralizedChain(K=k, Y=np.zeros(2)))
+        with pytest.raises(InvalidModelError, match="'Y'.*finite"):
+            normal_modes(GeneralizedChain(K=np.eye(2), Y=np.array([0.1, bad])))
 
 
 # --- stability --------------------------------------------------------------
