@@ -2,13 +2,15 @@
 
 Exit codes: 0 on success, 2 for invalid input (flags, model files, index
 lists), 3 when a computation fails numerically (unstable system, fit that
-does not converge, spectrum below the pure floor, ...). Oscillator indices
-on the command line are 1-based.
+does not converge, spectrum below the pure floor, ...). A reader that closes
+stdout early (``oscent ... | head``) ends the output quietly with exit code 0.
+Oscillator indices on the command line are 1-based.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -71,6 +73,11 @@ def _parse_grid(text):
     if len(parts) != 3:
         raise ValueError(f"grid must look like start:stop:steps, got {text!r}")
     start, stop = float(parts[0]), float(parts[1])
+    # linspace turns an infinite endpoint into NaN points with a warning; a
+    # NaN endpoint passes through quietly and the model check that uses the
+    # point refuses it, naming the field.
+    if np.isinf(start) or np.isinf(stop):
+        raise ValueError(f"grid {text!r} has an infinite endpoint")
     steps = int(parts[2])
     if steps < 1:
         raise ValueError(f"grid needs at least one step, got {steps}")
@@ -324,7 +331,15 @@ def _run(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nobody reads the rest. Point stdout at devnull so that the
+        # interpreter's final flush of what is still buffered cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

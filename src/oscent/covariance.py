@@ -150,6 +150,16 @@ class Bipartition:
         return np.array([-1.0 if i in g2 else 1.0 for i in self.members])
 
 
+def _checked_actions(actions, n):
+    actions = np.asarray(actions, dtype=float)
+    if actions.shape != (n,):
+        raise ValueError(f"actions must have shape ({n},), got {actions.shape}")
+    # Written so that NaN fails too: every comparison with NaN is false.
+    if not np.all((actions > 0.0) & (actions < np.inf)):
+        raise ValueError("all actions must be finite and positive")
+    return actions
+
+
 def _uniform_scale(actions):
     return float(actions[0]) if np.all(actions == actions[0]) else None
 
@@ -162,7 +172,7 @@ def classical_covariance(modes: NormalModes, actions):
     modes : NormalModes
         From :func:`oscent.models.normal_modes` (stable system).
     actions : array_like
-        Positive action per normal mode, length n.
+        Finite, positive action per normal mode, length n.
 
     Returns
     -------
@@ -170,12 +180,7 @@ def classical_covariance(modes: NormalModes, actions):
         Tagged "classical"; scale is the common action when uniform.
     """
     s, omegas, ydiag = modes
-    actions = np.asarray(actions, dtype=float)
-    n = omegas.shape[0]
-    if actions.shape != (n,):
-        raise ValueError(f"actions must have shape ({n},), got {actions.shape}")
-    if np.any(actions <= 0.0):
-        raise ValueError("all actions must be positive")
+    actions = _checked_actions(actions, omegas.shape[0])
     qq = (s * (actions / omegas)) @ s.T
     pp_free = (s * (actions * omegas)) @ s.T
     qp = -qq * ydiag[np.newaxis, :]
@@ -223,7 +228,6 @@ def angle_average_covariance(modes: NormalModes, actions, grid_points=64):
     roundoff. Cost grows as ``grid_points**n``; refuses n > 4.
     """
     s, omegas, ydiag = modes
-    actions = np.asarray(actions, dtype=float)
     n = omegas.shape[0]
     if n > 4:
         raise DimensionTooLargeError(
@@ -231,10 +235,7 @@ def angle_average_covariance(modes: NormalModes, actions, grid_points=64):
         )
     if grid_points < 16:
         raise ValueError(f"need at least 16 grid points per angle, got {grid_points}")
-    if actions.shape != (n,):
-        raise ValueError(f"actions must have shape ({n},), got {actions.shape}")
-    if np.any(actions <= 0.0):
-        raise ValueError("all actions must be positive")
+    actions = _checked_actions(actions, n)
 
     phi = 2.0 * np.pi * np.arange(grid_points) / grid_points
     amp_q = np.sqrt(2.0 * actions / omegas)

@@ -136,19 +136,60 @@ def sweep_ghoc_y2(y2_grid, x1=2.0, x2=2.0, y1=0.0, z=1.0, alphas=DEFAULT_ALPHAS)
     return SweepTable(tuple(["Y2", "sigma"] + _measure_columns(alphas)), tuple(rows))
 
 
+def _ring_classes(partitions, n):
+    """Symmetry classes of bipartitions of a ring of n sites.
+
+    Two partitions share a class when a rotation i -> i + t or reflection
+    i -> t - i (mod n) of the ring, perhaps followed by swapping the two
+    groups, maps one onto the other. Every ring state has rows that are
+    exactly even, so the reduced blocks of a class are the same matrices up
+    to a permutation and share one E_N. Returns the first partition of each
+    class, in input order, and the class number of every partition.
+    """
+    if len(partitions) < 2:
+        return list(partitions), list(range(len(partitions)))
+    # Per member set: the lexicographically least image under the dihedral
+    # group (it holds site 0, so only the maps sending a member to 0 are
+    # tried) and the member order each map reaching it induces. The members
+    # are sorted, so every image is sorted by a cyclic shift of their order.
+    orbits = {}
+    for members in {p.members for p in partitions}:
+        sites = np.array(members, dtype=int)
+        m = sites.size
+        j = np.arange(m)
+        order = np.concatenate([(j[:, np.newaxis] + j) % m, (j[:, np.newaxis] - j) % m])
+        images = np.concatenate([sites[order[:m]] - sites[:, np.newaxis],
+                                 sites[:, np.newaxis] - sites[order[m:]]]) % n
+        least = min(images.tolist(), default=[])
+        orbits[members] = (tuple(least), order[np.all(images == least, axis=1)])
+    first, classes, representatives = {}, [], []
+    for partition in partitions:
+        canonical, orders = orbits[partition.members]
+        signs = partition.momentum_signs()[orders]
+        pattern = min((tuple(row) for row in (signs * signs[:, :1]).tolist()),
+                      default=())
+        key = (canonical, pattern)
+        if key not in first:
+            first[key] = len(representatives)
+            representatives.append(partition)
+        classes.append(first[key])
+    return representatives, classes
+
+
 def _ring_rows(keys, partitions, kappas, n, k):
     """Rows (key, kappa, E_N, N) on the ring (n, k): key outer, kappa inner.
 
     ``partitions[i]`` belongs to ``keys[i]``; the state at each kappa
-    evaluates all of them in one batch.
+    evaluates one partition per symmetry class in one batch.
     """
-    batches = {kappa: log_negativities(ring_covariance(CircularLattice(n, k, kappa)),
-                                       partitions)
-               for kappa in kappas}
+    representatives, classes = _ring_classes(partitions, n)
+    batches = [log_negativities(ring_covariance(CircularLattice(n, k, kappa)),
+                                representatives)
+               for kappa in kappas]
     rows = []
-    for i, key in enumerate(keys):
-        for kappa in kappas:
-            res = batches[kappa][i]
+    for key, c in zip(keys, classes):
+        for kappa, batch in zip(kappas, batches):
+            res = batch[c]
             rows.append((float(key), kappa, res.log_negativity, res.negativity))
     return rows
 

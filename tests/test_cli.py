@@ -33,6 +33,14 @@ def chain_file(tmp_path):
     return str(path)
 
 
+def source_env():
+    """Environment for running the package from this checkout as a process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return env
+
+
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -196,6 +204,21 @@ def test_console_script_installed(tmp_path, monkeypatch):
     assert proc.stdout.startswith("C,sigma,")
 
 
+def test_closed_stdout_ends_quietly_with_exit_zero():
+    # The reader takes one line and closes the pipe, as `| head -n 1` does;
+    # the rest of the output (well beyond a pipe buffer) cannot be written.
+    proc = subprocess.Popen([sys.executable, "-m", "oscent.cli", "twomode-sweep",
+                             "--grid", "0:10:400", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=source_env())
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
 # --- input errors (exit 2) -----------------------------------------------------
 
 def test_bad_grid_string(capsys):
@@ -230,6 +253,17 @@ def test_non_finite_coupling_grid_exits_two(capsys):
     code, out, err = run(["twomode-sweep", "--grid", "0:nan:3"], capsys)
     assert code == 2 and out == ""
     assert "field 'C': must be finite" in err
+
+
+@pytest.mark.parametrize("grid", ["0:inf:2", "-inf:0:2", "inf:inf:1"])
+def test_infinite_grid_endpoint_exits_two_with_clean_stderr(grid):
+    # As its own process, so that a numpy warning printed on the way would
+    # show on stderr.
+    proc = subprocess.run([sys.executable, "-m", "oscent.cli", "twomode-sweep",
+                           f"--grid={grid}"], capture_output=True, text=True,
+                          env=source_env())
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: grid {grid!r} has an infinite endpoint\n"
 
 
 def test_non_finite_model_file_exits_two(tmp_path, capsys):

@@ -134,6 +134,11 @@ def test_actions_validation():
         classical_covariance(modes, np.ones(3))
     with pytest.raises(ValueError):
         classical_covariance(modes, np.array([1.0, -1.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            classical_covariance(modes, np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="finite and positive"):
+            angle_average_covariance(modes, np.array([bad, 1.0]))
 
 
 # --- quantum ground state ----------------------------------------------------

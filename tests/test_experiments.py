@@ -1,13 +1,16 @@
 """Sweeps, tables, and the two fitting routines."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import curve_fit
 
-from oscent.covariance import Bipartition, classical_covariance
+from oscent import experiments
+from oscent.cli import main
+from oscent.covariance import Bipartition, classical_covariance, ring_covariance
 from oscent.errors import (
     DegenerateDesignError,
     InvalidModelError,
@@ -18,6 +21,7 @@ from oscent.errors import (
 from oscent.experiments import (
     DEFAULT_KAPPAS,
     SweepTable,
+    _ring_classes,
     fit_adjacent_cft,
     fit_kappa_asymptote,
     lattice_adjacent_sweep,
@@ -29,8 +33,9 @@ from oscent.experiments import (
     sweep_two_mode_coupling,
 )
 from oscent.models import CircularLattice, normal_modes
-from oscent.negativity import log_negativity
+from oscent.negativity import log_negativities, log_negativity
 
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 SIGMA_REF = 0.5167716231557249
 GHOC_SIGMA_REF = 0.5075258825641088
 
@@ -174,6 +179,93 @@ def test_size_sweep_never_forms_the_ring_matrix():
     table = lattice_size_sweep((100000,), kappas=(1.0,))
     e = table.column("log_negativity")
     assert e.shape == (1,) and np.isfinite(e[0]) and e[0] > 0.0
+
+
+# --- ring symmetry classes ---------------------------------------------------------
+
+def test_ring_classes_join_partitions_related_by_ring_symmetry():
+    n = 12
+    base = Bipartition((0, 1), (3,))
+    same = [
+        Bipartition((5, 6), (8,)),     # rotated by 5
+        Bipartition((10, 11), (1,)),   # rotated by 10: wraps around the ring
+        Bipartition((0, 11), (9,)),    # reflected, i -> -i
+        Bipartition((3,), (0, 1)),     # groups swapped
+        Bipartition((7,), (4, 5)),     # reflected, rotated and swapped
+    ]
+    apart = [
+        Bipartition((0, 1), (4,)),     # members {0, 1, 4}: other gaps
+        Bipartition((0, 3), (1,)),     # members {0, 1, 3}, other split
+    ]
+    reps, classes = _ring_classes([base] + same + apart, n)
+    assert classes == [0] * (1 + len(same)) + [1, 2]
+    assert reps == [base] + apart
+    state = ring_covariance(CircularLattice(n, 0.1, 4.0))
+    e_base = log_negativity(state, base).log_negativity
+    assert e_base > 0.0
+    for part in same:
+        assert abs(log_negativity(state, part).log_negativity - e_base) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [24, 37])
+def test_ring_sweeps_match_each_partition_solved_alone(n):
+    k, kappas, block, w = 1e-3, (1.0, 16.0), n // 2, 5
+    states = {kappa: ring_covariance(CircularLattice(n, k, kappa)) for kappa in kappas}
+    table = lattice_adjacent_sweep(range(block + 1), kappas=kappas, n=n, k=k,
+                                   block=block)
+    for n1, kappa, e, _ in table.rows:
+        part = Bipartition(range(int(n1)), range(int(n1), block))
+        assert abs(e - log_negativity(states[kappa], part).log_negativity) <= 1e-12
+    table = lattice_disjoint_sweep(range(n - 2 * w + 1), kappas=kappas, n=n, k=k,
+                                   n1=w, n2=w)
+    for d, kappa, e, _ in table.rows:
+        part = Bipartition(range(w), [(w + int(d) + j) % n for j in range(w)])
+        assert abs(e - log_negativity(states[kappa], part).log_negativity) <= 1e-12
+
+
+def test_ring_sweep_mirror_rows_are_exactly_equal():
+    n, block, n1, n2 = 37, 16, 6, 8
+    table = lattice_adjacent_sweep(range(block + 1), kappas=(4.0,), n=n, k=1e-3,
+                                   block=block)
+    e = table.column("log_negativity")
+    assert np.array_equal(e, e[::-1]) and np.all(e[1:-1] > 0.0)
+    table = lattice_disjoint_sweep(range(n - n1 - n2 + 1), kappas=(4.0,), n=n,
+                                   k=0.1, n1=n1, n2=n2)
+    e = table.column("log_negativity")
+    assert np.array_equal(e, e[::-1]) and len(set(e.tolist())) > 1
+
+
+def test_default_ring_sweeps_solve_one_partition_per_class(monkeypatch):
+    batch_sizes = []
+
+    def spy(cov, partitions):
+        batch_sizes.append(len(partitions))
+        return log_negativities(cov, partitions)
+
+    monkeypatch.setattr(experiments, "log_negativities", spy)
+    lattice_adjacent_sweep(range(101))
+    assert batch_sizes == [51] * 7
+    batch_sizes.clear()
+    lattice_disjoint_sweep(range(0, 101, 10))
+    assert batch_sizes == [6] * 3
+    batch_sizes.clear()
+    lattice_size_sweep(range(20, 501, 20))
+    assert batch_sizes == [1] * 7 * 25
+
+
+@pytest.mark.parametrize("command", ["lattice-adjacent", "lattice-d", "lattice-size"])
+def test_default_ring_tables_match_the_dense_reference(command, tmp_path, capsys):
+    # The reference tables were written by the dense normal-mode route; 1e-9
+    # is the benchmark's own gate on them.
+    path = tmp_path / "table.csv"
+    assert main([command, "--out", str(path)]) == 0, capsys.readouterr().err
+    table = read_sweep_csv(path)
+    ref = read_sweep_csv(REFERENCE_DIR / f"{command.replace('-', '_')}.csv")
+    assert table.columns == ref.columns
+    got, want = np.array(table.rows), np.array(ref.rows)
+    assert np.array_equal(got[:, :2], want[:, :2])
+    assert_allclose(table.column("log_negativity"), ref.column("log_negativity"),
+                    rtol=0.0, atol=1e-9)
 
 
 # --- tables -----------------------------------------------------------------------
