@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 2 for invalid input (flags, model files, index
-lists), 3 when a computation fails numerically (unstable system, fit that
-does not converge, spectrum below the pure floor, ...). A reader that closes
-stdout early (``oscent ... | head``) ends the output quietly with exit code 0.
+Exit codes: 0 on success, 2 for invalid input (an OscentInputError, any
+other ValueError such as a malformed flag, or an OSError from a file), 3 when
+a computation fails numerically (an OscentNumericalError: unstable system,
+fit that does not converge, spectrum below the pure floor, ...). A reader
+that closes stdout early (``oscent ... | head``) ends the output quietly with
+exit code 0.
 Oscillator indices on the command line are 1-based.
 """
 
@@ -17,54 +19,10 @@ import numpy as np
 
 from . import experiments
 from .covariance import Bipartition, classical_covariance, reduce_modes
-from .errors import (
-    AlphaOutOfDomainError,
-    AsymmetricInputError,
-    ComplexEigenvalueError,
-    CrossBlockNotZeroError,
-    DegenerateDesignError,
-    DegenerateParametersError,
-    DimensionTooLargeError,
-    EmptySubsystemError,
-    IndexOutOfRangeError,
-    InvalidModelError,
-    NoConvergenceError,
-    NotPositiveDefiniteError,
-    OverlappingGroupsError,
-    SingularMatrixError,
-    SubHeisenbergError,
-    UnpairedSpectrumError,
-    UnstableSystemError,
-)
+from .errors import IndexOutOfRangeError, OscentInputError, OscentNumericalError
 from .measures import DEFAULT_ALPHAS, measure_report
 from .models import load_model, normal_modes
 from .negativity import log_negativity
-
-_INPUT_ERRORS = (
-    InvalidModelError,
-    OverlappingGroupsError,
-    IndexOutOfRangeError,
-    EmptySubsystemError,
-    AlphaOutOfDomainError,
-    DimensionTooLargeError,
-    FileNotFoundError,
-    IsADirectoryError,
-    ValueError,  # bad grids, bad numbers, missing CSV columns
-)
-
-_NUMERICAL_ERRORS = (
-    UnstableSystemError,
-    NoConvergenceError,
-    NotPositiveDefiniteError,
-    AsymmetricInputError,
-    SubHeisenbergError,
-    UnpairedSpectrumError,
-    ComplexEigenvalueError,
-    SingularMatrixError,
-    CrossBlockNotZeroError,
-    DegenerateParametersError,
-    DegenerateDesignError,
-)
 
 
 def _parse_grid(text):
@@ -95,8 +53,11 @@ def _parse_int_grid(text, name):
     return [int(value) for value in values]
 
 
-def _parse_floats(text):
-    return tuple(float(v) for v in text.split(",") if v.strip())
+def _parse_floats(text, flag):
+    values = tuple(float(v) for v in text.split(",") if v.strip())
+    if not values:
+        raise ValueError(f"{flag} needs at least one number, got {text!r}")
+    return values
 
 
 def _parse_indices(text):
@@ -115,25 +76,15 @@ def _parse_indices(text):
 
 def _emit_table(table, args):
     if args.out:
-        if args.json:
-            table.write_json(args.out)
-        else:
-            table.write_csv(args.out)
-        return
-    if args.json:
-        import json
-
-        print(json.dumps(table.to_records(), indent=1))
+        (table.write_json if args.json else table.write_csv)(args.out)
     else:
-        print(",".join(table.columns))
-        for row in table.rows:
-            print(",".join(f"{v:.17g}" if not isinstance(v, str) else v for v in row))
+        sys.stdout.write(table.to_json() if args.json else table.to_csv())
 
 
-def _emit_fit(fit, args, extra=()):
-    columns = tuple(fit.params) + ("rms_residual",) + tuple(k for k, _ in extra)
-    row = tuple(fit.params.values()) + (fit.rms_residual,) + tuple(v for _, v in extra)
-    _emit_table(experiments.SweepTable(columns, (row,)), args)
+def _fit_table(fit, key, value):
+    columns = tuple(fit.params) + ("rms_residual", key)
+    row = tuple(fit.params.values()) + (fit.rms_residual, value)
+    return experiments.SweepTable(columns, (row,))
 
 
 def _add_alphas(parser):
@@ -243,37 +194,36 @@ def build_parser():
 
 
 def _alphas_from(args):
-    return _parse_floats(args.alphas) if args.alphas else DEFAULT_ALPHAS
+    if args.alphas is None:
+        return DEFAULT_ALPHAS
+    return _parse_floats(args.alphas, "--alphas")
+
+
+def _unit_action_state(path):
+    modes = normal_modes(load_model(path))
+    return classical_covariance(modes, np.ones(modes.omegas.shape[0]))
 
 
 def _run(args):
     if args.command == "twomode-sweep":
         table = experiments.sweep_two_mode_coupling(
             _parse_grid(args.grid), a=args.A, b=args.B, alphas=_alphas_from(args))
-        _emit_table(table, args)
     elif args.command == "ghoc-sweep":
         table = experiments.sweep_ghoc_y2(
             _parse_grid(args.grid), x1=args.X1, x2=args.X2, y1=args.Y1,
             z=args.Z, alphas=_alphas_from(args))
-        _emit_table(table, args)
     elif args.command == "lattice-d":
-        d_grid = _parse_int_grid(args.grid, "d")
         table = experiments.lattice_disjoint_sweep(
-            d_grid, kappas=_parse_floats(args.kappas), n=args.N, k=args.k,
-            n1=args.n1, n2=args.n2)
-        _emit_table(table, args)
+            _parse_int_grid(args.grid, "d"), kappas=_parse_floats(args.kappas, "--kappas"),
+            n=args.N, k=args.k, n1=args.n1, n2=args.n2)
     elif args.command == "lattice-adjacent":
-        n1_grid = _parse_int_grid(args.grid, "n1")
         table = experiments.lattice_adjacent_sweep(
-            n1_grid, kappas=_parse_floats(args.kappas), n=args.N, k=args.k,
-            block=args.block)
-        _emit_table(table, args)
+            _parse_int_grid(args.grid, "n1"), kappas=_parse_floats(args.kappas, "--kappas"),
+            n=args.N, k=args.k, block=args.block)
     elif args.command == "lattice-size":
-        n_grid = _parse_int_grid(args.grid, "N")
         table = experiments.lattice_size_sweep(
-            n_grid, kappas=_parse_floats(args.kappas), k=args.k,
-            n1=args.n1, n2=args.n2)
-        _emit_table(table, args)
+            _parse_int_grid(args.grid, "N"), kappas=_parse_floats(args.kappas, "--kappas"),
+            k=args.k, n1=args.n1, n2=args.n2)
     elif args.command == "fit-cft":
         table = experiments.read_sweep_csv(args.infile)
         pick = table.column("kappa") == args.kappa
@@ -282,7 +232,7 @@ def _run(args):
         fit = experiments.fit_adjacent_cft(
             table.column("n1")[pick], table.column("log_negativity")[pick],
             block=args.block)
-        _emit_fit(fit, args, extra=(("kappa", args.kappa),))
+        table = _fit_table(fit, "kappa", args.kappa)
     elif args.command == "fit-kappa":
         table = experiments.read_sweep_csv(args.infile)
         n_col = table.column("N")
@@ -292,15 +242,13 @@ def _run(args):
             raise ValueError(f"no rows with N = {n_val} in {args.infile}")
         fit = experiments.fit_kappa_asymptote(
             table.column("kappa")[pick], table.column("log_negativity")[pick])
-        _emit_fit(fit, args, extra=(("N", n_val),))
+        table = _fit_table(fit, "N", n_val)
     elif args.command == "measures":
-        model = load_model(args.model)
-        modes = normal_modes(model)
-        cov = classical_covariance(modes, np.ones(modes.omegas.shape[0]))
-        if args.subsystem:
+        cov = _unit_action_state(args.model)
+        if args.subsystem is not None:
             indices = _parse_indices(args.subsystem)
         else:
-            indices = tuple(range(modes.omegas.shape[0]))
+            indices = tuple(range(cov.n_modes))
         label = "+".join(str(i + 1) for i in sorted(set(indices)))
         report = measure_report(reduce_modes(cov, indices),
                                 alphas=_alphas_from(args), label=label)
@@ -310,11 +258,9 @@ def _run(args):
             fam = report.families[alpha]
             columns += ["alpha", "mu", "tsallis", "renyi"]
             row += [fam.alpha, fam.purity, fam.tsallis, fam.renyi]
-        _emit_table(experiments.SweepTable(tuple(columns), (tuple(row),)), args)
+        table = experiments.SweepTable(tuple(columns), (tuple(row),))
     elif args.command == "negativity":
-        model = load_model(args.model)
-        modes = normal_modes(model)
-        cov = classical_covariance(modes, np.ones(modes.omegas.shape[0]))
+        cov = _unit_action_state(args.model)
         part = Bipartition(_parse_indices(args.group1), _parse_indices(args.group2))
         res = log_negativity(cov, part)
         table = experiments.SweepTable(
@@ -322,9 +268,9 @@ def _run(args):
             (("+".join(str(i + 1) for i in part.group1),
               "+".join(str(i + 1) for i in part.group2),
               res.log_negativity, res.negativity),))
-        _emit_table(table, args)
     else:  # pragma: no cover - argparse enforces the choices
         raise ValueError(f"unknown command {args.command!r}")
+    _emit_table(table, args)
     return 0
 
 
@@ -340,10 +286,11 @@ def main(argv=None):
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
-    except _NUMERICAL_ERRORS as exc:
+    # Numerical errors first: most of them are ValueErrors too.
+    except OscentNumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _INPUT_ERRORS as exc:
+    except (OscentInputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,8 +10,8 @@ normal modes S, frequencies W = diag(omega) and actions I is
 in (q..., p...) ordering, with Y the diagonal position-momentum coupling.
 The quantum ground-state covariance is the same construction evaluated at
 actions hbar/2, so classical and quantum results share one code path. Each
-matrix carries a scale tag: the common action value (or hbar), which is what
-downstream measures divide out.
+matrix carries its common per-mode action, which is what downstream measures
+divide out; the ground state is simply the state at action hbar/2.
 
 On the circular lattice the normal modes are Fourier modes, so qq and pp are
 circulant and a unit-action state is fixed by their first rows alone
@@ -42,23 +42,19 @@ CROSS_BLOCK_RTOL = 1e-12
 class CovarianceMatrix:
     """2n x 2n second-moment matrix with its normalization tag.
 
-    ``kind`` is "classical" or "quantum". For uniform classical actions,
-    ``scale`` holds the common action value; for the quantum ground state it
-    holds hbar. ``scale`` is None when the actions were not uniform, in which
-    case the normalized measures are undefined.
+    ``action`` is the common per-mode action the matrix is proportional to
+    (hbar/2 for the quantum ground state). It is None when the actions were
+    not uniform, in which case the normalized measures are undefined.
     """
 
     matrix: np.ndarray
-    kind: str = "classical"
-    scale: Optional[float] = 1.0
+    action: Optional[float] = 1.0
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
             raise ValueError(f"covariance must be 2n x 2n, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
-        if self.kind not in ("classical", "quantum"):
-            raise ValueError(f"kind must be 'classical' or 'quantum', got {self.kind!r}")
 
     @property
     def n_modes(self):
@@ -79,23 +75,10 @@ class CovarianceMatrix:
         n = self.n_modes
         return self.matrix[n:, n:]
 
-    @property
-    def action_scale(self):
-        """Per-mode action this matrix is proportional to: c, or hbar/2."""
-        if self.scale is None:
-            return None
-        return 0.5 * self.scale if self.kind == "quantum" else self.scale
-
     def _select(self, idx):
         n = self.n_modes
         sel = np.concatenate([idx, idx + n])
         return self.matrix[np.ix_(sel, sel)]
-
-    def write_csv(self, path):
-        """Row-major CSV dump, 17 significant digits, LF line endings."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for row in self.matrix:
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,8 +92,7 @@ class RingCovariance:
 
     cq: np.ndarray
     cp: np.ndarray
-    kind = "classical"
-    scale = 1.0
+    action = 1.0
 
     @property
     def n_modes(self):
@@ -160,8 +142,22 @@ def _checked_actions(actions, n):
     return actions
 
 
-def _uniform_scale(actions):
+def _common_action(actions):
     return float(actions[0]) if np.all(actions == actions[0]) else None
+
+
+def _require_action(cov):
+    """The common action of ``cov``, which the normalized measures divide out."""
+    if cov.action is None:
+        raise ValueError("normalized measures need a uniform-action covariance "
+                         "(build it with equal actions)")
+    return cov.action
+
+
+def _require_zero_cross_block(cov, message):
+    overall = float(np.max(np.abs(cov.matrix)))
+    if float(np.max(np.abs(cov.qp))) > CROSS_BLOCK_RTOL * overall:
+        raise CrossBlockNotZeroError(message)
 
 
 def classical_covariance(modes: NormalModes, actions):
@@ -177,7 +173,7 @@ def classical_covariance(modes: NormalModes, actions):
     Returns
     -------
     CovarianceMatrix
-        Tagged "classical"; scale is the common action when uniform.
+        Its action is the common action when uniform, else None.
     """
     s, omegas, ydiag = modes
     actions = _checked_actions(actions, omegas.shape[0])
@@ -187,7 +183,7 @@ def classical_covariance(modes: NormalModes, actions):
     pp = pp_free + (ydiag[:, np.newaxis] * qq) * ydiag[np.newaxis, :]
     top = np.hstack([qq, qp])
     bottom = np.hstack([qp.T, pp])
-    return CovarianceMatrix(np.vstack([top, bottom]), "classical", _uniform_scale(actions))
+    return CovarianceMatrix(np.vstack([top, bottom]), _common_action(actions))
 
 
 def _circulant_row(eigenvalues):
@@ -213,9 +209,7 @@ def quantum_ground_covariance(modes: NormalModes, hbar=1.0):
     """Ground-state covariance: the classical build at actions hbar/2."""
     if hbar <= 0.0:
         raise ValueError(f"hbar must be positive, got {hbar}")
-    n = modes.omegas.shape[0]
-    classical = classical_covariance(modes, np.full(n, hbar / 2.0))
-    return CovarianceMatrix(classical.matrix, "quantum", float(hbar))
+    return classical_covariance(modes, np.full(modes.omegas.shape[0], hbar / 2.0))
 
 
 def angle_average_covariance(modes: NormalModes, actions, grid_points=64):
@@ -258,7 +252,7 @@ def angle_average_covariance(modes: NormalModes, actions, grid_points=64):
         first += r.sum(axis=1)
     mean = first / total
     cov = second / total - np.outer(mean, mean)
-    return CovarianceMatrix(0.5 * (cov + cov.T), "classical", _uniform_scale(actions))
+    return CovarianceMatrix(0.5 * (cov + cov.T), _common_action(actions))
 
 
 def reduce_modes(cov, indices):
@@ -275,7 +269,7 @@ def reduce_modes(cov, indices):
     if idx[0] < 0 or idx[-1] >= n:
         bad = idx[0] if idx[0] < 0 else idx[-1]
         raise IndexOutOfRangeError(f"oscillator index {bad} outside [0, {n})")
-    return CovarianceMatrix(cov._select(np.array(idx)), cov.kind, cov.scale)
+    return CovarianceMatrix(cov._select(np.array(idx)), cov.action)
 
 
 def partial_transpose(cov: CovarianceMatrix, partition: Bipartition):
@@ -294,11 +288,8 @@ def partial_transpose(cov: CovarianceMatrix, partition: Bipartition):
         raise ValueError(
             f"covariance holds {m} modes but the partition names {len(members)}"
         )
-    scale = float(np.max(np.abs(cov.matrix)))
-    if float(np.max(np.abs(cov.qp))) > CROSS_BLOCK_RTOL * scale:
-        raise CrossBlockNotZeroError(
-            "q-p cross block must vanish for a momentum-sign partial transpose"
-        )
+    _require_zero_cross_block(
+        cov, "q-p cross block must vanish for a momentum-sign partial transpose")
     signs = np.concatenate([np.ones(m), partition.momentum_signs()])
     flipped = cov.matrix * np.outer(signs, signs)
-    return CovarianceMatrix(flipped, cov.kind, cov.scale)
+    return CovarianceMatrix(flipped, cov.action)

@@ -22,16 +22,16 @@ from .errors import (
     OverlappingGroupsError,
 )
 from .measures import DEFAULT_ALPHAS, measure_report
-from .models import CircularLattice, TwoMode, TwoModeGeneralized, normal_modes
+from .models import (
+    CircularLattice,
+    TwoMode,
+    TwoModeGeneralized,
+    normal_modes,
+    validate_model,
+)
 from .negativity import log_negativities
 
 DEFAULT_KAPPAS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-
-
-def _fmt(value):
-    if isinstance(value, str):
-        return value
-    return f"{value:.17g}"
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,16 @@ class SweepTable:
         j = self.columns.index(name)
         return np.array([row[j] for row in self.rows])
 
+    def to_csv(self):
+        """CSV text: a header line, then numbers to 17 significant digits."""
+        lines = [",".join(self.columns)]
+        lines += [",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row)
+                  for row in self.rows]
+        return "\n".join(lines) + "\n"
+
     def write_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(self.to_csv())
 
     def to_records(self):
         """Rows as dicts; NaN and inf cells become None (JSON null)."""
@@ -57,10 +62,13 @@ class SweepTable:
                  for col, v in zip(self.columns, row)}
                 for row in self.rows]
 
+    def to_json(self):
+        """The records as JSON text, indented by one space per level."""
+        return json.dumps(self.to_records(), indent=1) + "\n"
+
     def write_json(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_records(), fh, indent=1)
-            fh.write("\n")
+            fh.write(self.to_json())
 
 
 def read_sweep_csv(path):
@@ -81,20 +89,23 @@ class FitResult:
     grid: Tuple[float, ...]
 
 
-def _measure_columns(alphas):
-    cols = ["purity", "linear_entropy", "von_neumann"]
+def _first_oscillator_sweep(name, grid, model_at, alphas):
+    """Oscillator 1's sigma and measures in model_at(x) for each x in grid."""
+    alphas = tuple(float(x) for x in alphas)
+    columns = [name, "sigma", "purity", "linear_entropy", "von_neumann"]
     for alpha in alphas:
-        tag = f"{alpha:g}"
-        cols += [f"mu_{tag}", f"tsallis_{tag}", f"renyi_{tag}"]
-    return cols
-
-
-def _measure_cells(report, alphas):
-    cells = [report.purity, report.linear_entropy, report.von_neumann]
-    for alpha in alphas:
-        fam = report.families[float(alpha)]
-        cells += [fam.purity, fam.tsallis, fam.renyi]
-    return cells
+        columns += [f"mu_{alpha:g}", f"tsallis_{alpha:g}", f"renyi_{alpha:g}"]
+    rows = []
+    for x in grid:
+        cov = classical_covariance(normal_modes(model_at(x)), np.ones(2))
+        report = measure_report(reduce_modes(cov, [0]), alphas)
+        row = [x, float(report.sigma[0]), report.purity, report.linear_entropy,
+               report.von_neumann]
+        for alpha in alphas:
+            fam = report.families[alpha]
+            row += [fam.purity, fam.tsallis, fam.renyi]
+        rows.append(tuple(row))
+    return SweepTable(tuple(columns), tuple(rows))
 
 
 def sweep_two_mode_coupling(c_grid, a=5.0, b=20.0, alphas=DEFAULT_ALPHAS):
@@ -104,19 +115,12 @@ def sweep_two_mode_coupling(c_grid, a=5.0, b=20.0, alphas=DEFAULT_ALPHAS):
     frequencies); the first violating point raises InvalidModelError.
     """
     c_grid = [float(c) for c in c_grid]
-    alphas = tuple(float(x) for x in alphas)
     for c in c_grid:
         if 4.0 * a * b - c * c <= 0.0:
             raise InvalidModelError(
                 f"C = {c} reaches 4AB - C^2 <= 0; grid must stay inside the stable disc"
             )
-    rows = []
-    for c in c_grid:
-        modes = normal_modes(TwoMode(a, b, c))
-        cov = classical_covariance(modes, np.ones(2))
-        report = measure_report(reduce_modes(cov, [0]), alphas)
-        rows.append(tuple([c, float(report.sigma[0])] + _measure_cells(report, alphas)))
-    return SweepTable(tuple(["C", "sigma"] + _measure_columns(alphas)), tuple(rows))
+    return _first_oscillator_sweep("C", c_grid, lambda c: TwoMode(a, b, c), alphas)
 
 
 def sweep_ghoc_y2(y2_grid, x1=2.0, x2=2.0, y1=0.0, z=1.0, alphas=DEFAULT_ALPHAS):
@@ -125,15 +129,9 @@ def sweep_ghoc_y2(y2_grid, x1=2.0, x2=2.0, y1=0.0, z=1.0, alphas=DEFAULT_ALPHAS)
     Unstable grid points (for the defaults, |Y2| >= sqrt(8/3)) raise
     UnstableSystemError from the normal-mode construction.
     """
-    y2_grid = [float(y2) for y2 in y2_grid]
-    alphas = tuple(float(x) for x in alphas)
-    rows = []
-    for y2 in y2_grid:
-        modes = normal_modes(TwoModeGeneralized(x1, x2, y1, y2, z))
-        cov = classical_covariance(modes, np.ones(2))
-        report = measure_report(reduce_modes(cov, [0]), alphas)
-        rows.append(tuple([y2, float(report.sigma[0])] + _measure_cells(report, alphas)))
-    return SweepTable(tuple(["Y2", "sigma"] + _measure_columns(alphas)), tuple(rows))
+    return _first_oscillator_sweep("Y2", [float(y2) for y2 in y2_grid],
+                                   lambda y2: TwoModeGeneralized(x1, x2, y1, y2, z),
+                                   alphas)
 
 
 def _ring_classes(partitions, n):
@@ -198,6 +196,15 @@ def _ring_group(start, count, n):
     return tuple(int((start + j) % n) for j in range(count))
 
 
+def _check_ring(n, **windows):
+    """Refuse a ring of fewer than 3 sites or a window of negative size
+    before any group is built; a window of 0 sites is an empty group."""
+    validate_model(CircularLattice(n, 0.0, 0.0))
+    for name, size in windows.items():
+        if size < 0:
+            raise ValueError(f"{name} = {size}: a window cannot have negative size")
+
+
 def lattice_disjoint_sweep(d_grid, kappas=(1.0, 8.0, 64.0), n=200, k=0.1,
                            n1=50, n2=50):
     """E_N between two ring windows separated by d lattice sites.
@@ -207,6 +214,7 @@ def lattice_disjoint_sweep(d_grid, kappas=(1.0, 8.0, 64.0), n=200, k=0.1,
     """
     d_grid = [int(d) for d in d_grid]
     kappas = [float(kappa) for kappa in kappas]
+    _check_ring(n, n1=n1, n2=n2)
     group1 = _ring_group(0, n1, n)
     parts = []
     for d in d_grid:
@@ -249,6 +257,7 @@ def lattice_size_sweep(n_grid, kappas=DEFAULT_KAPPAS, k=0.1, n1=10, n2=10):
     n_grid = [int(n) for n in n_grid]
     kappas = [float(kappa) for kappa in kappas]
     for n in n_grid:
+        _check_ring(n, n1=n1, n2=n2)
         if n < n1 + n2:
             raise ValueError(f"N = {n} cannot hold two windows of {n1} and {n2}")
     part = Bipartition(tuple(range(n1)), tuple(range(n1, n1 + n2)))

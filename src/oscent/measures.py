@@ -2,8 +2,8 @@
 
 All measures are functions of the normalized symplectic spectrum
 
-    sigma_k = nu_k / (2 c)          (classical, uniform action c)
-    sigma_k = nu_k / hbar           (quantum ground state)
+    sigma_k = nu_k / (2 c)          (uniform action c; c = hbar/2 in the
+                                     quantum ground state)
 
 which is bounded below by 1/2, with equality exactly on pure/whole-system
 reductions. The per-mode building block for order alpha is
@@ -20,7 +20,7 @@ from typing import Dict
 
 import numpy as np
 
-from .covariance import CovarianceMatrix
+from .covariance import CovarianceMatrix, _require_action
 from .errors import (
     AlphaOutOfDomainError,
     DegenerateParametersError,
@@ -37,15 +37,6 @@ DEFAULT_ALPHAS = (0.9, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 SIGMA_FLOOR_TOL = 1e-9
 
 
-def _normalization(cov: CovarianceMatrix):
-    if cov.action_scale is None:
-        raise ValueError(
-            "normalized measures need a uniform-action covariance "
-            "(build it with equal actions)"
-        )
-    return 2.0 * cov.action_scale
-
-
 def sigma_tilde(cov: CovarianceMatrix):
     """Normalized symplectic spectrum of a (reduced) covariance, ascending.
 
@@ -53,7 +44,7 @@ def sigma_tilde(cov: CovarianceMatrix):
     farther below raises SubHeisenbergError, since no classical-state or
     ground-state reduction can produce it.
     """
-    nu = symplectic_spectrum(cov.matrix) / _normalization(cov)
+    nu = symplectic_spectrum(cov.matrix) / (2.0 * _require_action(cov))
     low = nu < 0.5 - SIGMA_FLOOR_TOL
     if np.any(low):
         raise SubHeisenbergError(
@@ -93,15 +84,12 @@ def von_neumann_entropy(sigma):
 
 
 def purity_from_determinant(cov: CovarianceMatrix):
-    """Purity as scale**n / sqrt(det cov); equals prod(1 / (2 sigma_k))."""
-    n = cov.n_modes
-    scale = cov.action_scale
-    if scale is None:
-        raise ValueError("purity needs a uniform-action covariance")
+    """Purity as action**n / sqrt(det cov); equals prod(1 / (2 sigma_k))."""
+    action = _require_action(cov)
     sign, logdet = np.linalg.slogdet(cov.matrix)
     if sign <= 0.0:
         raise SingularMatrixError("covariance determinant is not positive")
-    return float(np.exp(n * np.log(scale) - 0.5 * logdet))
+    return float(np.exp(cov.n_modes * np.log(action) - 0.5 * logdet))
 
 
 @dataclass(frozen=True)
@@ -146,17 +134,6 @@ class MeasureReport:
     linear_entropy: float
     von_neumann: float
     families: Dict[float, AlphaMeasures]
-
-    def csv_row(self):
-        cells = [self.label,
-                 f"{self.purity:.17g}",
-                 f"{self.linear_entropy:.17g}",
-                 f"{self.von_neumann:.17g}"]
-        for alpha in sorted(self.families):
-            fam = self.families[alpha]
-            cells += [f"{fam.alpha:.17g}", f"{fam.purity:.17g}",
-                      f"{fam.tsallis:.17g}", f"{fam.renyi:.17g}"]
-        return ",".join(cells)
 
 
 def measure_report(cov: CovarianceMatrix, alphas=DEFAULT_ALPHAS, label=""):

@@ -16,12 +16,12 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import (
+    AsymmetricInputError,
     DegenerateParametersError,
     InvalidModelError,
     UnstableSystemError,
 )
 from .linalg import eig_sym, require_symmetric
-from .errors import AsymmetricInputError
 
 
 @dataclass(frozen=True)
@@ -153,10 +153,11 @@ def assemble_ky(model):
     """Stiffness matrix K and the diagonal of Y for any model variant."""
     validate_model(model)
     if isinstance(model, TwoMode):
-        k = np.array([[model.A, model.C / 2.0], [model.C / 2.0, model.B]])
+        k = np.array([[model.A, model.C / 2.0], [model.C / 2.0, model.B]], dtype=float)
         y = np.zeros(2)
     elif isinstance(model, TwoModeGeneralized):
-        k = np.array([[model.X1 + model.Z, -model.Z], [-model.Z, model.X2 + model.Z]])
+        k = np.array([[model.X1 + model.Z, -model.Z], [-model.Z, model.X2 + model.Z]],
+                     dtype=float)
         y = np.array([model.Y1, model.Y2], dtype=float)
     elif isinstance(model, GeneralizedChain):
         k = require_symmetric(model.K, name="K")
@@ -172,12 +173,15 @@ def assemble_ky(model):
     return k, y
 
 
-def m_matrix(model):
-    """M = K - Y**2, the matrix whose spectrum decides stability."""
-    k, y = assemble_ky(model)
+def _k_minus_y2(k, y):
     m = k.copy()
     m[np.diag_indices_from(m)] -= y**2
     return m
+
+
+def m_matrix(model):
+    """M = K - Y**2, the matrix whose spectrum decides stability."""
+    return _k_minus_y2(*assemble_ky(model))
 
 
 def stability(model):
@@ -195,9 +199,7 @@ def normal_modes(model):
         If the smallest eigenvalue of M is not strictly positive.
     """
     k, y = assemble_ky(model)
-    m = k.copy()
-    m[np.diag_indices_from(m)] -= y**2
-    w, s = eig_sym(m, name="M")
+    w, s = eig_sym(_k_minus_y2(k, y), name="M")
     if w[0] <= 0.0:
         raise UnstableSystemError(
             f"system is not stable: min eigenvalue of K - Y^2 is {w[0]:.6e}"

@@ -7,7 +7,7 @@ pure floor gives
     E_N = -sum_j log2 min(1, lambda_j)
 
 where the lambda_j are the eigenvalues of qq_u P pp_u P, the blocks taken
-from the reduced covariance divided by the action scale, and P the momentum
+from the reduced covariance divided by its action, and P the momentum
 sign pattern of the partition. Decoupled or single-group partitions give
 every lambda_j >= 1 and hence exactly zero.
 
@@ -24,16 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import (
-    CROSS_BLOCK_RTOL,
     Bipartition,
+    _require_action,
+    _require_zero_cross_block,
     partial_transpose,
     reduce_modes,
 )
-from .errors import (
-    ComplexEigenvalueError,
-    CrossBlockNotZeroError,
-    NotPositiveDefiniteError,
-)
+from .errors import ComplexEigenvalueError, NotPositiveDefiniteError
 from .linalg import _pair_up, symplectic_form
 
 # lambda = 1 +/- roundoff must contribute exactly zero bits.
@@ -51,15 +48,9 @@ class NegativityResult:
 
 def _reduced_unit_blocks(cov, members):
     red = reduce_modes(cov, members)
-    scale = red.action_scale
-    if scale is None:
-        raise ValueError("negativity needs a uniform-action covariance")
-    overall = float(np.max(np.abs(red.matrix)))
-    if float(np.max(np.abs(red.qp))) > CROSS_BLOCK_RTOL * overall:
-        raise CrossBlockNotZeroError(
-            "q-p cross block of the reduced covariance must vanish"
-        )
-    return red.qq / scale, red.pp / scale, red
+    action = _require_action(red)
+    _require_zero_cross_block(red, "q-p cross block of the reduced covariance must vanish")
+    return red.qq / action, red.pp / action, red
 
 
 def _bits_from_lambdas(lambdas):
@@ -118,10 +109,8 @@ def log_negativity_via_symplectic(cov, partition: Bipartition):
     ComplexEigenvalueError.
     """
     _, _, red = _reduced_unit_blocks(cov, partition.members)
-    scale = red.action_scale
-    m = red.n_modes
     flipped = partial_transpose(red, partition)
-    a = np.linalg.solve(symplectic_form(m), flipped.matrix / scale)
+    a = np.linalg.solve(symplectic_form(red.n_modes), flipped.matrix / red.action)
     eigs = np.linalg.eigvals(a)
     moduli = np.abs(eigs)
     drift = float(np.max(np.abs(eigs.real) / np.maximum(moduli, np.finfo(float).tiny)))

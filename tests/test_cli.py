@@ -315,6 +315,72 @@ def test_fit_cft_missing_kappa(tmp_path, capsys):
     assert code == 2 and "kappa = 16" in err
 
 
+def one_error_line(err):
+    return err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("n", ["0", "2"])
+def test_ring_of_fewer_than_three_sites_exits_two(n, capsys):
+    code, out, err = run(["lattice-d", "--N", n, "--grid", "0:0:1"], capsys)
+    assert code == 2 and out == "" and one_error_line(err)
+    assert "field 'N'" in err
+
+
+@pytest.mark.parametrize("flag", ["--n1", "--n2"])
+def test_negative_window_on_lattice_d_exits_two(flag, capsys):
+    code, out, err = run(["lattice-d", flag, "-5", "--grid", "0:0:1"], capsys)
+    assert code == 2 and out == "" and one_error_line(err)
+    assert f"{flag[2:]} = -5" in err
+
+
+@pytest.mark.parametrize("flag", ["--n1", "--n2"])
+def test_negative_window_on_lattice_size_exits_two(flag, capsys):
+    code, out, err = run(["lattice-size", flag, "-5", "--grid", "20:20:1"], capsys)
+    assert code == 2 and out == "" and one_error_line(err)
+    assert f"{flag[2:]} = -5" in err
+
+
+def test_empty_window_is_still_a_group(capsys):
+    code, out, err = run(["lattice-d", "--N", "20", "--n1", "0", "--n2", "5",
+                          "--kappas", "4", "--grid", "0:0:1"], capsys)
+    assert code == 0 and err == ""
+    assert out.splitlines()[1:] == ["0,4,0,0"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["lattice-d", "--kappas", ","], "--kappas"),
+    (["lattice-d", "--kappas", ""], "--kappas"),
+    (["lattice-adjacent", "--kappas", " , "], "--kappas"),
+    (["lattice-size", "--kappas", ""], "--kappas"),
+    (["twomode-sweep", "--alphas", ","], "--alphas"),
+    (["twomode-sweep", "--alphas", ""], "--alphas"),
+    (["ghoc-sweep", "--alphas", ""], "--alphas"),
+])
+def test_empty_list_flag_exits_two(argv, flag, capsys):
+    code, out, err = run(argv + ["--grid", "20:20:1"], capsys)
+    assert code == 2 and out == "" and one_error_line(err)
+    assert flag in err
+
+
+def test_empty_measures_lists_exit_two(two_mode_file, capsys):
+    for flag in ("--alphas", "--subsystem"):
+        code, out, err = run(["measures", "--model", two_mode_file, flag, ""], capsys)
+        assert code == 2 and out == "" and one_error_line(err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["twomode-sweep", "--grid", "0:1:2", "--out", "{blocker}/x.csv"],
+    ["measures", "--model", "{blocker}/m.json"],
+    ["fit-kappa", "--in", "{blocker}/x.csv"],
+])
+def test_path_through_a_regular_file_exits_two(argv, tmp_path, capsys):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    code, out, err = run([a.format(blocker=blocker) for a in argv], capsys)
+    assert code == 2 and out == "" and one_error_line(err)
+    assert "Not a directory" in err
+
+
 # --- numerical errors (exit 3) ---------------------------------------------------
 
 def test_unstable_sweep_exits_three(capsys):

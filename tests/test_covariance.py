@@ -22,6 +22,7 @@ from oscent.errors import (
     OverlappingGroupsError,
 )
 from oscent.linalg import mat_pow
+from oscent.measures import purity_from_determinant, sigma_tilde
 from oscent.models import (
     CircularLattice,
     GeneralizedChain,
@@ -52,7 +53,7 @@ def test_uniform_actions_give_matrix_power_blocks():
     assert_allclose(cov.qq, c * mat_pow(m, -0.5), atol=1e-10)
     assert_allclose(cov.pp, c * mat_pow(m, 0.5), atol=1e-10)
     assert_array_equal(cov.qp, np.zeros((5, 5)))
-    assert cov.scale == c and cov.kind == "classical"
+    assert cov.action == c
 
 
 def test_two_mode_entrywise_closed_form():
@@ -74,7 +75,7 @@ def test_two_mode_entrywise_closed_form():
     assert_allclose(cov.qq, qq, atol=1e-10)
     assert_allclose(cov.pp, pp, atol=1e-10)
     assert_array_equal(cov.qp, np.zeros((2, 2)))
-    assert cov.scale is None  # actions differ
+    assert cov.action is None  # actions differ
 
 
 def test_cross_block_follows_momentum_coupling():
@@ -151,8 +152,7 @@ def test_quantum_equals_classical_at_half_hbar():
         quantum = quantum_ground_covariance(modes, hbar)
         classical = classical_covariance(modes, np.full(4, hbar / 2.0))
         assert_array_equal(quantum.matrix, classical.matrix)
-        assert quantum.kind == "quantum" and quantum.scale == hbar
-        assert quantum.action_scale == classical.action_scale == hbar / 2.0
+        assert quantum.action == classical.action == hbar / 2.0
 
 
 def test_quantum_single_mode_width():
@@ -214,7 +214,7 @@ def test_reduce_full_set_is_identity():
                                np.ones(2))
     red = reduce_modes(cov, [0, 1])
     assert_array_equal(red.matrix, cov.matrix)
-    assert red.scale == cov.scale and red.kind == cov.kind
+    assert red.action == cov.action
 
 
 def test_reduce_single_oscillator_blocks():
@@ -274,7 +274,7 @@ def test_ring_reduction_matches_dense_route(n, kappa):
         assert np.all(got.qp == 0.0)
         assert_array_equal(got.qq, got.qq.T)
         assert_array_equal(got.pp, got.pp.T)
-        assert (got.kind, got.scale) == (expect.kind, expect.scale)
+        assert got.action == expect.action == 1.0
 
 
 def test_ring_reduction_checks_indices_like_dense():
@@ -351,24 +351,19 @@ def test_covariance_matrix_validation():
         CovarianceMatrix(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         CovarianceMatrix(np.zeros((2, 4)))
-    with pytest.raises(ValueError):
-        CovarianceMatrix(np.eye(2), kind="thermal")
 
 
-def test_action_scale_semantics():
-    classical = CovarianceMatrix(np.eye(4), "classical", 2.0)
-    quantum = CovarianceMatrix(np.eye(4), "quantum", 2.0)
-    unknown = CovarianceMatrix(np.eye(4), "classical", None)
-    assert classical.action_scale == 2.0
-    assert quantum.action_scale == 1.0
-    assert unknown.action_scale is None
-
-
-def test_covariance_csv_dump(tmp_path):
-    cov = CovarianceMatrix(np.array([[1.0, 0.125], [0.125, 2.0]]) * (1.0 / 3.0))
-    path = tmp_path / "cov.csv"
-    cov.write_csv(path)
-    raw = path.read_bytes().decode()
-    assert "\r" not in raw
-    rows = [[float(x) for x in line.split(",")] for line in raw.strip().split("\n")]
-    assert_array_equal(np.array(rows), cov.matrix)  # 17 digits round-trip float64
+def test_action_tag_semantics():
+    # The tag is the per-mode action that the normalized measures divide
+    # out: 1 by default, hbar/2 for the ground state, None when not uniform.
+    assert CovarianceMatrix(np.eye(4)).action == 1.0
+    modes = normal_modes(TwoMode(A=4.0, B=9.0, C=0.0))
+    assert quantum_ground_covariance(modes, hbar=3.0).action == 1.5
+    unknown = CovarianceMatrix(np.eye(4), None)
+    for measure in (sigma_tilde, purity_from_determinant):
+        with pytest.raises(ValueError, match="uniform-action"):
+            measure(unknown)
+    # Halving the matrix and its action leaves every normalized width alone.
+    cov = quantum_ground_covariance(modes, hbar=1.0)
+    half = CovarianceMatrix(0.5 * cov.matrix, 0.5 * cov.action)
+    assert_allclose(sigma_tilde(half), sigma_tilde(cov), rtol=1e-13)

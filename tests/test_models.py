@@ -197,6 +197,24 @@ def test_normal_modes_reconstruction_property():
         assert_array_equal(modes.ydiag, np.asarray(chain.Y, dtype=float))
 
 
+@pytest.mark.parametrize("ints, floats", [
+    (TwoModeGeneralized(2, 2, 0, 1, 1), TwoModeGeneralized(2.0, 2.0, 0.0, 1.0, 1.0)),
+    (TwoModeGeneralized(2, 3, 0, 0, 1), TwoModeGeneralized(2.0, 3.0, 0.0, 0.0, 1.0)),
+    (TwoMode(5, 20, 10), TwoMode(5.0, 20.0, 10.0)),
+    (GeneralizedChain(np.array([[3, -1], [-1, 3]]), np.array([1, 0])),
+     GeneralizedChain(np.array([[3.0, -1.0], [-1.0, 3.0]]), np.array([1.0, 0.0]))),
+    (CircularLattice(6, 1, 4), CircularLattice(6, 1.0, 4.0)),
+])
+def test_integer_parameters_give_the_float_result(ints, floats):
+    # Library callers may pass plain ints; K is built as float either way.
+    got, expect = normal_modes(ints), normal_modes(floats)
+    for field in ("s", "omegas", "ydiag"):
+        assert getattr(got, field).dtype == np.float64
+        assert_array_equal(getattr(got, field), getattr(expect, field))
+    assert stability(ints) == stability(floats)
+    assert_array_equal(m_matrix(ints), m_matrix(floats))
+
+
 def test_normal_modes_unstable_raises():
     with pytest.raises(UnstableSystemError):
         normal_modes(TwoModeGeneralized(X1=2.0, X2=2.0, Y1=0.0, Y2=1.7, Z=1.0))

@@ -41,7 +41,7 @@ def brute_force_lambdas(cov, partition):
     # with a plain nonsymmetric solver as an independent oracle.
     members = partition.members
     idx = np.concatenate([members, [m + cov.n_modes for m in members]])
-    red = cov.matrix[np.ix_(idx, idx)] / cov.action_scale
+    red = cov.matrix[np.ix_(idx, idx)] / cov.action
     m = len(members)
     signs = partition.momentum_signs()
     p = np.diag(signs)
@@ -54,7 +54,7 @@ def one_partition_lambdas(cov, partition):
     # The one-partition arithmetic as it stood before the batch existed,
     # step for step, so the batch can be held to it bit for bit.
     red = reduce_modes(cov, partition.members)
-    qq_u, pp_u = red.qq / red.action_scale, red.pp / red.action_scale
+    qq_u, pp_u = red.qq / red.action, red.pp / red.action
     signs = partition.momentum_signs()
     flipped_pp = pp_u * np.outer(signs, signs)
     wq, vq = np.linalg.eigh(0.5 * (qq_u + qq_u.T))
@@ -193,14 +193,13 @@ def test_live_cross_block_rejected_by_both_routes():
 
 def test_off_axis_eigenvalues_raise_on_symplectic_route():
     # pp indefinite makes J^-1 C_pt acquire real eigenvalues.
-    adversarial = CovarianceMatrix(np.diag([1.0, 1.0, -1.0, 1.0]),
-                                   "classical", 1.0)
+    adversarial = CovarianceMatrix(np.diag([1.0, 1.0, -1.0, 1.0]), action=1.0)
     with pytest.raises(ComplexEigenvalueError):
         log_negativity_via_symplectic(adversarial, Bipartition([0], [1]))
 
 
 def test_indefinite_position_block_raises_on_product_route():
-    bad = CovarianceMatrix(np.diag([-1.0, 1.0, 1.0, 1.0]), "classical", 1.0)
+    bad = CovarianceMatrix(np.diag([-1.0, 1.0, 1.0, 1.0]), action=1.0)
     with pytest.raises(NotPositiveDefiniteError):
         log_negativity(bad, Bipartition([0], [1]))
 
