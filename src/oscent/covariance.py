@@ -27,15 +27,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    CrossBlockNotZeroError,
     DimensionTooLargeError,
     EmptySubsystemError,
     IndexOutOfRangeError,
     OverlappingGroupsError,
 )
 from .models import CircularLattice, NormalModes, ring_frequencies
-
-CROSS_BLOCK_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +52,13 @@ class CovarianceMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
             raise ValueError(f"covariance must be 2n x 2n, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
+        if self.action is not None:
+            action = float(self.action)
+            # Written so that NaN fails too: every comparison with NaN is false.
+            if not 0.0 < action < np.inf:
+                raise ValueError(
+                    f"action must be None or finite and positive, got {self.action!r}")
+            object.__setattr__(self, "action", action)
 
     @property
     def n_modes(self):
@@ -152,12 +156,6 @@ def _require_action(cov):
         raise ValueError("normalized measures need a uniform-action covariance "
                          "(build it with equal actions)")
     return cov.action
-
-
-def _require_zero_cross_block(cov, message):
-    overall = float(np.max(np.abs(cov.matrix)))
-    if float(np.max(np.abs(cov.qp))) > CROSS_BLOCK_RTOL * overall:
-        raise CrossBlockNotZeroError(message)
 
 
 def classical_covariance(modes: NormalModes, actions):
@@ -276,9 +274,10 @@ def partial_transpose(cov: CovarianceMatrix, partition: Bipartition):
     """Flip the sign of the group2 momenta in an already-reduced covariance.
 
     ``cov`` must be the reduced matrix of exactly the partition's members
-    (in ascending order) and must have a vanishing q-p cross block, since a
-    momentum sign flip only maps covariances to covariances in that case.
-    Applying the same partition twice returns the input exactly.
+    (in ascending order). ``P cov P``, with P the diagonal momentum sign
+    pattern, is the Gaussian partial transpose of any covariance, whatever
+    its q-p cross block. Applying the same partition twice returns the
+    input exactly.
     """
     members = partition.members
     if not members:
@@ -288,8 +287,6 @@ def partial_transpose(cov: CovarianceMatrix, partition: Bipartition):
         raise ValueError(
             f"covariance holds {m} modes but the partition names {len(members)}"
         )
-    _require_zero_cross_block(
-        cov, "q-p cross block must vanish for a momentum-sign partial transpose")
     signs = np.concatenate([np.ones(m), partition.momentum_signs()])
     flipped = cov.matrix * np.outer(signs, signs)
     return CovarianceMatrix(flipped, cov.action)

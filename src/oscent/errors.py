@@ -53,7 +53,7 @@ class EmptySubsystemError(ValueError, OscentInputError):
 
 
 class CrossBlockNotZeroError(ValueError, OscentNumericalError):
-    """The position-momentum cross block must vanish for this operation."""
+    """The position-momentum cross block is neither zero nor a local shear."""
 
 
 class DimensionTooLargeError(ValueError, OscentInputError):

@@ -89,9 +89,17 @@ class FitResult:
     grid: Tuple[float, ...]
 
 
+def _floats(values, name):
+    """``values`` as a list of floats; an empty list is refused by name."""
+    values = [float(v) for v in values]
+    if not values:
+        raise ValueError(f"{name} needs at least one value")
+    return values
+
+
 def _first_oscillator_sweep(name, grid, model_at, alphas):
     """Oscillator 1's sigma and measures in model_at(x) for each x in grid."""
-    alphas = tuple(float(x) for x in alphas)
+    alphas = tuple(_floats(alphas, "alphas"))
     columns = [name, "sigma", "purity", "linear_entropy", "von_neumann"]
     for alpha in alphas:
         columns += [f"mu_{alpha:g}", f"tsallis_{alpha:g}", f"renyi_{alpha:g}"]
@@ -213,7 +221,7 @@ def lattice_disjoint_sweep(d_grid, kappas=(1.0, 8.0, 64.0), n=200, k=0.1,
     Overlapping windows raise OverlappingGroupsError.
     """
     d_grid = [int(d) for d in d_grid]
-    kappas = [float(kappa) for kappa in kappas]
+    kappas = _floats(kappas, "kappas")
     _check_ring(n, n1=n1, n2=n2)
     group1 = _ring_group(0, n1, n)
     parts = []
@@ -237,7 +245,7 @@ def lattice_adjacent_sweep(n1_grid, kappas=DEFAULT_KAPPAS, n=200, k=1e-4,
     the same members, so each kappa factors the block's qq only once.
     """
     n1_grid = [int(n1) for n1 in n1_grid]
-    kappas = [float(kappa) for kappa in kappas]
+    kappas = _floats(kappas, "kappas")
     if block > n:
         raise ValueError(f"block of {block} sites does not fit a ring of {n}")
     for n1 in n1_grid:
@@ -255,7 +263,7 @@ def lattice_size_sweep(n_grid, kappas=DEFAULT_KAPPAS, k=0.1, n1=10, n2=10):
     a dense N x N eigensolve allows.
     """
     n_grid = [int(n) for n in n_grid]
-    kappas = [float(kappa) for kappa in kappas]
+    kappas = _floats(kappas, "kappas")
     for n in n_grid:
         _check_ring(n, n1=n1, n2=n2)
         if n < n1 + n2:

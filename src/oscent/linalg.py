@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (
     AsymmetricInputError,
+    CrossBlockNotZeroError,
     NoConvergenceError,
     NotPositiveDefiniteError,
     UnpairedSpectrumError,
@@ -22,6 +23,7 @@ from .errors import (
 SYMMETRY_RTOL = 1e-12       # |a_ij - a_ji| <= SYMMETRY_RTOL * max|a|
 POSDEF_RTOL = 1e-12         # eigenvalue > POSDEF_RTOL * max eigenvalue
 PAIR_RTOL = 1e-9            # symplectic eigenvalues must pair up this tightly
+CROSS_BLOCK_RTOL = 1e-12    # |qp| (or a shear's residual) <= this * max|cov|
 
 
 class EigDecomposition(NamedTuple):
@@ -186,27 +188,52 @@ def _pair_up(values, scale):
     return 0.5 * (a + b)
 
 
+def unsheared_momentum_block(qq, qp, pp, scale):
+    """The pp block after undoing a local q-p shear, or None if there is none.
+
+    A cross block ``qp = -qq Y`` with Y diagonal is what the map
+    ``(q, p) -> (q, p - Y q)`` adds to a state with no cross block. The map
+    acts on each oscillator alone and is symplectic, so the state it undoes
+    to, with blocks ``(qq, pp - Y qq Y)`` and no cross block, has the same
+    symplectic spectrum and the same log-negativity of every bipartition.
+    Y is read from the diagonals, ``y_j = -qp_jj / qq_jj``, and accepted
+    when ``max|qp + qq Y| <= CROSS_BLOCK_RTOL * scale``; a vanishing cross
+    block (the same test) returns ``pp`` itself.
+    """
+    if float(np.max(np.abs(qp))) <= CROSS_BLOCK_RTOL * scale:
+        return pp
+    d = np.diag(qq)
+    if not np.all(d > 0.0):
+        return None
+    y = -np.diag(qp) / d
+    if float(np.max(np.abs(qp + qq * y))) > CROSS_BLOCK_RTOL * scale:
+        return None
+    return pp - (y[:, np.newaxis] * qq) * y
+
+
 def symplectic_spectrum(cov, method="auto", name="covariance"):
     """Symplectic eigenvalues of a positive-definite phase-space matrix.
 
     These are the moduli of the eigenvalues of ``i J^-1 cov`` (which occur
     in +/- pairs), computed here without complex arithmetic:
 
+    * fast path (cross block zero or a local shear ``qp = -qq Y``, see
+      :func:`unsheared_momentum_block`): ``sqrt(eig(qq @ pp))`` via the
+      symmetrized product ``qq^1/2 pp qq^1/2``, with pp unsheared;
     * general path: with the Cholesky factor ``cov = L L^T``, the
       antisymmetric ``K = L^T J L`` is similar to ``J cov``, so the
       symplectic eigenvalues are the singular values of ``K``, each
       appearing twice, read as ``sqrt(eig(K^T K))``. ``J`` is applied as a
-      signed swap of the q and p row blocks; no eigenvectors are computed;
-    * fast path (zero ``qp`` cross block): ``sqrt(eig(qq @ pp))`` via the
-      symmetrized product ``qq^1/2 pp qq^1/2``.
+      signed swap of the q and p row blocks; no eigenvectors are computed.
 
     Parameters
     ----------
     cov : (2n, 2n) array_like
         Symmetric positive definite, (q..., p...) ordered.
     method : {"auto", "fast", "general"}
-        "auto" takes the fast path when the cross block vanishes
-        (relative to the largest entry).
+        "auto" takes the fast path when the cross block vanishes or is a
+        local shear (relative to the largest entry), else the general path.
+        "fast" raises CrossBlockNotZeroError when it is neither.
 
     Returns
     -------
@@ -222,25 +249,28 @@ def symplectic_spectrum(cov, method="auto", name="covariance"):
     scale = float(np.max(np.abs(a)))
     if method not in ("auto", "fast", "general"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        cross = float(np.max(np.abs(a[:n, n:])))
-        method = "fast" if cross <= 1e-12 * scale else "general"
 
-    if method == "fast":
-        qq, pp = a[:n, :n], a[n:, n:]
-        wq, vq = np.linalg.eigh(qq)
-        if wq[0] <= POSDEF_RTOL * max(wq[-1], 0.0):
-            raise NotPositiveDefiniteError(
-                f"{name} qq block has eigenvalue {wq[0]:.6e}"
+    if method != "general":
+        qq = a[:n, :n]
+        pp = unsheared_momentum_block(qq, a[:n, n:], a[n:, n:], scale)
+        if pp is not None:
+            wq, vq = np.linalg.eigh(qq)
+            if wq[0] <= POSDEF_RTOL * max(wq[-1], 0.0):
+                raise NotPositiveDefiniteError(
+                    f"{name} qq block has eigenvalue {wq[0]:.6e}"
+                )
+            root = vq * np.sqrt(wq)
+            sym_prod = root.T @ pp @ root
+            lam = np.linalg.eigvalsh(0.5 * (sym_prod + sym_prod.T))
+            if lam[0] <= 0.0:
+                raise NotPositiveDefiniteError(
+                    f"{name} pp block is not positive definite on the fast path"
+                )
+            return np.sqrt(lam)
+        if method == "fast":
+            raise CrossBlockNotZeroError(
+                f"{name} q-p cross block is neither zero nor a local shear"
             )
-        root = vq * np.sqrt(wq)
-        sym_prod = root.T @ pp @ root
-        lam = np.linalg.eigvalsh(0.5 * (sym_prod + sym_prod.T))
-        if lam[0] <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"{name} pp block is not positive definite on the fast path"
-            )
-        return np.sqrt(lam)
 
     w = np.linalg.eigvalsh(a)
     if w[0] <= POSDEF_RTOL * max(w[-1], 0.0):

@@ -109,6 +109,22 @@ def _require_finite(model, fields):
             raise InvalidModelError(f"field '{field}': must be finite, got {value}")
 
 
+def _checked_chain_ky(model):
+    # The chain's symmetrized K and its Y, from one validating pass.
+    try:
+        k = require_symmetric(model.K, name="K")
+    except (AsymmetricInputError, TypeError, ValueError) as exc:
+        raise InvalidModelError(f"field 'K': {exc}") from exc
+    y = np.asarray(model.Y, dtype=float)
+    if y.ndim != 1 or y.shape[0] != k.shape[0]:
+        raise InvalidModelError(
+            f"field 'Y': expected length-{k.shape[0]} vector, got shape {y.shape}"
+        )
+    if not np.all(np.isfinite(y)):
+        raise InvalidModelError(f"field 'Y': must be finite, got {y[~np.isfinite(y)][0]}")
+    return k, y
+
+
 def validate_model(model):
     """Raise InvalidModelError if the parameters violate the model's domain."""
     if isinstance(model, TwoMode):
@@ -124,17 +140,7 @@ def validate_model(model):
     elif isinstance(model, TwoModeGeneralized):
         _require_finite(model, ("X1", "X2", "Y1", "Y2", "Z"))
     elif isinstance(model, GeneralizedChain):
-        try:
-            k = require_symmetric(model.K, name="K")
-        except (AsymmetricInputError, TypeError, ValueError) as exc:
-            raise InvalidModelError(f"field 'K': {exc}") from exc
-        y = np.asarray(model.Y, dtype=float)
-        if y.ndim != 1 or y.shape[0] != k.shape[0]:
-            raise InvalidModelError(
-                f"field 'Y': expected length-{k.shape[0]} vector, got shape {y.shape}"
-            )
-        if not np.all(np.isfinite(y)):
-            raise InvalidModelError(f"field 'Y': must be finite, got {y[~np.isfinite(y)][0]}")
+        _checked_chain_ky(model)
     elif isinstance(model, CircularLattice):
         if int(model.N) != model.N or model.N < 3:
             raise InvalidModelError(f"field 'N': need an integer >= 3, got {model.N}")
@@ -151,6 +157,9 @@ def validate_model(model):
 
 def assemble_ky(model):
     """Stiffness matrix K and the diagonal of Y for any model variant."""
+    if isinstance(model, GeneralizedChain):
+        k, y = _checked_chain_ky(model)
+        return k, y.copy()
     validate_model(model)
     if isinstance(model, TwoMode):
         k = np.array([[model.A, model.C / 2.0], [model.C / 2.0, model.B]], dtype=float)
@@ -159,9 +168,6 @@ def assemble_ky(model):
         k = np.array([[model.X1 + model.Z, -model.Z], [-model.Z, model.X2 + model.Z]],
                      dtype=float)
         y = np.array([model.Y1, model.Y2], dtype=float)
-    elif isinstance(model, GeneralizedChain):
-        k = require_symmetric(model.K, name="K")
-        y = np.asarray(model.Y, dtype=float).copy()
     else:
         n = int(model.N)
         k = np.zeros((n, n))

@@ -7,9 +7,10 @@ pure floor gives
     E_N = -sum_j log2 min(1, lambda_j)
 
 where the lambda_j are the eigenvalues of qq_u P pp_u P, the blocks taken
-from the reduced covariance divided by its action, and P the momentum
-sign pattern of the partition. Decoupled or single-group partitions give
-every lambda_j >= 1 and hence exactly zero.
+from the reduced covariance divided by its action (pp with any local q-p
+shear undone first), and P the momentum sign pattern of the partition.
+Decoupled or single-group partitions give every lambda_j >= 1 and hence
+exactly zero.
 
 Two independent evaluations are provided: the m-eigenvalue block product
 above (symmetrized, real arithmetic) and the 2m moduli of the eigenvalues of
@@ -23,15 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import (
-    Bipartition,
-    _require_action,
-    _require_zero_cross_block,
-    partial_transpose,
-    reduce_modes,
-)
-from .errors import ComplexEigenvalueError, NotPositiveDefiniteError
-from .linalg import _pair_up, symplectic_form
+from .covariance import Bipartition, _require_action, partial_transpose, reduce_modes
+from .errors import ComplexEigenvalueError, CrossBlockNotZeroError, NotPositiveDefiniteError
+from .linalg import _pair_up, symplectic_form, unsheared_momentum_block
 
 # lambda = 1 +/- roundoff must contribute exactly zero bits.
 UNIT_GUARD = 1e-12
@@ -47,10 +42,14 @@ class NegativityResult:
 
 
 def _reduced_unit_blocks(cov, members):
+    # qq and the unsheared pp of the reduction, in units of its action.
     red = reduce_modes(cov, members)
     action = _require_action(red)
-    _require_zero_cross_block(red, "q-p cross block of the reduced covariance must vanish")
-    return red.qq / action, red.pp / action, red
+    pp = unsheared_momentum_block(red.qq, red.qp, red.pp, float(np.max(np.abs(red.matrix))))
+    if pp is None:
+        raise CrossBlockNotZeroError(
+            "q-p cross block of the reduced covariance is neither zero nor a local shear")
+    return red.qq / action, pp / action
 
 
 def _bits_from_lambdas(lambdas):
@@ -74,7 +73,7 @@ def log_negativities(cov, partitions):
         by_members.setdefault(partition.members, []).append(i)
     results = [None] * len(partitions)
     for members, positions in by_members.items():
-        qq_u, pp_u, _ = _reduced_unit_blocks(cov, members)
+        qq_u, pp_u = _reduced_unit_blocks(cov, members)
         wq, vq = np.linalg.eigh(0.5 * (qq_u + qq_u.T))
         if wq[0] <= 0.0:
             raise NotPositiveDefiniteError("reduced qq block is not positive definite")
@@ -94,8 +93,9 @@ def log_negativity(cov, partition: Bipartition):
 
     ``cov`` is the full-system state; the reduction to the partition's
     members happens here. The cross block of the reduced covariance must
-    vanish (true whenever the model has no position-momentum coupling on the
-    kept oscillators).
+    vanish or be a local shear ``qp = -qq Y`` with Y diagonal, as every
+    model's is; pp_u is then the unsheared block ``pp - Y qq Y``. Any other
+    cross block raises CrossBlockNotZeroError.
     """
     return log_negativities(cov, [partition])[0]
 
@@ -104,13 +104,14 @@ def log_negativity_via_symplectic(cov, partition: Bipartition):
     """E_N from the 2m eigenvalue moduli of J^-1 times the flipped covariance.
 
     Independent of :func:`log_negativity`: different matrix, general complex
-    eigensolver. The eigenvalues must be purely imaginary (they are +/- i
-    sqrt(lambda) pairs); a relative real part above 1e-9 raises
-    ComplexEigenvalueError.
+    eigensolver, and no shear undone, so it holds for any cross block. The
+    eigenvalues must be purely imaginary (they are +/- i sqrt(lambda)
+    pairs); a relative real part above 1e-9 raises ComplexEigenvalueError.
     """
-    _, _, red = _reduced_unit_blocks(cov, partition.members)
+    red = reduce_modes(cov, partition.members)
+    action = _require_action(red)
     flipped = partial_transpose(red, partition)
-    a = np.linalg.solve(symplectic_form(red.n_modes), flipped.matrix / red.action)
+    a = np.linalg.solve(symplectic_form(red.n_modes), flipped.matrix / action)
     eigs = np.linalg.eigvals(a)
     moduli = np.abs(eigs)
     drift = float(np.max(np.abs(eigs.real) / np.maximum(moduli, np.finfo(float).tiny)))

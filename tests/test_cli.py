@@ -141,6 +141,33 @@ def test_negativity_groups(chain_file, capsys):
     assert record["log_negativity"] > 0.0
 
 
+def test_y_coupled_model_matches_its_unsheared_twin(tmp_path, capsys):
+    # negativity refused every Y-coupled model (exit 3) before the shear
+    # was undone; both commands must now agree with the Y = 0 chain that has
+    # the same normal modes, K - Y**2.
+    k = np.array([[2.0, 0.4, 0.0], [0.4, 2.0, 0.4], [0.0, 0.4, 2.0]])
+    y = np.array([0.5, -0.3, 0.2])
+    coupled, free = tmp_path / "coupled.json", tmp_path / "free.json"
+    save_model(GeneralizedChain(K=k + np.diag(y**2), Y=y), coupled)
+    save_model(GeneralizedChain(K=k, Y=np.zeros(3)), free)
+    for argv in (["negativity", "--group1", "1", "--group2", "2,3"],
+                 ["measures", "--subsystem", "1,2"],
+                 ["measures"]):
+        records = []
+        for path in (coupled, free):
+            code, out, err = run(argv + ["--model", str(path), "--json"], capsys)
+            assert code == 0 and err == ""
+            records.append(json.loads(out)[0])
+        got, want = records
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert_allclose(got[key], value, rtol=1e-12, atol=1e-12)
+            else:
+                assert got[key] == value
+    assert want["purity"] == pytest.approx(1.0)
+
+
 def test_fit_cft_from_csv(tmp_path, capsys):
     n1 = np.arange(5, 100, 5, dtype=float)
     x = np.log((100 / np.pi) * np.sin(np.pi * n1 / 100))

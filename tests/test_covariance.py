@@ -15,7 +15,6 @@ from oscent.covariance import (
     ring_covariance,
 )
 from oscent.errors import (
-    CrossBlockNotZeroError,
     DimensionTooLargeError,
     EmptySubsystemError,
     IndexOutOfRangeError,
@@ -319,12 +318,21 @@ def test_partial_transpose_is_involution():
         assert_array_equal(twice.matrix, cov.matrix)
 
 
-def test_partial_transpose_rejects_live_cross_block():
+def test_partial_transpose_accepts_any_cross_block():
+    # P cov P is the Gaussian partial transpose of any covariance: a model's
+    # shear cross block and a random positive-definite matrix alike.
     chain = GeneralizedChain(K=np.array([[3.0, -1.0], [-1.0, 4.0]]),
                              Y=np.array([0.4, -0.3]))
-    cov = classical_covariance(normal_modes(chain), np.ones(2))
-    with pytest.raises(CrossBlockNotZeroError):
-        partial_transpose(cov, Bipartition((0,), (1,)))
+    rng = np.random.default_rng(331)
+    a = rng.normal(size=(4, 4))
+    part = Bipartition((0,), (1,))
+    p = np.diag([1.0, 1.0, 1.0, -1.0])
+    for cov in (classical_covariance(normal_modes(chain), np.ones(2)),
+                CovarianceMatrix(a @ a.T + np.eye(4))):
+        assert np.max(np.abs(cov.qp)) > 0.01
+        flipped = partial_transpose(cov, part)
+        assert_array_equal(flipped.matrix, p @ cov.matrix @ p)
+        assert_array_equal(partial_transpose(flipped, part).matrix, cov.matrix)
 
 
 def test_partial_transpose_member_count_must_match():
@@ -351,6 +359,19 @@ def test_covariance_matrix_validation():
         CovarianceMatrix(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         CovarianceMatrix(np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("action", [0.0, -1.0, float("nan"), float("inf")])
+def test_covariance_matrix_refuses_a_non_positive_or_non_finite_action(action):
+    # action = 0 gave purity 0 with divide-by-zero warnings; NaN gave NaN.
+    with pytest.raises(ValueError, match="action"):
+        CovarianceMatrix(np.eye(4), action=action)
+
+
+def test_covariance_matrix_action_is_none_or_a_float():
+    assert CovarianceMatrix(np.eye(4), action=None).action is None
+    two = CovarianceMatrix(np.eye(4), action=2)
+    assert type(two.action) is float and two.action == 2.0
 
 
 def test_action_tag_semantics():

@@ -161,6 +161,20 @@ def test_size_sweep_settles_from_above():
     assert np.all(np.abs(np.diff(e)[1:]) < np.abs(np.diff(e)[:-1]))
 
 
+@pytest.mark.parametrize("sweep, name", [
+    (lambda: lattice_disjoint_sweep([0], kappas=(), n=20, n1=5, n2=5), "kappas"),
+    (lambda: lattice_adjacent_sweep([0, 5], kappas=(), n=20, block=10), "kappas"),
+    (lambda: lattice_size_sweep([20], kappas=(), n1=5, n2=5), "kappas"),
+    (lambda: sweep_two_mode_coupling([1.0], alphas=()), "alphas"),
+    (lambda: sweep_ghoc_y2([0.5], alphas=()), "alphas"),
+], ids=["lattice_disjoint_sweep", "lattice_adjacent_sweep", "lattice_size_sweep",
+        "sweep_two_mode_coupling", "sweep_ghoc_y2"])
+def test_sweeps_refuse_an_empty_list_by_name(sweep, name):
+    # An empty list gave a header-only table or dropped every alpha column.
+    with pytest.raises(ValueError, match=f"^{name} needs at least one value"):
+        sweep()
+
+
 def test_ring_sweeps_match_the_dense_route():
     n, k, kappa = 24, 1e-3, 8.0
     dense = classical_covariance(normal_modes(CircularLattice(n, k, kappa)), np.ones(n))

@@ -28,6 +28,7 @@ from oscent.models import (
     two_mode_angles,
     validate_model,
 )
+from oscent.linalg import require_symmetric
 
 
 def random_chain(rng, n, y_scale=0.5):
@@ -121,6 +122,25 @@ def test_validate_rejects_non_finite_chain():
             normal_modes(GeneralizedChain(K=k, Y=np.zeros(2)))
         with pytest.raises(InvalidModelError, match="'Y'.*finite"):
             normal_modes(GeneralizedChain(K=np.eye(2), Y=np.array([0.1, bad])))
+
+
+def test_chain_stiffness_is_checked_once(monkeypatch):
+    # assemble_ky used to check and symmetrize K once in validate_model and
+    # again for the result; one pass gives the same symmetrized matrix.
+    from oscent import models
+
+    calls = []
+
+    def spy(mat, *args, **kwargs):
+        calls.append(mat)
+        return require_symmetric(mat, *args, **kwargs)
+
+    monkeypatch.setattr(models, "require_symmetric", spy)
+    k = np.array([[2.0, 0.5 + 1e-14], [0.5, 2.0]])
+    got, y = assemble_ky(GeneralizedChain(K=k, Y=np.array([0.1, -0.2])))
+    assert len(calls) == 1
+    assert_array_equal(got, 0.5 * (k + k.T))
+    assert_array_equal(y, [0.1, -0.2])
 
 
 # --- stability --------------------------------------------------------------

@@ -180,15 +180,29 @@ def test_negativity_grows_with_coupling():
     assert np.all(np.diff(values) > 0.0)
 
 
-def test_live_cross_block_rejected_by_both_routes():
+def test_shear_cross_block_accepted_other_cross_block_refused():
+    # A model's cross block is a local shear: both routes take it and agree
+    # with the chain that has the same normal modes and no q-p coupling.
     chain = GeneralizedChain(K=np.array([[2.0, 0.5], [0.5, 2.0]]),
                              Y=np.array([0.4, 0.4]))
+    free = GeneralizedChain(K=np.array([[2.0 - 0.16, 0.5], [0.5, 2.0 - 0.16]]),
+                            Y=np.zeros(2))
     cov = classical_covariance(normal_modes(chain), np.ones(2))
+    oracle = classical_covariance(normal_modes(free), np.ones(2))
     part = Bipartition([0], [1])
+    want = log_negativity(oracle, part).log_negativity
+    assert want > 0.0
+    assert_allclose(log_negativity(cov, part).log_negativity, want, rtol=1e-12)
+    assert_allclose(log_negativity_via_symplectic(cov, part).log_negativity, want,
+                    rtol=1e-10)
+    # Any other cross block: the product route refuses it, and the
+    # symplectic route, which undoes no shear, still evaluates it.
+    rng = np.random.default_rng(181)
+    a = rng.normal(size=(4, 4))
+    spd = CovarianceMatrix(a @ a.T + 4.0 * np.eye(4), action=1.0)
     with pytest.raises(CrossBlockNotZeroError):
-        log_negativity(cov, part)
-    with pytest.raises(CrossBlockNotZeroError):
-        log_negativity_via_symplectic(cov, part)
+        log_negativity(spd, part)
+    assert np.isfinite(log_negativity_via_symplectic(spd, part).log_negativity)
 
 
 def test_off_axis_eigenvalues_raise_on_symplectic_route():
