@@ -23,6 +23,8 @@ from .covariance import (
     quantum_ground_covariance,
     reduce_modes,
     ring_covariance,
+    ring_covariances,
+    ring_windows,
 )
 from .experiments import (
     FitResult,
@@ -84,6 +86,7 @@ from .negativity import (
     log_negativities,
     log_negativity,
     log_negativity_via_symplectic,
+    stacked_log_negativities,
 )
 from . import errors
 

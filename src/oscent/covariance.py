@@ -17,6 +17,9 @@ On the circular lattice the normal modes are Fourier modes, so qq and pp are
 circulant and a unit-action state is fixed by their first rows alone
 (RingCovariance). Both kinds of state reach the measures through
 reduce_modes, which returns the dense reduced CovarianceMatrix either way.
+The rows of rings of one size at several spring constants stack along a
+leading axis (ring_covariances), and ring_windows cuts the same window out
+of every state at once.
 """
 
 from __future__ import annotations
@@ -87,11 +90,13 @@ class CovarianceMatrix:
 
 @dataclass(frozen=True, eq=False)
 class RingCovariance:
-    """Unit-action classical state of a CircularLattice, stored as rows.
+    """Unit-action classical states of CircularLattices, stored as rows.
 
-    ``cq[d]`` and ``cp[d]`` are the qq and pp entries between sites d apart
-    on the ring; the q-p cross block is zero. No N x N matrix is formed, so
-    reductions cost O(m**2) for m kept sites whatever the ring size.
+    ``cq[..., d]`` and ``cp[..., d]`` are the qq and pp entries between
+    sites d apart on the ring; the q-p cross block is zero. A leading axis,
+    if present, stacks states of rings of one size (see ring_covariances).
+    No N x N matrix is formed, so reductions cost O(m**2) for m kept sites
+    whatever the ring size.
     """
 
     cq: np.ndarray
@@ -100,12 +105,16 @@ class RingCovariance:
 
     @property
     def n_modes(self):
-        return self.cq.shape[0]
+        return self.cq.shape[-1]
+
+    def _blocks(self, idx):
+        d = (idx[:, np.newaxis] - idx[np.newaxis, :]) % self.n_modes
+        return self.cq[..., d], self.cp[..., d]
 
     def _select(self, idx):
-        d = (idx[:, np.newaxis] - idx[np.newaxis, :]) % self.n_modes
+        qq, pp = self._blocks(idx)
         zero = np.zeros((idx.size, idx.size))
-        return np.block([[self.cq[d], zero], [zero, self.cp[d]]])
+        return np.block([[qq, zero], [zero, pp]])
 
 
 @dataclass(frozen=True)
@@ -185,22 +194,39 @@ def classical_covariance(modes: NormalModes, actions):
 
 
 def _circulant_row(eigenvalues):
-    # First row of the circulant matrix with these Fourier-order
-    # eigenvalues, made exactly even (row[d] == row[N - d]) so that every
-    # reduced block is exactly symmetric.
-    row = np.fft.ifft(eigenvalues).real
-    return 0.5 * (row + np.roll(row[::-1], 1))
+    # First rows of the circulant matrices with these Fourier-order
+    # eigenvalues (last axis), made exactly even (row[d] == row[N - d]) so
+    # that every reduced block is exactly symmetric.
+    row = np.fft.ifft(eigenvalues, axis=-1).real
+    return 0.5 * (row + np.roll(row[..., ::-1], 1, axis=-1))
 
 
-def ring_covariance(model: CircularLattice):
-    """Unit-action classical covariance of a ring from its closed form.
+def ring_covariances(models):
+    """Unit-action classical covariances of rings of one size, as a stack.
 
     Row d of qq is (1/N) sum_j cos(2 pi j d / N) / omega_j and row d of pp
     the same sum over omega_j; agrees with classical_covariance of the
-    ring's normal modes at unit actions to roundoff.
+    ring's normal modes at unit actions to roundoff. Every model is checked
+    by ring_frequencies; the rows of all of them come from one inverse FFT
+    per block and have shape (len(models), N).
     """
-    omegas = ring_frequencies(model)
+    omegas = np.stack([ring_frequencies(model) for model in models])
     return RingCovariance(_circulant_row(1.0 / omegas), _circulant_row(omegas))
+
+
+def ring_covariance(model: CircularLattice):
+    """Unit-action classical covariance of one ring (a stack of one, unstacked)."""
+    stack = ring_covariances([model])
+    return RingCovariance(stack.cq[0], stack.cp[0])
+
+
+def ring_windows(ring: RingCovariance, indices):
+    """qq and pp blocks of the sites ``indices`` in every state of ``ring``.
+
+    The indices are checked and ordered as by reduce_modes. Each block has
+    shape (..., m, m), the rows' leading axes first; the cross block is zero.
+    """
+    return ring._blocks(_checked_indices(indices, ring.n_modes))
 
 
 def quantum_ground_covariance(modes: NormalModes, hbar=1.0):
@@ -253,21 +279,25 @@ def angle_average_covariance(modes: NormalModes, actions, grid_points=64):
     return CovarianceMatrix(0.5 * (cov + cov.T), _common_action(actions))
 
 
-def reduce_modes(cov, indices):
-    """Covariance of a subsystem, keeping (q..., p...) ordering.
-
-    ``cov`` is a CovarianceMatrix or a RingCovariance; the result is a
-    CovarianceMatrix either way. ``indices`` are 0-based oscillator labels;
-    duplicates collapse, order is ascending in the output.
-    """
+def _checked_indices(indices, n):
     idx = sorted(set(int(i) for i in indices))
     if not idx:
         raise EmptySubsystemError("subsystem selection is empty")
-    n = cov.n_modes
     if idx[0] < 0 or idx[-1] >= n:
         bad = idx[0] if idx[0] < 0 else idx[-1]
         raise IndexOutOfRangeError(f"oscillator index {bad} outside [0, {n})")
-    return CovarianceMatrix(cov._select(np.array(idx)), cov.action)
+    return np.array(idx)
+
+
+def reduce_modes(cov, indices):
+    """Covariance of a subsystem, keeping (q..., p...) ordering.
+
+    ``cov`` is a CovarianceMatrix or a single-state RingCovariance; the
+    result is a CovarianceMatrix either way. ``indices`` are 0-based
+    oscillator labels; duplicates collapse, order is ascending in the output.
+    """
+    idx = _checked_indices(indices, cov.n_modes)
+    return CovarianceMatrix(cov._select(idx), cov.action)
 
 
 def partial_transpose(cov: CovarianceMatrix, partition: Bipartition):

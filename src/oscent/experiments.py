@@ -14,7 +14,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .covariance import Bipartition, classical_covariance, reduce_modes, ring_covariance
+from .covariance import Bipartition, classical_covariance, reduce_modes, ring_covariances
 from .errors import (
     DegenerateDesignError,
     InvalidModelError,
@@ -29,7 +29,7 @@ from .models import (
     normal_modes,
     validate_model,
 )
-from .negativity import log_negativities
+from .negativity import stacked_log_negativities
 
 DEFAULT_KAPPAS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
@@ -42,6 +42,9 @@ class SweepTable:
     rows: Tuple[tuple, ...]
 
     def column(self, name):
+        if name not in self.columns:
+            raise ValueError(f"no column {name!r} in the table; "
+                             f"its columns are {', '.join(self.columns)}")
         j = self.columns.index(name)
         return np.array([row[j] for row in self.rows])
 
@@ -185,17 +188,15 @@ def _ring_classes(partitions, n):
 def _ring_rows(keys, partitions, kappas, n, k):
     """Rows (key, kappa, E_N, N) on the ring (n, k): key outer, kappa inner.
 
-    ``partitions[i]`` belongs to ``keys[i]``; the state at each kappa
-    evaluates one partition per symmetry class in one batch.
+    ``partitions[i]`` belongs to ``keys[i]``. The states at all kappas form
+    one stack, across which one partition per symmetry class is evaluated.
     """
     representatives, classes = _ring_classes(partitions, n)
-    batches = [log_negativities(ring_covariance(CircularLattice(n, k, kappa)),
-                                representatives)
-               for kappa in kappas]
+    states = ring_covariances([CircularLattice(n, k, kappa) for kappa in kappas])
+    per_class = stacked_log_negativities(states, representatives)
     rows = []
     for key, c in zip(keys, classes):
-        for kappa, batch in zip(kappas, batches):
-            res = batch[c]
+        for kappa, res in zip(kappas, per_class[c]):
             rows.append((float(key), kappa, res.log_negativity, res.negativity))
     return rows
 
@@ -280,10 +281,16 @@ def fit_adjacent_cft(n1_values, e_values, block=100):
 
     Returns b1 (4 times the slope), b2 (the intercept) and the rms residual.
     Endpoint rows (n1 = 0 or block) are excluded; at least 10 interior
-    points are required.
+    points are required. An n1 outside [0, block] (or NaN) belongs to
+    another block size and raises ValueError.
     """
     n1 = np.asarray(n1_values, dtype=float)
     e = np.asarray(e_values, dtype=float)
+    # Written so that NaN fails too: every comparison with NaN is false.
+    outside = ~((n1 >= 0.0) & (n1 <= float(block)))
+    if np.any(outside):
+        raise ValueError(f"n1 = {n1[outside][0]:g} outside [0, {block}]: "
+                         f"the rows do not come from a block of {block} sites")
     keep = (n1 > 0.0) & (n1 < float(block))
     n1, e = n1[keep], e[keep]
     if n1.size < 10:

@@ -24,7 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import Bipartition, _require_action, partial_transpose, reduce_modes
+from .covariance import (
+    Bipartition,
+    RingCovariance,
+    _require_action,
+    partial_transpose,
+    reduce_modes,
+    ring_windows,
+)
 from .errors import ComplexEigenvalueError, CrossBlockNotZeroError, NotPositiveDefiniteError
 from .linalg import _pair_up, symplectic_form, unsheared_momentum_block
 
@@ -41,15 +48,22 @@ class NegativityResult:
     negativity: float
 
 
-def _reduced_unit_blocks(cov, members):
-    # qq and the unsheared pp of the reduction, in units of its action.
+def _unit_blocks(cov, members):
+    # Stacks (S, m, m) of qq and the unsheared pp of the reduction to
+    # ``members``, in units of the action: one block per state of a ring
+    # stack, a stack of one for any other state.
+    if isinstance(cov, RingCovariance):
+        qq, pp = ring_windows(cov, members)  # no cross block to undo
+        action = _require_action(cov)
+        shape = (-1,) + qq.shape[-2:]
+        return (qq / action).reshape(shape), (pp / action).reshape(shape)
     red = reduce_modes(cov, members)
     action = _require_action(red)
     pp = unsheared_momentum_block(red.qq, red.qp, red.pp, float(np.max(np.abs(red.matrix))))
     if pp is None:
         raise CrossBlockNotZeroError(
             "q-p cross block of the reduced covariance is neither zero nor a local shear")
-    return red.qq / action, pp / action
+    return (red.qq / action)[np.newaxis], (pp / action)[np.newaxis]
 
 
 def _bits_from_lambdas(lambdas):
@@ -59,33 +73,54 @@ def _bits_from_lambdas(lambdas):
     return float(-np.sum(np.log2(lambdas[small])))
 
 
-def log_negativities(cov, partitions):
-    """E_N of many bipartitions of one state, in the order given.
+def _result(lambdas):
+    e_n = _bits_from_lambdas(lambdas)
+    return NegativityResult(lambdas, e_n, 0.5 * (2.0**e_n - 1.0))
 
-    ``cov`` is the full-system state (a CovarianceMatrix or a
-    RingCovariance). Partitions with the same members share one reduction
-    and one eigendecomposition of the reduced qq block; each partition then
-    costs one symmetric eigensolve of qq_u^1/2 P pp_u P qq_u^1/2. The
-    results equal those of :func:`log_negativity` on each partition.
+
+def stacked_log_negativities(cov, partitions):
+    """E_N of many bipartitions in every state of a stack, in the order given.
+
+    ``cov`` is a full-system state (a CovarianceMatrix or a RingCovariance)
+    or a stack of ring states of one size (:func:`ring_covariances`).
+    Partitions with the same members share one reduction and one stacked
+    eigendecomposition of the reduced qq blocks; each partition then costs
+    one stacked symmetric eigensolve of qq_u^1/2 P pp_u P qq_u^1/2 across
+    the states. Returns ``results[i][s]``, partition i in state s.
     """
     by_members = {}
     for i, partition in enumerate(partitions):
         by_members.setdefault(partition.members, []).append(i)
     results = [None] * len(partitions)
     for members, positions in by_members.items():
-        qq_u, pp_u = _reduced_unit_blocks(cov, members)
-        wq, vq = np.linalg.eigh(0.5 * (qq_u + qq_u.T))
-        if wq[0] <= 0.0:
+        qq_u, pp_u = _unit_blocks(cov, members)
+        wq, vq = np.linalg.eigh(0.5 * (qq_u + np.swapaxes(qq_u, 1, 2)))
+        if np.any(wq[:, 0] <= 0.0):
             raise NotPositiveDefiniteError("reduced qq block is not positive definite")
-        root = vq * np.sqrt(wq)
+        root = vq * np.sqrt(wq)[:, np.newaxis, :]
+        root_t = np.swapaxes(root, 1, 2)
         for i in positions:
             signs = partitions[i].momentum_signs()
-            sym = root.T @ (pp_u * np.outer(signs, signs)) @ root
-            lambdas = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+            sym = root_t @ (pp_u * np.outer(signs, signs)) @ root
+            lambdas = np.linalg.eigvalsh(0.5 * (sym + np.swapaxes(sym, 1, 2)))
             lambdas = np.maximum(lambdas, np.finfo(float).tiny)
-            e_n = _bits_from_lambdas(lambdas)
-            results[i] = NegativityResult(lambdas, e_n, 0.5 * (2.0**e_n - 1.0))
+            results[i] = [_result(row) for row in lambdas]
     return results
+
+
+def log_negativities(cov, partitions):
+    """E_N of many bipartitions of one state, in the order given.
+
+    ``cov`` is the full-system state (a CovarianceMatrix or a
+    RingCovariance); this is :func:`stacked_log_negativities` on a stack of
+    one. The results equal those of :func:`log_negativity` on each
+    partition.
+    """
+    results = stacked_log_negativities(cov, partitions)
+    if any(len(per_state) != 1 for per_state in results):
+        raise ValueError("log_negativities takes one state; "
+                         "use stacked_log_negativities for a stack")
+    return [per_state[0] for per_state in results]
 
 
 def log_negativity(cov, partition: Bipartition):

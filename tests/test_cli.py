@@ -342,6 +342,37 @@ def test_fit_cft_missing_kappa(tmp_path, capsys):
     assert code == 2 and "kappa = 16" in err
 
 
+def test_fit_cft_refuses_rows_outside_the_block(tmp_path, capsys):
+    # A 100-site block fitted as --block 50: every n1 > 50 used to be
+    # dropped without a word.
+    n1 = np.arange(0, 101, dtype=float)
+    rows = [(v, 4.0, 0.01 * v * (100.0 - v), 0.0) for v in n1]
+    path = tmp_path / "adj.csv"
+    SweepTable(("n1", "kappa", "log_negativity", "negativity"),
+               tuple(rows)).write_csv(path)
+    code, out, err = run(["fit-cft", "--in", str(path), "--kappa", "4",
+                          "--block", "50"], capsys)
+    assert code == 2 and out == ""
+    assert one_error_line(err) and "n1 = 51 outside [0, 50]" in err
+
+
+@pytest.mark.parametrize("command, table, missing", [
+    ("fit-cft", "N", "n1"),      # a lattice-size table
+    ("fit-kappa", "n1", "N"),    # a lattice-adjacent table
+])
+def test_fit_names_the_missing_column(command, table, missing, tmp_path, capsys):
+    rows = [(20.0 + j, 4.0, 0.1 * j, 0.0) for j in range(12)]
+    path = tmp_path / "sweep.csv"
+    SweepTable((table, "kappa", "log_negativity", "negativity"),
+               tuple(rows)).write_csv(path)
+    argv = [command, "--in", str(path)] + (["--kappa", "4"] if command == "fit-cft" else [])
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert one_error_line(err)
+    assert f"no column '{missing}'" in err
+    assert f"its columns are {table}, kappa, log_negativity, negativity" in err
+
+
 def one_error_line(err):
     return err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 

@@ -33,7 +33,7 @@ from oscent.experiments import (
     sweep_two_mode_coupling,
 )
 from oscent.models import CircularLattice, normal_modes
-from oscent.negativity import log_negativities, log_negativity
+from oscent.negativity import log_negativities, log_negativity, stacked_log_negativities
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 SIGMA_REF = 0.5167716231557249
@@ -75,10 +75,14 @@ def test_two_mode_sweep_rejects_unstable_grid():
         sweep_two_mode_coupling((0.0, 10.0, 20.0))
 
 
-def test_two_mode_sweep_is_deterministic(tmp_path):
+@pytest.mark.parametrize("command",
+                         ["twomode-sweep", "lattice-d", "lattice-adjacent", "lattice-size"])
+def test_sweeps_are_deterministic(command, tmp_path, capsys):
+    # Repeat runs write identical bytes; the ring sweeps make stacked LAPACK
+    # calls, which must keep that promise too.
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    sweep_two_mode_coupling(np.linspace(0.0, 15.0, 7)).write_csv(p1)
-    sweep_two_mode_coupling(np.linspace(0.0, 15.0, 7)).write_csv(p2)
+    assert main([command, "--out", str(p1)]) == 0, capsys.readouterr().err
+    assert main([command, "--out", str(p2)]) == 0, capsys.readouterr().err
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -237,6 +241,37 @@ def test_ring_sweeps_match_each_partition_solved_alone(n):
         assert abs(e - log_negativity(states[kappa], part).log_negativity) <= 1e-12
 
 
+@pytest.mark.parametrize("n, k, kappas", [(24, 1e-3, (1.0, 16.0)),
+                                          (37, 0.1, (4.0,)),
+                                          (60, 1e-4, DEFAULT_KAPPAS)])
+def test_stacked_sweep_rows_equal_each_kappa_alone_bit_for_bit(n, k, kappas):
+    def alone(keys, parts, ring=n):
+        # The rows as each kappa's state alone gives them, key outer: one
+        # partition per symmetry class, in a batch per kappa.
+        reps, classes = _ring_classes(parts, ring)
+        per_kappa = [log_negativities(ring_covariance(CircularLattice(ring, k, kappa)), reps)
+                     for kappa in kappas]
+        return [(float(key), kappa, results[c].log_negativity, results[c].negativity)
+                for key, c in zip(keys, classes) for kappa, results in zip(kappas, per_kappa)]
+
+    def same_bits(table, rows):
+        return np.array(table.rows).tobytes() == np.array(rows).tobytes()
+
+    block, w = n // 2, 5
+    # n1 = 0 and n1 = block leave one group empty.
+    parts = [Bipartition(range(n1), range(n1, block)) for n1 in range(block + 1)]
+    table = lattice_adjacent_sweep(range(block + 1), kappas=kappas, n=n, k=k, block=block)
+    assert same_bits(table, alone(range(block + 1), parts))
+    for n1 in (0, w):   # group 1 empty, then two windows of w sites
+        d_grid = range(n - n1 - w + 1)
+        parts = [Bipartition(range(n1), [(n1 + d + j) % n for j in range(w)]) for d in d_grid]
+        table = lattice_disjoint_sweep(d_grid, kappas=kappas, n=n, k=k, n1=n1, n2=w)
+        assert same_bits(table, alone(d_grid, parts))
+    part = Bipartition(range(w), range(w, 2 * w))
+    table = lattice_size_sweep((2 * w, n), kappas=kappas, k=k, n1=w, n2=w)
+    assert same_bits(table, alone([2 * w], [part], 2 * w) + alone([n], [part]))
+
+
 def test_ring_sweep_mirror_rows_are_exactly_equal():
     n, block, n1, n2 = 37, 16, 6, 8
     table = lattice_adjacent_sweep(range(block + 1), kappas=(4.0,), n=n, k=1e-3,
@@ -250,21 +285,23 @@ def test_ring_sweep_mirror_rows_are_exactly_equal():
 
 
 def test_default_ring_sweeps_solve_one_partition_per_class(monkeypatch):
-    batch_sizes = []
+    # (partitions, stacked states) of every call of the negativity core.
+    calls = []
 
     def spy(cov, partitions):
-        batch_sizes.append(len(partitions))
-        return log_negativities(cov, partitions)
+        results = stacked_log_negativities(cov, partitions)
+        calls.append((len(partitions), len(results[0])))
+        return results
 
-    monkeypatch.setattr(experiments, "log_negativities", spy)
+    monkeypatch.setattr(experiments, "stacked_log_negativities", spy)
     lattice_adjacent_sweep(range(101))
-    assert batch_sizes == [51] * 7
-    batch_sizes.clear()
+    assert calls == [(51, 7)]
+    calls.clear()
     lattice_disjoint_sweep(range(0, 101, 10))
-    assert batch_sizes == [6] * 3
-    batch_sizes.clear()
+    assert calls == [(6, 3)]
+    calls.clear()
     lattice_size_sweep(range(20, 501, 20))
-    assert batch_sizes == [1] * 7 * 25
+    assert calls == [(1, 7)] * 25
 
 
 @pytest.mark.parametrize("command", ["lattice-adjacent", "lattice-d", "lattice-size"])
@@ -306,7 +343,7 @@ def test_json_round_trip(tmp_path):
 
 def test_column_lookup_rejects_unknown_name():
     table = SweepTable(("a", "b"), ((1.0, 2.0),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no column 'missing' in the table; its columns are a, b"):
         table.column("missing")
 
 
@@ -340,6 +377,16 @@ def test_cft_fit_drops_endpoints():
     without = fit_adjacent_cft(n1, e)
     assert with_ends.params == without.params
     assert with_ends.grid == without.grid
+
+
+@pytest.mark.parametrize("bad", [-1.0, 51.0, np.nan])
+def test_cft_fit_refuses_rows_outside_the_block(bad):
+    # Rows of a 100-site block fitted as a 50-site block used to drop every
+    # n1 > 50 without a word and fit the rest against the wrong abscissa.
+    n1 = np.concatenate([np.arange(0, 51), [bad], np.arange(52, 101)])
+    e = synthetic_cft(np.clip(n1, 1, 99), 2.5, 1.0)
+    with pytest.raises(ValueError, match=f"n1 = {bad:g} outside \\[0, 50\\]"):
+        fit_adjacent_cft(n1, e, block=50)
 
 
 def test_cft_fit_needs_ten_interior_points():

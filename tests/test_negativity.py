@@ -1,5 +1,7 @@
 """Logarithmic negativity: both evaluation routes, oracles, and guards."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -7,21 +9,35 @@ from numpy.testing import assert_allclose, assert_array_equal
 from oscent.covariance import (
     Bipartition,
     CovarianceMatrix,
+    RingCovariance,
     classical_covariance,
     quantum_ground_covariance,
     reduce_modes,
     ring_covariance,
+    ring_covariances,
+    ring_windows,
 )
 from oscent.errors import (
     ComplexEigenvalueError,
     CrossBlockNotZeroError,
+    EmptySubsystemError,
+    IndexOutOfRangeError,
+    InvalidModelError,
     NotPositiveDefiniteError,
+    UnstableSystemError,
 )
-from oscent.models import CircularLattice, GeneralizedChain, TwoMode, normal_modes
+from oscent.models import (
+    CircularLattice,
+    GeneralizedChain,
+    TwoMode,
+    normal_modes,
+    ring_frequencies,
+)
 from oscent.negativity import (
     log_negativities,
     log_negativity,
     log_negativity_via_symplectic,
+    stacked_log_negativities,
 )
 
 
@@ -141,6 +157,52 @@ def test_ring_state_matches_dense_route():
         assert abs(got.log_negativity - expect) <= 1e-9
         assert abs(log_negativity_via_symplectic(ring, part).log_negativity
                    - expect) <= 1e-9
+
+
+@pytest.mark.parametrize("n, k, kappas", [(12, 0.1, (4.0,)),
+                                          (31, 1e-3, (0.5, 8.0, 64.0)),
+                                          (64, 1e-4, (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0))])
+def test_stack_equals_each_state_alone_bit_for_bit(n, k, kappas):
+    models = [CircularLattice(n, k, kappa) for kappa in kappas]
+    stack = ring_covariances(models)
+    assert stack.cq.shape == stack.cp.shape == (len(kappas), n)
+    parts = [Bipartition(range(n1), range(n1, 8)) for n1 in (0, 3, 8)]
+    parts += [Bipartition([n - 2, n - 1, 0], [1, 2, 5]), Bipartition([], [2, 9])]
+    stacked = stacked_log_negativities(stack, parts)
+    for s, model in enumerate(models):
+        alone = ring_covariance(model)
+        assert alone.cq.tobytes() == stack.cq[s].tobytes()
+        assert alone.cp.tobytes() == stack.cp[s].tobytes()
+        for per_state, one in zip(stacked, log_negativities(alone, parts)):
+            got = per_state[s]
+            assert got.lambda_tilde.tobytes() == one.lambda_tilde.tobytes()
+            assert got.log_negativity == one.log_negativity
+            assert got.negativity == one.negativity
+
+
+def test_stack_checks_every_state():
+    good = CircularLattice(10, 0.1, 1.0)
+    for bad, error in ((CircularLattice(10, 0.1, -1.0), InvalidModelError),
+                       (CircularLattice(10, 0.0, 1.0), UnstableSystemError)):
+        with pytest.raises(error) as alone:
+            ring_frequencies(bad)
+        with pytest.raises(error, match=f"^{re.escape(str(alone.value))}$"):
+            ring_covariances([good, bad, good])
+    stack = ring_covariances([good, good])
+    alone = ring_covariance(good)
+    for indices, error in (([], EmptySubsystemError), ([10], IndexOutOfRangeError),
+                           ([-1, 3], IndexOutOfRangeError)):
+        with pytest.raises(error) as dense:
+            reduce_modes(alone, indices)
+        with pytest.raises(error, match=f"^{re.escape(str(dense.value))}$"):
+            ring_windows(stack, indices)
+    # An indefinite qq in the second state only.
+    indefinite = RingCovariance(np.stack([alone.cq, -alone.cq]), stack.cp)
+    with pytest.raises(NotPositiveDefiniteError):
+        stacked_log_negativities(indefinite, [Bipartition([0], [1])])
+    # log_negativities takes one state, not a stack of several.
+    with pytest.raises(ValueError, match="one state"):
+        log_negativities(stack, [Bipartition([0], [1])])
 
 
 def test_lambdas_sorted_ascending_both_routes():
