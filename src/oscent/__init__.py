@@ -83,7 +83,6 @@ from .models import (
 )
 from .negativity import (
     NegativityResult,
-    log_negativities,
     log_negativity,
     log_negativity_via_symplectic,
     stacked_log_negativities,

@@ -60,16 +60,16 @@ def _parse_floats(text, flag):
     return values
 
 
-def _parse_indices(text):
-    """1-based comma list -> 0-based tuple."""
+def _parse_indices(text, n):
+    """1-based comma list of oscillators out of n -> 0-based tuple."""
     out = []
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
             continue
         value = int(piece)
-        if value < 1:
-            raise IndexOutOfRangeError(f"indices are 1-based, got {value}")
+        if not 1 <= value <= n:
+            raise IndexOutOfRangeError(f"oscillator {value} outside 1..{n} (indices are 1-based)")
         out.append(value - 1)
     return tuple(out)
 
@@ -245,10 +245,8 @@ def _run(args):
         table = _fit_table(fit, "N", n_val)
     elif args.command == "measures":
         cov = _unit_action_state(args.model)
-        if args.subsystem is not None:
-            indices = _parse_indices(args.subsystem)
-        else:
-            indices = tuple(range(cov.n_modes))
+        n = cov.n_modes
+        indices = range(n) if args.subsystem is None else _parse_indices(args.subsystem, n)
         label = "+".join(str(i + 1) for i in sorted(set(indices)))
         report = measure_report(reduce_modes(cov, indices),
                                 alphas=_alphas_from(args), label=label)
@@ -261,7 +259,8 @@ def _run(args):
         table = experiments.SweepTable(tuple(columns), (tuple(row),))
     elif args.command == "negativity":
         cov = _unit_action_state(args.model)
-        part = Bipartition(_parse_indices(args.group1), _parse_indices(args.group2))
+        n = cov.n_modes
+        part = Bipartition(_parse_indices(args.group1, n), _parse_indices(args.group2, n))
         res = log_negativity(cov, part)
         table = experiments.SweepTable(
             ("group1", "group2", "log_negativity", "negativity"),

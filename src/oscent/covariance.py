@@ -188,9 +188,7 @@ def classical_covariance(modes: NormalModes, actions):
     pp_free = (s * (actions * omegas)) @ s.T
     qp = -qq * ydiag[np.newaxis, :]
     pp = pp_free + (ydiag[:, np.newaxis] * qq) * ydiag[np.newaxis, :]
-    top = np.hstack([qq, qp])
-    bottom = np.hstack([qp.T, pp])
-    return CovarianceMatrix(np.vstack([top, bottom]), _common_action(actions))
+    return CovarianceMatrix(np.block([[qq, qp], [qp.T, pp]]), _common_action(actions))
 
 
 def _circulant_row(eigenvalues):

@@ -77,12 +77,17 @@ class SweepTable:
 def read_sweep_csv(path):
     """Read back a SweepTable written by write_csv (all cells as floats)."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+        lines = [(number, line.rstrip("\n").split(","))
+                 for number, line in enumerate(fh, 1) if line.strip()]
     if not lines:
         raise ValueError(f"{path} is empty")
-    columns = tuple(lines[0].split(","))
-    rows = tuple(tuple(float(cell) for cell in line.split(",")) for line in lines[1:])
-    return SweepTable(columns, rows)
+    columns = tuple(lines[0][1])
+    for number, cells in lines[1:]:
+        if len(cells) != len(columns):
+            raise ValueError(f"{path} line {number}: {len(cells)} cells "
+                             f"under a header of {len(columns)}")
+    return SweepTable(columns, tuple(tuple(float(cell) for cell in cells)
+                                     for _, cells in lines[1:]))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import (
     AsymmetricInputError,
-    CrossBlockNotZeroError,
     NoConvergenceError,
     NotPositiveDefiniteError,
     UnpairedSpectrumError,
@@ -211,6 +210,30 @@ def unsheared_momentum_block(qq, qp, pp, scale):
     return pp - (y[:, np.newaxis] * qq) * y
 
 
+def _block_product_eigvals(qq, pp, sign_patterns, name="covariance"):
+    """Ascending eigenvalues of ``qq^1/2 P pp P qq^1/2``, one array per pattern.
+
+    ``qq`` and ``pp`` are ``(m, m)`` blocks or ``(S, m, m)`` stacks, and
+    ``P = diag(pattern)`` with +/-1 entries. ``qq`` is factored once, and
+    refused unless its smallest eigenvalue exceeds ``POSDEF_RTOL`` times its
+    largest.
+    """
+    wq, vq = np.linalg.eigh(0.5 * (qq + np.swapaxes(qq, -1, -2)))
+    bad = ~(wq[..., 0] > POSDEF_RTOL * wq[..., -1])
+    if np.any(bad):
+        raise NotPositiveDefiniteError(
+            f"{name} qq block is not positive definite: eigenvalue "
+            f"{wq[..., 0][bad][0]:.6e}"
+        )
+    root = vq * np.sqrt(wq)[..., np.newaxis, :]
+    root_t = np.swapaxes(root, -1, -2)
+    out = []
+    for signs in sign_patterns:
+        sym = root_t @ (pp * np.outer(signs, signs)) @ root
+        out.append(np.linalg.eigvalsh(0.5 * (sym + np.swapaxes(sym, -1, -2))))
+    return out
+
+
 def symplectic_spectrum(cov, method="auto", name="covariance"):
     """Symplectic eigenvalues of a positive-definite phase-space matrix.
 
@@ -219,7 +242,8 @@ def symplectic_spectrum(cov, method="auto", name="covariance"):
 
     * fast path (cross block zero or a local shear ``qp = -qq Y``, see
       :func:`unsheared_momentum_block`): ``sqrt(eig(qq @ pp))`` via the
-      symmetrized product ``qq^1/2 pp qq^1/2``, with pp unsheared;
+      symmetrized product ``qq^1/2 pp qq^1/2`` of
+      :func:`_block_product_eigvals`, with pp unsheared;
     * general path: with the Cholesky factor ``cov = L L^T``, the
       antisymmetric ``K = L^T J L`` is similar to ``J cov``, so the
       symplectic eigenvalues are the singular values of ``K``, each
@@ -230,10 +254,9 @@ def symplectic_spectrum(cov, method="auto", name="covariance"):
     ----------
     cov : (2n, 2n) array_like
         Symmetric positive definite, (q..., p...) ordered.
-    method : {"auto", "fast", "general"}
+    method : {"auto", "general"}
         "auto" takes the fast path when the cross block vanishes or is a
         local shear (relative to the largest entry), else the general path.
-        "fast" raises CrossBlockNotZeroError when it is neither.
 
     Returns
     -------
@@ -247,30 +270,18 @@ def symplectic_spectrum(cov, method="auto", name="covariance"):
         )
     n = a.shape[0] // 2
     scale = float(np.max(np.abs(a)))
-    if method not in ("auto", "fast", "general"):
+    if method not in ("auto", "general"):
         raise ValueError(f"unknown method {method!r}")
 
-    if method != "general":
-        qq = a[:n, :n]
-        pp = unsheared_momentum_block(qq, a[:n, n:], a[n:, n:], scale)
-        if pp is not None:
-            wq, vq = np.linalg.eigh(qq)
-            if wq[0] <= POSDEF_RTOL * max(wq[-1], 0.0):
-                raise NotPositiveDefiniteError(
-                    f"{name} qq block has eigenvalue {wq[0]:.6e}"
-                )
-            root = vq * np.sqrt(wq)
-            sym_prod = root.T @ pp @ root
-            lam = np.linalg.eigvalsh(0.5 * (sym_prod + sym_prod.T))
-            if lam[0] <= 0.0:
-                raise NotPositiveDefiniteError(
-                    f"{name} pp block is not positive definite on the fast path"
-                )
-            return np.sqrt(lam)
-        if method == "fast":
-            raise CrossBlockNotZeroError(
-                f"{name} q-p cross block is neither zero nor a local shear"
+    pp = None if method == "general" else unsheared_momentum_block(
+        a[:n, :n], a[:n, n:], a[n:, n:], scale)
+    if pp is not None:
+        (lam,) = _block_product_eigvals(a[:n, :n], pp, [np.ones(n)], name=name)
+        if lam[0] <= 0.0:
+            raise NotPositiveDefiniteError(
+                f"{name} pp block is not positive definite on the fast path"
             )
+        return np.sqrt(lam)
 
     w = np.linalg.eigvalsh(a)
     if w[0] <= POSDEF_RTOL * max(w[-1], 0.0):

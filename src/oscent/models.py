@@ -9,9 +9,10 @@ with the eigenvector columns collected in S (so ``M**a = S @ W**(2a) @ S.T``).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple, Union, get_args
 
 import numpy as np
 
@@ -150,6 +151,9 @@ def validate_model(model):
                 raise InvalidModelError(
                     f"field '{field}': must be finite and >= 0, got {value}"
                 )
+        if not np.isfinite(model.k + 4.0 * model.kappa):  # the largest omega**2
+            raise InvalidModelError(f"field 'kappa': k + 4*kappa overflows for "
+                                    f"k={model.k}, kappa={model.kappa}")
     else:
         raise InvalidModelError(f"unknown model type {type(model).__name__}")
     return model
@@ -258,16 +262,11 @@ def two_mode_angles(model):
     if isinstance(model, TwoMode):
         if model.A == model.B:
             raise DegenerateParametersError("angle undefined for A == B")
-        beta = 0.5 * np.arctan(model.C / (model.B - model.A))
-        t = np.tan(beta)
+        angle = 0.5 * np.arctan(model.C / (model.B - model.A))
+        t = np.tan(angle)
         w1sq = model.A - 0.5 * model.C * t
         w2sq = model.B + 0.5 * model.C * t
-        if min(w1sq, w2sq) <= 0.0:
-            raise UnstableSystemError(
-                f"squared frequencies ({w1sq:.6e}, {w2sq:.6e}) are not both positive"
-            )
-        return TwoModeAngles(float(beta), float(np.sqrt(w1sq)), float(np.sqrt(w2sq)), bool(w1sq > w2sq))
-    if isinstance(model, TwoModeGeneralized):
+    elif isinstance(model, TwoModeGeneralized):
         num = model.X2 - model.X1 + model.Y1**2 - model.Y2**2
         if model.Z == 0.0 or num == 0.0:
             raise DegenerateParametersError(
@@ -275,27 +274,50 @@ def two_mode_angles(model):
             )
         gamma = num / (2.0 * model.Z)
         t = np.sign(gamma) * np.hypot(gamma, 1.0) - gamma
-        theta = np.arctan(t)
+        angle = np.arctan(t)
         w1sq = model.X1 - model.Y1**2 + model.Z * (1.0 - t)
         w2sq = model.X2 - model.Y2**2 + model.Z * (1.0 + t)
-        if min(w1sq, w2sq) <= 0.0:
-            raise UnstableSystemError(
-                f"squared frequencies ({w1sq:.6e}, {w2sq:.6e}) are not both positive"
-            )
-        return TwoModeAngles(float(theta), float(np.sqrt(w1sq)), float(np.sqrt(w2sq)), bool(w1sq > w2sq))
-    raise InvalidModelError(
-        f"closed-form angles exist only for the two-oscillator models, got {type(model).__name__}"
-    )
+    else:
+        raise InvalidModelError(
+            "closed-form angles exist only for the two-oscillator models, "
+            f"got {type(model).__name__}"
+        )
+    if min(w1sq, w2sq) <= 0.0:
+        raise UnstableSystemError(
+            f"squared frequencies ({w1sq:.6e}, {w2sq:.6e}) are not both positive"
+        )
+    return TwoModeAngles(float(angle), float(np.sqrt(w1sq)), float(np.sqrt(w2sq)), bool(w1sq > w2sq))
 
 
 # --- model files ----------------------------------------------------------
 
-_VARIANT_FIELDS = {
-    "TwoMode": ("A", "B", "C"),
-    "TwoModeGeneralized": ("X1", "X2", "Y1", "Y2", "Z"),
-    "GeneralizedChain": ("K", "Y"),
-    "CircularLattice": ("N", "k", "kappa"),
+def _number(field, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidModelError(f"field '{field}': expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(field, value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidModelError(f"field '{field}': expected an integer, got {value!r}")
+    return value
+
+
+def _array(field, value):
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        kind = "matrix" if field == "K" else "vector"
+        raise InvalidModelError(f"field '{field}': not a numeric {kind} ({exc})") from exc
+
+
+# (file reader, file writer) per field annotation, a string under postponed annotations.
+_FIELD_CODECS = {
+    "float": (_number, lambda value: value),
+    "int": (_integer, int),
+    "np.ndarray": (_array, lambda value: np.asarray(value, dtype=float).tolist()),
 }
+_VARIANTS = {cls.__name__: cls for cls in get_args(HamiltonianModel)}
 
 
 def model_from_dict(data):
@@ -303,65 +325,28 @@ def model_from_dict(data):
     if not isinstance(data, dict):
         raise InvalidModelError(f"model document must be an object, got {type(data).__name__}")
     variant = data.get("variant")
-    if variant not in _VARIANT_FIELDS:
+    cls = _VARIANTS.get(variant) if isinstance(variant, str) else None
+    if cls is None:
         raise InvalidModelError(
-            f"field 'variant': expected one of {sorted(_VARIANT_FIELDS)}, got {variant!r}"
+            f"field 'variant': expected one of {sorted(_VARIANTS)}, got {variant!r}"
         )
-    fields = _VARIANT_FIELDS[variant]
+    fields = dataclasses.fields(cls)
     for field in fields:
-        if field not in data:
-            raise InvalidModelError(f"field '{field}': missing for variant {variant}")
-    extra = set(data) - set(fields) - {"variant"}
+        if field.name not in data:
+            raise InvalidModelError(f"field '{field.name}': missing for variant {variant}")
+    extra = set(data) - {field.name for field in fields} - {"variant"}
     if extra:
         raise InvalidModelError(f"field '{sorted(extra)[0]}': not part of variant {variant}")
-
-    def number(field):
-        value = data[field]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InvalidModelError(f"field '{field}': expected a number, got {value!r}")
-        return float(value)
-
-    if variant == "TwoMode":
-        model = TwoMode(number("A"), number("B"), number("C"))
-    elif variant == "TwoModeGeneralized":
-        model = TwoModeGeneralized(
-            number("X1"), number("X2"), number("Y1"), number("Y2"), number("Z")
-        )
-    elif variant == "GeneralizedChain":
-        try:
-            k = np.asarray(data["K"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InvalidModelError(f"field 'K': not a numeric matrix ({exc})") from exc
-        try:
-            y = np.asarray(data["Y"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InvalidModelError(f"field 'Y': not a numeric vector ({exc})") from exc
-        model = GeneralizedChain(k, y)
-    else:
-        raw_n = data["N"]
-        if isinstance(raw_n, bool) or not isinstance(raw_n, int):
-            raise InvalidModelError(f"field 'N': expected an integer, got {raw_n!r}")
-        model = CircularLattice(raw_n, number("k"), number("kappa"))
-    return validate_model(model)
+    values = [_FIELD_CODECS[field.type][0](field.name, data[field.name]) for field in fields]
+    return validate_model(cls(*values))
 
 
 def model_to_dict(model):
     validate_model(model)
-    if isinstance(model, TwoMode):
-        return {"variant": "TwoMode", "A": model.A, "B": model.B, "C": model.C}
-    if isinstance(model, TwoModeGeneralized):
-        return {
-            "variant": "TwoModeGeneralized",
-            "X1": model.X1, "X2": model.X2,
-            "Y1": model.Y1, "Y2": model.Y2, "Z": model.Z,
-        }
-    if isinstance(model, GeneralizedChain):
-        return {
-            "variant": "GeneralizedChain",
-            "K": np.asarray(model.K, dtype=float).tolist(),
-            "Y": np.asarray(model.Y, dtype=float).tolist(),
-        }
-    return {"variant": "CircularLattice", "N": int(model.N), "k": model.k, "kappa": model.kappa}
+    doc = {"variant": type(model).__name__}
+    for field in dataclasses.fields(model):
+        doc[field.name] = _FIELD_CODECS[field.type][1](getattr(model, field.name))
+    return doc
 
 
 def load_model(path):

@@ -32,8 +32,8 @@ from .covariance import (
     reduce_modes,
     ring_windows,
 )
-from .errors import ComplexEigenvalueError, CrossBlockNotZeroError, NotPositiveDefiniteError
-from .linalg import _pair_up, symplectic_form, unsheared_momentum_block
+from .errors import ComplexEigenvalueError, CrossBlockNotZeroError
+from .linalg import _block_product_eigvals, _pair_up, symplectic_form, unsheared_momentum_block
 
 # lambda = 1 +/- roundoff must contribute exactly zero bits.
 UNIT_GUARD = 1e-12
@@ -73,8 +73,7 @@ def _bits_from_lambdas(lambdas):
     return float(-np.sum(np.log2(lambdas[small])))
 
 
-def _result(lambdas):
-    e_n = _bits_from_lambdas(lambdas)
+def _result(lambdas, e_n):
     return NegativityResult(lambdas, e_n, 0.5 * (2.0**e_n - 1.0))
 
 
@@ -94,45 +93,29 @@ def stacked_log_negativities(cov, partitions):
     results = [None] * len(partitions)
     for members, positions in by_members.items():
         qq_u, pp_u = _unit_blocks(cov, members)
-        wq, vq = np.linalg.eigh(0.5 * (qq_u + np.swapaxes(qq_u, 1, 2)))
-        if np.any(wq[:, 0] <= 0.0):
-            raise NotPositiveDefiniteError("reduced qq block is not positive definite")
-        root = vq * np.sqrt(wq)[:, np.newaxis, :]
-        root_t = np.swapaxes(root, 1, 2)
-        for i in positions:
-            signs = partitions[i].momentum_signs()
-            sym = root_t @ (pp_u * np.outer(signs, signs)) @ root
-            lambdas = np.linalg.eigvalsh(0.5 * (sym + np.swapaxes(sym, 1, 2)))
+        patterns = [partitions[i].momentum_signs() for i in positions]
+        per_pattern = _block_product_eigvals(qq_u, pp_u, patterns, name="reduced")
+        for i, lambdas in zip(positions, per_pattern):
             lambdas = np.maximum(lambdas, np.finfo(float).tiny)
-            results[i] = [_result(row) for row in lambdas]
+            results[i] = [_result(row, _bits_from_lambdas(row)) for row in lambdas]
     return results
-
-
-def log_negativities(cov, partitions):
-    """E_N of many bipartitions of one state, in the order given.
-
-    ``cov`` is the full-system state (a CovarianceMatrix or a
-    RingCovariance); this is :func:`stacked_log_negativities` on a stack of
-    one. The results equal those of :func:`log_negativity` on each
-    partition.
-    """
-    results = stacked_log_negativities(cov, partitions)
-    if any(len(per_state) != 1 for per_state in results):
-        raise ValueError("log_negativities takes one state; "
-                         "use stacked_log_negativities for a stack")
-    return [per_state[0] for per_state in results]
 
 
 def log_negativity(cov, partition: Bipartition):
     """E_N from the m eigenvalues of qq_u P pp_u P (symmetrized product).
 
-    ``cov`` is the full-system state; the reduction to the partition's
-    members happens here. The cross block of the reduced covariance must
-    vanish or be a local shear ``qp = -qq Y`` with Y diagonal, as every
-    model's is; pp_u is then the unsheared block ``pp - Y qq Y``. Any other
-    cross block raises CrossBlockNotZeroError.
+    ``cov`` is one full-system state; the reduction to the partition's
+    members happens here, and a stack of several ring states is refused.
+    The cross block of the reduced covariance must vanish or be a local
+    shear ``qp = -qq Y`` with Y diagonal, as every model's is; pp_u is then
+    the unsheared block ``pp - Y qq Y``. Any other cross block raises
+    CrossBlockNotZeroError.
     """
-    return log_negativities(cov, [partition])[0]
+    (per_state,) = stacked_log_negativities(cov, [partition])
+    if len(per_state) != 1:
+        raise ValueError("log_negativity takes one state; "
+                         "use stacked_log_negativities for a stack")
+    return per_state[0]
 
 
 def log_negativity_via_symplectic(cov, partition: Bipartition):
@@ -158,4 +141,4 @@ def log_negativity_via_symplectic(cov, partition: Bipartition):
     # log-sum over all 2m of them equals the m-eigenvalue sum over lambda_j.
     e_n = _bits_from_lambdas(moduli)
     lambdas = _pair_up(moduli, float(np.max(moduli))) ** 2
-    return NegativityResult(np.sort(lambdas), e_n, 0.5 * (2.0**e_n - 1.0))
+    return _result(np.sort(lambdas), e_n)

@@ -326,6 +326,16 @@ def test_zero_index_rejected(chain_file, capsys):
     assert code == 2 and "1-based" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["negativity", "--group1", "1", "--group2", "4"],
+    ["measures", "--subsystem", "2,4"],
+])
+def test_index_error_names_the_index_as_typed(argv, chain_file, capsys):
+    code, out, err = run(argv[:1] + ["--model", chain_file] + argv[1:], capsys)
+    assert code == 2 and out == ""
+    assert one_error_line(err) and "oscillator 4 outside 1..3" in err
+
+
 def test_subsystem_index_out_of_range(two_mode_file, capsys):
     code, _, err = run(["measures", "--model", two_mode_file,
                         "--subsystem", "3"], capsys)
@@ -371,6 +381,32 @@ def test_fit_names_the_missing_column(command, table, missing, tmp_path, capsys)
     assert one_error_line(err)
     assert f"no column '{missing}'" in err
     assert f"its columns are {table}, kappa, log_negativity, negativity" in err
+
+
+@pytest.mark.parametrize("command", ["fit-cft", "fit-kappa"])
+@pytest.mark.parametrize("bad_row, cells", [("40,4", 2), ("40,4,0.2,0,9", 5)])
+def test_fit_refuses_a_row_of_the_wrong_length(command, bad_row, cells, tmp_path, capsys):
+    path = tmp_path / "sweep.csv"
+    path.write_text("n1,N,kappa,log_negativity\n10,20,4,0.1\n" + bad_row + "\n20,20,4,0.3\n")
+    argv = [command, "--in", str(path)] + (["--kappa", "4"] if command == "fit-cft" else [])
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert one_error_line(err) and f"line 3: {cells} cells under a header of 4" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice-size", "--k", "1e308", "--kappas", "5e307"],
+    ["lattice-d", "--kappas", "1e308", "--grid", "0:0:1"],
+    ["measures", "--model", "ring.json"],
+])
+def test_overflowing_ring_frequencies_exit_two_with_clean_stderr(argv, tmp_path):
+    # As its own process, so that a numpy overflow warning would show.
+    (tmp_path / "ring.json").write_text(
+        '{"variant": "CircularLattice", "N": 12, "k": 0.1, "kappa": 1e308}')
+    proc = subprocess.run([sys.executable, "-m", "oscent.cli"] + argv, cwd=tmp_path,
+                          capture_output=True, text=True, env=source_env())
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert one_error_line(proc.stderr) and "field 'kappa': k + 4*kappa" in proc.stderr
 
 
 def one_error_line(err):

@@ -33,7 +33,7 @@ from oscent.experiments import (
     sweep_two_mode_coupling,
 )
 from oscent.models import CircularLattice, normal_modes
-from oscent.negativity import log_negativities, log_negativity, stacked_log_negativities
+from oscent.negativity import log_negativity, stacked_log_negativities
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 SIGMA_REF = 0.5167716231557249
@@ -249,8 +249,8 @@ def test_stacked_sweep_rows_equal_each_kappa_alone_bit_for_bit(n, k, kappas):
         # The rows as each kappa's state alone gives them, key outer: one
         # partition per symmetry class, in a batch per kappa.
         reps, classes = _ring_classes(parts, ring)
-        per_kappa = [log_negativities(ring_covariance(CircularLattice(ring, k, kappa)), reps)
-                     for kappa in kappas]
+        per_kappa = [[per_state[0] for per_state in stacked_log_negativities(
+            ring_covariance(CircularLattice(ring, k, kappa)), reps)] for kappa in kappas]
         return [(float(key), kappa, results[c].log_negativity, results[c].negativity)
                 for key, c in zip(keys, classes) for kappa, results in zip(kappas, per_kappa)]
 

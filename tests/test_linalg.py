@@ -12,6 +12,7 @@ from oscent.errors import (
 )
 from oscent.covariance import classical_covariance, reduce_modes
 from oscent.linalg import (
+    _block_product_eigvals,
     _canonical_column_signs,
     POSDEF_RTOL,
     _pair_up,
@@ -257,9 +258,14 @@ def test_symplectic_spectrum_fast_vs_general():
         qq = random_spd(rng, n)
         pp = random_spd(rng, n)
         cov = np.block([[qq, np.zeros((n, n))], [np.zeros((n, n)), pp]])
-        fast = symplectic_spectrum(cov, method="fast")
+        (lam,) = _block_product_eigvals(qq, pp, [np.ones(n)])
+        fast = np.sqrt(lam)
         general = symplectic_spectrum(cov, method="general")
         assert_allclose(fast, general, rtol=1e-9, atol=1e-11)
+        assert np.array_equal(symplectic_spectrum(cov), fast)
+    # The product route is reached only through "auto"; "fast" is gone.
+    with pytest.raises(ValueError, match="unknown method"):
+        symplectic_spectrum(cov, method="fast")
 
 
 def test_symplectic_spectrum_auto_handles_cross_block():

@@ -104,6 +104,11 @@ def test_validate_rejects_bad_lattice():
             validate_model(CircularLattice(N=4, k=bad, kappa=1.0))
         with pytest.raises(InvalidModelError):
             validate_model(CircularLattice(N=4, k=0.1, kappa=bad))
+    # Each finite, but the largest squared frequency k + 4 kappa overflows.
+    for k, kappa in ((1e308, 5e307), (0.1, 1e308), (0.0, 4.5e307)):
+        with pytest.raises(InvalidModelError, match="field 'kappa'"):
+            validate_model(CircularLattice(N=4, k=k, kappa=kappa))
+    validate_model(CircularLattice(N=4, k=1e307, kappa=2e307))
 
 
 def test_validate_rejects_asymmetric_chain():
@@ -349,9 +354,43 @@ def test_model_round_trip_all_variants(tmp_path):
             assert loaded == model
 
 
+PINNED_MODEL_FILES = [
+    (TwoMode(A=5.0, B=20.0, C=10.0),
+     '{\n  "variant": "TwoMode",\n  "A": 5.0,\n  "B": 20.0,\n  "C": 10.0\n}\n'),
+    (TwoModeGeneralized(X1=2.0, X2=2.5, Y1=0.0, Y2=-0.25, Z=1.0),
+     '{\n  "variant": "TwoModeGeneralized",\n  "X1": 2.0,\n  "X2": 2.5,\n'
+     '  "Y1": 0.0,\n  "Y2": -0.25,\n  "Z": 1.0\n}\n'),
+    # Integer arrays are written as float lists.
+    (GeneralizedChain(K=np.array([[2, -1], [-1, 3]]), Y=np.array([0, 1])),
+     '{\n  "variant": "GeneralizedChain",\n  "K": [\n    [\n      2.0,\n      -1.0\n'
+     '    ],\n    [\n      -1.0,\n      3.0\n    ]\n  ],\n  "Y": [\n    0.0,\n'
+     '    1.0\n  ]\n}\n'),
+    # A numpy integer N is written as a plain JSON integer.
+    (CircularLattice(N=np.int64(6), k=0.1, kappa=2.0),
+     '{\n  "variant": "CircularLattice",\n  "N": 6,\n  "k": 0.1,\n  "kappa": 2.0\n}\n'),
+]
+
+
+@pytest.mark.parametrize("model,text", PINNED_MODEL_FILES,
+                         ids=[type(m).__name__ for m, _ in PINNED_MODEL_FILES])
+def test_saved_model_file_layout_is_pinned(tmp_path, model, text):
+    # Key order, 2-space indent and the trailing newline are part of the format.
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert path.read_bytes() == text.encode("utf-8")
+
+
 def test_model_dict_errors_name_the_field():
+    with pytest.raises(InvalidModelError, match="field 'K': not a numeric matrix"):
+        model_from_dict({"variant": "GeneralizedChain", "K": [[1.0, 0.0], [0.0]],
+                         "Y": [0.0, 0.0]})
+    with pytest.raises(InvalidModelError, match="field 'Y': not a numeric vector"):
+        model_from_dict({"variant": "GeneralizedChain", "K": [[1.0, 0.0], [0.0, 1.0]],
+                         "Y": ["a", 0.0]})
     with pytest.raises(InvalidModelError, match="'variant'"):
         model_from_dict({"variant": "Nope"})
+    with pytest.raises(InvalidModelError, match="'variant'"):
+        model_from_dict({"variant": ["TwoMode"], "A": 1.0, "B": 2.0, "C": 0.0})
     with pytest.raises(InvalidModelError, match="'C'"):
         model_from_dict({"variant": "TwoMode", "A": 1.0, "B": 2.0})
     with pytest.raises(InvalidModelError, match="'D'"):

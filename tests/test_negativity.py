@@ -26,6 +26,7 @@ from oscent.errors import (
     NotPositiveDefiniteError,
     UnstableSystemError,
 )
+from oscent.linalg import symplectic_spectrum
 from oscent.models import (
     CircularLattice,
     GeneralizedChain,
@@ -34,7 +35,6 @@ from oscent.models import (
     ring_frequencies,
 )
 from oscent.negativity import (
-    log_negativities,
     log_negativity,
     log_negativity_via_symplectic,
     stacked_log_negativities,
@@ -64,6 +64,11 @@ def brute_force_lambdas(cov, partition):
     lam = np.linalg.eigvals(red[:m, :m] @ p @ red[m:, m:] @ p)
     assert np.max(np.abs(lam.imag)) < 1e-10
     return np.sort(lam.real)
+
+
+def one_state(cov, partitions):
+    # The batch over one state: results[i] for partition i.
+    return [per_state[0] for per_state in stacked_log_negativities(cov, partitions)]
 
 
 def one_partition_lambdas(cov, partition):
@@ -136,7 +141,7 @@ def test_batch_equals_one_partition_at_a_time_bit_for_bit():
         parts = [random_partition(rng, n) for _ in range(4)]
         parts += [Bipartition([0], [n - 1]), Bipartition([1, 2], []),
                   Bipartition([0], [n - 1])]
-        batch = log_negativities(cov, parts)
+        batch = one_state(cov, parts)
         assert len(batch) == len(parts)
         for part, got in zip(parts, batch):
             one = log_negativity(cov, part)
@@ -152,7 +157,7 @@ def test_ring_state_matches_dense_route():
     ring = ring_covariance(model)
     parts = [Bipartition(range(n1), range(n1, 12)) for n1 in (0, 3, 6, 12)]
     parts.append(Bipartition([28, 29, 0], [1, 2, 3, 4]))
-    for part, got in zip(parts, log_negativities(ring, parts)):
+    for part, got in zip(parts, one_state(ring, parts)):
         expect = log_negativity(dense, part).log_negativity
         assert abs(got.log_negativity - expect) <= 1e-9
         assert abs(log_negativity_via_symplectic(ring, part).log_negativity
@@ -173,7 +178,7 @@ def test_stack_equals_each_state_alone_bit_for_bit(n, k, kappas):
         alone = ring_covariance(model)
         assert alone.cq.tobytes() == stack.cq[s].tobytes()
         assert alone.cp.tobytes() == stack.cp[s].tobytes()
-        for per_state, one in zip(stacked, log_negativities(alone, parts)):
+        for per_state, one in zip(stacked, one_state(alone, parts)):
             got = per_state[s]
             assert got.lambda_tilde.tobytes() == one.lambda_tilde.tobytes()
             assert got.log_negativity == one.log_negativity
@@ -200,9 +205,23 @@ def test_stack_checks_every_state():
     indefinite = RingCovariance(np.stack([alone.cq, -alone.cq]), stack.cp)
     with pytest.raises(NotPositiveDefiniteError):
         stacked_log_negativities(indefinite, [Bipartition([0], [1])])
-    # log_negativities takes one state, not a stack of several.
+    # log_negativity takes one state, not a stack of several.
     with pytest.raises(ValueError, match="one state"):
-        log_negativities(stack, [Bipartition([0], [1])])
+        log_negativity(stack, Bipartition([0], [1]))
+
+
+def test_nearly_singular_qq_is_refused_like_the_spectrum_route():
+    # Reduced qq with eigenvalue ratio 1e-13, below the relative floor that
+    # symplectic_spectrum applies to the same block.
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    qq = rot @ np.diag([1.0, 1e-13]) @ rot.T
+    qq = 0.5 * (qq + qq.T)
+    cov = CovarianceMatrix(np.block([[qq, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]]))
+    with pytest.raises(NotPositiveDefiniteError, match="qq block"):
+        symplectic_spectrum(cov.matrix)
+    with pytest.raises(NotPositiveDefiniteError, match="qq block"):
+        log_negativity(cov, Bipartition([0], [1]))
 
 
 def test_lambdas_sorted_ascending_both_routes():
