@@ -35,7 +35,7 @@ from .errors import (
     IndexOutOfRangeError,
     OverlappingGroupsError,
 )
-from .models import CircularLattice, NormalModes, ring_frequencies
+from .models import CircularLattice, NormalModes, _ring_frequency_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,10 +205,11 @@ def ring_covariances(models):
     Row d of qq is (1/N) sum_j cos(2 pi j d / N) / omega_j and row d of pp
     the same sum over omega_j; agrees with classical_covariance of the
     ring's normal modes at unit actions to roundoff. Every model is checked
-    by ring_frequencies; the rows of all of them come from one inverse FFT
-    per block and have shape (len(models), N).
+    as by ring_frequencies, and models of different N raise ValueError; the
+    rows of all of them come from one cosine table and one inverse FFT per
+    block and have shape (len(models), N).
     """
-    omegas = np.stack([ring_frequencies(model) for model in models])
+    omegas = _ring_frequency_rows(models)
     return RingCovariance(_circulant_row(1.0 / omegas), _circulant_row(omegas))
 
 

@@ -44,19 +44,28 @@ def require_symmetric(mat, name="matrix", rtol=SYMMETRY_RTOL):
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise AsymmetricInputError(f"{name} must be square, got shape {a.shape}")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if not np.isfinite(scale):  # max|a| is NaN or inf exactly when an entry is
+    if not a.size:
+        return a.copy()
+    # max|a| and max|a - a.T| without the |.| temporaries: max|a| is
+    # max(max a, -min a), and d = a - a.T is exactly antisymmetric, so
+    # max|d| = max d. d's buffer then takes the result.
+    hi, lo = float(np.max(a)), float(np.min(a))
+    if not (np.isfinite(hi) and np.isfinite(lo)):  # NaN or inf exactly when an entry is
         i, j = np.argwhere(~np.isfinite(a))[0]
         raise AsymmetricInputError(
             f"{name} has a non-finite entry {a[i, j]} at ({i}, {j})"
         )
-    resid = float(np.max(np.abs(a - a.T))) if a.size else 0.0
+    scale = max(hi, -lo)
+    d = a - a.T
+    resid = float(np.max(d))
     if resid > rtol * scale:
         raise AsymmetricInputError(
             f"{name} is not symmetric: max asymmetry {resid:.3e} "
             f"exceeds {rtol:.0e} * max|entry| = {rtol * scale:.3e}"
         )
-    return 0.5 * (a + a.T)
+    np.add(a, a.T, out=d)
+    d *= 0.5
+    return d
 
 
 def _canonical_column_signs(vecs):
@@ -211,25 +220,31 @@ def unsheared_momentum_block(qq, qp, pp, scale):
 
 
 def _block_product_eigvals(qq, pp, sign_patterns, name="covariance"):
-    """Ascending eigenvalues of ``qq^1/2 P pp P qq^1/2``, one array per pattern.
+    """Ascending eigenvalues of ``qq P pp P``, one array per pattern.
 
-    ``qq`` and ``pp`` are ``(m, m)`` blocks or ``(S, m, m)`` stacks, and
-    ``P = diag(pattern)`` with +/-1 entries. ``qq`` is factored once, and
-    refused unless its smallest eigenvalue exceeds ``POSDEF_RTOL`` times its
-    largest.
+    ``qq`` and ``pp`` are ``(m, m)`` blocks or ``(S, m, m)`` stacks, ``qq``
+    symmetric (LAPACK reads its lower triangle), and ``P = diag(pattern)``
+    with +/-1 entries. ``qq`` is refused unless its smallest eigenvalue
+    exceeds ``POSDEF_RTOL`` times its largest, then factored once as
+    ``qq = L L^T``; ``L^T P pp P L`` is similar to ``qq P pp P``, so its
+    symmetric eigensolve gives the eigenvalues. No eigenvectors are computed.
     """
-    wq, vq = np.linalg.eigh(0.5 * (qq + np.swapaxes(qq, -1, -2)))
+    wq = np.linalg.eigvalsh(qq)
     bad = ~(wq[..., 0] > POSDEF_RTOL * wq[..., -1])
     if np.any(bad):
         raise NotPositiveDefiniteError(
             f"{name} qq block is not positive definite: eigenvalue "
             f"{wq[..., 0][bad][0]:.6e}"
         )
-    root = vq * np.sqrt(wq)[..., np.newaxis, :]
-    root_t = np.swapaxes(root, -1, -2)
+    try:
+        low = np.linalg.cholesky(qq)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(
+            f"{name} qq block has no Cholesky factor: {exc}") from exc
+    low_t = np.swapaxes(low, -1, -2)
     out = []
     for signs in sign_patterns:
-        sym = root_t @ (pp * np.outer(signs, signs)) @ root
+        sym = low_t @ (pp * np.outer(signs, signs)) @ low
         out.append(np.linalg.eigvalsh(0.5 * (sym + np.swapaxes(sym, -1, -2))))
     return out
 
@@ -242,7 +257,7 @@ def symplectic_spectrum(cov, method="auto", name="covariance"):
 
     * fast path (cross block zero or a local shear ``qp = -qq Y``, see
       :func:`unsheared_momentum_block`): ``sqrt(eig(qq @ pp))`` via the
-      symmetrized product ``qq^1/2 pp qq^1/2`` of
+      symmetrized product ``L^T pp L`` (``qq = L L^T``) of
       :func:`_block_product_eigvals`, with pp unsheared;
     * general path: with the Cholesky factor ``cov = L L^T``, the
       antisymmetric ``K = L^T J L`` is similar to ``J cov``, so the

@@ -33,7 +33,13 @@ from .covariance import (
     ring_windows,
 )
 from .errors import ComplexEigenvalueError, CrossBlockNotZeroError
-from .linalg import _block_product_eigvals, _pair_up, symplectic_form, unsheared_momentum_block
+from .linalg import (
+    _block_product_eigvals,
+    _pair_up,
+    require_symmetric,
+    symplectic_form,
+    unsheared_momentum_block,
+)
 
 # lambda = 1 +/- roundoff must contribute exactly zero bits.
 UNIT_GUARD = 1e-12
@@ -41,7 +47,15 @@ UNIT_GUARD = 1e-12
 
 @dataclass(frozen=True)
 class NegativityResult:
-    """Eigenvalues lambda (ascending), E_N in bits, and (2**E_N - 1)/2."""
+    """Eigenvalues lambda (ascending), E_N in bits, and (2**E_N - 1)/2.
+
+    Each lambda is the square of a normalized symplectic eigenvalue of the
+    partial transpose, so ``log_negativity = -sum log2 min(1, lambda)`` is
+    twice the usual ``-sum log2 min(1, 2 nu~)`` (Vidal & Werner 2002). On a
+    pure state cut into a subsystem and its complement it equals
+    ``2 sum_k log2(2 sigma_k + sqrt(4 sigma_k**2 - 1))`` over the
+    subsystem's normalized widths sigma_k.
+    """
 
     lambda_tilde: np.ndarray
     log_negativity: float
@@ -59,11 +73,13 @@ def _unit_blocks(cov, members):
         return (qq / action).reshape(shape), (pp / action).reshape(shape)
     red = reduce_modes(cov, members)
     action = _require_action(red)
-    pp = unsheared_momentum_block(red.qq, red.qp, red.pp, float(np.max(np.abs(red.matrix))))
+    a, m = require_symmetric(red.matrix, name="reduced covariance"), red.n_modes
+    qq = a[:m, :m]
+    pp = unsheared_momentum_block(qq, a[:m, m:], a[m:, m:], float(np.max(np.abs(a))))
     if pp is None:
         raise CrossBlockNotZeroError(
             "q-p cross block of the reduced covariance is neither zero nor a local shear")
-    return (red.qq / action)[np.newaxis], (pp / action)[np.newaxis]
+    return (qq / action)[np.newaxis], (pp / action)[np.newaxis]
 
 
 def _bits_from_lambdas(lambdas):
@@ -83,8 +99,8 @@ def stacked_log_negativities(cov, partitions):
     ``cov`` is a full-system state (a CovarianceMatrix or a RingCovariance)
     or a stack of ring states of one size (:func:`ring_covariances`).
     Partitions with the same members share one reduction and one stacked
-    eigendecomposition of the reduced qq blocks; each partition then costs
-    one stacked symmetric eigensolve of qq_u^1/2 P pp_u P qq_u^1/2 across
+    Cholesky factor qq_u = L L^T of the reduced qq blocks; each partition
+    then costs one stacked symmetric eigensolve of L^T P pp_u P L across
     the states. Returns ``results[i][s]``, partition i in state s.
     """
     by_members = {}

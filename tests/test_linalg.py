@@ -1,5 +1,6 @@
 """Eigendecomposition and symplectic-spectrum tests against independent oracles."""
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -10,7 +11,7 @@ from oscent.errors import (
     NotPositiveDefiniteError,
     UnpairedSpectrumError,
 )
-from oscent.covariance import classical_covariance, reduce_modes
+from oscent.covariance import Bipartition, classical_covariance, reduce_modes, ring_covariances
 from oscent.linalg import (
     _block_product_eigvals,
     _canonical_column_signs,
@@ -23,7 +24,8 @@ from oscent.linalg import (
     symplectic_form,
     symplectic_spectrum,
 )
-from oscent.models import GeneralizedChain, normal_modes
+from oscent.models import CircularLattice, GeneralizedChain, normal_modes
+from oscent.negativity import stacked_log_negativities
 
 
 def random_spd(rng, n, shift=0.5):
@@ -335,6 +337,71 @@ def test_general_route_maps_cholesky_failure(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", fail)
     with pytest.raises(NotPositiveDefiniteError, match="Cholesky"):
         symplectic_spectrum(np.eye(4), method="general")
+
+
+def eigh_root_eigvals(qq, pp, signs):
+    # The kernel before the Cholesky form: qq^1/2 from a full eigh, then
+    # eig(qq^1/2 P pp P qq^1/2).
+    wq, vq = np.linalg.eigh(0.5 * (qq + qq.T))
+    root = vq * np.sqrt(wq)
+    sym = root.T @ (pp * np.outer(signs, signs)) @ root
+    return np.linalg.eigvalsh(0.5 * (sym + sym.T))
+
+
+def test_kernel_matches_mpmath_on_an_ill_conditioned_qq():
+    # qq with eigenvalue ratio 1e-8; the oracle is eig(qq P pp P) at 40
+    # digits from the nonsymmetric solver. Every eigenvalue is positive.
+    rng = np.random.default_rng(0)
+    m = 16
+    q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    qq = (q * np.logspace(0.0, -8.0, m)) @ q.T
+    qq = 0.5 * (qq + qq.T)
+    pp = random_spd(rng, m, shift=1.0)
+    signs = np.where(np.arange(m) < 7, 1.0, -1.0)
+    with mpmath.workdps(40):
+        product = mpmath.matrix(qq.tolist()) * mpmath.matrix(
+            (pp * np.outer(signs, signs)).tolist())
+        exact = np.sort([float(mpmath.re(e)) for e in
+                         mpmath.eig(product, left=False, right=False)])
+    (got,) = _block_product_eigvals(qq, pp, [signs])
+    error = np.max(np.abs(got - exact) / exact)
+    assert error <= 1e-9
+    assert error <= np.max(np.abs(eigh_root_eigvals(qq, pp, signs) - exact) / exact)
+
+
+def test_no_route_computes_eigenvectors(monkeypatch):
+    # Only normal_modes needs eigenvectors; every spectrum and negativity
+    # route gets by with eigenvalues and Cholesky factors.
+    chain = reduce_modes(qp_chain_covariance(79, 12), range(8))
+    general = random_spd(np.random.default_rng(83), 8, shift=1.0)
+    rings = ring_covariances([CircularLattice(20, 0.1, kappa) for kappa in (1.0, 4.0)])
+    parts = [Bipartition([0, 1, 2], [3, 4]), Bipartition([5], [0, 7])]
+
+    def outputs():
+        lambdas = [r.lambda_tilde for state in (chain, rings)
+                   for per_state in stacked_log_negativities(state, parts) for r in per_state]
+        return [symplectic_spectrum(chain.matrix),
+                symplectic_spectrum(general, method="general")] + lambdas
+
+    expect = outputs()
+
+    def fail(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    got = outputs()
+    assert len(got) == len(expect) == 8
+    for g, want in zip(got, expect):
+        assert g.tobytes() == want.tobytes()
+
+
+def test_kernel_maps_cholesky_failure(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    with pytest.raises(NotPositiveDefiniteError, match="qq block has no Cholesky factor"):
+        _block_product_eigvals(np.eye(3), np.eye(3), [np.ones(3)])
 
 
 def test_symplectic_spectrum_rejects_non_finite_entries():

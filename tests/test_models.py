@@ -380,6 +380,16 @@ def test_saved_model_file_layout_is_pinned(tmp_path, model, text):
     assert path.read_bytes() == text.encode("utf-8")
 
 
+def test_unencodable_model_leaves_an_existing_file_unchanged(tmp_path):
+    # The file is opened only after the whole model is encoded.
+    path = tmp_path / "model.json"
+    save_model(TwoMode(A=5.0, B=20.0, C=10.0), path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError, match="float32"):
+        save_model(TwoMode(np.float32(5), 20.0, 10.0), path)
+    assert path.read_bytes() == before
+
+
 def test_model_dict_errors_name_the_field():
     with pytest.raises(InvalidModelError, match="field 'K': not a numeric matrix"):
         model_from_dict({"variant": "GeneralizedChain", "K": [[1.0, 0.0], [0.0]],

@@ -18,6 +18,7 @@ from oscent.covariance import (
     ring_windows,
 )
 from oscent.errors import (
+    AsymmetricInputError,
     ComplexEigenvalueError,
     CrossBlockNotZeroError,
     EmptySubsystemError,
@@ -26,11 +27,13 @@ from oscent.errors import (
     NotPositiveDefiniteError,
     UnstableSystemError,
 )
-from oscent.linalg import symplectic_spectrum
+from oscent.linalg import require_symmetric, symplectic_spectrum
+from oscent.measures import sigma_tilde
 from oscent.models import (
     CircularLattice,
     GeneralizedChain,
     TwoMode,
+    TwoModeGeneralized,
     normal_modes,
     ring_frequencies,
 )
@@ -72,15 +75,15 @@ def one_state(cov, partitions):
 
 
 def one_partition_lambdas(cov, partition):
-    # The one-partition arithmetic as it stood before the batch existed,
-    # step for step, so the batch can be held to it bit for bit.
+    # The kernel's arithmetic for one partition of one state, step for
+    # step, so the batch can be held to it bit for bit.
     red = reduce_modes(cov, partition.members)
-    qq_u, pp_u = red.qq / red.action, red.pp / red.action
+    a, m = require_symmetric(red.matrix), red.n_modes
+    qq_u, pp_u = a[:m, :m] / red.action, a[m:, m:] / red.action
     signs = partition.momentum_signs()
     flipped_pp = pp_u * np.outer(signs, signs)
-    wq, vq = np.linalg.eigh(0.5 * (qq_u + qq_u.T))
-    root = vq * np.sqrt(wq)
-    sym = root.T @ flipped_pp @ root
+    low = np.linalg.cholesky(qq_u)
+    sym = low.T @ flipped_pp @ low
     lambdas = np.linalg.eigvalsh(0.5 * (sym + sym.T))
     return np.maximum(lambdas, np.finfo(float).tiny)
 
@@ -210,6 +213,11 @@ def test_stack_checks_every_state():
         log_negativity(stack, Bipartition([0], [1]))
 
 
+def test_rings_of_different_sizes_cannot_share_a_stack():
+    with pytest.raises(ValueError, match="N = 10 and N = 12"):
+        ring_covariances([CircularLattice(10, 0.1, 1.0), CircularLattice(12, 0.1, 1.0)])
+
+
 def test_nearly_singular_qq_is_refused_like_the_spectrum_route():
     # Reduced qq with eigenvalue ratio 1e-13, below the relative floor that
     # symplectic_spectrum applies to the same block.
@@ -232,6 +240,37 @@ def test_lambdas_sorted_ascending_both_routes():
                    log_negativity_via_symplectic(cov, part)):
         assert np.all(np.diff(result.lambda_tilde) >= 0.0)
         assert result.lambda_tilde.shape == (5,)
+
+
+def pure_state_cuts():
+    # Whole-system cuts of pure states: a subsystem against its complement.
+    rng = np.random.default_rng(211)
+    a = rng.normal(size=(12, 12))
+    y = rng.uniform(-0.5, 0.5, size=12)
+    chain = GeneralizedChain(K=a @ a.T + 0.5 * np.eye(12) + np.diag(y**2), Y=y)
+    return {
+        "two-mode": (classical_covariance(normal_modes(TwoMode(5.0, 20.0, 15.0)), np.ones(2)),
+                     [0], [1]),
+        "generalized": (classical_covariance(normal_modes(TwoModeGeneralized(
+            X1=2.0, X2=3.0, Y1=0.3, Y2=-0.5, Z=1.0)), np.ones(2)), [0], [1]),
+        "qp-chain": (classical_covariance(normal_modes(chain), np.ones(12)),
+                     [0, 2, 5, 7, 8], [1, 3, 4, 6, 9, 10, 11]),
+        "ring": (ring_covariance(CircularLattice(16, 0.1, 4.0)), range(6), range(6, 16)),
+    }
+
+
+@pytest.mark.parametrize("case", ["two-mode", "generalized", "qp-chain", "ring"])
+def test_pure_state_cut_pins_the_doubled_convention(case):
+    # E_N = -sum log2 lambda with lambda = (2 nu~)**2, twice the usual
+    # -sum log2(2 nu~); on a pure state that is 2 sum log2(2s + sqrt(4s^2 - 1))
+    # over the widths s of either side.
+    cov, group1, group2 = pure_state_cuts()[case]
+    sigma = sigma_tilde(reduce_modes(cov, group1))
+    want = 2.0 * float(np.sum(np.log2(2.0 * sigma + np.sqrt(4.0 * sigma**2 - 1.0))))
+    assert want > 0.4
+    part = Bipartition(group1, group2)
+    for route in (log_negativity, log_negativity_via_symplectic):
+        assert_allclose(route(cov, part).log_negativity, want, rtol=1e-10)
 
 
 def test_swapping_groups_changes_nothing():
@@ -297,6 +336,17 @@ def test_indefinite_position_block_raises_on_product_route():
     bad = CovarianceMatrix(np.diag([-1.0, 1.0, 1.0, 1.0]), action=1.0)
     with pytest.raises(NotPositiveDefiniteError):
         log_negativity(bad, Bipartition([0], [1]))
+
+
+def test_product_route_refuses_asymmetric_or_non_finite_covariance():
+    # The kernel reads one triangle of qq, and a NaN in pp would read as
+    # E_N = 0; the reduction is checked first, so neither reaches it.
+    part = Bipartition([0], [1])
+    for i, j, value in ((0, 1, 0.5), (2, 3, np.nan), (3, 3, np.inf)):
+        matrix = np.eye(4)
+        matrix[i, j] = value
+        with pytest.raises(AsymmetricInputError):
+            log_negativity(CovarianceMatrix(matrix), part)
 
 
 def test_nonuniform_actions_rejected():
