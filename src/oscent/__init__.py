@@ -42,8 +42,6 @@ from .experiments import (
 from .linalg import (
     EigDecomposition,
     eig_sym,
-    jacobi_eig_sym,
-    mat_pow,
     symplectic_form,
     symplectic_spectrum,
 )

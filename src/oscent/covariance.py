@@ -103,6 +103,17 @@ class RingCovariance:
     cp: np.ndarray
     action = 1.0
 
+    def __post_init__(self):
+        cq = np.asarray(self.cq, dtype=float)
+        cp = np.asarray(self.cp, dtype=float)
+        if cq.shape != cp.shape or cq.ndim not in (1, 2):
+            raise ValueError(
+                f"ring rows must have the same shape, 1-D or 2-D, got {cq.shape} and {cp.shape}")
+        if not (np.all(np.isfinite(cq)) and np.all(np.isfinite(cp))):
+            raise ValueError("ring rows must be finite")
+        object.__setattr__(self, "cq", cq)
+        object.__setattr__(self, "cp", cp)
+
     @property
     def n_modes(self):
         return self.cq.shape[-1]

@@ -102,78 +102,6 @@ def eig_sym(mat, name="matrix"):
     return EigDecomposition(w, _canonical_column_signs(v))
 
 
-def jacobi_eig_sym(mat, max_sweeps=100, name="matrix"):
-    """Cyclic Jacobi eigendecomposition; slower, dependency-free cross-check.
-
-    Sweeps all upper-triangle pivots in row order, rotating each to zero,
-    until the off-diagonal Frobenius norm drops below ``1e-12`` times the
-    initial Frobenius norm of the matrix.
-
-    Raises
-    ------
-    NoConvergenceError
-        If the budget of ``max_sweeps`` sweeps is exhausted first.
-    """
-    a = require_symmetric(mat, name=name)
-    n = a.shape[0]
-    v = np.eye(n)
-    norm0 = float(np.linalg.norm(a))
-    if n <= 1 or norm0 == 0.0:
-        return EigDecomposition(np.diag(a).copy(), v)
-    target = 1e-12 * norm0
-    for sweep in range(max_sweeps + 1):
-        off = np.sqrt(max(float(np.sum(a * a) - np.sum(np.diag(a) ** 2)), 0.0))
-        if off < target:
-            order = np.argsort(np.diag(a), kind="stable")
-            return EigDecomposition(
-                np.diag(a)[order].copy(), _canonical_column_signs(v[:, order])
-            )
-        if sweep == max_sweeps:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                # Classic stable rotation angle (Golub & Van Loan).
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                vp = c * v[:, p] - s * v[:, q]
-                vq = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vp, vq
-    raise NoConvergenceError(
-        f"Jacobi iteration did not converge in {max_sweeps} sweeps"
-    )
-
-
-def mat_pow(mat, exponent, name="matrix"):
-    """Real power of a symmetric matrix through its eigendecomposition.
-
-    Non-integer or negative exponents require positive definiteness
-    (smallest eigenvalue above ``POSDEF_RTOL`` times the largest).
-    """
-    w, v = eig_sym(mat, name=name)
-    exponent = float(exponent)
-    if exponent != round(exponent) or exponent < 0.0:
-        if w[0] <= POSDEF_RTOL * max(w[-1], 0.0):
-            raise NotPositiveDefiniteError(
-                f"{name} must be positive definite for exponent {exponent}: "
-                f"eigenvalue {w[0]:.6e} is not"
-            )
-    powered = (v * w**exponent) @ v.T
-    return 0.5 * (powered + powered.T)
-
-
 def symplectic_form(n_modes):
     """Standard form J = [[0, I], [-I, 0]] in (q..., p...) ordering."""
     j = np.zeros((2 * n_modes, 2 * n_modes))
@@ -219,6 +147,35 @@ def unsheared_momentum_block(qq, qp, pp, scale):
     return pp - (y[:, np.newaxis] * qq) * y
 
 
+def _checked_cholesky(a, label):
+    # Lower Cholesky factor of a symmetric block or (S, m, m) stack, refused
+    # unless every smallest eigenvalue exceeds POSDEF_RTOL times the largest.
+    w = np.linalg.eigvalsh(a)
+    bad = ~(w[..., 0] > POSDEF_RTOL * w[..., -1])
+    if np.any(bad):
+        raise NotPositiveDefiniteError(
+            f"{label} is not positive definite: eigenvalue {w[..., 0][bad][0]:.6e}"
+        )
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"{label} has no Cholesky factor: {exc}") from exc
+
+
+def _unsheared_blocks(mat, name):
+    # The symmetrised 2n x 2n matrix, its qq block and its pp block with any
+    # local q-p shear undone (None when the cross block is not one).
+    a = require_symmetric(mat, name=name)
+    if a.shape[0] % 2:
+        raise AsymmetricInputError(
+            f"{name} must be 2n x 2n, got {a.shape[0]} rows"
+        )
+    n = a.shape[0] // 2
+    qq = a[:n, :n]
+    scale = float(np.max(np.abs(a)))
+    return a, qq, unsheared_momentum_block(qq, a[:n, n:], a[n:, n:], scale)
+
+
 def _block_product_eigvals(qq, pp, sign_patterns, name="covariance"):
     """Ascending eigenvalues of ``qq P pp P``, one array per pattern.
 
@@ -229,18 +186,7 @@ def _block_product_eigvals(qq, pp, sign_patterns, name="covariance"):
     ``qq = L L^T``; ``L^T P pp P L`` is similar to ``qq P pp P``, so its
     symmetric eigensolve gives the eigenvalues. No eigenvectors are computed.
     """
-    wq = np.linalg.eigvalsh(qq)
-    bad = ~(wq[..., 0] > POSDEF_RTOL * wq[..., -1])
-    if np.any(bad):
-        raise NotPositiveDefiniteError(
-            f"{name} qq block is not positive definite: eigenvalue "
-            f"{wq[..., 0][bad][0]:.6e}"
-        )
-    try:
-        low = np.linalg.cholesky(qq)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            f"{name} qq block has no Cholesky factor: {exc}") from exc
+    low = _checked_cholesky(qq, f"{name} qq block")
     low_t = np.swapaxes(low, -1, -2)
     out = []
     for signs in sign_patterns:
@@ -249,17 +195,29 @@ def _block_product_eigvals(qq, pp, sign_patterns, name="covariance"):
     return out
 
 
-def symplectic_spectrum(cov, method="auto", name="covariance"):
+def _general_spectrum(a, name="covariance"):
+    # With the Cholesky factor a = L L^T, the antisymmetric K = L^T J L is
+    # similar to J a, so the symplectic eigenvalues are the singular values
+    # of K, each twice. ``a`` is symmetric and 2n x 2n.
+    n = a.shape[0] // 2
+    low = _checked_cholesky(a, name)
+    k = low.T @ np.concatenate([low[n:], -low[:n]])   # L^T J L, antisymmetric
+    squared = np.linalg.eigvalsh(k.T @ k)
+    return _pair_up(np.sqrt(np.maximum(squared, 0.0)), float(np.max(np.abs(a))))
+
+
+def symplectic_spectrum(cov, *, name="covariance"):
     """Symplectic eigenvalues of a positive-definite phase-space matrix.
 
     These are the moduli of the eigenvalues of ``i J^-1 cov`` (which occur
-    in +/- pairs), computed here without complex arithmetic:
+    in +/- pairs), computed here without complex arithmetic. The matrix
+    alone picks the route:
 
-    * fast path (cross block zero or a local shear ``qp = -qq Y``, see
-      :func:`unsheared_momentum_block`): ``sqrt(eig(qq @ pp))`` via the
-      symmetrized product ``L^T pp L`` (``qq = L L^T``) of
-      :func:`_block_product_eigvals`, with pp unsheared;
-    * general path: with the Cholesky factor ``cov = L L^T``, the
+    * cross block zero or a local shear ``qp = -qq Y`` (relative to the
+      largest entry, see :func:`unsheared_momentum_block`):
+      ``sqrt(eig(qq @ pp))`` via the symmetrized product ``L^T pp L``
+      (``qq = L L^T``) of :func:`_block_product_eigvals`, with pp unsheared;
+    * any other cross block: with the Cholesky factor ``cov = L L^T``, the
       antisymmetric ``K = L^T J L`` is similar to ``J cov``, so the
       symplectic eigenvalues are the singular values of ``K``, each
       appearing twice, read as ``sqrt(eig(K^T K))``. ``J`` is applied as a
@@ -269,44 +227,18 @@ def symplectic_spectrum(cov, method="auto", name="covariance"):
     ----------
     cov : (2n, 2n) array_like
         Symmetric positive definite, (q..., p...) ordered.
-    method : {"auto", "general"}
-        "auto" takes the fast path when the cross block vanishes or is a
-        local shear (relative to the largest entry), else the general path.
 
     Returns
     -------
     numpy.ndarray
         The n symplectic eigenvalues, ascending.
     """
-    a = require_symmetric(cov, name=name)
-    if a.shape[0] % 2:
-        raise AsymmetricInputError(
-            f"{name} must be 2n x 2n, got {a.shape[0]} rows"
-        )
-    n = a.shape[0] // 2
-    scale = float(np.max(np.abs(a)))
-    if method not in ("auto", "general"):
-        raise ValueError(f"unknown method {method!r}")
-
-    pp = None if method == "general" else unsheared_momentum_block(
-        a[:n, :n], a[:n, n:], a[n:, n:], scale)
-    if pp is not None:
-        (lam,) = _block_product_eigvals(a[:n, :n], pp, [np.ones(n)], name=name)
-        if lam[0] <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"{name} pp block is not positive definite on the fast path"
-            )
-        return np.sqrt(lam)
-
-    w = np.linalg.eigvalsh(a)
-    if w[0] <= POSDEF_RTOL * max(w[-1], 0.0):
+    a, qq, pp = _unsheared_blocks(cov, name)
+    if pp is None:
+        return _general_spectrum(a, name)
+    (lam,) = _block_product_eigvals(qq, pp, [np.ones(qq.shape[0])], name=name)
+    if lam[0] <= 0.0:
         raise NotPositiveDefiniteError(
-            f"{name} must be positive definite: eigenvalue {w[0]:.6e}"
+            f"{name} pp block is not positive definite on the fast path"
         )
-    try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"{name} has no Cholesky factor: {exc}") from exc
-    k = low.T @ np.concatenate([low[n:], -low[:n]])   # L^T J L, antisymmetric
-    squared = np.linalg.eigvalsh(k.T @ k)
-    return _pair_up(np.sqrt(np.maximum(squared, 0.0)), scale)
+    return np.sqrt(lam)

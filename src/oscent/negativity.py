@@ -33,13 +33,7 @@ from .covariance import (
     ring_windows,
 )
 from .errors import ComplexEigenvalueError, CrossBlockNotZeroError
-from .linalg import (
-    _block_product_eigvals,
-    _pair_up,
-    require_symmetric,
-    symplectic_form,
-    unsheared_momentum_block,
-)
+from .linalg import _block_product_eigvals, _pair_up, _unsheared_blocks, symplectic_form
 
 # lambda = 1 +/- roundoff must contribute exactly zero bits.
 UNIT_GUARD = 1e-12
@@ -65,17 +59,15 @@ class NegativityResult:
 def _unit_blocks(cov, members):
     # Stacks (S, m, m) of qq and the unsheared pp of the reduction to
     # ``members``, in units of the action: one block per state of a ring
-    # stack, a stack of one for any other state.
+    # stack (unit action, no cross block to undo), a stack of one for any
+    # other state.
     if isinstance(cov, RingCovariance):
-        qq, pp = ring_windows(cov, members)  # no cross block to undo
-        action = _require_action(cov)
+        qq, pp = ring_windows(cov, members)
         shape = (-1,) + qq.shape[-2:]
-        return (qq / action).reshape(shape), (pp / action).reshape(shape)
+        return qq.reshape(shape), pp.reshape(shape)
     red = reduce_modes(cov, members)
     action = _require_action(red)
-    a, m = require_symmetric(red.matrix, name="reduced covariance"), red.n_modes
-    qq = a[:m, :m]
-    pp = unsheared_momentum_block(qq, a[:m, m:], a[m:, m:], float(np.max(np.abs(a))))
+    _, qq, pp = _unsheared_blocks(red.matrix, "reduced covariance")
     if pp is None:
         raise CrossBlockNotZeroError(
             "q-p cross block of the reduced covariance is neither zero nor a local shear")

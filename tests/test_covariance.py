@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg import sqrtm
 
 from oscent.covariance import (
     Bipartition,
     CovarianceMatrix,
+    RingCovariance,
     angle_average_covariance,
     classical_covariance,
     partial_transpose,
     quantum_ground_covariance,
     reduce_modes,
     ring_covariance,
+    ring_covariances,
 )
 from oscent.errors import (
     DimensionTooLargeError,
@@ -20,7 +23,6 @@ from oscent.errors import (
     IndexOutOfRangeError,
     OverlappingGroupsError,
 )
-from oscent.linalg import mat_pow
 from oscent.measures import purity_from_determinant, sigma_tilde
 from oscent.models import (
     CircularLattice,
@@ -49,8 +51,9 @@ def test_uniform_actions_give_matrix_power_blocks():
     c = 1.7
     cov = classical_covariance(normal_modes(chain), np.full(5, c))
     m = m_matrix(chain)
-    assert_allclose(cov.qq, c * mat_pow(m, -0.5), atol=1e-10)
-    assert_allclose(cov.pp, c * mat_pow(m, 0.5), atol=1e-10)
+    root = sqrtm(m)   # Schur method, independent of the eigh in normal_modes
+    assert_allclose(cov.qq, c * np.linalg.inv(root), atol=1e-10)
+    assert_allclose(cov.pp, c * root, atol=1e-10)
     assert_array_equal(cov.qp, np.zeros((5, 5)))
     assert cov.action == c
 
@@ -286,6 +289,33 @@ def test_ring_reduction_checks_indices_like_dense():
         reduce_modes(ring, [6])
     with pytest.raises(IndexOutOfRangeError):
         reduce_modes(ring, [-1])
+
+
+def test_ring_rows_must_be_finite():
+    # A NaN row entry used to reach the kernel and read as E_N = 0.
+    ring = ring_covariance(CircularLattice(N=10, k=0.1, kappa=1.0))
+    bad = ring.cp.copy()
+    bad[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        RingCovariance(ring.cq, bad)
+    stack = ring_covariances([CircularLattice(N=10, k=0.1, kappa=kappa)
+                              for kappa in (1.0, 4.0)])
+    bad = stack.cq.copy()
+    bad[1, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        RingCovariance(bad, stack.cp)
+
+
+def test_ring_rows_must_share_a_one_or_two_dimensional_shape():
+    # cq of 10 sites with cp of 6 used to end in a bare IndexError.
+    ring = ring_covariance(CircularLattice(N=10, k=0.1, kappa=1.0))
+    short = ring_covariance(CircularLattice(N=6, k=0.1, kappa=1.0))
+    with pytest.raises(ValueError, match="same shape"):
+        RingCovariance(ring.cq, short.cp)
+    with pytest.raises(ValueError, match="1-D or 2-D"):
+        RingCovariance(ring.cq[np.newaxis, np.newaxis], ring.cp[np.newaxis, np.newaxis])
+    with pytest.raises(ValueError, match="1-D or 2-D"):
+        RingCovariance(np.float64(1.0), np.float64(1.0))
 
 
 # --- partial transpose -------------------------------------------------------

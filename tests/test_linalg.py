@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from oscent.errors import (
     AsymmetricInputError,
-    NoConvergenceError,
     NotPositiveDefiniteError,
     UnpairedSpectrumError,
 )
@@ -15,11 +14,10 @@ from oscent.covariance import Bipartition, classical_covariance, reduce_modes, r
 from oscent.linalg import (
     _block_product_eigvals,
     _canonical_column_signs,
+    _general_spectrum,
     POSDEF_RTOL,
     _pair_up,
     eig_sym,
-    jacobi_eig_sym,
-    mat_pow,
     require_symmetric,
     symplectic_form,
     symplectic_spectrum,
@@ -159,59 +157,6 @@ def test_canonical_column_signs_match_the_loop_bit_for_bit():
         assert expect.tobytes() == got.tobytes()
 
 
-# --- jacobi_eig_sym ---------------------------------------------------------
-
-def test_jacobi_matches_lapack():
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        a = random_spd(rng, rng.integers(2, 8), shift=0.1)
-        wj, vj = jacobi_eig_sym(a)
-        wl, _ = eig_sym(a)
-        assert_allclose(wj, wl, rtol=1e-10, atol=1e-12)
-        assert_allclose((vj * wj) @ vj.T, a, atol=1e-10 * np.max(np.abs(a)))
-
-
-def test_jacobi_diagonal_is_exact():
-    w, v = jacobi_eig_sym(np.diag([3.0, 1.0, 2.0]))
-    assert_array_equal(w, [1.0, 2.0, 3.0])
-    assert_array_equal(np.abs(v), np.eye(3)[:, [1, 2, 0]])
-
-
-def test_jacobi_exhausted_budget_raises():
-    a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    with pytest.raises(NoConvergenceError):
-        jacobi_eig_sym(a, max_sweeps=0)
-
-
-# --- mat_pow ----------------------------------------------------------------
-
-def test_mat_pow_square_root_squares_back():
-    rng = np.random.default_rng(23)
-    a = random_spd(rng, 5)
-    root = mat_pow(a, 0.5)
-    assert_allclose(root @ root, a, atol=1e-11 * np.max(np.abs(a)))
-
-
-def test_mat_pow_group_property():
-    rng = np.random.default_rng(29)
-    a = random_spd(rng, 4)
-    assert_allclose(mat_pow(a, 0.3) @ mat_pow(a, 0.7), a, atol=1e-11)
-    assert_allclose(mat_pow(a, -1.0), np.linalg.inv(a), atol=1e-10)
-    assert_allclose(mat_pow(a, 0.0), np.eye(4), atol=1e-13)
-
-
-def test_mat_pow_integer_power_allows_indefinite():
-    a = np.diag([2.0, -3.0])
-    assert_allclose(mat_pow(a, 2), np.diag([4.0, 9.0]), atol=1e-14)
-
-
-def test_mat_pow_fractional_rejects_indefinite():
-    with pytest.raises(NotPositiveDefiniteError):
-        mat_pow(np.diag([2.0, -3.0]), 0.5)
-    with pytest.raises(NotPositiveDefiniteError):
-        mat_pow(np.diag([2.0, 0.0]), -1.0)
-
-
 # --- symplectic form and spectrum -------------------------------------------
 
 def test_symplectic_form_squares_to_minus_identity():
@@ -262,19 +207,16 @@ def test_symplectic_spectrum_fast_vs_general():
         cov = np.block([[qq, np.zeros((n, n))], [np.zeros((n, n)), pp]])
         (lam,) = _block_product_eigvals(qq, pp, [np.ones(n)])
         fast = np.sqrt(lam)
-        general = symplectic_spectrum(cov, method="general")
+        general = _general_spectrum(require_symmetric(cov))
         assert_allclose(fast, general, rtol=1e-9, atol=1e-11)
         assert np.array_equal(symplectic_spectrum(cov), fast)
-    # The product route is reached only through "auto"; "fast" is gone.
-    with pytest.raises(ValueError, match="unknown method"):
-        symplectic_spectrum(cov, method="fast")
 
 
 def test_symplectic_spectrum_auto_handles_cross_block():
     # Nonzero qp forces the general path; check against the complex oracle.
     rng = np.random.default_rng(43)
     base = random_spd(rng, 6, shift=1.0)
-    assert_allclose(symplectic_spectrum(base, method="auto"),
+    assert_allclose(symplectic_spectrum(base),
                     symplectic_oracle(base), rtol=1e-9, atol=1e-11)
 
 
@@ -310,10 +252,10 @@ def test_general_route_matches_the_eigh_route_on_qp_chains():
         subset = np.sort(rng.choice(n, size=m, replace=False))
         red = reduce_modes(cov, subset).matrix
         assert np.max(np.abs(red[:m, m:])) > 1e-3 * np.max(np.abs(red))
-        got = symplectic_spectrum(red, method="general")
+        got = _general_spectrum(require_symmetric(red))
         assert_allclose(got, eigh_general_route(red), rtol=1e-12, atol=0.0)
-        # "auto" undoes the shear and takes the fast route instead.
-        assert_allclose(symplectic_spectrum(red, method="auto"), got, rtol=1e-12, atol=0.0)
+        # symplectic_spectrum undoes the shear and takes the fast route instead.
+        assert_allclose(symplectic_spectrum(red), got, rtol=1e-12, atol=0.0)
 
 
 def test_general_route_refuses_near_singular_cross_block_matrix():
@@ -325,9 +267,9 @@ def test_general_route_refuses_near_singular_cross_block_matrix():
     cov = 0.5 * (cov + cov.T)
     assert np.max(np.abs(cov[:3, 3:])) > 1e-2
     np.linalg.cholesky(cov)
-    for method in ("general", "auto"):
+    for route in (lambda x: _general_spectrum(require_symmetric(x)), symplectic_spectrum):
         with pytest.raises(NotPositiveDefiniteError):
-            symplectic_spectrum(cov, method=method)
+            route(cov)
 
 
 def test_general_route_maps_cholesky_failure(monkeypatch):
@@ -336,7 +278,7 @@ def test_general_route_maps_cholesky_failure(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", fail)
     with pytest.raises(NotPositiveDefiniteError, match="Cholesky"):
-        symplectic_spectrum(np.eye(4), method="general")
+        _general_spectrum(require_symmetric(np.eye(4)))
 
 
 def eigh_root_eigvals(qq, pp, signs):
@@ -381,7 +323,7 @@ def test_no_route_computes_eigenvectors(monkeypatch):
         lambdas = [r.lambda_tilde for state in (chain, rings)
                    for per_state in stacked_log_negativities(state, parts) for r in per_state]
         return [symplectic_spectrum(chain.matrix),
-                symplectic_spectrum(general, method="general")] + lambdas
+                _general_spectrum(require_symmetric(general))] + lambdas
 
     expect = outputs()
 
@@ -408,9 +350,9 @@ def test_symplectic_spectrum_rejects_non_finite_entries():
     rng = np.random.default_rng(73)
     cov = random_spd(rng, 4, shift=1.0)
     cov[0, 3] = cov[3, 0] = np.nan
-    for method in ("general", "auto"):
+    for route in (lambda x: _general_spectrum(require_symmetric(x)), symplectic_spectrum):
         with pytest.raises(AsymmetricInputError, match="non-finite"):
-            symplectic_spectrum(cov, method=method)
+            route(cov)
 
 
 def test_symplectic_spectrum_rejects_indefinite():
@@ -423,9 +365,13 @@ def test_symplectic_spectrum_rejects_odd_dimension():
         symplectic_spectrum(np.eye(3))
 
 
-def test_symplectic_spectrum_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        symplectic_spectrum(np.eye(2), method="bogus")
+def test_symplectic_spectrum_takes_no_route_argument():
+    # The matrix picks the route; a leftover route argument must not pass
+    # silently, nor be taken as the name.
+    with pytest.raises(TypeError):
+        symplectic_spectrum(np.eye(2), method="general")
+    with pytest.raises(TypeError):
+        symplectic_spectrum(np.eye(2), "general")
 
 
 def test_pair_up_rejects_unpaired_values():
