@@ -35,6 +35,7 @@ from .errors import (
     IndexOutOfRangeError,
     OverlappingGroupsError,
 )
+from .linalg import _circulant_posdef
 from .models import CircularLattice, NormalModes, _ring_frequency_rows
 
 
@@ -54,6 +55,8 @@ class CovarianceMatrix:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
             raise ValueError(f"covariance must be 2n x 2n, got shape {m.shape}")
+        if not m.size:
+            raise EmptySubsystemError("covariance is 0 x 0: it holds no modes")
         object.__setattr__(self, "matrix", m)
         if self.action is not None:
             action = float(self.action)
@@ -97,22 +100,30 @@ class RingCovariance:
     if present, stacks states of rings of one size (see ring_covariances).
     No N x N matrix is formed, so reductions cost O(m**2) for m kept sites
     whatever the ring size.
+
+    ``_posdef`` certifies at construction, from the qq rows alone, that
+    every window of every state passes the block-product kernel's
+    positive-definiteness test, so the kernel may skip it (see
+    linalg._circulant_posdef).
     """
 
     cq: np.ndarray
     cp: np.ndarray
+    _posdef: bool = field(init=False, repr=False)
     action = 1.0
 
     def __post_init__(self):
         cq = np.asarray(self.cq, dtype=float)
         cp = np.asarray(self.cp, dtype=float)
-        if cq.shape != cp.shape or cq.ndim not in (1, 2):
+        if cq.shape != cp.shape or cq.ndim not in (1, 2) or not cq.shape[-1]:
             raise ValueError(
-                f"ring rows must have the same shape, 1-D or 2-D, got {cq.shape} and {cp.shape}")
+                "ring rows must have the same shape, 1-D or 2-D with at least "
+                f"one site, got {cq.shape} and {cp.shape}")
         if not (np.all(np.isfinite(cq)) and np.all(np.isfinite(cp))):
             raise ValueError("ring rows must be finite")
         object.__setattr__(self, "cq", cq)
         object.__setattr__(self, "cp", cp)
+        object.__setattr__(self, "_posdef", _circulant_posdef(cq))
 
     @property
     def n_modes(self):
@@ -207,7 +218,7 @@ def _circulant_row(eigenvalues):
     # eigenvalues (last axis), made exactly even (row[d] == row[N - d]) so
     # that every reduced block is exactly symmetric.
     row = np.fft.ifft(eigenvalues, axis=-1).real
-    return 0.5 * (row + np.roll(row[..., ::-1], 1, axis=-1))
+    return 0.5 * (row + np.concatenate([row[..., :1], row[..., :0:-1]], axis=-1))
 
 
 def ring_covariances(models):

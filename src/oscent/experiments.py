@@ -266,7 +266,8 @@ def lattice_size_sweep(n_grid, kappas=DEFAULT_KAPPAS, k=0.1, n1=10, n2=10):
     """E_N of two fixed adjacent windows as the ring size N grows.
 
     Only the two windows are ever assembled, so N may run far beyond what
-    a dense N x N eigensolve allows.
+    a dense N x N eigensolve allows. The windows of every ring size and
+    kappa form one stack, evaluated in one call of the negativity kernel.
     """
     n_grid = [int(n) for n in n_grid]
     kappas = _floats(kappas, "kappas")
@@ -275,9 +276,12 @@ def lattice_size_sweep(n_grid, kappas=DEFAULT_KAPPAS, k=0.1, n1=10, n2=10):
         if n < n1 + n2:
             raise ValueError(f"N = {n} cannot hold two windows of {n1} and {n2}")
     part = Bipartition(tuple(range(n1)), tuple(range(n1, n1 + n2)))
-    rows = []
-    for n in n_grid:
-        rows += _ring_rows([n], [part], kappas, n, k)
+    stacks = [ring_covariances([CircularLattice(n, k, kappa) for kappa in kappas])
+              for n in n_grid]
+    per_state = stacked_log_negativities(stacks, [part])[0] if stacks else []
+    keys = [(n, kappa) for n in n_grid for kappa in kappas]
+    rows = [(float(n), kappa, res.log_negativity, res.negativity)
+            for (n, kappa), res in zip(keys, per_state)]
     return SweepTable(("N", "kappa", "log_negativity", "negativity"), tuple(rows))
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (
     AsymmetricInputError,
+    EmptySubsystemError,
     NoConvergenceError,
     NotPositiveDefiniteError,
     UnpairedSpectrumError,
@@ -147,19 +148,43 @@ def unsheared_momentum_block(qq, qp, pp, scale):
     return pp - (y[:, np.newaxis] * qq) * y
 
 
-def _checked_cholesky(a, label):
+def _checked_cholesky(a, label, *, certified=False):
     # Lower Cholesky factor of a symmetric block or (S, m, m) stack, refused
     # unless every smallest eigenvalue exceeds POSDEF_RTOL times the largest.
-    w = np.linalg.eigvalsh(a)
-    bad = ~(w[..., 0] > POSDEF_RTOL * w[..., -1])
-    if np.any(bad):
-        raise NotPositiveDefiniteError(
-            f"{label} is not positive definite: eigenvalue {w[..., 0][bad][0]:.6e}"
-        )
+    # ``certified`` says the caller has already shown that every block
+    # passes that test, which is then not run again.
+    if not certified:
+        w = np.linalg.eigvalsh(a)
+        bad = ~(w[..., 0] > POSDEF_RTOL * w[..., -1])
+        if np.any(bad):
+            raise NotPositiveDefiniteError(
+                f"{label} is not positive definite: eigenvalue {w[..., 0][bad][0]:.6e}"
+            )
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"{label} has no Cholesky factor: {exc}") from exc
+
+
+def _circulant_posdef(rows):
+    """True when every principal submatrix of every symmetric circulant with
+    these first rows (last axis) passes :func:`_checked_cholesky`'s test.
+
+    An exactly even row (``row[d] == row[N - d]``) gives a symmetric
+    circulant, whose eigenvalues are the real DFT of the row. By Cauchy
+    interlacing every principal submatrix (every ring window) has its
+    eigenvalues inside [min, max] of that spectrum, so its ratio min/max
+    is at least the circulant's. The margin adds 16 N eps to POSDEF_RTOL,
+    which covers the roundoff of the O(N log N) transform here and of the
+    submatrices' own eigvalsh (at most N rows each), both relative to the
+    largest eigenvalue. Rows that are not exactly even are not certified.
+    """
+    if not (rows[..., 1:] == rows[..., :0:-1]).all():
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):   # inf or NaN certify nothing
+        w = np.fft.rfft(rows, axis=-1).real
+    margin = POSDEF_RTOL + 16.0 * rows.shape[-1] * np.finfo(float).eps
+    return bool(np.all(w.min(axis=-1) > margin * w.max(axis=-1)))
 
 
 def _unsheared_blocks(mat, name):
@@ -170,13 +195,15 @@ def _unsheared_blocks(mat, name):
         raise AsymmetricInputError(
             f"{name} must be 2n x 2n, got {a.shape[0]} rows"
         )
+    if not a.size:
+        raise EmptySubsystemError(f"{name} is 0 x 0: it holds no modes")
     n = a.shape[0] // 2
     qq = a[:n, :n]
     scale = float(np.max(np.abs(a)))
     return a, qq, unsheared_momentum_block(qq, a[:n, n:], a[n:, n:], scale)
 
 
-def _block_product_eigvals(qq, pp, sign_patterns, name="covariance"):
+def _block_product_eigvals(qq, pp, sign_patterns, name="covariance", *, certified=False):
     """Ascending eigenvalues of ``qq P pp P``, one array per pattern.
 
     ``qq`` and ``pp`` are ``(m, m)`` blocks or ``(S, m, m)`` stacks, ``qq``
@@ -185,8 +212,10 @@ def _block_product_eigvals(qq, pp, sign_patterns, name="covariance"):
     exceeds ``POSDEF_RTOL`` times its largest, then factored once as
     ``qq = L L^T``; ``L^T P pp P L`` is similar to ``qq P pp P``, so its
     symmetric eigensolve gives the eigenvalues. No eigenvectors are computed.
+    ``certified`` skips the eigenvalue test for a stack whose caller has
+    already shown that it passes (see :func:`_circulant_posdef`).
     """
-    low = _checked_cholesky(qq, f"{name} qq block")
+    low = _checked_cholesky(qq, f"{name} qq block", certified=certified)
     low_t = np.swapaxes(low, -1, -2)
     out = []
     for signs in sign_patterns:

@@ -58,27 +58,39 @@ class NegativityResult:
 
 def _unit_blocks(cov, members):
     # Stacks (S, m, m) of qq and the unsheared pp of the reduction to
-    # ``members``, in units of the action: one block per state of a ring
-    # stack (unit action, no cross block to undo), a stack of one for any
-    # other state.
+    # ``members``, in units of the action, and whether every qq block is
+    # certified positive definite. Ring stacks, alone or in a sequence, give
+    # one block per state in order (unit action, no cross block to undo);
+    # any other state gives a stack of one, never certified.
     if isinstance(cov, RingCovariance):
-        qq, pp = ring_windows(cov, members)
-        shape = (-1,) + qq.shape[-2:]
-        return qq.reshape(shape), pp.reshape(shape)
+        cov = [cov]
+    if isinstance(cov, (list, tuple)):
+        if not cov or not all(isinstance(ring, RingCovariance) for ring in cov):
+            raise ValueError("a sequence of states must hold one or more "
+                             "RingCovariance stacks and nothing else")
+        m = len(members)
+        windows = [ring_windows(ring, members) for ring in cov]
+        qq = [q.reshape(-1, m, m) for q, _ in windows]
+        pp = [p.reshape(-1, m, m) for _, p in windows]
+        certified = all(ring._posdef for ring in cov)
+        if len(windows) == 1:   # no copy of a lone stack
+            return qq[0], pp[0], certified
+        return np.concatenate(qq), np.concatenate(pp), certified
     red = reduce_modes(cov, members)
     action = _require_action(red)
     _, qq, pp = _unsheared_blocks(red.matrix, "reduced covariance")
     if pp is None:
         raise CrossBlockNotZeroError(
             "q-p cross block of the reduced covariance is neither zero nor a local shear")
-    return (qq / action)[np.newaxis], (pp / action)[np.newaxis]
+    return (qq / action)[np.newaxis], (pp / action)[np.newaxis], False
 
 
 def _bits_from_lambdas(lambdas):
+    # -sum log2 of the entries below 1 - UNIT_GUARD, one float per row of
+    # an (S, m) stack; 0.0 exactly for a row with none.
     small = lambdas < 1.0 - UNIT_GUARD
-    if not np.any(small):
-        return 0.0
-    return float(-np.sum(np.log2(lambdas[small])))
+    return [float(-np.sum(np.log2(row[keep]))) if any_small else 0.0
+            for row, keep, any_small in zip(lambdas, small, small.any(axis=-1).tolist())]
 
 
 def _result(lambdas, e_n):
@@ -88,24 +100,30 @@ def _result(lambdas, e_n):
 def stacked_log_negativities(cov, partitions):
     """E_N of many bipartitions in every state of a stack, in the order given.
 
-    ``cov`` is a full-system state (a CovarianceMatrix or a RingCovariance)
-    or a stack of ring states of one size (:func:`ring_covariances`).
-    Partitions with the same members share one reduction and one stacked
-    Cholesky factor qq_u = L L^T of the reduced qq blocks; each partition
-    then costs one stacked symmetric eigensolve of L^T P pp_u P L across
-    the states. Returns ``results[i][s]``, partition i in state s.
+    ``cov`` is a full-system state (a CovarianceMatrix or a RingCovariance),
+    a stack of ring states of one size (:func:`ring_covariances`), or a
+    non-empty list or tuple of such stacks, whose states are taken in order
+    as one stack (the rings may differ in size). Partitions with the same
+    members share one reduction and one stacked Cholesky factor
+    qq_u = L L^T of the reduced qq blocks; each partition then costs one
+    stacked symmetric eigensolve of L^T P pp_u P L across the states. Ring
+    stacks whose rows certify every window positive definite (all of them,
+    for a sequence) skip the eigenvalue test before the factor. Returns
+    ``results[i][s]``, partition i in state s.
     """
     by_members = {}
     for i, partition in enumerate(partitions):
         by_members.setdefault(partition.members, []).append(i)
     results = [None] * len(partitions)
     for members, positions in by_members.items():
-        qq_u, pp_u = _unit_blocks(cov, members)
+        qq_u, pp_u, certified = _unit_blocks(cov, members)
         patterns = [partitions[i].momentum_signs() for i in positions]
-        per_pattern = _block_product_eigvals(qq_u, pp_u, patterns, name="reduced")
+        per_pattern = _block_product_eigvals(qq_u, pp_u, patterns, name="reduced",
+                                             certified=certified)
         for i, lambdas in zip(positions, per_pattern):
             lambdas = np.maximum(lambdas, np.finfo(float).tiny)
-            results[i] = [_result(row, _bits_from_lambdas(row)) for row in lambdas]
+            results[i] = [_result(row, e_n)
+                          for row, e_n in zip(lambdas, _bits_from_lambdas(lambdas))]
     return results
 
 
@@ -147,6 +165,6 @@ def log_negativity_via_symplectic(cov, partition: Bipartition):
         )
     # The moduli are the pair duplicates sqrt(lambda_j), each twice, so the
     # log-sum over all 2m of them equals the m-eigenvalue sum over lambda_j.
-    e_n = _bits_from_lambdas(moduli)
+    (e_n,) = _bits_from_lambdas(moduli[np.newaxis])
     lambdas = _pair_up(moduli, float(np.max(moduli))) ** 2
     return _result(np.sort(lambdas), e_n)

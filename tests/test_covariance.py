@@ -16,6 +16,7 @@ from oscent.covariance import (
     reduce_modes,
     ring_covariance,
     ring_covariances,
+    ring_windows,
 )
 from oscent.errors import (
     DimensionTooLargeError,
@@ -23,6 +24,7 @@ from oscent.errors import (
     IndexOutOfRangeError,
     OverlappingGroupsError,
 )
+from oscent.linalg import POSDEF_RTOL
 from oscent.measures import purity_from_determinant, sigma_tilde
 from oscent.models import (
     CircularLattice,
@@ -316,6 +318,66 @@ def test_ring_rows_must_share_a_one_or_two_dimensional_shape():
         RingCovariance(ring.cq[np.newaxis, np.newaxis], ring.cp[np.newaxis, np.newaxis])
     with pytest.raises(ValueError, match="1-D or 2-D"):
         RingCovariance(np.float64(1.0), np.float64(1.0))
+
+
+def test_ring_rows_must_hold_a_site():
+    # Empty rows used to construct; they now fail in the constructor's own
+    # check, before any transform of them.
+    for rows in (np.zeros(0), np.zeros((3, 0))):
+        with pytest.raises(ValueError, match="at least one site"):
+            RingCovariance(rows, rows)
+
+
+def test_zero_by_zero_covariance_is_refused():
+    # It used to construct and end in numpy's "zero-size array to reduction
+    # operation maximum" error downstream.
+    with pytest.raises(EmptySubsystemError, match="0 x 0"):
+        CovarianceMatrix(np.zeros((0, 0)))
+
+
+# --- ring certificate --------------------------------------------------------
+
+def test_ring_windows_lie_inside_the_circulant_spectrum():
+    # The fact the kernel skip rests on: by Cauchy interlacing, the eigenvalues
+    # of any window of a ring's qq lie inside the rfft spectrum of its row, up
+    # to the roundoff term 16 N eps * max that the certificate's margin holds.
+    # Every such ring has min/max = sqrt(k / (k + 4 kappa)) >= 5e-8 and is
+    # certified, so each window must also pass the kernel's own test.
+    rng = np.random.default_rng(1414)
+    eps = np.finfo(float).eps
+    for _ in range(200):
+        n = int(rng.integers(3, 401))
+        k = 10.0 ** rng.uniform(-12.0, 1.0)
+        kappa = 10.0 ** rng.uniform(-2.0, 2.0)
+        ring = ring_covariance(CircularLattice(n, k, kappa))
+        w = np.fft.rfft(ring.cq).real
+        sites = rng.choice(n, size=int(rng.integers(1, min(n, 40) + 1)), replace=False)
+        qq, _ = ring_windows(ring, sites)
+        got = np.linalg.eigvalsh(qq)
+        tol = 16.0 * n * eps * w.max()
+        assert got[0] >= w.min() - tol
+        assert got[-1] <= w.max() + tol
+        assert ring._posdef
+        assert got[0] > POSDEF_RTOL * got[-1]
+
+
+def test_ring_certificate_reads_the_rows():
+    stack = ring_covariances([CircularLattice(N=12, k=0.1, kappa=kappa)
+                              for kappa in (1.0, 64.0)])
+    assert stack._posdef
+    assert RingCovariance(stack.cq[1], stack.cp[1])._posdef
+    # One indefinite state uncertifies the stack.
+    assert not RingCovariance(np.stack([stack.cq[0], -stack.cq[1]]), stack.cp)._posdef
+    # Rows that are not exactly even give no symmetric circulant to read.
+    odd = stack.cq[0].copy()
+    odd[1] += 1e-15
+    assert not RingCovariance(odd, stack.cp[0])._posdef
+    # A nearly singular ring is refused however its rows were made.
+    flat = RingCovariance(np.ones(8), np.ones(8))
+    assert not flat._posdef
+    # Rows whose transform overflows certify nothing, quietly.
+    huge = np.full(5, 1e308)
+    assert not RingCovariance(huge, huge)._posdef
 
 
 # --- partial transpose -------------------------------------------------------

@@ -10,11 +10,17 @@ from scipy.optimize import curve_fit
 
 from oscent import experiments
 from oscent.cli import main
-from oscent.covariance import Bipartition, classical_covariance, ring_covariance
+from oscent.covariance import (
+    Bipartition,
+    classical_covariance,
+    ring_covariance,
+    ring_covariances,
+)
 from oscent.errors import (
     DegenerateDesignError,
     InvalidModelError,
     NoConvergenceError,
+    NotPositiveDefiniteError,
     OverlappingGroupsError,
     UnstableSystemError,
 )
@@ -284,7 +290,7 @@ def test_ring_sweep_mirror_rows_are_exactly_equal():
     assert np.array_equal(e, e[::-1]) and len(set(e.tolist())) > 1
 
 
-def test_default_ring_sweeps_solve_one_partition_per_class(monkeypatch):
+def test_default_ring_sweeps_solve_one_partition_per_class(monkeypatch, eigvalsh_shapes):
     # (partitions, stacked states) of every call of the negativity core.
     calls = []
 
@@ -293,15 +299,61 @@ def test_default_ring_sweeps_solve_one_partition_per_class(monkeypatch):
         calls.append((len(partitions), len(results[0])))
         return results
 
+    # Every default ring stack is certified positive definite from its rows,
+    # so the only eigvalsh calls are the product solves, one per class.
     monkeypatch.setattr(experiments, "stacked_log_negativities", spy)
     lattice_adjacent_sweep(range(101))
     assert calls == [(51, 7)]
+    assert eigvalsh_shapes == [(7, 100, 100)] * 51
     calls.clear()
+    eigvalsh_shapes.clear()
     lattice_disjoint_sweep(range(0, 101, 10))
     assert calls == [(6, 3)]
+    assert len(eigvalsh_shapes) == 6
     calls.clear()
+    eigvalsh_shapes.clear()
     lattice_size_sweep(range(20, 501, 20))
-    assert calls == [(1, 7)] * 25
+    assert calls == [(1, 175)]
+    assert eigvalsh_shapes == [(175, 20, 20)]
+
+
+@pytest.mark.parametrize("n_grid, kappas, k, n1, n2", [
+    (range(20, 501, 20), DEFAULT_KAPPAS, 0.1, 10, 10),
+    ((9, 31, 7, 20, 31), (0.5, 3.0), 0.02, 3, 4),
+])
+def test_lattice_size_stack_matches_each_size_alone(n_grid, kappas, k, n1, n2):
+    part = Bipartition(range(n1), range(n1, n1 + n2))
+    rows = []
+    for n in n_grid:
+        (per_state,) = stacked_log_negativities(
+            ring_covariances([CircularLattice(n, k, kappa) for kappa in kappas]), [part])
+        rows += [(float(n), kappa, res.log_negativity, res.negativity)
+                 for kappa, res in zip(kappas, per_state)]
+    table = lattice_size_sweep(n_grid, kappas=kappas, k=k, n1=n1, n2=n2)
+    assert np.array(table.rows).tobytes() == np.array(rows).tobytes()
+    assert lattice_size_sweep([], kappas=kappas).rows == ()
+
+
+def test_lattice_size_near_the_positive_definite_floor(eigvalsh_shapes):
+    # At k = 1e-20 the kappa = 64 rings have qq eigenvalue ratio 6.25e-12,
+    # above the certificate's margin POSDEF_RTOL + 16 N eps: certified, one
+    # eigvalsh call. At k = 1e-22 the ratio is 6.25e-13: the 40-site ring is
+    # not certified, so the eigenvalue test runs, and its 20-site windows
+    # (ratio 1.25e-12) pass it. The 20-site ring's window is the whole ring
+    # and fails it. The values pinned are those that one call per ring size
+    # gave.
+    calls = eigvalsh_shapes
+    table = lattice_size_sweep([20, 200], kappas=(1, 64), k=1e-20)
+    assert calls == [(4, 20, 20)]
+    assert table.rows[0][2] == 34.21928060602842
+    calls.clear()
+    table = lattice_size_sweep([40, 200], kappas=(1, 64), k=1e-22)
+    assert calls == [(4, 20, 20)] * 2
+    assert table.rows[0][2] == 2.6050086894766062
+    assert table.rows[-1][2] == 2.4342093801207523
+    with pytest.raises(NotPositiveDefiniteError,
+                       match="^reduced qq block is not positive definite: eigenvalue"):
+        lattice_size_sweep([20, 200], kappas=(1, 64), k=1e-22)
 
 
 @pytest.mark.parametrize("command", ["lattice-adjacent", "lattice-d", "lattice-size"])

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from oscent.errors import (
     AsymmetricInputError,
+    EmptySubsystemError,
     NotPositiveDefiniteError,
     UnpairedSpectrumError,
 )
@@ -346,6 +347,12 @@ def test_kernel_maps_cholesky_failure(monkeypatch):
         _block_product_eigvals(np.eye(3), np.eye(3), [np.ones(3)])
 
 
+def test_certified_kernel_still_maps_cholesky_failure():
+    # A certified stack skips the eigenvalue test, not the factor's own check.
+    with pytest.raises(NotPositiveDefiniteError, match="qq block has no Cholesky factor"):
+        _block_product_eigvals(-np.eye(3), np.eye(3), [np.ones(3)], certified=True)
+
+
 def test_symplectic_spectrum_rejects_non_finite_entries():
     rng = np.random.default_rng(73)
     cov = random_spd(rng, 4, shift=1.0)
@@ -363,6 +370,13 @@ def test_symplectic_spectrum_rejects_indefinite():
 def test_symplectic_spectrum_rejects_odd_dimension():
     with pytest.raises(AsymmetricInputError):
         symplectic_spectrum(np.eye(3))
+
+
+def test_symplectic_spectrum_refuses_zero_by_zero():
+    # It used to end in numpy's "zero-size array to reduction operation
+    # maximum" error.
+    with pytest.raises(EmptySubsystemError, match="0 x 0"):
+        symplectic_spectrum(np.zeros((0, 0)))
 
 
 def test_symplectic_spectrum_takes_no_route_argument():

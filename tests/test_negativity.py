@@ -218,6 +218,60 @@ def test_rings_of_different_sizes_cannot_share_a_stack():
         ring_covariances([CircularLattice(10, 0.1, 1.0), CircularLattice(12, 0.1, 1.0)])
 
 
+def uncertified(ring):
+    copy = RingCovariance(ring.cq, ring.cp)
+    object.__setattr__(copy, "_posdef", False)
+    return copy
+
+
+def test_certified_ring_stacks_skip_only_the_eigenvalue_test(eigvalsh_shapes):
+    stack = ring_covariances([CircularLattice(16, 0.1, kappa) for kappa in (1.0, 8.0)])
+    assert stack._posdef
+    parts = [Bipartition(range(n1), range(n1, 6)) for n1 in (1, 2, 3)]
+    shapes = eigvalsh_shapes
+    got = stacked_log_negativities(stack, parts)
+    assert shapes == [(2, 6, 6)] * 3            # one product solve per partition
+    shapes.clear()
+    want = stacked_log_negativities(uncertified(stack), parts)
+    assert shapes == [(2, 6, 6)] * 4            # the eigenvalue test, then the same
+    for got_p, want_p in zip(got, want):
+        for g, w in zip(got_p, want_p):
+            assert g.lambda_tilde.tobytes() == w.lambda_tilde.tobytes()
+            assert g.log_negativity == w.log_negativity
+    # The dense route and symplectic_spectrum keep their test.
+    dense = reduce_modes(ring_covariance(CircularLattice(16, 0.1, 1.0)), range(16))
+    shapes.clear()
+    log_negativity(dense, parts[0])
+    assert shapes == [(1, 6, 6)] * 2
+    shapes.clear()
+    symplectic_spectrum(dense.matrix)
+    assert shapes == [(16, 16)] * 2
+
+
+def test_sequence_of_ring_stacks_is_one_stack_in_order(eigvalsh_shapes):
+    small = ring_covariances([CircularLattice(9, 0.1, kappa) for kappa in (1.0, 4.0)])
+    large = ring_covariances([CircularLattice(23, 0.05, kappa) for kappa in (2.0, 8.0, 32.0)])
+    parts = [Bipartition([0, 1], [2, 3, 4]), Bipartition([0, 2], [1, 3])]
+    shapes = eigvalsh_shapes
+    got = stacked_log_negativities((small, large), parts)
+    assert shapes == [(5, 5, 5), (5, 4, 4)]
+    want = [a + b for a, b in zip(stacked_log_negativities(small, parts),
+                                  stacked_log_negativities(large, parts))]
+    for got_p, want_p in zip(got, want):
+        assert len(got_p) == 5
+        for g, w in zip(got_p, want_p):
+            assert g.lambda_tilde.tobytes() == w.lambda_tilde.tobytes()
+    # One uncertified stack puts the whole sequence through the test.
+    shapes.clear()
+    stacked_log_negativities([small, uncertified(large)], parts[:1])
+    assert shapes == [(5, 5, 5)] * 2
+    with pytest.raises(ValueError, match="one or more RingCovariance"):
+        stacked_log_negativities([], parts)
+    with pytest.raises(ValueError, match="one or more RingCovariance"):
+        stacked_log_negativities([small, reduce_modes(ring_covariance(
+            CircularLattice(9, 0.1, 1.0)), range(9))], parts)
+
+
 def test_nearly_singular_qq_is_refused_like_the_spectrum_route():
     # Reduced qq with eigenvalue ratio 1e-13, below the relative floor that
     # symplectic_spectrum applies to the same block.

@@ -1,0 +1,134 @@
+"""Write every user-facing output of oscent into one directory.
+
+    python3 tools/dump_outputs.py OUTDIR
+
+Run it from two checkouts and compare them with ``diff -r OUTDIR_A OUTDIR_B``:
+an empty diff means the two versions print the same bytes. The directory gets
+
+* the default CSV and ``--json`` output of ``twomode-sweep``, ``ghoc-sweep``,
+  ``lattice-d``, ``lattice-adjacent`` and ``lattice-size``, and of
+  ``fit-cft`` (every default kappa) and ``fit-kappa`` on those tables;
+* four model files written by ``save_model`` (two-mode, generalized
+  two-mode, a seeded 12-site chain with q-p coupling, a 16-site ring) and
+  the ``measures`` and ``negativity`` output on each;
+* the standard output of every script in ``demos/``;
+* ``status.txt``: the exit code and standard error of every command.
+
+It imports ``oscent`` from this checkout's ``src/`` and uses nothing else
+beyond the standard library.
+"""
+
+import contextlib
+import io
+import os
+import random
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+sys.path.insert(0, SRC)
+
+from oscent import cli, models  # noqa: E402
+
+KAPPAS = ("1", "2", "4", "8", "16", "32", "64")
+
+
+def qp_chain(n=12, seed=12):
+    """GeneralizedChain with random K and Y whose K - Y**2 is diagonally dominant."""
+    rng = random.Random(seed)
+    k = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            k[i][j] = k[j][i] = rng.uniform(-0.3, 0.3)
+    y = [rng.uniform(-0.5, 0.5) for _ in range(n)]
+    for i in range(n):
+        k[i][i] = 1.0 + y[i] ** 2 + sum(abs(v) for v in k[i]) + rng.uniform(0.0, 1.0)
+    return models.model_from_dict({"variant": "GeneralizedChain", "K": k, "Y": y})
+
+
+MODELS = {
+    "twomode": models.TwoMode(A=5.0, B=20.0, C=7.5),
+    "ghoc": models.TwoModeGeneralized(X1=2.0, X2=2.0, Y1=0.0, Y2=1.2, Z=1.0),
+    "chain_qp": qp_chain(),
+    "ring": models.CircularLattice(N=16, k=0.1, kappa=4.0),
+}
+
+# Two cuts per model, 1-based as on the command line.
+CUTS = {
+    "twomode": [("1", "2"), ("2", "1")],
+    "ghoc": [("1", "2"), ("2", "1")],
+    "chain_qp": [("1,2,3", "4,5,6,7"), ("1,5,9", "2,12")],
+    "ring": [("1,2,3,4", "5,6,7,8"), ("1,2", "9,10")],
+}
+
+
+def run(status, label, argv):
+    """Run one CLI command in process; record its exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    status.append(f"{label}: exit {code}\n{err.getvalue()}")
+
+
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: python3 tools/dump_outputs.py OUTDIR", file=sys.stderr)
+        return 2
+    out = os.path.abspath(args[0])
+    os.makedirs(out, exist_ok=True)
+
+    def path(name):
+        return os.path.join(out, name)
+
+    status = []
+    for command in ("twomode-sweep", "ghoc-sweep", "lattice-d", "lattice-adjacent",
+                    "lattice-size"):
+        stem = command.replace("-", "_")
+        run(status, command, [command, "--out", path(f"{stem}.csv")])
+        run(status, f"{command} --json", [command, "--json", "--out", path(f"{stem}.json")])
+    for kappa in KAPPAS:
+        for ext, flag in (("csv", []), ("json", ["--json"])):
+            run(status, f"fit-cft {kappa} {ext}",
+                ["fit-cft", "--in", path("lattice_adjacent.csv"), "--kappa", kappa,
+                 "--out", path(f"fit_cft_{kappa}.{ext}")] + flag)
+    for ext, flag in (("csv", []), ("json", ["--json"])):
+        run(status, f"fit-kappa {ext}",
+            ["fit-kappa", "--in", path("lattice_size.csv"),
+             "--out", path(f"fit_kappa.{ext}")] + flag)
+
+    for name, model in MODELS.items():
+        model_file = path(f"model_{name}.json")
+        models.save_model(model, model_file)
+        for tag, extra in (("all", []), ("sub", ["--subsystem", "1,2"]),
+                           ("all_json", ["--json"])):
+            run(status, f"measures {name} {tag}",
+                ["measures", "--model", model_file,
+                 "--out", path(f"measures_{name}_{tag}.out")] + extra)
+        for i, (group1, group2) in enumerate(CUTS[name]):
+            for tag, extra in (("", []), ("_json", ["--json"])):
+                run(status, f"negativity {name} {i}{tag}",
+                    ["negativity", "--model", model_file, "--group1", group1,
+                     "--group2", group2,
+                     "--out", path(f"negativity_{name}_{i}{tag}.out")] + extra)
+
+    env = dict(os.environ, PYTHONPATH=SRC)
+    demos = os.path.join(ROOT, "demos")
+    for script in sorted(os.listdir(demos)):
+        if not script.endswith(".py"):
+            continue
+        done = subprocess.run([sys.executable, os.path.join(demos, script)],
+                              capture_output=True, env=env, cwd=out)
+        with open(path(f"demo_{script[:-3]}.txt"), "wb") as fh:
+            fh.write(done.stdout)
+        status.append(f"demo {script}: exit {done.returncode}\n"
+                      f"{done.stderr.decode('utf-8', 'replace')}")
+
+    with open(path("status.txt"), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(status))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
