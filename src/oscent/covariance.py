@@ -35,7 +35,7 @@ from .errors import (
     IndexOutOfRangeError,
     OverlappingGroupsError,
 )
-from .linalg import _circulant_posdef
+from .linalg import _circulant_posdef, _require_even_rows, _spectrum_posdef
 from .models import CircularLattice, NormalModes, _ring_frequency_rows
 
 
@@ -46,10 +46,17 @@ class CovarianceMatrix:
     ``action`` is the common per-mode action the matrix is proportional to
     (hbar/2 for the quantum ground state). It is None when the actions were
     not uniform, in which case the normalized measures are undefined.
+
+    The private keyword ``_posdef`` certifies that the qq block of this
+    matrix and of every reduction of it passes the block-product kernel's
+    positive-definiteness test, so the kernel may skip it. Only states
+    built from normal modes (classical_covariance) and their reductions set
+    it; see linalg._spectrum_posdef.
     """
 
     matrix: np.ndarray
     action: Optional[float] = 1.0
+    _posdef: bool = field(default=False, kw_only=True, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -104,7 +111,9 @@ class RingCovariance:
     ``_posdef`` certifies at construction, from the qq rows alone, that
     every window of every state passes the block-product kernel's
     positive-definiteness test, so the kernel may skip it (see
-    linalg._circulant_posdef).
+    linalg._circulant_posdef); rows that are not exactly even are not
+    certified. Rows that are not even within ``SYMMETRY_RTOL`` hold no
+    symmetric state and are refused (linalg._require_even_rows).
     """
 
     cq: np.ndarray
@@ -121,9 +130,11 @@ class RingCovariance:
                 f"one site, got {cq.shape} and {cp.shape}")
         if not (np.all(np.isfinite(cq)) and np.all(np.isfinite(cp))):
             raise ValueError("ring rows must be finite")
+        cq_even = _require_even_rows(cq, "ring cq")
+        _require_even_rows(cp, "ring cp")
         object.__setattr__(self, "cq", cq)
         object.__setattr__(self, "cp", cp)
-        object.__setattr__(self, "_posdef", _circulant_posdef(cq))
+        object.__setattr__(self, "_posdef", cq_even and _circulant_posdef(cq))
 
     @property
     def n_modes(self):
@@ -131,7 +142,7 @@ class RingCovariance:
 
     def _blocks(self, idx):
         d = (idx[:, np.newaxis] - idx[np.newaxis, :]) % self.n_modes
-        return self.cq[..., d], self.cp[..., d]
+        return np.take(self.cq, d, axis=-1), np.take(self.cp, d, axis=-1)
 
     def _select(self, idx):
         qq, pp = self._blocks(idx)
@@ -202,15 +213,20 @@ def classical_covariance(modes: NormalModes, actions):
     Returns
     -------
     CovarianceMatrix
-        Its action is the common action when uniform, else None.
+        Its action is the common action when uniform, else None. The
+        eigenvalues of ``qq`` are ``actions / omegas``; when their ratio
+        clears the kernel's test with room for the roundoff of forming
+        ``qq`` (linalg._spectrum_posdef), the state is marked certified.
     """
     s, omegas, ydiag = modes
     actions = _checked_actions(actions, omegas.shape[0])
-    qq = (s * (actions / omegas)) @ s.T
+    spectrum = actions / omegas
+    qq = (s * spectrum) @ s.T
     pp_free = (s * (actions * omegas)) @ s.T
     qp = -qq * ydiag[np.newaxis, :]
     pp = pp_free + (ydiag[:, np.newaxis] * qq) * ydiag[np.newaxis, :]
-    return CovarianceMatrix(np.block([[qq, qp], [qp.T, pp]]), _common_action(actions))
+    return CovarianceMatrix(np.block([[qq, qp], [qp.T, pp]]), _common_action(actions),
+                            _posdef=_spectrum_posdef(spectrum))
 
 
 def _circulant_row(eigenvalues):
@@ -314,11 +330,12 @@ def reduce_modes(cov, indices):
     """Covariance of a subsystem, keeping (q..., p...) ordering.
 
     ``cov`` is a CovarianceMatrix or a single-state RingCovariance; the
-    result is a CovarianceMatrix either way. ``indices`` are 0-based
-    oscillator labels; duplicates collapse, order is ascending in the output.
+    result is a CovarianceMatrix either way, certified when ``cov`` is.
+    ``indices`` are 0-based oscillator labels; duplicates collapse, order
+    is ascending in the output.
     """
     idx = _checked_indices(indices, cov.n_modes)
-    return CovarianceMatrix(cov._select(idx), cov.action)
+    return CovarianceMatrix(cov._select(idx), cov.action, _posdef=cov._posdef)
 
 
 def partial_transpose(cov: CovarianceMatrix, partition: Bipartition):

@@ -166,25 +166,52 @@ def _checked_cholesky(a, label, *, certified=False):
         raise NotPositiveDefiniteError(f"{label} has no Cholesky factor: {exc}") from exc
 
 
-def _circulant_posdef(rows):
-    """True when every principal submatrix of every symmetric circulant with
-    these first rows (last axis) passes :func:`_checked_cholesky`'s test.
+def _spectrum_posdef(w):
+    """True when every principal submatrix of every n x n symmetric matrix
+    with these eigenvalues (last axis) passes :func:`_checked_cholesky`'s
+    test.
 
-    An exactly even row (``row[d] == row[N - d]``) gives a symmetric
-    circulant, whose eigenvalues are the real DFT of the row. By Cauchy
-    interlacing every principal submatrix (every ring window) has its
-    eigenvalues inside [min, max] of that spectrum, so its ratio min/max
-    is at least the circulant's. The margin adds 16 N eps to POSDEF_RTOL,
-    which covers the roundoff of the O(N log N) transform here and of the
-    submatrices' own eigvalsh (at most N rows each), both relative to the
-    largest eigenvalue. Rows that are not exactly even are not certified.
+    By Cauchy interlacing every principal submatrix has its eigenvalues
+    inside [min, max] of the whole spectrum, so its ratio min/max is at
+    least the whole matrix's. The margin adds 16 n eps to POSDEF_RTOL,
+    which covers the roundoff of the spectrum or of the matrix formed from
+    it, and of the submatrices' own eigvalsh (at most n rows each), all
+    relative to the largest eigenvalue.
     """
-    if not (rows[..., 1:] == rows[..., :0:-1]).all():
-        return False
-    with np.errstate(over="ignore", invalid="ignore"):   # inf or NaN certify nothing
-        w = np.fft.rfft(rows, axis=-1).real
-    margin = POSDEF_RTOL + 16.0 * rows.shape[-1] * np.finfo(float).eps
+    margin = POSDEF_RTOL + 16.0 * w.shape[-1] * np.finfo(float).eps
     return bool(np.all(w.min(axis=-1) > margin * w.max(axis=-1)))
+
+
+def _require_even_rows(rows, name):
+    """Whether first rows (last axis) are exactly even, ``row[d] == row[N - d]``.
+
+    Such a row is the first row of a symmetric circulant. Rows whose
+    largest ``|row[d] - row[N - d]|`` exceeds ``SYMMETRY_RTOL`` times the
+    row's largest entry raise AsymmetricInputError, as require_symmetric
+    refuses the matrix they stand for.
+    """
+    diff = rows[..., 1:] - rows[..., :0:-1]
+    if not diff.any():
+        return True
+    resid = np.max(np.abs(diff), axis=-1)
+    bad = resid > SYMMETRY_RTOL * np.max(np.abs(rows), axis=-1)
+    if np.any(bad):
+        raise AsymmetricInputError(
+            f"{name} rows are not even: max |row[d] - row[N - d]| = "
+            f"{np.max(resid[bad]):.3e} exceeds {SYMMETRY_RTOL:.0e} * max|row|")
+    return False
+
+
+def _circulant_posdef(rows):
+    """:func:`_spectrum_posdef` of the symmetric circulants with these
+    exactly even first rows (last axis): every ring window of every state
+    passes the test.
+
+    A symmetric circulant's eigenvalues are the real DFT of its row,
+    computed here by an O(N log N) transform.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):   # inf or NaN certify nothing
+        return _spectrum_posdef(np.fft.rfft(rows, axis=-1).real)
 
 
 def _unsheared_blocks(mat, name):
@@ -213,14 +240,33 @@ def _block_product_eigvals(qq, pp, sign_patterns, name="covariance", *, certifie
     ``qq = L L^T``; ``L^T P pp P L`` is similar to ``qq P pp P``, so its
     symmetric eigensolve gives the eigenvalues. No eigenvectors are computed.
     ``certified`` skips the eigenvalue test for a stack whose caller has
-    already shown that it passes (see :func:`_circulant_posdef`).
+    already shown that it passes (see :func:`_spectrum_posdef`).
+
+    ``P pp P = T pp T`` with ``T = P * pattern[-1]``, so ``P`` and ``-P``
+    give the same bits. ``B = pp L`` is formed once per call; ``T`` flips
+    the group G of rows whose sign differs from the last, and ``pp T L``
+    is ``B`` less ``2 pp[:, G] L[G, :]``, which touches only the first
+    ``max(G) + 1`` columns since ``L`` is lower triangular. Its rows scaled
+    by ``T`` give ``Z = T pp T L``, and eigvalsh reads only the lower
+    triangle of ``L^T Z``, so no symmetrizing pass is needed.
     """
     low = _checked_cholesky(qq, f"{name} qq block", certified=certified)
     low_t = np.swapaxes(low, -1, -2)
+    pp = np.ascontiguousarray(pp)
+    b = pp @ low
     out = []
     for signs in sign_patterns:
-        sym = low_t @ (pp * np.outer(signs, signs)) @ low
-        out.append(np.linalg.eigvalsh(0.5 * (sym + np.swapaxes(sym, -1, -2))))
+        flip = np.asarray(signs, dtype=float)
+        flip = flip * flip[-1]
+        group = np.flatnonzero(flip < 0.0)
+        z = b.copy()
+        if group.size:
+            c = group[-1] + 1
+            # Contiguous operands keep matmul on one path whatever the stack size.
+            z[..., :c] -= 2.0 * (np.ascontiguousarray(pp[..., group])
+                                 @ np.ascontiguousarray(low[..., group, :c]))
+        z *= flip[:, np.newaxis]
+        out.append(np.linalg.eigvalsh(low_t @ z))
     return out
 
 
@@ -235,7 +281,7 @@ def _general_spectrum(a, name="covariance"):
     return _pair_up(np.sqrt(np.maximum(squared, 0.0)), float(np.max(np.abs(a))))
 
 
-def symplectic_spectrum(cov, *, name="covariance"):
+def symplectic_spectrum(cov, *, name="covariance", _certified=False):
     """Symplectic eigenvalues of a positive-definite phase-space matrix.
 
     These are the moduli of the eigenvalues of ``i J^-1 cov`` (which occur
@@ -261,11 +307,17 @@ def symplectic_spectrum(cov, *, name="covariance"):
     -------
     numpy.ndarray
         The n symplectic eigenvalues, ascending.
+
+    The private ``_certified`` says that the caller has shown the qq block
+    to pass the kernel's positive-definiteness test (a state built from
+    normal modes, see ``CovarianceMatrix._posdef``); the fast route then
+    skips that test. The general route keeps its own, on the whole matrix.
     """
     a, qq, pp = _unsheared_blocks(cov, name)
     if pp is None:
         return _general_spectrum(a, name)
-    (lam,) = _block_product_eigvals(qq, pp, [np.ones(qq.shape[0])], name=name)
+    (lam,) = _block_product_eigvals(qq, pp, [np.ones(qq.shape[0])], name=name,
+                                    certified=_certified)
     if lam[0] <= 0.0:
         raise NotPositiveDefiniteError(
             f"{name} pp block is not positive definite on the fast path"

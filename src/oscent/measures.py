@@ -42,9 +42,12 @@ def sigma_tilde(cov: CovarianceMatrix):
 
     Values within SIGMA_FLOOR_TOL below 1/2 are clamped to 1/2; anything
     farther below raises SubHeisenbergError, since no classical-state or
-    ground-state reduction can produce it.
+    ground-state reduction can produce it. A state built from normal modes
+    (or a reduction of one) skips the qq eigenvalue test its certificate
+    already passed.
     """
-    nu = symplectic_spectrum(cov.matrix) / (2.0 * _require_action(cov))
+    nu = symplectic_spectrum(cov.matrix, _certified=cov._posdef)
+    nu = nu / (2.0 * _require_action(cov))
     low = nu < 0.5 - SIGMA_FLOOR_TOL
     if np.any(low):
         raise SubHeisenbergError(

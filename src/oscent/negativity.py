@@ -61,7 +61,7 @@ def _unit_blocks(cov, members):
     # ``members``, in units of the action, and whether every qq block is
     # certified positive definite. Ring stacks, alone or in a sequence, give
     # one block per state in order (unit action, no cross block to undo);
-    # any other state gives a stack of one, never certified.
+    # any other state gives a stack of one, certified when the reduction is.
     if isinstance(cov, RingCovariance):
         cov = [cov]
     if isinstance(cov, (list, tuple)):
@@ -82,7 +82,7 @@ def _unit_blocks(cov, members):
     if pp is None:
         raise CrossBlockNotZeroError(
             "q-p cross block of the reduced covariance is neither zero nor a local shear")
-    return (qq / action)[np.newaxis], (pp / action)[np.newaxis], False
+    return (qq / action)[np.newaxis], (pp / action)[np.newaxis], red._posdef
 
 
 def _bits_from_lambdas(lambdas):
@@ -108,8 +108,9 @@ def stacked_log_negativities(cov, partitions):
     qq_u = L L^T of the reduced qq blocks; each partition then costs one
     stacked symmetric eigensolve of L^T P pp_u P L across the states. Ring
     stacks whose rows certify every window positive definite (all of them,
-    for a sequence) skip the eigenvalue test before the factor. Returns
-    ``results[i][s]``, partition i in state s.
+    for a sequence), and states built from normal modes, skip the
+    eigenvalue test before the factor. Returns ``results[i][s]``,
+    partition i in state s.
     """
     by_members = {}
     for i, partition in enumerate(partitions):

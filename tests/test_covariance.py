@@ -19,12 +19,13 @@ from oscent.covariance import (
     ring_windows,
 )
 from oscent.errors import (
+    AsymmetricInputError,
     DimensionTooLargeError,
     EmptySubsystemError,
     IndexOutOfRangeError,
     OverlappingGroupsError,
 )
-from oscent.linalg import POSDEF_RTOL
+from oscent.linalg import POSDEF_RTOL, _spectrum_posdef
 from oscent.measures import purity_from_determinant, sigma_tilde
 from oscent.models import (
     CircularLattice,
@@ -308,6 +309,25 @@ def test_ring_rows_must_be_finite():
         RingCovariance(bad, stack.cp)
 
 
+def test_ring_rows_must_be_even():
+    # Uneven hand-built rows used to pass, and the ring route read only the
+    # lower triangle of each window: E_N = 0.0 where the dense route refuses
+    # the same state as asymmetric.
+    cq, cp = np.array([2.0, 0.5, 0.1, 0.3]), np.array([1.0, -0.2, 0.05, -0.2])
+    with pytest.raises(AsymmetricInputError, match="ring cq rows are not even"):
+        RingCovariance(cq, cp)
+    stack = ring_covariances([CircularLattice(N=10, k=0.1, kappa=kappa)
+                              for kappa in (1.0, 4.0)])
+    bad = stack.cp.copy()
+    bad[1, 3] *= 1.0 + 1e-9
+    with pytest.raises(AsymmetricInputError, match="ring cp rows are not even"):
+        RingCovariance(stack.cq, bad)
+    # Roundoff within SYMMETRY_RTOL is accepted, as by require_symmetric.
+    near = stack.cp.copy()
+    near[1, 3] *= 1.0 + 1e-14
+    RingCovariance(stack.cq, near)
+
+
 def test_ring_rows_must_share_a_one_or_two_dimensional_shape():
     # cq of 10 sites with cp of 6 used to end in a bare IndexError.
     ring = ring_covariance(CircularLattice(N=10, k=0.1, kappa=1.0))
@@ -359,6 +379,35 @@ def test_ring_windows_lie_inside_the_circulant_spectrum():
         assert got[-1] <= w.max() + tol
         assert ring._posdef
         assert got[0] > POSDEF_RTOL * got[-1]
+
+
+def test_normal_mode_reductions_lie_inside_the_mode_spectrum():
+    # The fact the certificate of classical_covariance rests on: qq is
+    # S diag(a / omega) S^T, so by Cauchy interlacing the qq block of every
+    # reduction has its eigenvalues inside [min, max] of a / omega, up to
+    # the roundoff term 16 n eps * max that the certificate's margin holds.
+    rng = np.random.default_rng(1515)
+    eps = np.finfo(float).eps
+    for _ in range(150):
+        n = int(rng.integers(2, 121))
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        m = (q * 10.0 ** rng.uniform(-8.0, 1.0, size=n)) @ q.T   # omega from 1e-4
+        y = rng.uniform(-0.5, 0.5, size=n)
+        k = 0.5 * (m + m.T) + np.diag(y**2)
+        modes = normal_modes(GeneralizedChain(K=k, Y=y))
+        actions = 10.0 ** rng.uniform(-1.0, 1.0, size=n)
+        spectrum = actions / modes.omegas
+        cov = classical_covariance(modes, actions)
+        assert cov._posdef == _spectrum_posdef(spectrum)
+        sites = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        red = reduce_modes(cov, sites)
+        assert red._posdef == cov._posdef
+        got = np.linalg.eigvalsh(red.qq)
+        tol = 16.0 * n * eps * spectrum.max()
+        assert got[0] >= spectrum.min() - tol
+        assert got[-1] <= spectrum.max() + tol
+        if cov._posdef:
+            assert got[0] > POSDEF_RTOL * got[-1]
 
 
 def test_ring_certificate_reads_the_rows():

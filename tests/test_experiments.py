@@ -340,17 +340,24 @@ def test_lattice_size_near_the_positive_definite_floor(eigvalsh_shapes):
     # eigvalsh call. At k = 1e-22 the ratio is 6.25e-13: the 40-site ring is
     # not certified, so the eigenvalue test runs, and its 20-site windows
     # (ratio 1.25e-12) pass it. The 20-site ring's window is the whole ring
-    # and fails it. The values pinned are those that one call per ring size
-    # gave.
+    # and fails it. The stacked rows are those that one call per ring size
+    # gives, bit for bit.
+    def each_size_alone(n_grid, k):
+        return [row for n in n_grid
+                for row in lattice_size_sweep([n], kappas=(1, 64), k=k).rows]
+
     calls = eigvalsh_shapes
     table = lattice_size_sweep([20, 200], kappas=(1, 64), k=1e-20)
     assert calls == [(4, 20, 20)]
-    assert table.rows[0][2] == 34.21928060602842
+    assert np.array(table.rows).tobytes() == np.array(each_size_alone([20, 200], 1e-20)).tobytes()
+    # E_N of the 20-site ring at kappa = 1 is 34.2192809488736 from mpmath at
+    # 60 digits; the kernel stays no farther from it than the direct full
+    # product L^T P pp P L did (34.21928060602842).
+    assert abs(table.rows[0][2] - 34.2192809488736) <= abs(34.21928060602842 - 34.2192809488736)
     calls.clear()
     table = lattice_size_sweep([40, 200], kappas=(1, 64), k=1e-22)
     assert calls == [(4, 20, 20)] * 2
-    assert table.rows[0][2] == 2.6050086894766062
-    assert table.rows[-1][2] == 2.4342093801207523
+    assert np.array(table.rows).tobytes() == np.array(each_size_alone([40, 200], 1e-22)).tobytes()
     with pytest.raises(NotPositiveDefiniteError,
                        match="^reduced qq block is not positive definite: eigenvalue"):
         lattice_size_sweep([20, 200], kappas=(1, 64), k=1e-22)

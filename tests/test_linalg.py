@@ -312,6 +312,53 @@ def test_kernel_matches_mpmath_on_an_ill_conditioned_qq():
     assert error <= np.max(np.abs(eigh_root_eigvals(qq, pp, signs) - exact) / exact)
 
 
+def direct_product_eigvals(qq, pp, signs):
+    # The kernel before the one-product form: the full product
+    # L^T (P pp P) L for every pattern, symmetrized, then eigvalsh.
+    low = np.linalg.cholesky(qq)
+    sym = low.T @ (pp * np.outer(signs, signs)) @ low
+    return np.linalg.eigvalsh(0.5 * (sym + sym.T))
+
+
+def test_kernel_matches_mpmath_on_an_interleaved_sign_pattern():
+    # As above, with a pattern whose flipped rows are not a prefix, so the
+    # correction pp[:, G] L[G, :c] reaches column 14 of 16 from rows
+    # scattered through L. Both this kernel and the direct product inherit
+    # their error from the Cholesky factor of the ill-conditioned qq; over
+    # seeds the two agree to a few parts in 1e4, either way round.
+    rng = np.random.default_rng(0)
+    m = 16
+    q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    qq = (q * np.logspace(0.0, -8.0, m)) @ q.T
+    qq = 0.5 * (qq + qq.T)
+    pp = random_spd(rng, m, shift=1.0)
+    signs = np.array([1, -1, -1, 1, -1, 1, 1, -1, 1, 1, -1, -1, 1, -1, 1, 1], dtype=float)
+    with mpmath.workdps(40):
+        product = mpmath.matrix(qq.tolist()) * mpmath.matrix(
+            (pp * np.outer(signs, signs)).tolist())
+        exact = np.sort([float(mpmath.re(e)) for e in
+                         mpmath.eig(product, left=False, right=False)])
+    (got,) = _block_product_eigvals(qq, pp, [signs])
+    error = np.max(np.abs(got - exact) / np.abs(exact))
+    direct = np.max(np.abs(direct_product_eigvals(qq, pp, signs) - exact) / np.abs(exact))
+    assert error <= 1e-9
+    assert error <= 1.01 * direct
+
+
+def test_kernel_gives_a_pattern_and_its_negation_the_same_bits():
+    # P pp P = (-P) pp (-P): the kernel flips the rows whose sign differs
+    # from the last, which names the same rows for both.
+    rng = np.random.default_rng(15)
+    qq = np.stack([random_spd(rng, 9) for _ in range(3)])
+    pp = np.stack([random_spd(rng, 9) for _ in range(3)])
+    for signs in (np.array([1, -1, 1, 1, -1, -1, 1, -1, -1.0]), np.ones(9),
+                  np.array([-1.0] * 4 + [1.0] * 5)):
+        plus, minus = _block_product_eigvals(qq, pp, [signs, -signs])
+        assert plus.tobytes() == minus.tobytes()
+        direct = np.stack([direct_product_eigvals(a, b, signs) for a, b in zip(qq, pp)])
+        assert_allclose(plus, direct, rtol=1e-10)
+
+
 def test_no_route_computes_eigenvectors(monkeypatch):
     # Only normal_modes needs eigenvectors; every spectrum and negativity
     # route gets by with eigenvalues and Cholesky factors.

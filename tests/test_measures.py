@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from oscent.covariance import (
     CovarianceMatrix,
+    angle_average_covariance,
     classical_covariance,
     quantum_ground_covariance,
     reduce_modes,
@@ -13,8 +14,10 @@ from oscent.covariance import (
 from oscent.errors import (
     AlphaOutOfDomainError,
     DegenerateParametersError,
+    NotPositiveDefiniteError,
     SubHeisenbergError,
 )
+from oscent.linalg import symplectic_spectrum
 from oscent.measures import (
     DEFAULT_ALPHAS,
     alpha_family,
@@ -253,6 +256,47 @@ def test_measure_report_is_consistent():
     assert_allclose(report.linear_entropy, 1.0 - report.purity, rtol=1e-15)
     assert_allclose(report.von_neumann, ENTROPY_REF, rtol=1e-12)
     assert set(report.families) == {2.0, 4.0}
+
+
+# --- the normal-mode certificate ---------------------------------------------------
+
+def test_certified_report_runs_one_eigensolve(eigvalsh_shapes):
+    # A state built from normal modes, and every reduction of it, carries the
+    # certificate, so its report solves only the product. The same entries
+    # handed in as a bare CovarianceMatrix run the eigenvalue test first.
+    rng = np.random.default_rng(1516)
+    modes = normal_modes(random_chain(rng, 8))
+    cov = classical_covariance(modes, np.ones(8))
+    assert cov._posdef and quantum_ground_covariance(modes, hbar=0.3)._posdef
+    red = reduce_modes(cov, [0, 2, 3, 6])
+    assert red._posdef
+    certified = measure_report(red)
+    assert eigvalsh_shapes == [(4, 4)]
+    eigvalsh_shapes.clear()
+    tested = measure_report(CovarianceMatrix(red.matrix))
+    assert eigvalsh_shapes == [(4, 4)] * 2
+    assert certified.sigma.tobytes() == tested.sigma.tobytes()
+    assert certified.purity == tested.purity
+
+
+def test_uncertified_states_keep_the_eigenvalue_test(eigvalsh_shapes):
+    modes = normal_modes(TwoMode(A=5.0, B=20.0, C=10.0))
+    averaged = angle_average_covariance(modes, np.ones(2), grid_points=16)
+    assert not averaged._posdef
+    sigma_tilde(averaged)
+    assert eigvalsh_shapes == [(2, 2)] * 2
+    # A hand-built indefinite qq is refused by the test.
+    qq = np.array([[1.0, 2.0], [2.0, 1.0]])
+    indefinite = CovarianceMatrix(np.block([[qq, np.zeros((2, 2))],
+                                            [np.zeros((2, 2)), np.eye(2)]]))
+    with pytest.raises(NotPositiveDefiniteError, match="qq block is not positive definite"):
+        sigma_tilde(indefinite)
+    # Actions spread below the kernel's floor leave the state uncertified,
+    # and the test refuses it.
+    spread = classical_covariance(modes, np.array([1.0, 1e-13]))
+    assert not spread._posdef
+    with pytest.raises(NotPositiveDefiniteError, match="qq block is not positive definite"):
+        symplectic_spectrum(spread.matrix, _certified=spread._posdef)
 
 
 # --- closed forms -----------------------------------------------------------------

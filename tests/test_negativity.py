@@ -80,11 +80,17 @@ def one_partition_lambdas(cov, partition):
     red = reduce_modes(cov, partition.members)
     a, m = require_symmetric(red.matrix), red.n_modes
     qq_u, pp_u = a[:m, :m] / red.action, a[m:, m:] / red.action
-    signs = partition.momentum_signs()
-    flipped_pp = pp_u * np.outer(signs, signs)
     low = np.linalg.cholesky(qq_u)
-    sym = low.T @ flipped_pp @ low
-    lambdas = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+    flip = partition.momentum_signs()
+    flip = flip * flip[-1]                      # the same rows for P and -P
+    group = np.flatnonzero(flip < 0.0)
+    z = pp_u @ low                              # shared by every pattern
+    if group.size:
+        c = group[-1] + 1                       # L[group, c:] is zero
+        z[:, :c] -= 2.0 * (np.ascontiguousarray(pp_u[:, group])
+                           @ np.ascontiguousarray(low[group, :c]))
+    z *= flip[:, np.newaxis]                    # z = T pp_u T L
+    lambdas = np.linalg.eigvalsh(low.T @ z)     # reads the lower triangle
     return np.maximum(lambdas, np.finfo(float).tiny)
 
 
@@ -238,11 +244,20 @@ def test_certified_ring_stacks_skip_only_the_eigenvalue_test(eigvalsh_shapes):
         for g, w in zip(got_p, want_p):
             assert g.lambda_tilde.tobytes() == w.lambda_tilde.tobytes()
             assert g.log_negativity == w.log_negativity
-    # The dense route and symplectic_spectrum keep their test.
+    # A reduction of a certified ring is certified and skips the test too; a
+    # hand-built CovarianceMatrix of the same entries, and symplectic_spectrum
+    # of a bare array, keep it.
     dense = reduce_modes(ring_covariance(CircularLattice(16, 0.1, 1.0)), range(16))
+    assert dense._posdef
     shapes.clear()
-    log_negativity(dense, parts[0])
+    skipped = log_negativity(dense, parts[0])
+    assert shapes == [(1, 6, 6)]
+    hand_built = CovarianceMatrix(dense.matrix)
+    assert not hand_built._posdef
+    shapes.clear()
+    tested = log_negativity(hand_built, parts[0])
     assert shapes == [(1, 6, 6)] * 2
+    assert skipped.lambda_tilde.tobytes() == tested.lambda_tilde.tobytes()
     shapes.clear()
     symplectic_spectrum(dense.matrix)
     assert shapes == [(16, 16)] * 2
