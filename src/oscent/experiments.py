@@ -32,6 +32,7 @@ from .models import (
 from .negativity import stacked_log_negativities
 
 DEFAULT_KAPPAS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+_STEP_TOL = 1e-10  # fit_kappa_asymptote stops below this relative parameter step
 
 
 @dataclass(frozen=True)
@@ -285,13 +286,21 @@ def lattice_size_sweep(n_grid, kappas=DEFAULT_KAPPAS, k=0.1, n1=10, n2=10):
     return SweepTable(("N", "kappa", "log_negativity", "negativity"), tuple(rows))
 
 
+def _require_finite(e, key, keys):
+    """Refuse a NaN or infinite E_N, naming its row by its ``key`` value."""
+    bad = ~np.isfinite(e)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(f"E_N = {e[i]:g} at {key} = {keys[i]:g} is not finite")
+
+
 def fit_adjacent_cft(n1_values, e_values, block=100):
     """Straight-line fit of E_N against ln((block/pi) sin(pi n1 / block)).
 
     Returns b1 (4 times the slope), b2 (the intercept) and the rms residual.
     Endpoint rows (n1 = 0 or block) are excluded; at least 10 interior
     points are required. An n1 outside [0, block] (or NaN) belongs to
-    another block size and raises ValueError.
+    another block size and raises ValueError, as does a non-finite E_N.
     """
     n1 = np.asarray(n1_values, dtype=float)
     e = np.asarray(e_values, dtype=float)
@@ -300,6 +309,7 @@ def fit_adjacent_cft(n1_values, e_values, block=100):
     if np.any(outside):
         raise ValueError(f"n1 = {n1[outside][0]:g} outside [0, {block}]: "
                          f"the rows do not come from a block of {block} sites")
+    _require_finite(e, "n1", n1)
     keep = (n1 > 0.0) & (n1 < float(block))
     n1, e = n1[keep], e[keep]
     if n1.size < 10:
@@ -322,7 +332,7 @@ def saturation_curve(kappa, a, b, c, d):
     return a - b / (kappa**c + d)
 
 
-def fit_kappa_asymptote(kappas, e_values, max_iter=500, step_tol=1e-10):
+def fit_kappa_asymptote(kappas, e_values, max_iter=500):
     """Fit E_N(kappa) = a - b/(kappa**c + d) by damped Gauss-Newton.
 
     Starts from a = max(E), b = a - min(E), c = 0.5, d = 1. The damping
@@ -334,6 +344,8 @@ def fit_kappa_asymptote(kappas, e_values, max_iter=500, step_tol=1e-10):
 
     Raises
     ------
+    ValueError
+        If a kappa is not positive and finite or an E_N is not finite.
     NoConvergenceError
         If max_iter iterations pass without the step shrinking to tolerance.
     """
@@ -341,8 +353,12 @@ def fit_kappa_asymptote(kappas, e_values, max_iter=500, step_tol=1e-10):
     e = np.asarray(e_values, dtype=float)
     if kappa.size != e.size or kappa.size < 4:
         raise ValueError("need matching kappa / E arrays with at least 4 points")
-    if np.any(kappa <= 0.0):
-        raise ValueError("kappa grid must be positive")
+    # Written so that NaN fails too: every comparison with NaN is false.
+    bad = ~((kappa > 0.0) & (kappa < np.inf))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(f"kappa = {kappa[i]:g} at point {i} is not positive and finite")
+    _require_finite(e, "kappa", kappa)
 
     theta = np.array([float(np.max(e)), float(np.max(e) - np.min(e)), 0.5, 1.0])
 
@@ -378,7 +394,7 @@ def fit_kappa_asymptote(kappas, e_values, max_iter=500, step_tol=1e-10):
             rel_step = float(np.max(np.abs(step) / np.maximum(np.abs(candidate), 1e-12)))
             theta, r, cost = candidate, r_new, cost_new
             damping = max(damping / 10.0, 1e-12)
-            if rel_step < step_tol:
+            if rel_step < _STEP_TOL:
                 rms = float(np.sqrt(cost / kappa.size))
                 return FitResult(
                     params=dict(zip("abcd", (float(x) for x in theta))),

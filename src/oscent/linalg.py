@@ -33,8 +33,8 @@ class EigDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def require_symmetric(mat, name="matrix", rtol=SYMMETRY_RTOL):
-    """Check symmetry within ``rtol * max|entry|`` and return ``(A + A.T)/2``.
+def require_symmetric(mat, name="matrix"):
+    """Check symmetry within ``SYMMETRY_RTOL * max|entry|``; return ``(A + A.T)/2``.
 
     Raises
     ------
@@ -59,48 +59,25 @@ def require_symmetric(mat, name="matrix", rtol=SYMMETRY_RTOL):
     scale = max(hi, -lo)
     d = a - a.T
     resid = float(np.max(d))
-    if resid > rtol * scale:
+    if resid > SYMMETRY_RTOL * scale:
         raise AsymmetricInputError(
             f"{name} is not symmetric: max asymmetry {resid:.3e} "
-            f"exceeds {rtol:.0e} * max|entry| = {rtol * scale:.3e}"
+            f"exceeds {SYMMETRY_RTOL:.0e} * max|entry| = {SYMMETRY_RTOL * scale:.3e}"
         )
     np.add(a, a.T, out=d)
     d *= 0.5
     return d
 
 
-def _canonical_column_signs(vecs):
-    # Flip each eigenvector so its first non-negligible component is positive.
-    if not vecs.size:
-        return vecs.copy()
-    big = np.abs(vecs) > 1e-12
-    lead = vecs[np.argmax(big, axis=0), np.arange(vecs.shape[1])]
-    v = vecs.copy()
-    np.negative(v, out=v, where=big.any(axis=0) & (lead < 0.0))
-    return v
-
-
 def eig_sym(mat, name="matrix"):
-    """Full eigendecomposition of a symmetric matrix.
-
-    Parameters
-    ----------
-    mat : (n, n) array_like
-        Symmetric within ``SYMMETRY_RTOL`` (relative to the largest entry).
-
-    Returns
-    -------
-    EigDecomposition
-        Eigenvalues ascending; orthonormal eigenvector columns, each flipped
-        so its first non-negligible component is positive (deterministic
-        orientation for degenerate blocks too).
-    """
+    """Eigenvalues ascending and orthonormal eigenvector columns of a matrix
+    symmetric within ``SYMMETRY_RTOL``, as ``np.linalg.eigh`` gives them: the
+    sign of each column is unspecified."""
     a = require_symmetric(mat, name=name)
     try:
-        w, v = np.linalg.eigh(a)
+        return EigDecomposition(*np.linalg.eigh(a))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    return EigDecomposition(w, _canonical_column_signs(v))
 
 
 def symplectic_form(n_modes):
@@ -226,7 +203,7 @@ def _unsheared_blocks(mat, name):
         raise EmptySubsystemError(f"{name} is 0 x 0: it holds no modes")
     n = a.shape[0] // 2
     qq = a[:n, :n]
-    scale = float(np.max(np.abs(a)))
+    scale = max(float(np.max(a)), -float(np.min(a)))   # max|a| without an |a| temporary
     return a, qq, unsheared_momentum_block(qq, a[:n, n:], a[n:, n:], scale)
 
 

@@ -20,6 +20,7 @@ from .errors import (
     AsymmetricInputError,
     DegenerateParametersError,
     InvalidModelError,
+    NoConvergenceError,
     UnstableSystemError,
 )
 from .linalg import eig_sym, require_symmetric
@@ -196,8 +197,11 @@ def m_matrix(model):
 
 def stability(model):
     """Report whether all normal-mode frequencies are real (M > 0)."""
-    w, _ = eig_sym(m_matrix(model), name="M")
-    return StabilityReport(bool(w[0] > 0.0), float(w[0]))
+    try:
+        low = float(np.linalg.eigvalsh(require_symmetric(m_matrix(model), name="M"))[0])
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    return StabilityReport(low > 0.0, low)
 
 
 def normal_modes(model):
@@ -326,7 +330,7 @@ def _array(field, value):
 
 # (file reader, file writer) per field annotation, a string under postponed annotations.
 _FIELD_CODECS = {
-    "float": (_number, lambda value: value),
+    "float": (_number, lambda value: value.item() if isinstance(value, np.generic) else value),
     "int": (_integer, int),
     "np.ndarray": (_array, lambda value: np.asarray(value, dtype=float).tolist()),
 }

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, file round trips."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oscent.cli import main
+from oscent import experiments
+from oscent.cli import _parse_floats, build_parser, main
 from oscent.experiments import SweepTable, read_sweep_csv, saturation_curve
 from oscent.models import TwoMode, GeneralizedChain, save_model
 
@@ -45,6 +47,37 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# --- defaults ---------------------------------------------------------------
+
+# (argv, library function, {flag attribute: parameter}) for every default that
+# the parser and the library's signature both write down.
+SHARED_DEFAULTS = [
+    (["twomode-sweep"], experiments.sweep_two_mode_coupling, {"A": "a", "B": "b"}),
+    (["ghoc-sweep"], experiments.sweep_ghoc_y2,
+     {"X1": "x1", "X2": "x2", "Y1": "y1", "Z": "z"}),
+    (["lattice-d"], experiments.lattice_disjoint_sweep,
+     {"N": "n", "k": "k", "n1": "n1", "n2": "n2", "kappas": "kappas"}),
+    (["lattice-adjacent"], experiments.lattice_adjacent_sweep,
+     {"N": "n", "k": "k", "block": "block", "kappas": "kappas"}),
+    (["lattice-size"], experiments.lattice_size_sweep,
+     {"k": "k", "n1": "n1", "n2": "n2", "kappas": "kappas"}),
+    (["fit-cft", "--in", "adj.csv", "--kappa", "4"], experiments.fit_adjacent_cft,
+     {"block": "block"}),
+]
+DEFAULT_CASES = [(argv, fn, flag, param) for argv, fn, pairs in SHARED_DEFAULTS
+                 for flag, param in pairs.items()]
+
+
+@pytest.mark.parametrize("argv, fn, flag, param", DEFAULT_CASES,
+                         ids=[f"{argv[0]}--{flag}" for argv, _, flag, _ in DEFAULT_CASES])
+def test_cli_and_library_share_their_defaults(argv, fn, flag, param):
+    value = getattr(build_parser().parse_args(argv), flag)
+    if flag == "kappas":
+        value = _parse_floats(value, "--kappas")
+    default = inspect.signature(fn).parameters[param].default
+    assert value == default and type(value) is type(default)
 
 
 # --- happy paths ------------------------------------------------------------
@@ -364,6 +397,35 @@ def test_fit_cft_refuses_rows_outside_the_block(tmp_path, capsys):
                           "--block", "50"], capsys)
     assert code == 2 and out == ""
     assert one_error_line(err) and "n1 = 51 outside [0, 50]" in err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_fit_cft_refuses_a_non_finite_cell(cell, tmp_path, capsys):
+    # A NaN cell used to give the row nan,nan,nan,4 and exit 0.
+    n1 = np.arange(0, 101, dtype=float)
+    rows = [(v, 4.0, float(cell) if v == 37 else 0.01 * v * (100.0 - v), 0.0) for v in n1]
+    path = tmp_path / "adj.csv"
+    SweepTable(("n1", "kappa", "log_negativity", "negativity"),
+               tuple(rows)).write_csv(path)
+    code, out, err = run(["fit-cft", "--in", str(path), "--kappa", "4"], capsys)
+    assert code == 2 and out == ""
+    assert one_error_line(err) and f"E_N = {cell} at n1 = 37 is not finite" in err
+
+
+@pytest.mark.parametrize("column, cell", [(2, "nan"), (2, "inf"), (1, "nan")])
+def test_fit_kappa_refuses_a_non_finite_cell(column, cell, tmp_path, capsys):
+    # A NaN E_N used to run out 500 iterations and exit 3.
+    kappa = np.geomspace(1.0, 64.0, 16)
+    rows = [[500.0, ka, ei, 0.0]
+            for ka, ei in zip(kappa, saturation_curve(kappa, 2.458, 2.149, 0.641, 0.875))]
+    rows[6][column] = float(cell)
+    path = tmp_path / "size.csv"
+    SweepTable(("N", "kappa", "log_negativity", "negativity"),
+               tuple(map(tuple, rows))).write_csv(path)
+    code, out, err = run(["fit-kappa", "--in", str(path)], capsys)
+    assert code == 2 and out == ""
+    named = f"kappa = {cell} at point 6" if column == 1 else f"E_N = {cell} at kappa = "
+    assert one_error_line(err) and named in err
 
 
 @pytest.mark.parametrize("command, table, missing", [

@@ -448,6 +448,16 @@ def test_cft_fit_refuses_rows_outside_the_block(bad):
         fit_adjacent_cft(n1, e, block=50)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cft_fit_refuses_a_non_finite_log_negativity(bad):
+    # A NaN cell used to come out as a NaN fit with no word.
+    n1 = np.arange(0, 101)
+    e = synthetic_cft(np.clip(n1, 1, 99), 2.5, 1.0)
+    e[37] = bad
+    with pytest.raises(ValueError, match=f"E_N = {bad:g} at n1 = 37 is not finite"):
+        fit_adjacent_cft(n1, e)
+
+
 def test_cft_fit_needs_ten_interior_points():
     n1 = np.concatenate([[0, 100], np.arange(10, 90, 10)])
     e = np.zeros_like(n1, dtype=float)
@@ -497,6 +507,26 @@ def test_kappa_fit_validation():
         fit_kappa_asymptote([1.0, 2.0, 4.0, 8.0], [0.1, 0.2, 0.3])
     with pytest.raises(ValueError):
         fit_kappa_asymptote([0.0, 2.0, 4.0, 8.0], [0.1, 0.2, 0.3, 0.4])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kappa_fit_refuses_a_non_finite_log_negativity(bad):
+    # A NaN cell used to run out the iteration cap and report no convergence.
+    kappa = np.geomspace(1.0, 64.0, 12)
+    e = saturation_curve(kappa, **REFERENCE)
+    e[5] = bad
+    named = f"E_N = {bad:g} at kappa = {kappa[5]:g} is not finite"
+    with pytest.raises(ValueError, match=named):
+        fit_kappa_asymptote(kappa, e)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_kappa_fit_refuses_a_kappa_that_is_not_positive_and_finite(bad):
+    kappa = np.geomspace(1.0, 64.0, 12)
+    e = saturation_curve(kappa, **REFERENCE)
+    kappa[3] = bad
+    with pytest.raises(ValueError, match=f"kappa = {bad:g} at point 3"):
+        fit_kappa_asymptote(kappa, e)
 
 
 def test_kappa_fit_iteration_cap_raises():

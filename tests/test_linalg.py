@@ -14,7 +14,6 @@ from oscent.errors import (
 from oscent.covariance import Bipartition, classical_covariance, reduce_modes, ring_covariances
 from oscent.linalg import (
     _block_product_eigvals,
-    _canonical_column_signs,
     _general_spectrum,
     POSDEF_RTOL,
     _pair_up,
@@ -23,7 +22,7 @@ from oscent.linalg import (
     symplectic_form,
     symplectic_spectrum,
 )
-from oscent.models import CircularLattice, GeneralizedChain, normal_modes
+from oscent.models import CircularLattice, GeneralizedChain, normal_modes, stability
 from oscent.negativity import stacked_log_negativities
 
 
@@ -111,51 +110,9 @@ def test_eig_sym_ascending_orthonormal_reconstructs():
         assert np.all(np.diff(w) >= 0.0)
         assert_allclose(v.T @ v, np.eye(a.shape[0]), atol=1e-12)
         assert_allclose((v * w) @ v.T, a, atol=1e-10 * np.max(np.abs(a)))
-
-
-def test_eig_sym_sign_convention_deterministic():
-    rng = np.random.default_rng(5)
-    a = random_spd(rng, 6)
-    _, v1 = eig_sym(a)
-    _, v2 = eig_sym(a.copy())
-    assert_array_equal(v1, v2)
-    for k in range(6):
-        col = v1[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        assert col[nz[0]] > 0.0
-
-
-def loop_column_signs(vecs):
-    # The column-by-column rule that _canonical_column_signs vectorises.
-    v = vecs.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0.0:
-            v[:, k] = -col
-    return v
-
-
-def test_canonical_column_signs_match_the_loop_bit_for_bit():
-    rng = np.random.default_rng(23)
-    random_cols = rng.normal(size=(7, 7))
-    # Degenerate eigenspaces: eigh picks an arbitrary basis of each one.
-    _, degenerate = np.linalg.eigh(np.diag([1.0, 1.0, 1.0, 2.0, 2.0, 3.0]))
-    _, ring = np.linalg.eigh(np.eye(8) * 2.0 - np.roll(np.eye(8), 1, axis=1)
-                             - np.roll(np.eye(8), -1, axis=1))
-    # Leading entries that are zero or below the 1e-12 cut decide nothing.
-    leading = rng.normal(size=(6, 5))
-    leading[:2, 0] = 0.0
-    leading[:3, 1] = [-1e-13, 5e-13, -0.0]
-    leading[:, 2] = 0.0
-    leading[:, 3] = [-1e-14, 0.0, 1e-13, 0.0, 0.0, -2e-13]
-    leading[0, 4] = -1e-12
-    for vecs in (random_cols, -random_cols, degenerate, ring, leading,
-                 np.zeros((0, 0))):
-        expect = loop_column_signs(vecs)
-        got = _canonical_column_signs(vecs)
-        assert got.shape == expect.shape
-        assert expect.tobytes() == got.tobytes()
+        # Column signs are unspecified, but the same input gives the same bits.
+        w2, v2 = eig_sym(a.copy())
+        assert w.tobytes() == w2.tobytes() and v.tobytes() == v2.tobytes()
 
 
 # --- symplectic form and spectrum -------------------------------------------
@@ -360,8 +317,9 @@ def test_kernel_gives_a_pattern_and_its_negation_the_same_bits():
 
 
 def test_no_route_computes_eigenvectors(monkeypatch):
-    # Only normal_modes needs eigenvectors; every spectrum and negativity
-    # route gets by with eigenvalues and Cholesky factors.
+    # Only normal_modes needs eigenvectors; the stability test, every
+    # spectrum and every negativity route get by with eigenvalues and
+    # Cholesky factors.
     chain = reduce_modes(qp_chain_covariance(79, 12), range(8))
     general = random_spd(np.random.default_rng(83), 8, shift=1.0)
     rings = ring_covariances([CircularLattice(20, 0.1, kappa) for kappa in (1.0, 4.0)])
@@ -370,8 +328,10 @@ def test_no_route_computes_eigenvectors(monkeypatch):
     def outputs():
         lambdas = [r.lambda_tilde for state in (chain, rings)
                    for per_state in stacked_log_negativities(state, parts) for r in per_state]
+        margins = [stability(model).min_eigenvalue for model in (
+            GeneralizedChain(general[:4, :4], np.full(4, 0.3)), CircularLattice(8, 0.0, 1.0))]
         return [symplectic_spectrum(chain.matrix),
-                _general_spectrum(require_symmetric(general))] + lambdas
+                _general_spectrum(require_symmetric(general)), np.array(margins)] + lambdas
 
     expect = outputs()
 
@@ -380,7 +340,7 @@ def test_no_route_computes_eigenvectors(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
     got = outputs()
-    assert len(got) == len(expect) == 8
+    assert len(got) == len(expect) == 9
     for g, want in zip(got, expect):
         assert g.tobytes() == want.tobytes()
 

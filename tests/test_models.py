@@ -380,13 +380,25 @@ def test_saved_model_file_layout_is_pinned(tmp_path, model, text):
     assert path.read_bytes() == text.encode("utf-8")
 
 
+def test_numpy_scalar_fields_round_trip(tmp_path):
+    # A numpy scalar is written as the Python number it holds.
+    path = tmp_path / "model.json"
+    save_model(TwoMode(np.float32(5), np.int64(20), np.float64(7.5)), path)
+    assert path.read_bytes() == (
+        b'{\n  "variant": "TwoMode",\n  "A": 5.0,\n  "B": 20,\n  "C": 7.5\n}\n')
+    assert load_model(path) == TwoMode(A=5.0, B=20.0, C=7.5)
+    ghoc = TwoModeGeneralized(*(np.float32(v) for v in (2.0, 2.5, 0.0, -0.25, 1.0)))
+    save_model(ghoc, path)
+    assert load_model(path) == TwoModeGeneralized(X1=2.0, X2=2.5, Y1=0.0, Y2=-0.25, Z=1.0)
+
+
 def test_unencodable_model_leaves_an_existing_file_unchanged(tmp_path):
     # The file is opened only after the whole model is encoded.
     path = tmp_path / "model.json"
     save_model(TwoMode(A=5.0, B=20.0, C=10.0), path)
     before = path.read_bytes()
-    with pytest.raises(TypeError, match="float32"):
-        save_model(TwoMode(np.float32(5), 20.0, 10.0), path)
+    with pytest.raises(TypeError, match="ndarray"):
+        save_model(TwoMode(np.array(5.0), 20.0, 10.0), path)
     assert path.read_bytes() == before
 
 

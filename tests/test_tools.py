@@ -1,20 +1,22 @@
-"""The output-comparison tool on small hand-made trees."""
+"""The output tools: the comparison tool on small hand-made trees, and a
+smoke run of the dump tool that the byte-identity gate rests on."""
 
 import importlib.util
+import os
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_compare_outputs_reports_the_largest_change_per_column(tmp_path, capsys):
-    tool = load_tool()
+    tool = load_tool("compare_outputs")
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir()
     b.mkdir()
@@ -37,3 +39,32 @@ def test_compare_outputs_reports_the_largest_change_per_column(tmp_path, capsys)
     assert "  s: differs (not numeric or not the same length)\n" in out
     assert tool.main([str(a), str(a)]) == 0
     assert tool.main([str(a)]) == 2
+
+
+def test_dump_outputs_runs_every_command_cleanly(tmp_path):
+    # A command that failed on both sides would leave its file missing from
+    # both trees, and diff -r would still report no difference.
+    dump = load_tool("dump_outputs")
+    assert dump.main([str(tmp_path)]) == 0
+
+    expected = {"status.txt", "fit_kappa.csv", "fit_kappa.json"}
+    for stem in ("twomode_sweep", "ghoc_sweep", "lattice_d", "lattice_adjacent",
+                 "lattice_size"):
+        expected |= {f"{stem}.csv", f"{stem}.json"}
+    expected |= {f"fit_cft_{kappa}.{ext}" for kappa in dump.KAPPAS for ext in ("csv", "json")}
+    for name in dump.MODELS:
+        expected.add(f"model_{name}.json")
+        expected |= {f"measures_{name}_{tag}.out" for tag in ("all", "sub", "all_json")}
+        expected |= {f"negativity_{name}_{i}{tag}.out"
+                     for i in range(len(dump.CUTS[name])) for tag in ("", "_json")}
+    expected |= {f"demo_{script[:-3]}.txt" for script in os.listdir(ROOT / "demos")
+                 if script.endswith(".py")}
+    for name in sorted(expected):
+        assert (tmp_path / name).stat().st_size > 0, name
+
+    # One "label: exit 0" line per command and nothing on stderr: every file
+    # but status.txt and the model files comes from one command.
+    lines = (tmp_path / "status.txt").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(expected) - 1 - len(dump.MODELS)
+    for line in lines:
+        assert line.endswith(": exit 0"), line
