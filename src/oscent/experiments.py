@@ -304,6 +304,9 @@ def fit_adjacent_cft(n1_values, e_values, block=100):
     """
     n1 = np.asarray(n1_values, dtype=float)
     e = np.asarray(e_values, dtype=float)
+    if n1.size != e.size:
+        raise ValueError(f"need matching columns, got {n1.size} n1 values "
+                         f"and {e.size} E_N values")
     # Written so that NaN fails too: every comparison with NaN is false.
     outside = ~((n1 >= 0.0) & (n1 <= float(block)))
     if np.any(outside):

@@ -57,15 +57,20 @@ def require_symmetric(mat, name="matrix"):
             f"{name} has a non-finite entry {a[i, j]} at ({i}, {j})"
         )
     scale = max(hi, -lo)
-    d = a - a.T
-    resid = float(np.max(d))
+    # Above half the largest double a - a.T and a + a.T could overflow, so
+    # they take the halved entries (the same bits for normal numbers).
+    halve = scale > 0.5 * np.finfo(float).max
+    h = 0.5 * a if halve else a
+    d = h - h.T
+    resid = float(np.max(d)) * (2.0 if halve else 1.0)
     if resid > SYMMETRY_RTOL * scale:
         raise AsymmetricInputError(
             f"{name} is not symmetric: max asymmetry {resid:.3e} "
             f"exceeds {SYMMETRY_RTOL:.0e} * max|entry| = {SYMMETRY_RTOL * scale:.3e}"
         )
-    np.add(a, a.T, out=d)
-    d *= 0.5
+    np.add(h, h.T, out=d)
+    if not halve:
+        d *= 0.5
     return d
 
 

@@ -135,10 +135,9 @@ def validate_model(model):
             raise InvalidModelError(f"A and B must be positive, got A={model.A}, B={model.B}")
         if model.A == model.B:
             raise InvalidModelError("A == B is excluded (degenerate two-mode closed forms)")
-        if 4.0 * model.A * model.B - model.C**2 < 0.0:
-            raise InvalidModelError(
-                f"4AB - C^2 = {4.0 * model.A * model.B - model.C ** 2} < 0"
-            )
+        disc = 4.0 * model.A * model.B - model.C * model.C  # C**2 raises on overflow
+        if disc < 0.0:
+            raise InvalidModelError(f"4AB - C^2 = {disc} < 0")
     elif isinstance(model, TwoModeGeneralized):
         _require_finite(model, ("X1", "X2", "Y1", "Y2", "Z"))
     elif isinstance(model, GeneralizedChain):
@@ -311,7 +310,10 @@ def two_mode_angles(model):
 def _number(field, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidModelError(f"field '{field}': expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer beyond the largest double
+        raise InvalidModelError(f"field '{field}': {exc}") from exc
 
 
 def _integer(field, value):
@@ -323,7 +325,7 @@ def _integer(field, value):
 def _array(field, value):
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         kind = "matrix" if field == "K" else "vector"
         raise InvalidModelError(f"field '{field}': not a numeric {kind} ({exc})") from exc
 
@@ -368,22 +370,54 @@ def model_to_dict(model):
 
 def load_model(path):
     """Read a JSON model file; raises InvalidModelError naming the bad field."""
-    with open(path, "r", encoding="utf-8") as fh:
+    import orjson  # here, not at the top: only model files need it (about 5 ms)
+
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        data = orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        # orjson refuses what Python's JSON dialect accepts (NaN, Infinity,
+        # numbers beyond the double range, lone surrogates); the stdlib
+        # parser keeps that dialect and its messages.
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            data = json.loads(raw.decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InvalidModelError(f"not valid JSON: {exc}") from exc
     return model_from_dict(data)
+
+
+def _encode_indented(out, value, pad):
+    # Append value laid out as json.JSONEncoder(indent=2) lays it out; pad is
+    # the newline and indent of the line value starts on. That encoder runs
+    # in pure Python whenever indent is set, so each list of numbers here is
+    # one call to the C encoder. Lists come from ndarray.tolist(): a list
+    # holds numbers only or lists only.
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        for i, (key, item) in enumerate(value.items()):
+            out += f"{',' if i else '{'}{inner}{json.dumps(key)}: ".encode("ascii")
+            _encode_indented(out, item, inner)
+        out += f"{pad}}}".encode("ascii")
+    elif isinstance(value, list) and value and isinstance(value[0], list):
+        for i, row in enumerate(value):
+            out += f"{',' if i else '['}{inner}".encode("ascii")
+            _encode_indented(out, row, inner)
+        out += f"{pad}]".encode("ascii")
+    elif isinstance(value, list) and value:
+        row = json.dumps(value, separators=("," + inner, ": "))
+        out += f"[{inner}{row[1:-1]}{pad}]".encode("ascii")
+    else:
+        out += json.dumps(value).encode("ascii")
 
 
 def save_model(model, path):
     # The whole file is encoded before it is opened, so a value json cannot
     # encode raises and leaves an existing file unchanged. A bytearray holds
-    # the ASCII text at one byte a character; json.dumps, whose chunk list
-    # and joined str coexist, peaks about 7 MiB higher on a 300-site chain.
+    # the ASCII text at one byte a character; one joined str of the whole
+    # file would peak about 7 MiB higher on a 300-site chain.
     data = bytearray()
-    for chunk in json.JSONEncoder(indent=2).iterencode(model_to_dict(model)):
-        data += chunk.encode("ascii")
+    _encode_indented(data, model_to_dict(model), "\n")
     data += b"\n"
     with open(path, "wb") as fh:
         fh.write(data)

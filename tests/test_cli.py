@@ -334,6 +334,23 @@ def test_non_finite_model_file_exits_two(tmp_path, capsys):
     assert code == 2 and "non-finite" in err
 
 
+HUGE = "1" + "0" * 400  # an integer beyond the largest double
+
+
+@pytest.mark.parametrize("doc", [
+    f'{{"variant": "TwoMode", "A": {HUGE}, "B": 20, "C": 1}}',
+    f'{{"variant": "GeneralizedChain", "K": [[{HUGE}, 0], [0, 1]], "Y": [0, 0]}}',
+    f'{{"variant": "CircularLattice", "N": 6, "k": {HUGE}, "kappa": 1}}',
+    '{"variant": "TwoMode", "A": 1, "B": 2, "C": 1e200}',
+], ids=["TwoMode-A", "chain-K", "ring-k", "TwoMode-C-squared"])
+def test_huge_number_in_a_model_file_exits_two(tmp_path, capsys, doc):
+    # Each used to end in an OverflowError traceback with exit code 1.
+    path = tmp_path / "model.json"
+    path.write_text(doc)
+    code, _, err = run(["measures", "--model", str(path)], capsys)
+    assert code == 2 and "error:" in err
+
+
 def test_missing_model_file(tmp_path, capsys):
     code, _, err = run(["measures", "--model", str(tmp_path / "nope.json")],
                        capsys)

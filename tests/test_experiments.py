@@ -458,6 +458,12 @@ def test_cft_fit_refuses_a_non_finite_log_negativity(bad):
         fit_adjacent_cft(n1, e)
 
 
+def test_cft_fit_refuses_columns_of_different_lengths():
+    # This used to end in numpy's bare "boolean index did not match".
+    with pytest.raises(ValueError, match="20 n1 values and 19 E_N values"):
+        fit_adjacent_cft(np.arange(1, 21), np.ones(19))
+
+
 def test_cft_fit_needs_ten_interior_points():
     n1 = np.concatenate([[0, 100], np.arange(10, 90, 10)])
     e = np.zeros_like(n1, dtype=float)

@@ -73,6 +73,16 @@ def test_require_symmetric_rejects_non_finite_entries():
             require_symmetric(a, name="A")
 
 
+def test_require_symmetric_near_the_largest_double():
+    # a + a.T and a - a.T used to overflow here (a RuntimeWarning and an
+    # infinite entry in the result).
+    big = np.finfo(float).max
+    a = np.array([[big, -big], [-big, 1.0]])
+    assert_array_equal(require_symmetric(a), a)
+    with pytest.raises(AsymmetricInputError, match="max asymmetry inf"):
+        require_symmetric(np.array([[1.0, big], [-big, 1.0]]))
+
+
 def test_require_symmetric_rejects_nonsquare():
     with pytest.raises(AsymmetricInputError):
         require_symmetric(np.zeros((2, 3)))

@@ -1,10 +1,15 @@
 """Model assembly, stability, normal modes and model-file round trips."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+
+from oscent import models
 
 from oscent.errors import (
     DegenerateParametersError,
@@ -83,6 +88,8 @@ def test_validate_rejects_bad_two_mode():
         validate_model(TwoMode(A=2.0, B=2.0, C=0.5))
     with pytest.raises(InvalidModelError):
         validate_model(TwoMode(A=1.0, B=1.5, C=10.0))  # 4AB < C^2
+    with pytest.raises(InvalidModelError, match="4AB - C\\^2 = -inf < 0"):
+        validate_model(TwoMode(A=1.0, B=2.0, C=1e200))  # C**2 overflows
     for bad in (float("nan"), float("inf"), float("-inf")):
         for model in (TwoMode(A=bad, B=2.0, C=0.5), TwoMode(A=1.0, B=bad, C=0.5),
                       TwoMode(A=1.0, B=2.0, C=bad)):
@@ -425,6 +432,13 @@ def test_model_dict_errors_name_the_field():
         model_from_dict({"variant": "CircularLattice", "N": True, "k": 0.1, "kappa": 1.0})
     with pytest.raises(InvalidModelError):
         model_from_dict(["not", "a", "mapping"])
+    # An integer beyond the largest double (the JSON parser keeps it exact).
+    huge = 10**400
+    with pytest.raises(InvalidModelError, match="field 'A': int too large"):
+        model_from_dict({"variant": "TwoMode", "A": huge, "B": 2.0, "C": 0.0})
+    with pytest.raises(InvalidModelError, match="field 'K': not a numeric matrix"):
+        model_from_dict({"variant": "GeneralizedChain", "K": [[huge, 0.0], [0.0, 1.0]],
+                         "Y": [0.0, 0.0]})
 
 
 def test_model_dict_validates_parameters():
@@ -437,6 +451,147 @@ def test_load_model_rejects_bad_json(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(InvalidModelError, match="JSON"):
         load_model(path)
+
+
+@pytest.mark.parametrize("raw", [b"\xff", '{"variant": "TwoMode"}'.encode("utf-16"),
+                                 b'{"variant": "TwoMode", "A": 5.0, "B": 20.0, "C": "\xe9"}'],
+                         ids=["byte-ff", "utf-16", "latin-1"])
+def test_load_model_refuses_a_file_that_is_not_utf8(tmp_path, raw):
+    # These used to escape as a bare UnicodeDecodeError.
+    path = tmp_path / "model.json"
+    path.write_bytes(raw)
+    with pytest.raises(InvalidModelError, match="not valid JSON: 'utf-8' codec"):
+        load_model(path)
+
+
+def test_load_model_refuses_a_byte_order_mark(tmp_path):
+    # Python's JSON dialect refuses a UTF-8 BOM in text; the file reader
+    # keeps that rule.
+    path = tmp_path / "model.json"
+    path.write_bytes(b"\xef\xbb\xbf" + b'{"variant": "TwoMode", "A": 5, "B": 20, "C": 1}')
+    with pytest.raises(InvalidModelError, match="BOM"):
+        load_model(path)
+
+
+# --- model files against the standard library --------------------------------
+#
+# save_model encodes each list of numbers with json's C encoder and load_model
+# parses with orjson; the references below are the stdlib routes they replace.
+
+def indent2_oracle(model):
+    """The model file as json's pure-Python encoder writes it at indent=2."""
+    return "".join(json.JSONEncoder(indent=2).iterencode(model_to_dict(model))).encode(
+        "ascii") + b"\n"
+
+
+def field_bits(model):
+    """Each field's type, shape and exact bits (-0.0 differs from 0.0)."""
+    bits = []
+    for name, value in vars(model).items():
+        if isinstance(value, np.ndarray):
+            bits.append((name, value.dtype.str, value.shape, value.tobytes()))
+        elif isinstance(value, float):
+            bits.append((name, "float", struct.pack("<d", value)))
+        else:
+            bits.append((name, type(value).__name__, value))
+    return bits
+
+
+EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e-300, 1e22, 1e23]
+DOUBLES = st.one_of(st.sampled_from(EDGE_DOUBLES),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def is_valid(model):
+    try:
+        validate_model(model)
+    except InvalidModelError:
+        return False
+    return True
+
+
+@st.composite
+def model_strategy(draw):
+    kind = draw(st.sampled_from(["TwoMode", "TwoModeGeneralized", "GeneralizedChain",
+                                 "CircularLattice"]))
+    if kind == "TwoMode":
+        model = TwoMode(*(draw(DOUBLES) for _ in range(3)))
+    elif kind == "TwoModeGeneralized":
+        model = TwoModeGeneralized(*(draw(DOUBLES) for _ in range(5)))
+    elif kind == "CircularLattice":
+        model = CircularLattice(draw(st.integers(3, 64)), abs(draw(DOUBLES)),
+                                abs(draw(DOUBLES)))
+    else:
+        n = draw(st.integers(1, 5))
+        k = np.array(draw(st.lists(DOUBLES, min_size=n * n, max_size=n * n))).reshape(n, n)
+        model = GeneralizedChain(np.triu(k) + np.triu(k, 1).T,
+                                 np.array(draw(st.lists(DOUBLES, min_size=n, max_size=n))))
+    assume(is_valid(model))
+    return model
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(model=model_strategy())
+def test_model_files_match_the_stdlib_encoder_and_decoder(tmp_path_factory, model):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(model, path)
+    assert path.read_bytes() == indent2_oracle(model)
+    reference = model_from_dict(json.loads(path.read_text(encoding="utf-8")))
+    assert field_bits(load_model(path)) == field_bits(reference)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(digits=st.lists(st.text("0123456789", min_size=1, max_size=40), min_size=1, max_size=4),
+       exponents=st.lists(st.integers(-345, 330), min_size=4, max_size=4),
+       signs=st.lists(st.sampled_from(["", "-"]), min_size=4, max_size=4))
+def test_hand_written_numbers_parse_as_json_loads_parses_them(tmp_path_factory, digits,
+                                                              exponents, signs):
+    # Files written by hand need not hold the shortest repr of each double;
+    # long mantissas and halfway cases must round as Python's parser rounds.
+    # A number outside the double range goes to the stdlib parser and is
+    # refused by the field check on both routes.
+    numbers = [f"{sign}{d[0]}.{d[1:] or 0}e{x}" for d, x, sign in zip(digits, exponents, signs)]
+    n = len(numbers)
+    k = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    text = f'{{"variant": "GeneralizedChain", "K": {k}, "Y": [{", ".join(numbers)}]}}'
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    path.write_text(text, encoding="utf-8")
+
+    def outcome(load):
+        try:
+            return field_bits(load())
+        except InvalidModelError as exc:
+            return str(exc)
+
+    assert outcome(lambda: load_model(path)) == outcome(
+        lambda: model_from_dict(json.loads(text)))
+
+
+def test_only_what_orjson_refuses_reaches_json_loads(tmp_path, monkeypatch):
+    # Guards the fast path: a file save_model wrote never takes the fallback.
+    calls, loads = [], json.loads
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(models.json, "loads", spy)
+    path = tmp_path / "model.json"
+    for model in (TwoMode(A=5.0, B=20.0, C=10.0),
+                  TwoModeGeneralized(X1=2.0, X2=2.5, Y1=0.0, Y2=-0.25, Z=1.0),
+                  random_chain(np.random.default_rng(3), 12),
+                  CircularLattice(N=np.int64(16), k=5e-324, kappa=1.7976931348623157e307)):
+        save_model(model, path)
+        load_model(path)
+    assert calls == []
+
+    path.write_text('{"variant": "GeneralizedChain", "K": [[2.0, NaN], [NaN, 2.0]], '
+                    '"Y": [0.0, 0.0]}')
+    with pytest.raises(InvalidModelError, match="field 'K'"):
+        load_model(path)
+    assert len(calls) == 1
 
 
 def test_model_to_dict_is_json_ready():
