@@ -100,24 +100,14 @@ def _add_common(parser, grid_help, grid_default):
                         help="emit the same rows as JSON records")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="oscent",
-        description="Entanglement-style measures of coupled oscillators "
-                    "from classical covariance matrices.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("twomode-sweep",
-                       help="one-oscillator measures along a coupling grid")
+def _add_twomode_sweep(p):
     p.add_argument("--A", type=float, default=5.0)
     p.add_argument("--B", type=float, default=20.0)
     _add_alphas(p)
     _add_common(p, "C grid start:stop:steps", "0:19.9:100")
 
-    p = sub.add_parser("ghoc-sweep",
-                       help="one-oscillator measures of the generalized "
-                            "two-oscillator chain along a Y2 grid")
+
+def _add_ghoc_sweep(p):
     p.add_argument("--X1", type=float, default=2.0)
     p.add_argument("--X2", type=float, default=2.0)
     p.add_argument("--Y1", type=float, default=0.0)
@@ -125,8 +115,8 @@ def build_parser():
     _add_alphas(p)
     _add_common(p, "Y2 grid start:stop:steps", "0:1.6:100")
 
-    p = sub.add_parser("lattice-d",
-                       help="ring negativity vs window separation d")
+
+def _add_lattice_d(p):
     p.add_argument("--N", type=int, default=200)
     p.add_argument("--k", type=float, default=0.1)
     p.add_argument("--n1", type=int, default=50)
@@ -134,8 +124,8 @@ def build_parser():
     p.add_argument("--kappas", default="1,8,64", help="comma list of spring constants")
     _add_common(p, "d grid start:stop:steps", "0:100:11")
 
-    p = sub.add_parser("lattice-adjacent",
-                       help="ring negativity vs split point n1 of a block of sites")
+
+def _add_lattice_adjacent(p):
     p.add_argument("--N", type=int, default=200)
     p.add_argument("--k", type=float, default=1e-4)
     p.add_argument("--block", type=int, default=100,
@@ -143,17 +133,16 @@ def build_parser():
     p.add_argument("--kappas", default="1,2,4,8,16,32,64")
     _add_common(p, "n1 grid start:stop:steps", "0:100:101")
 
-    p = sub.add_parser("lattice-size",
-                       help="adjacent-window ring negativity vs ring size N")
+
+def _add_lattice_size(p):
     p.add_argument("--k", type=float, default=0.1)
     p.add_argument("--n1", type=int, default=10)
     p.add_argument("--n2", type=int, default=10)
     p.add_argument("--kappas", default="1,2,4,8,16,32,64")
     _add_common(p, "N grid start:stop:steps", "20:500:25")
 
-    p = sub.add_parser("fit-cft",
-                       help="fit E_N = (b1/4) ln((block/pi) sin(pi n1/block)) + b2 "
-                            "to a lattice-adjacent sweep")
+
+def _add_fit_cft(p):
     p.add_argument("--in", dest="infile", required=True,
                    help="CSV written by lattice-adjacent")
     p.add_argument("--kappa", type=float, required=True,
@@ -162,9 +151,8 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("fit-kappa",
-                       help="fit E_N(kappa) = a - b/(kappa^c + d) to a "
-                            "lattice-size sweep at one ring size")
+
+def _add_fit_kappa(p):
     p.add_argument("--in", dest="infile", required=True,
                    help="CSV written by lattice-size")
     p.add_argument("--N", type=float, default=None,
@@ -172,8 +160,8 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("measures",
-                       help="purity / entropy report for a model-file subsystem")
+
+def _add_measures(p):
     p.add_argument("--model", required=True, help="JSON model file")
     p.add_argument("--subsystem", default=None,
                    help="comma list of 1-based oscillator indices "
@@ -182,15 +170,62 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("negativity",
-                       help="log-negativity of a bipartition of a model file")
+
+def _add_negativity(p):
     p.add_argument("--model", required=True, help="JSON model file")
     p.add_argument("--group1", required=True, help="comma list of 1-based indices")
     p.add_argument("--group2", required=True, help="comma list of 1-based indices")
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
 
+
+# Every subcommand, in help order: name -> (help text, adds its arguments).
+_COMMANDS = {
+    "twomode-sweep": ("one-oscillator measures along a coupling grid", _add_twomode_sweep),
+    "ghoc-sweep": ("one-oscillator measures of the generalized two-oscillator chain "
+                   "along a Y2 grid", _add_ghoc_sweep),
+    "lattice-d": ("ring negativity vs window separation d", _add_lattice_d),
+    "lattice-adjacent": ("ring negativity vs split point n1 of a block of sites",
+                         _add_lattice_adjacent),
+    "lattice-size": ("adjacent-window ring negativity vs ring size N", _add_lattice_size),
+    "fit-cft": ("fit E_N = (b1/4) ln((block/pi) sin(pi n1/block)) + b2 "
+                "to a lattice-adjacent sweep", _add_fit_cft),
+    "fit-kappa": ("fit E_N(kappa) = a - b/(kappa^c + d) to a lattice-size sweep "
+                  "at one ring size", _add_fit_kappa),
+    "measures": ("purity / entropy report for a model-file subsystem", _add_measures),
+    "negativity": ("log-negativity of a bipartition of a model file", _add_negativity),
+}
+
+
+def build_parser(command=None):
+    """The oscent parser: every subcommand, or only ``command``, a subcommand name.
+
+    Each ``add_argument`` call costs a help formatter, so a run that names
+    its subcommand builds that one alone.
+    """
+    parser = argparse.ArgumentParser(
+        prog="oscent",
+        description="Entanglement-style measures of coupled oscillators "
+                    "from classical covariance matrices.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
+
+
+def _parse_args(argv):
+    """Namespace for ``argv``, parsed as the full parser parses it."""
+    if not argv or argv[0] not in _COMMANDS:
+        # Help, no command or an unknown one: argparse lists every command.
+        return build_parser().parse_args(argv)
+    args, extra = build_parser(argv[0]).parse_known_args(argv)
+    if extra:
+        # The refusal of an unknown flag prints the usage line of the full
+        # parser, which names every command.
+        return build_parser().parse_args(argv)
+    return args
 
 
 def _alphas_from(args):
@@ -274,7 +309,7 @@ def _run(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code = _run(args)
         sys.stdout.flush()

@@ -76,19 +76,24 @@ class SweepTable:
 
 
 def read_sweep_csv(path):
-    """Read back a SweepTable written by write_csv (all cells as floats)."""
+    """Read back a SweepTable written by write_csv (all cells as floats).
+
+    Blank lines are skipped but counted in the line numbers of errors.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [(number, line.rstrip("\n").split(","))
-                 for number, line in enumerate(fh, 1) if line.strip()]
+        lines = [(number, line) for number, line in enumerate(fh.read().split("\n"), 1)
+                 if line.strip()]
     if not lines:
         raise ValueError(f"{path} is empty")
-    columns = tuple(lines[0][1])
-    for number, cells in lines[1:]:
-        if len(cells) != len(columns):
-            raise ValueError(f"{path} line {number}: {len(cells)} cells "
+    (_, header), *body = lines
+    columns = tuple(header.split(","))
+    for number, line in body:
+        if line.count(",") != len(columns) - 1:
+            raise ValueError(f"{path} line {number}: {line.count(',') + 1} cells "
                              f"under a header of {len(columns)}")
-    return SweepTable(columns, tuple(tuple(float(cell) for cell in cells)
-                                     for _, cells in lines[1:]))
+    # One conversion over every cell of the body, then cut into rows.
+    cells = ",".join([line for _, line in body]).split(",") if body else []
+    return SweepTable(columns, tuple(zip(*[iter(map(float, cells))] * len(columns))))
 
 
 @dataclass(frozen=True)

@@ -111,12 +111,24 @@ def _require_finite(model, fields):
             raise InvalidModelError(f"field '{field}': must be finite, got {value}")
 
 
+def _require_finite_square(field, y):
+    # Y**2 enters M = K - Y**2; a coupling whose square overflows is refused
+    # here, before numpy squares it with a warning into an infinite M.
+    y = np.atleast_1d(y)
+    with np.errstate(over="ignore"):
+        bad = ~np.isfinite(y * y)
+    if np.any(bad):
+        raise InvalidModelError(f"field '{field}': {field}**2 overflows, got {y[bad][0]}")
+
+
 def _checked_chain_ky(model):
     # The chain's symmetrized K and its Y, from one validating pass.
     try:
         k = require_symmetric(model.K, name="K")
     except (AsymmetricInputError, TypeError, ValueError) as exc:
         raise InvalidModelError(f"field 'K': {exc}") from exc
+    if k.shape[0] == 0:
+        raise InvalidModelError("field 'K': a chain needs at least one oscillator")
     y = np.asarray(model.Y, dtype=float)
     if y.ndim != 1 or y.shape[0] != k.shape[0]:
         raise InvalidModelError(
@@ -124,6 +136,7 @@ def _checked_chain_ky(model):
         )
     if not np.all(np.isfinite(y)):
         raise InvalidModelError(f"field 'Y': must be finite, got {y[~np.isfinite(y)][0]}")
+    _require_finite_square("Y", y)
     return k, y
 
 
@@ -140,6 +153,8 @@ def validate_model(model):
             raise InvalidModelError(f"4AB - C^2 = {disc} < 0")
     elif isinstance(model, TwoModeGeneralized):
         _require_finite(model, ("X1", "X2", "Y1", "Y2", "Z"))
+        for field in ("Y1", "Y2"):
+            _require_finite_square(field, getattr(model, field))
     elif isinstance(model, GeneralizedChain):
         _checked_chain_ky(model)
     elif isinstance(model, CircularLattice):

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, file round trips."""
 
+import argparse
 import inspect
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oscent import experiments
+from oscent import cli, experiments
 from oscent.cli import _parse_floats, build_parser, main
 from oscent.experiments import SweepTable, read_sweep_csv, saturation_curve
 from oscent.models import TwoMode, GeneralizedChain, save_model
@@ -78,6 +79,98 @@ def test_cli_and_library_share_their_defaults(argv, fn, flag, param):
         value = _parse_floats(value, "--kappas")
     default = inspect.signature(fn).parameters[param].default
     assert value == default and type(value) is type(default)
+
+
+# --- the parser -------------------------------------------------------------
+
+# Per command: the flags it needs, and then a value for every flag it has.
+REQUIRED = {
+    "twomode-sweep": [], "ghoc-sweep": [], "lattice-d": [], "lattice-adjacent": [],
+    "lattice-size": [],
+    "fit-cft": ["--in", "adj.csv", "--kappa", "4"],
+    "fit-kappa": ["--in", "size.csv"],
+    "measures": ["--model", "m.json"],
+    "negativity": ["--model", "m.json", "--group1", "1", "--group2", "2"],
+}
+COMMON = ["--grid", "1:3:3", "--out", "o.csv", "--json"]
+EVERY_FLAG = {
+    "twomode-sweep": ["--A", "1", "--B", "2", "--alphas", "2,3"] + COMMON,
+    "ghoc-sweep": ["--X1", "1", "--X2", "3", "--Y1", "0.5", "--Z", "2",
+                   "--alphas", "2"] + COMMON,
+    "lattice-d": ["--N", "40", "--k", "0.2", "--n1", "5", "--n2", "6",
+                  "--kappas", "1,2"] + COMMON,
+    "lattice-adjacent": ["--N", "40", "--k", "0.2", "--block", "20",
+                         "--kappas", "1"] + COMMON,
+    "lattice-size": ["--k", "0.2", "--n1", "5", "--n2", "4", "--kappas", "1"] + COMMON,
+    "fit-cft": REQUIRED["fit-cft"] + ["--block", "50", "--out", "o.csv", "--json"],
+    "fit-kappa": REQUIRED["fit-kappa"] + ["--N", "40", "--out", "o.csv", "--json"],
+    "measures": REQUIRED["measures"] + ["--subsystem", "1,2", "--alphas", "2",
+                                        "--out", "o.csv", "--json"],
+    "negativity": REQUIRED["negativity"] + ["--out", "o.csv", "--json"],
+}
+REFUSALS = {
+    "no-command": [],
+    "unknown-command": ["bogus"],
+    "unknown-flag": ["fit-cft", "--in", "adj.csv", "--kappa", "4", "--bogus"],
+    "missing-in": ["fit-kappa"],
+    "missing-kappa": ["fit-cft", "--in", "adj.csv"],
+}
+
+
+def subparsers(parser):
+    """name -> subparser, in help order."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_every_flag_table_covers_every_command_and_flag():
+    full = subparsers(build_parser())
+    assert list(full) == list(EVERY_FLAG)
+    for name, parser in full.items():
+        flags = {s for action in parser._actions for s in action.option_strings}
+        given = {arg for arg in EVERY_FLAG[name] if arg.startswith("--")}
+        assert flags - {"-h", "--help"} == given, name
+
+
+def test_a_named_command_builds_its_subparser_alone():
+    names = list(subparsers(build_parser()))
+    assert list(cli._COMMANDS) == names
+    for name in names:
+        assert list(subparsers(build_parser(name))) == [name]
+
+
+@pytest.mark.parametrize("flags", [REQUIRED, EVERY_FLAG], ids=["defaults", "every-flag"])
+@pytest.mark.parametrize("command", list(EVERY_FLAG))
+def test_main_parses_as_the_full_parser(command, flags, monkeypatch):
+    argv = [command] + flags[command]
+    seen = []
+    monkeypatch.setattr(cli, "_run", lambda args: seen.append(args) or 0)
+    assert main(argv) == 0
+    assert seen == [build_parser().parse_args(argv)]
+
+
+@pytest.mark.parametrize("command", list(EVERY_FLAG))
+def test_subcommand_help_is_the_full_parsers(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == subparsers(build_parser())[command].format_help()
+
+
+@pytest.mark.parametrize("argv", REFUSALS.values(), ids=list(REFUSALS))
+def test_argparse_refusals_are_the_full_parsers(argv, monkeypatch, capsys):
+    # The usage line of a refusal by the top-level parser names every command.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    want = capsys.readouterr().err
+    assert "error: " in want
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", want)
 
 
 # --- happy paths ------------------------------------------------------------
@@ -473,6 +566,14 @@ def test_fit_refuses_a_row_of_the_wrong_length(command, bad_row, cells, tmp_path
     assert one_error_line(err) and f"line 3: {cells} cells under a header of 4" in err
 
 
+@pytest.mark.parametrize("command", ["fit-cft", "fit-kappa"])
+def test_fit_refuses_a_non_numeric_cell(command, tmp_path, capsys):
+    path = tmp_path / "sweep.csv"
+    path.write_text("n1,N,kappa,log_negativity\n10,20,4,0.1\n\n20,20,4,abc\n")
+    argv = [command, "--in", str(path)] + (["--kappa", "4"] if command == "fit-cft" else [])
+    assert run(argv, capsys) == (2, "", "error: could not convert string to float: 'abc'\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["lattice-size", "--k", "1e308", "--kappas", "5e307"],
     ["lattice-d", "--kappas", "1e308", "--grid", "0:0:1"],
@@ -486,6 +587,22 @@ def test_overflowing_ring_frequencies_exit_two_with_clean_stderr(argv, tmp_path)
                           capture_output=True, text=True, env=source_env())
     assert proc.returncode == 2 and proc.stdout == ""
     assert one_error_line(proc.stderr) and "field 'kappa': k + 4*kappa" in proc.stderr
+
+
+@pytest.mark.parametrize("doc, field", [
+    ('{"variant": "TwoModeGeneralized", "X1": 2, "X2": 2, "Y1": 1e200, "Y2": 0, "Z": 1}',
+     "Y1"),
+    ('{"variant": "GeneralizedChain", "K": [[1, 0], [0, 1]], "Y": [0, 1e200]}', "Y"),
+], ids=["two-mode-Y1", "chain-Y"])
+def test_overflowing_coupling_exits_two_with_clean_stderr(doc, field, tmp_path):
+    # As its own process, so that a numpy overflow warning would show.
+    (tmp_path / "model.json").write_text(doc)
+    proc = subprocess.run([sys.executable, "-m", "oscent.cli", "measures",
+                           "--model", "model.json"], cwd=tmp_path,
+                          capture_output=True, text=True, env=source_env())
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert one_error_line(proc.stderr)
+    assert f"field '{field}': {field}**2 overflows" in proc.stderr
 
 
 def one_error_line(err):

@@ -408,8 +408,38 @@ def test_column_lookup_rejects_unknown_name():
 
 def test_reading_empty_csv_raises(tmp_path):
     path = tmp_path / "empty.csv"
-    path.write_text("")
-    with pytest.raises(ValueError):
+    for text in ("", "\n \n\r\n"):
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match="empty.csv is empty$"):
+            read_sweep_csv(path)
+
+
+@pytest.mark.parametrize("text, rows", [
+    ("a,b\n", ()),
+    ("a,b\n1,2\n\n \n3,4e-3\n", ((1.0, 2.0), (3.0, 4e-3))),
+    ("a,b\r\n1,2\r\n3,-0.5\r\n", ((1.0, 2.0), (3.0, -0.5))),
+    ("a\n7\n-inf", ((7.0,), (-float("inf"),))),
+], ids=["header-only", "blank-lines", "crlf", "one-column-no-final-newline"])
+def test_read_sweep_csv_layouts(text, rows, tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_bytes(text.encode())
+    table = read_sweep_csv(path)
+    assert table.columns == tuple(text.split("\n")[0].strip().split(","))
+    assert table.rows == rows
+    assert all(type(v) is float for row in table.rows for v in row)
+
+
+def test_read_sweep_csv_line_numbers_count_blank_lines(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("a,b,c\n\n1,2,3\n  \n4,5\n6,7,8,9\n")
+    with pytest.raises(ValueError, match="table.csv line 5: 2 cells under a header of 3$"):
+        read_sweep_csv(path)
+
+
+def test_read_sweep_csv_refuses_a_non_numeric_cell(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("a,b\n1,2\n3,x4\n")
+    with pytest.raises(ValueError, match="^could not convert string to float: 'x4'$"):
         read_sweep_csv(path)
 
 

@@ -136,6 +136,37 @@ def test_validate_rejects_non_finite_chain():
             normal_modes(GeneralizedChain(K=np.eye(2), Y=np.array([0.1, bad])))
 
 
+@pytest.mark.parametrize("model, field", [
+    (TwoModeGeneralized(X1=2.0, X2=2.0, Y1=1e200, Y2=0.0, Z=1.0), "Y1"),
+    (TwoModeGeneralized(X1=2.0, X2=2.0, Y1=0.0, Y2=np.float64(-1e155), Z=1.0), "Y2"),
+    (GeneralizedChain(K=np.eye(3), Y=np.array([0.0, 1e200, 0.1])), "Y"),
+])
+def test_validate_rejects_a_coupling_whose_square_overflows(model, field):
+    # Each is finite, but Y**2 in M = K - Y**2 is not.
+    with np.errstate(all="raise"):  # refused before numpy squares it
+        with pytest.raises(InvalidModelError,
+                           match=f"field '{field}': {field}\\*\\*2 overflows"):
+            validate_model(model)
+        with pytest.raises(InvalidModelError, match=f"field '{field}'"):
+            normal_modes(model)
+    # The largest square that stays finite passes validation.
+    validate_model(TwoModeGeneralized(X1=2.0, X2=2.0, Y1=1e154, Y2=0.0, Z=1.0))
+
+
+def test_empty_chain_is_refused_on_save_and_load(tmp_path):
+    # Saved, it used to read back as a 1-D "K": [] that load_model refuses.
+    empty = GeneralizedChain(K=np.zeros((0, 0)), Y=np.zeros(0))
+    path = tmp_path / "empty.json"
+    with pytest.raises(InvalidModelError, match="field 'K': a chain needs at least one"):
+        save_model(empty, path)
+    assert not path.exists()
+    with pytest.raises(InvalidModelError, match="field 'K'"):
+        normal_modes(empty)
+    path.write_text('{"variant": "GeneralizedChain", "K": [], "Y": []}')
+    with pytest.raises(InvalidModelError, match="field 'K'"):
+        load_model(path)
+
+
 def test_chain_stiffness_is_checked_once(monkeypatch):
     # assemble_ky used to check and symmetrize K once in validate_model and
     # again for the result; one pass gives the same symmetrized matrix.

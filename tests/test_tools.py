@@ -41,9 +41,10 @@ def test_compare_outputs_reports_the_largest_change_per_column(tmp_path, capsys)
     assert tool.main([str(a)]) == 2
 
 
-def test_dump_outputs_runs_every_command_cleanly(tmp_path):
+def test_dump_outputs_runs_every_command_cleanly(tmp_path, monkeypatch):
     # A command that failed on both sides would leave its file missing from
     # both trees, and diff -r would still report no difference.
+    monkeypatch.setenv("COLUMNS", "200")  # wider than the tool's 80; restored after
     dump = load_tool("dump_outputs")
     assert dump.main([str(tmp_path)]) == 0
 
@@ -59,8 +60,24 @@ def test_dump_outputs_runs_every_command_cleanly(tmp_path):
                      for i in range(len(dump.CUTS[name])) for tag in ("", "_json")}
     expected |= {f"demo_{script[:-3]}.txt" for script in os.listdir(ROOT / "demos")
                  if script.endswith(".py")}
-    for name in sorted(expected):
+    parser_files = {"help.txt"} | {f"refusal_{name}.txt" for name in dump.REFUSALS}
+    parser_files |= {f"help_{command.replace('-', '_')}.txt" for command in dump.subcommands()}
+    for name in sorted(expected | parser_files):
         assert (tmp_path / name).stat().st_size > 0, name
+
+    # Help on stdout with exit 0, refusals on stderr with exit 2, both at the
+    # fixed width of 80 columns.
+    for name in parser_files:
+        code, rest = (tmp_path / name).read_text(encoding="utf-8").split("\n", 1)
+        out, err = rest.split("--- stderr\n")
+        if name.startswith("help"):
+            assert code == "exit 0" and err == ""
+            assert out.startswith("--- stdout\nusage: oscent")
+        else:
+            assert code == "exit 2" and out == "--- stdout\n" and "error: " in err
+        for line in rest.splitlines():  # only a list of every command cannot wrap
+            assert len(line) <= 80 or "twomode-sweep" in line, (name, line)
+    assert len(dump.subcommands()) == 9
 
     # One "label: exit 0" line per command and nothing on stderr: every file
     # but status.txt and the model files comes from one command.

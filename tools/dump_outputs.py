@@ -12,12 +12,18 @@ an empty diff means the two versions print the same bytes. The directory gets
   two-mode, a seeded 12-site chain with q-p coupling, a 16-site ring) and
   the ``measures`` and ``negativity`` output on each;
 * the standard output of every script in ``demos/``;
+* the ``-h`` text of the top-level parser (``help.txt``) and of every
+  subcommand (``help_<command>.txt``), and the argparse refusals in
+  ``REFUSALS`` (``refusal_<name>.txt``), each with its exit code, standard
+  output and standard error; ``COLUMNS`` is set to 80 so that the text does
+  not depend on the terminal;
 * ``status.txt``: the exit code and standard error of every command.
 
 It imports ``oscent`` from this checkout's ``src/`` and uses nothing else
 beyond the standard library.
 """
 
+import argparse
 import contextlib
 import io
 import os
@@ -63,6 +69,35 @@ CUTS = {
 }
 
 
+# argparse refusals, by file stem: each exits 2 before any command runs.
+REFUSALS = {
+    "no_command": [],
+    "unknown_command": ["bogus"],
+    "unknown_flag": ["fit-cft", "--in", "adj.csv", "--kappa", "4", "--bogus"],
+    "missing_in": ["fit-kappa"],
+    "missing_kappa": ["fit-cft", "--in", "adj.csv"],
+}
+
+
+def subcommands():
+    """Names of the subcommands, in the order of the top-level help."""
+    parser = cli.build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+def run_parser(path, argv):
+    """Write the exit code, stdout and stderr of an argv that argparse ends."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
+
+
 def run(status, label, argv):
     """Run one CLI command in process; record its exit code and stderr."""
     err = io.StringIO()
@@ -81,6 +116,13 @@ def main(argv=None):
 
     def path(name):
         return os.path.join(out, name)
+
+    os.environ["COLUMNS"] = "80"
+    run_parser(path("help.txt"), ["-h"])
+    for command in subcommands():
+        run_parser(path(f"help_{command.replace('-', '_')}.txt"), [command, "-h"])
+    for name, refused in REFUSALS.items():
+        run_parser(path(f"refusal_{name}.txt"), refused)
 
     status = []
     for command in ("twomode-sweep", "ghoc-sweep", "lattice-d", "lattice-adjacent",
