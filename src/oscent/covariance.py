@@ -35,7 +35,7 @@ from .errors import (
     IndexOutOfRangeError,
     OverlappingGroupsError,
 )
-from .linalg import _circulant_posdef, _require_even_rows, _spectrum_posdef
+from .linalg import _circulant_posdef, _require_even_rows, _spectrum_posdef, require_symmetric
 from .models import CircularLattice, NormalModes, _ring_frequency_rows
 
 
@@ -47,16 +47,25 @@ class CovarianceMatrix:
     (hbar/2 for the quantum ground state). It is None when the actions were
     not uniform, in which case the normalized measures are undefined.
 
-    The private keyword ``_posdef`` certifies that the qq block of this
-    matrix and of every reduction of it passes the block-product kernel's
-    positive-definiteness test, so the kernel may skip it. Only states
-    built from normal modes (classical_covariance) and their reductions set
-    it; see linalg._spectrum_posdef.
+    The private keyword ``_certified`` vouches for three facts about this
+    matrix and every reduction of it:
+
+    * the matrix is exactly symmetric;
+    * its cross block is the local shear ``qp = -qq Y`` of the Y read from
+      its diagonals, ``y_j = -qp_jj / qq_jj`` (a zero block is the shear of
+      Y = 0);
+    * ``qq`` passes the block-product kernel's positive-definiteness test
+      with room for roundoff (linalg._spectrum_posdef).
+
+    Its reports then skip the symmetry, scale and shear scans and the
+    kernel's eigenvalue test (see linalg._unsheared_blocks). Only states
+    built from normal modes (classical_covariance), reductions of exactly
+    even certified ring rows, and their reductions set it.
     """
 
     matrix: np.ndarray
     action: Optional[float] = 1.0
-    _posdef: bool = field(default=False, kw_only=True, repr=False)
+    _certified: bool = field(default=False, kw_only=True, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -93,9 +102,13 @@ class CovarianceMatrix:
         return self.matrix[n:, n:]
 
     def _select(self, idx):
+        # ``idx`` is sorted and unique (_checked_indices), so keeping every
+        # mode is a plain copy; anything less takes rows, then columns.
         n = self.n_modes
+        if idx.size == n:
+            return self.matrix.copy()
         sel = np.concatenate([idx, idx + n])
-        return self.matrix[np.ix_(sel, sel)]
+        return self.matrix.take(sel, axis=0).take(sel, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,17 +121,18 @@ class RingCovariance:
     No N x N matrix is formed, so reductions cost O(m**2) for m kept sites
     whatever the ring size.
 
-    ``_posdef`` certifies at construction, from the qq rows alone, that
+    ``_certified`` is set at construction when both rows are exactly even
+    (every window is then exactly symmetric) and the qq rows show that
     every window of every state passes the block-product kernel's
-    positive-definiteness test, so the kernel may skip it (see
-    linalg._circulant_posdef); rows that are not exactly even are not
-    certified. Rows that are not even within ``SYMMETRY_RTOL`` hold no
+    positive-definiteness test (linalg._circulant_posdef); it carries the
+    guarantees of ``CovarianceMatrix._certified`` over to every window and
+    reduction. Rows that are not even within ``SYMMETRY_RTOL`` hold no
     symmetric state and are refused (linalg._require_even_rows).
     """
 
     cq: np.ndarray
     cp: np.ndarray
-    _posdef: bool = field(init=False, repr=False)
+    _certified: bool = field(init=False, repr=False)
     action = 1.0
 
     def __post_init__(self):
@@ -130,11 +144,10 @@ class RingCovariance:
                 f"one site, got {cq.shape} and {cp.shape}")
         if not (np.all(np.isfinite(cq)) and np.all(np.isfinite(cp))):
             raise ValueError("ring rows must be finite")
-        cq_even = _require_even_rows(cq, "ring cq")
-        _require_even_rows(cp, "ring cp")
+        even = _require_even_rows(cq, "ring cq") & _require_even_rows(cp, "ring cp")
         object.__setattr__(self, "cq", cq)
         object.__setattr__(self, "cp", cp)
-        object.__setattr__(self, "_posdef", cq_even and _circulant_posdef(cq))
+        object.__setattr__(self, "_certified", even and _circulant_posdef(cq))
 
     @property
     def n_modes(self):
@@ -214,19 +227,28 @@ def classical_covariance(modes: NormalModes, actions):
     -------
     CovarianceMatrix
         Its action is the common action when uniform, else None. The
-        eigenvalues of ``qq`` are ``actions / omegas``; when their ratio
-        clears the kernel's test with room for the roundoff of forming
-        ``qq`` (linalg._spectrum_posdef), the state is marked certified.
+        matrix is checked and made exactly symmetric here, once, and its
+        cross block is ``-qq Y`` by construction; the eigenvalues of ``qq``
+        are ``actions / omegas``, and when their ratio clears the kernel's
+        test with room for the roundoff of forming ``qq``
+        (linalg._spectrum_posdef), the state is marked certified (see
+        ``CovarianceMatrix._certified``).
     """
     s, omegas, ydiag = modes
     actions = _checked_actions(actions, omegas.shape[0])
     spectrum = actions / omegas
     qq = (s * spectrum) @ s.T
-    pp_free = (s * (actions * omegas)) @ s.T
     qp = -qq * ydiag[np.newaxis, :]
-    pp = pp_free + (ydiag[:, np.newaxis] * qq) * ydiag[np.newaxis, :]
+    pp = (ydiag[:, np.newaxis] * qq) * ydiag[np.newaxis, :]
+    # The cross blocks are exact transposes, so symmetrizing qq and pp gives
+    # the bits require_symmetric would give the whole matrix, with no second
+    # 2n x 2n buffer; each block is symmetrized once the raw one is used up,
+    # which keeps the peak resident set at the unchecked build's.
+    qq = require_symmetric(qq, name="qq")
+    pp += (s * (actions * omegas)) @ s.T
+    pp = require_symmetric(pp, name="pp")
     return CovarianceMatrix(np.block([[qq, qp], [qp.T, pp]]), _common_action(actions),
-                            _posdef=_spectrum_posdef(spectrum))
+                            _certified=_spectrum_posdef(spectrum))
 
 
 def _circulant_row(eigenvalues):
@@ -335,7 +357,7 @@ def reduce_modes(cov, indices):
     is ascending in the output.
     """
     idx = _checked_indices(indices, cov.n_modes)
-    return CovarianceMatrix(cov._select(idx), cov.action, _posdef=cov._posdef)
+    return CovarianceMatrix(cov._select(idx), cov.action, _certified=cov._certified)
 
 
 def partial_transpose(cov: CovarianceMatrix, partition: Bipartition):

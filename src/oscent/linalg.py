@@ -127,6 +127,11 @@ def unsheared_momentum_block(qq, qp, pp, scale):
     y = -np.diag(qp) / d
     if float(np.max(np.abs(qp + qq * y))) > CROSS_BLOCK_RTOL * scale:
         return None
+    return _unshear(qq, pp, y)
+
+
+def _unshear(qq, pp, y):
+    # pp - Y qq Y, the pp block of the state the shear y came from.
     return pp - (y[:, np.newaxis] * qq) * y
 
 
@@ -196,9 +201,16 @@ def _circulant_posdef(rows):
         return _spectrum_posdef(np.fft.rfft(rows, axis=-1).real)
 
 
-def _unsheared_blocks(mat, name):
+def _unsheared_blocks(mat, name, *, certified=False):
     # The symmetrised 2n x 2n matrix, its qq block and its pp block with any
     # local q-p shear undone (None when the cross block is not one).
+    # A ``certified`` matrix (CovarianceMatrix._certified) skips the
+    # symmetry, scale and shear scans; pp is kept when the Y read is zero.
+    if certified:
+        n = mat.shape[0] // 2
+        qq, pp = mat[:n, :n], mat[n:, n:]
+        y = -np.diag(mat[:n, n:]) / np.diag(qq)
+        return mat, qq, _unshear(qq, pp, y) if y.any() else pp
     a = require_symmetric(mat, name=name)
     if a.shape[0] % 2:
         raise AsymmetricInputError(
@@ -241,12 +253,18 @@ def _block_product_eigvals(qq, pp, sign_patterns, name="covariance", *, certifie
         flip = np.asarray(signs, dtype=float)
         flip = flip * flip[-1]
         group = np.flatnonzero(flip < 0.0)
+        if not group.size:   # one sign throughout: T = I, so Z = B
+            out.append(np.linalg.eigvalsh(low_t @ b))
+            continue
+        c = group[-1] + 1
+        # The previous pattern's z is freed only once this copy exists:
+        # freeing it first lets glibc trim the heap between patterns and
+        # fault the pages back in (ten times the page faults of a
+        # lattice-adjacent call).
         z = b.copy()
-        if group.size:
-            c = group[-1] + 1
-            # Contiguous operands keep matmul on one path whatever the stack size.
-            z[..., :c] -= 2.0 * (np.ascontiguousarray(pp[..., group])
-                                 @ np.ascontiguousarray(low[..., group, :c]))
+        # Contiguous operands keep matmul on one path whatever the stack size.
+        z[..., :c] -= 2.0 * (np.ascontiguousarray(pp[..., group])
+                             @ np.ascontiguousarray(low[..., group, :c]))
         z *= flip[:, np.newaxis]
         out.append(np.linalg.eigvalsh(low_t @ z))
     return out
@@ -290,12 +308,15 @@ def symplectic_spectrum(cov, *, name="covariance", _certified=False):
     numpy.ndarray
         The n symplectic eigenvalues, ascending.
 
-    The private ``_certified`` says that the caller has shown the qq block
-    to pass the kernel's positive-definiteness test (a state built from
-    normal modes, see ``CovarianceMatrix._posdef``); the fast route then
-    skips that test. The general route keeps its own, on the whole matrix.
+    The private ``_certified`` says that ``cov`` is a float array that is
+    exactly symmetric, whose cross block is the local shear of the Y read
+    from its diagonals and whose qq block passes the kernel's
+    positive-definiteness test (a state built from normal modes or a
+    reduction of one, see ``CovarianceMatrix._certified``). Such a matrix
+    always takes the fast route, with no symmetry, scale or shear scan and
+    no eigenvalue test; it is trusted, not checked.
     """
-    a, qq, pp = _unsheared_blocks(cov, name)
+    a, qq, pp = _unsheared_blocks(cov, name, certified=_certified)
     if pp is None:
         return _general_spectrum(a, name)
     (lam,) = _block_product_eigvals(qq, pp, [np.ones(qq.shape[0])], name=name,

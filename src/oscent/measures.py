@@ -42,11 +42,11 @@ def sigma_tilde(cov: CovarianceMatrix):
 
     Values within SIGMA_FLOOR_TOL below 1/2 are clamped to 1/2; anything
     farther below raises SubHeisenbergError, since no classical-state or
-    ground-state reduction can produce it. A state built from normal modes
-    (or a reduction of one) skips the qq eigenvalue test its certificate
-    already passed.
+    ground-state reduction can produce it. A certified state (built from
+    normal modes, or a reduction of one) skips the symmetry, scale and
+    shear scans and the qq eigenvalue test its certificate covers.
     """
-    nu = symplectic_spectrum(cov.matrix, _certified=cov._posdef)
+    nu = symplectic_spectrum(cov.matrix, _certified=cov._certified)
     nu = nu / (2.0 * _require_action(cov))
     low = nu < 0.5 - SIGMA_FLOOR_TOL
     if np.any(low):

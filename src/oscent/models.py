@@ -137,6 +137,12 @@ def _checked_chain_ky(model):
     if not np.all(np.isfinite(y)):
         raise InvalidModelError(f"field 'Y': must be finite, got {y[~np.isfinite(y)][0]}")
     _require_finite_square("Y", y)
+    with np.errstate(over="ignore"):   # each finite, but M_jj = K_jj - Y_j**2 may not be
+        bad = np.flatnonzero(~np.isfinite(np.diag(k) - y * y))
+    if bad.size:
+        j = bad[0]
+        raise InvalidModelError(f"field 'K': K_jj - Y_j**2 overflows at j = {j}, "
+                                f"got K_jj = {k[j, j]}, Y_j = {y[j]}")
     return k, y
 
 
@@ -155,6 +161,13 @@ def validate_model(model):
         _require_finite(model, ("X1", "X2", "Y1", "Y2", "Z"))
         for field in ("Y1", "Y2"):
             _require_finite_square(field, getattr(model, field))
+        for x, y in (("X1", "Y1"), ("X2", "Y2")):
+            # Each finite, but M_jj = X + Z - Y**2 may not be; Python floats
+            # overflow to inf without a warning.
+            xv, yv = float(getattr(model, x)), float(getattr(model, y))
+            if not np.isfinite(xv + float(model.Z) - yv * yv):
+                raise InvalidModelError(f"field '{x}': {x} + Z - {y}**2 overflows, "
+                                        f"got {x} = {xv}, Z = {model.Z}, {y} = {yv}")
     elif isinstance(model, GeneralizedChain):
         _checked_chain_ky(model)
     elif isinstance(model, CircularLattice):

@@ -72,17 +72,18 @@ def _unit_blocks(cov, members):
         windows = [ring_windows(ring, members) for ring in cov]
         qq = [q.reshape(-1, m, m) for q, _ in windows]
         pp = [p.reshape(-1, m, m) for _, p in windows]
-        certified = all(ring._posdef for ring in cov)
+        certified = all(ring._certified for ring in cov)
         if len(windows) == 1:   # no copy of a lone stack
             return qq[0], pp[0], certified
         return np.concatenate(qq), np.concatenate(pp), certified
     red = reduce_modes(cov, members)
     action = _require_action(red)
-    _, qq, pp = _unsheared_blocks(red.matrix, "reduced covariance")
+    _, qq, pp = _unsheared_blocks(red.matrix, "reduced covariance",
+                                  certified=red._certified)
     if pp is None:
         raise CrossBlockNotZeroError(
             "q-p cross block of the reduced covariance is neither zero nor a local shear")
-    return (qq / action)[np.newaxis], (pp / action)[np.newaxis], red._posdef
+    return (qq / action)[np.newaxis], (pp / action)[np.newaxis], red._certified
 
 
 def _bits_from_lambdas(lambdas):

@@ -605,6 +605,22 @@ def test_overflowing_coupling_exits_two_with_clean_stderr(doc, field, tmp_path):
     assert f"field '{field}': {field}**2 overflows" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["ghoc-sweep", "--X1", "1e308", "--Z", "1e308"],
+    ["measures", "--model", "model.json"],
+    ["negativity", "--model", "model.json", "--group1", "1", "--group2", "2"],
+], ids=["ghoc-sweep", "measures", "negativity"])
+def test_overflowing_stiffness_exits_two_with_clean_stderr(argv, tmp_path):
+    # As its own process, so that a numpy overflow warning would show.
+    (tmp_path / "model.json").write_text(
+        '{"variant": "TwoModeGeneralized", "X1": 1e308, "X2": 2, "Y1": 0, "Y2": 0, '
+        '"Z": 1e308}')
+    proc = subprocess.run([sys.executable, "-m", "oscent.cli"] + argv, cwd=tmp_path,
+                          capture_output=True, text=True, env=source_env())
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert one_error_line(proc.stderr) and "field 'X1': X1 + Z - Y1**2 overflows" in proc.stderr
+
+
 def one_error_line(err):
     return err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 

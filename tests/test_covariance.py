@@ -377,7 +377,7 @@ def test_ring_windows_lie_inside_the_circulant_spectrum():
         tol = 16.0 * n * eps * w.max()
         assert got[0] >= w.min() - tol
         assert got[-1] <= w.max() + tol
-        assert ring._posdef
+        assert ring._certified
         assert got[0] > POSDEF_RTOL * got[-1]
 
 
@@ -398,35 +398,41 @@ def test_normal_mode_reductions_lie_inside_the_mode_spectrum():
         actions = 10.0 ** rng.uniform(-1.0, 1.0, size=n)
         spectrum = actions / modes.omegas
         cov = classical_covariance(modes, actions)
-        assert cov._posdef == _spectrum_posdef(spectrum)
+        assert cov._certified == _spectrum_posdef(spectrum)
         sites = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
         red = reduce_modes(cov, sites)
-        assert red._posdef == cov._posdef
+        assert red._certified == cov._certified
         got = np.linalg.eigvalsh(red.qq)
         tol = 16.0 * n * eps * spectrum.max()
         assert got[0] >= spectrum.min() - tol
         assert got[-1] <= spectrum.max() + tol
-        if cov._posdef:
+        if cov._certified:
             assert got[0] > POSDEF_RTOL * got[-1]
 
 
 def test_ring_certificate_reads_the_rows():
     stack = ring_covariances([CircularLattice(N=12, k=0.1, kappa=kappa)
                               for kappa in (1.0, 64.0)])
-    assert stack._posdef
-    assert RingCovariance(stack.cq[1], stack.cp[1])._posdef
+    assert stack._certified
+    assert RingCovariance(stack.cq[1], stack.cp[1])._certified
     # One indefinite state uncertifies the stack.
-    assert not RingCovariance(np.stack([stack.cq[0], -stack.cq[1]]), stack.cp)._posdef
-    # Rows that are not exactly even give no symmetric circulant to read.
+    assert not RingCovariance(np.stack([stack.cq[0], -stack.cq[1]]), stack.cp)._certified
+    # Rows that are not exactly even give no symmetric circulant to read,
+    # and pp rows that are not give windows that are not exactly symmetric,
+    # though both are even within SYMMETRY_RTOL and so accepted.
     odd = stack.cq[0].copy()
     odd[1] += 1e-15
-    assert not RingCovariance(odd, stack.cp[0])._posdef
+    assert not RingCovariance(odd, stack.cp[0])._certified
+    odd = stack.cp[0].copy()
+    odd[1] *= 1.0 + 4.0 * np.finfo(float).eps
+    assert not RingCovariance(stack.cq[0], odd)._certified
+    assert not reduce_modes(RingCovariance(stack.cq[0], odd), [0, 1, 2])._certified
     # A nearly singular ring is refused however its rows were made.
     flat = RingCovariance(np.ones(8), np.ones(8))
-    assert not flat._posdef
+    assert not flat._certified
     # Rows whose transform overflows certify nothing, quietly.
     huge = np.full(5, 1e308)
-    assert not RingCovariance(huge, huge)._posdef
+    assert not RingCovariance(huge, huge)._certified
 
 
 # --- partial transpose -------------------------------------------------------

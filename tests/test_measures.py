@@ -267,9 +267,9 @@ def test_certified_report_runs_one_eigensolve(eigvalsh_shapes):
     rng = np.random.default_rng(1516)
     modes = normal_modes(random_chain(rng, 8))
     cov = classical_covariance(modes, np.ones(8))
-    assert cov._posdef and quantum_ground_covariance(modes, hbar=0.3)._posdef
+    assert cov._certified and quantum_ground_covariance(modes, hbar=0.3)._certified
     red = reduce_modes(cov, [0, 2, 3, 6])
-    assert red._posdef
+    assert red._certified
     certified = measure_report(red)
     assert eigvalsh_shapes == [(4, 4)]
     eigvalsh_shapes.clear()
@@ -282,7 +282,7 @@ def test_certified_report_runs_one_eigensolve(eigvalsh_shapes):
 def test_uncertified_states_keep_the_eigenvalue_test(eigvalsh_shapes):
     modes = normal_modes(TwoMode(A=5.0, B=20.0, C=10.0))
     averaged = angle_average_covariance(modes, np.ones(2), grid_points=16)
-    assert not averaged._posdef
+    assert not averaged._certified
     sigma_tilde(averaged)
     assert eigvalsh_shapes == [(2, 2)] * 2
     # A hand-built indefinite qq is refused by the test.
@@ -294,9 +294,9 @@ def test_uncertified_states_keep_the_eigenvalue_test(eigvalsh_shapes):
     # Actions spread below the kernel's floor leave the state uncertified,
     # and the test refuses it.
     spread = classical_covariance(modes, np.array([1.0, 1e-13]))
-    assert not spread._posdef
+    assert not spread._certified
     with pytest.raises(NotPositiveDefiniteError, match="qq block is not positive definite"):
-        symplectic_spectrum(spread.matrix, _certified=spread._posdef)
+        symplectic_spectrum(spread.matrix, _certified=spread._certified)
 
 
 # --- closed forms -----------------------------------------------------------------

@@ -153,6 +153,24 @@ def test_validate_rejects_a_coupling_whose_square_overflows(model, field):
     validate_model(TwoModeGeneralized(X1=2.0, X2=2.0, Y1=1e154, Y2=0.0, Z=1.0))
 
 
+@pytest.mark.parametrize("model, field", [
+    (TwoModeGeneralized(X1=1e308, X2=2.0, Y1=0.0, Y2=0.0, Z=1e308), "X1"),
+    (TwoModeGeneralized(X1=2.0, X2=1e308, Y1=0.0, Y2=0.0, Z=1e308), "X2"),
+    (TwoModeGeneralized(X1=-1e308, X2=2.0, Y1=0.0, Y2=0.0, Z=-1e308), "X1"),
+    (TwoModeGeneralized(X1=-1.7e308, X2=2.0, Y1=1.3e154, Y2=0.0, Z=0.0), "X1"),
+    (GeneralizedChain(K=np.diag([1.0, -1.7e308]), Y=np.array([0.0, 1.3e154])), "K"),
+])
+def test_validate_rejects_a_stiffness_diagonal_that_overflows(model, field):
+    # Each field is finite, but the diagonal of M = K - Y**2 is not.
+    with np.errstate(all="raise"):  # refused before numpy adds them
+        with pytest.raises(InvalidModelError, match=f"field '{field}': .* overflows"):
+            validate_model(model)
+        with pytest.raises(InvalidModelError, match=f"field '{field}'"):
+            normal_modes(model)
+    # The largest sum that stays finite passes validation.
+    validate_model(TwoModeGeneralized(X1=8e307, X2=2.0, Y1=0.0, Y2=0.0, Z=8e307))
+
+
 def test_empty_chain_is_refused_on_save_and_load(tmp_path):
     # Saved, it used to read back as a 1-D "K": [] that load_model refuses.
     empty = GeneralizedChain(K=np.zeros((0, 0)), Y=np.zeros(0))

@@ -226,13 +226,13 @@ def test_rings_of_different_sizes_cannot_share_a_stack():
 
 def uncertified(ring):
     copy = RingCovariance(ring.cq, ring.cp)
-    object.__setattr__(copy, "_posdef", False)
+    object.__setattr__(copy, "_certified", False)
     return copy
 
 
 def test_certified_ring_stacks_skip_only_the_eigenvalue_test(eigvalsh_shapes):
     stack = ring_covariances([CircularLattice(16, 0.1, kappa) for kappa in (1.0, 8.0)])
-    assert stack._posdef
+    assert stack._certified
     parts = [Bipartition(range(n1), range(n1, 6)) for n1 in (1, 2, 3)]
     shapes = eigvalsh_shapes
     got = stacked_log_negativities(stack, parts)
@@ -248,12 +248,12 @@ def test_certified_ring_stacks_skip_only_the_eigenvalue_test(eigvalsh_shapes):
     # hand-built CovarianceMatrix of the same entries, and symplectic_spectrum
     # of a bare array, keep it.
     dense = reduce_modes(ring_covariance(CircularLattice(16, 0.1, 1.0)), range(16))
-    assert dense._posdef
+    assert dense._certified
     shapes.clear()
     skipped = log_negativity(dense, parts[0])
     assert shapes == [(1, 6, 6)]
     hand_built = CovarianceMatrix(dense.matrix)
-    assert not hand_built._posdef
+    assert not hand_built._certified
     shapes.clear()
     tested = log_negativity(hand_built, parts[0])
     assert shapes == [(1, 6, 6)] * 2

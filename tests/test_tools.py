@@ -56,6 +56,8 @@ def test_dump_outputs_runs_every_command_cleanly(tmp_path, monkeypatch):
     for name in dump.MODELS:
         expected.add(f"model_{name}.json")
         expected |= {f"measures_{name}_{tag}.out" for tag in ("all", "sub", "all_json")}
+        expected |= {f"measures_{name}_{tag}{json}.out"
+                     for tag in dump.SUBSETS.get(name, {}) for json in ("", "_json")}
         expected |= {f"negativity_{name}_{i}{tag}.out"
                      for i in range(len(dump.CUTS[name])) for tag in ("", "_json")}
     expected |= {f"demo_{script[:-3]}.txt" for script in os.listdir(ROOT / "demos")

@@ -10,7 +10,9 @@ an empty diff means the two versions print the same bytes. The directory gets
   ``fit-cft`` (every default kappa) and ``fit-kappa`` on those tables;
 * four model files written by ``save_model`` (two-mode, generalized
   two-mode, a seeded 12-site chain with q-p coupling, a 16-site ring) and
-  the ``measures`` and ``negativity`` output on each;
+  the ``measures`` and ``negativity`` output on each, plus both on a
+  six-mode subset of the chain (``SUBSETS``), a multi-mode reduction with
+  a live q-p shear;
 * the standard output of every script in ``demos/``;
 * the ``-h`` text of the top-level parser (``help.txt``) and of every
   subcommand (``help_<command>.txt``), and the argparse refusals in
@@ -64,10 +66,15 @@ MODELS = {
 CUTS = {
     "twomode": [("1", "2"), ("2", "1")],
     "ghoc": [("1", "2"), ("2", "1")],
-    "chain_qp": [("1,2,3", "4,5,6,7"), ("1,5,9", "2,12")],
+    "chain_qp": [("1,2,3", "4,5,6,7"), ("1,5,9", "2,12"), ("1,3,5", "7,9,11")],
     "ring": [("1,2,3,4", "5,6,7,8"), ("1,2", "9,10")],
 }
 
+
+# Extra ``measures --subsystem`` runs per model, by file tag.
+SUBSETS = {
+    "chain_qp": {"six": "1,3,5,7,9,11"},
+}
 
 # argparse refusals, by file stem: each exits 2 before any command runs.
 REFUSALS = {
@@ -143,8 +150,11 @@ def main(argv=None):
     for name, model in MODELS.items():
         model_file = path(f"model_{name}.json")
         models.save_model(model, model_file)
-        for tag, extra in (("all", []), ("sub", ["--subsystem", "1,2"]),
-                           ("all_json", ["--json"])):
+        runs = [("all", []), ("sub", ["--subsystem", "1,2"]), ("all_json", ["--json"])]
+        for tag, subset in SUBSETS.get(name, {}).items():
+            runs += [(tag, ["--subsystem", subset]),
+                     (f"{tag}_json", ["--subsystem", subset, "--json"])]
+        for tag, extra in runs:
             run(status, f"measures {name} {tag}",
                 ["measures", "--model", model_file,
                  "--out", path(f"measures_{name}_{tag}.out")] + extra)
