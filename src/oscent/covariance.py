@@ -264,10 +264,10 @@ def ring_covariances(models):
 
     Row d of qq is (1/N) sum_j cos(2 pi j d / N) / omega_j and row d of pp
     the same sum over omega_j; agrees with classical_covariance of the
-    ring's normal modes at unit actions to roundoff. Every model is checked
-    as by ring_frequencies, and models of different N raise ValueError; the
-    rows of all of them come from one cosine table and one inverse FFT per
-    block and have shape (len(models), N).
+    ring's normal modes at unit actions to roundoff. ``models``, any iterable,
+    is read once in order, each tested as by ring_frequencies; models of
+    different N raise ValueError. The rows of all of them come from one
+    cosine table and one inverse FFT per block, shape (number of models, N).
     """
     omegas = _ring_frequency_rows(models)
     return RingCovariance(_circulant_row(1.0 / omegas), _circulant_row(omegas))

@@ -27,7 +27,6 @@ from .models import (
     TwoMode,
     TwoModeGeneralized,
     normal_modes,
-    validate_model,
 )
 from .negativity import stacked_log_negativities
 
@@ -203,7 +202,9 @@ def _ring_rows(keys, partitions, kappas, n, k):
     one stack, across which one partition per symmetry class is evaluated.
     """
     representatives, classes = _ring_classes(partitions, n)
-    states = ring_covariances([CircularLattice(n, k, kappa) for kappa in kappas])
+    # A generator: each ring is built just before its stability test, so the
+    # first bad kappa in list order is reported, invalid or unstable.
+    states = ring_covariances(CircularLattice(n, k, kappa) for kappa in kappas)
     per_class = stacked_log_negativities(states, representatives)
     rows = []
     for key, c in zip(keys, classes):
@@ -219,7 +220,7 @@ def _ring_group(start, count, n):
 def _check_ring(n, **windows):
     """Refuse a ring of fewer than 3 sites or a window of negative size
     before any group is built; a window of 0 sites is an empty group."""
-    validate_model(CircularLattice(n, 0.0, 0.0))
+    CircularLattice(n, 0.0, 0.0)
     for name, size in windows.items():
         if size < 0:
             raise ValueError(f"{name} = {size}: a window cannot have negative size")
@@ -282,8 +283,8 @@ def lattice_size_sweep(n_grid, kappas=DEFAULT_KAPPAS, k=0.1, n1=10, n2=10):
         if n < n1 + n2:
             raise ValueError(f"N = {n} cannot hold two windows of {n1} and {n2}")
     part = Bipartition(tuple(range(n1)), tuple(range(n1, n1 + n2)))
-    stacks = [ring_covariances([CircularLattice(n, k, kappa) for kappa in kappas])
-              for n in n_grid]
+    stacks = [ring_covariances(CircularLattice(n, k, kappa) for kappa in kappas)
+              for n in n_grid]  # generators, as in _ring_rows
     per_state = stacked_log_negativities(stacks, [part])[0] if stacks else []
     keys = [(n, kappa) for n in n_grid for kappa in kappas]
     rows = [(float(n), kappa, res.log_negativity, res.negativity)

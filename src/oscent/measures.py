@@ -109,12 +109,15 @@ def alpha_family(sigma, alphas=DEFAULT_ALPHAS):
     """AlphaMeasures for each requested order, alpha = 1 via the limit.
 
     The Renyi value is accumulated as a sum of logs so that large orders on
-    many modes underflow gracefully (the product form may reach 0.0).
+    many modes underflow gracefully (the product form may reach 0.0). An
+    order given twice raises ValueError: it would name two columns alike.
     """
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     out: Dict[float, AlphaMeasures] = {}
     for alpha in alphas:
         alpha = float(alpha)
+        if alpha in out:
+            raise ValueError(f"alphas repeat the order {alpha:g}")
         if alpha == 1.0:
             s = von_neumann_entropy(sigma)
             out[alpha] = AlphaMeasures(alpha, float("nan"), s, s)

@@ -5,6 +5,8 @@ symmetric stiffness matrix K and a diagonal position-momentum coupling Y.
 Stability is governed by ``M = K - Y**2``: all normal-mode frequencies are
 real exactly when M is positive definite, and then ``omega = sqrt(eig(M))``
 with the eigenvector columns collected in S (so ``M**a = S @ W**(2a) @ S.T``).
+A model checks its parameters when it is built (``dataclasses.replace``
+too) and raises InvalidModelError outside its domain; none is checked again.
 """
 
 from __future__ import annotations
@@ -17,13 +19,29 @@ from typing import NamedTuple, Union, get_args
 import numpy as np
 
 from .errors import (
-    AsymmetricInputError,
     DegenerateParametersError,
     InvalidModelError,
     NoConvergenceError,
     UnstableSystemError,
 )
 from .linalg import eig_sym, require_symmetric
+
+
+def _require_finite(model, fields):
+    for field in fields:
+        value = getattr(model, field)
+        if not np.isfinite(value):
+            raise InvalidModelError(f"field '{field}': must be finite, got {value}")
+
+
+def _require_finite_square(field, y):
+    # Y**2 enters M = K - Y**2; a coupling whose square overflows is refused
+    # here, before numpy squares it with a warning into an infinite M.
+    y = np.atleast_1d(y)
+    with np.errstate(over="ignore"):
+        bad = ~np.isfinite(y * y)
+    if np.any(bad):
+        raise InvalidModelError(f"field '{field}': {field}**2 overflows, got {y[bad][0]}")
 
 
 @dataclass(frozen=True)
@@ -37,6 +55,16 @@ class TwoMode:
     A: float
     B: float
     C: float
+
+    def __post_init__(self):
+        _require_finite(self, ("A", "B", "C"))
+        if not (self.A > 0.0 and self.B > 0.0):
+            raise InvalidModelError(f"A and B must be positive, got A={self.A}, B={self.B}")
+        if self.A == self.B:
+            raise InvalidModelError("A == B is excluded (degenerate two-mode closed forms)")
+        disc = 4.0 * self.A * self.B - self.C * self.C  # C**2 raises on overflow
+        if disc < 0.0:
+            raise InvalidModelError(f"4AB - C^2 = {disc} < 0")
 
 
 @dataclass(frozen=True)
@@ -52,13 +80,51 @@ class TwoModeGeneralized:
     Y2: float
     Z: float
 
+    def __post_init__(self):
+        _require_finite(self, ("X1", "X2", "Y1", "Y2", "Z"))
+        for field in ("Y1", "Y2"):
+            _require_finite_square(field, getattr(self, field))
+        for x, y in (("X1", "Y1"), ("X2", "Y2")):
+            # Each finite, but M_jj = X + Z - Y**2 may not be; Python floats
+            # overflow to inf without a warning.
+            xv, yv = float(getattr(self, x)), float(getattr(self, y))
+            if not np.isfinite(xv + float(self.Z) - yv * yv):
+                raise InvalidModelError(f"field '{x}': {x} + Z - {y}**2 overflows, "
+                                        f"got {x} = {xv}, Z = {self.Z}, {y} = {yv}")
+
 
 @dataclass(frozen=True, eq=False)
 class GeneralizedChain:
-    """Arbitrary symmetric stiffness K with diagonal couplings Y."""
+    """Arbitrary symmetric stiffness K with diagonal couplings Y, stored as
+    read-only float arrays, K as ``require_symmetric`` returns it."""
 
     K: np.ndarray
     Y: np.ndarray
+
+    def __post_init__(self):
+        try:
+            k = require_symmetric(self.K, name="K")
+        except (TypeError, ValueError) as exc:  # AsymmetricInputError included
+            raise InvalidModelError(f"field 'K': {exc}") from exc
+        if k.shape[0] == 0:
+            raise InvalidModelError("field 'K': a chain needs at least one oscillator")
+        y = np.array(self.Y, dtype=float)
+        if y.ndim != 1 or y.shape[0] != k.shape[0]:
+            raise InvalidModelError(
+                f"field 'Y': expected length-{k.shape[0]} vector, got shape {y.shape}"
+            )
+        if not np.all(np.isfinite(y)):
+            raise InvalidModelError(f"field 'Y': must be finite, got {y[~np.isfinite(y)][0]}")
+        _require_finite_square("Y", y)
+        with np.errstate(over="ignore"):   # each finite, but M_jj = K_jj - Y_j**2 may not be
+            bad = np.flatnonzero(~np.isfinite(np.diag(k) - y * y))
+        if bad.size:
+            j = bad[0]
+            raise InvalidModelError(f"field 'K': K_jj - Y_j**2 overflows at j = {j}, "
+                                    f"got K_jj = {k[j, j]}, Y_j = {y[j]}")
+        for name, value in (("K", k), ("Y", y)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -73,8 +139,22 @@ class CircularLattice:
     k: float
     kappa: float
 
+    def __post_init__(self):
+        if int(self.N) != self.N or self.N < 3:
+            raise InvalidModelError(f"field 'N': need an integer >= 3, got {self.N}")
+        for field in ("k", "kappa"):
+            value = getattr(self, field)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise InvalidModelError(
+                    f"field '{field}': must be finite and >= 0, got {value}"
+                )
+        if not np.isfinite(self.k + 4.0 * self.kappa):  # the largest omega**2
+            raise InvalidModelError(f"field 'kappa': k + 4*kappa overflows for "
+                                    f"k={self.k}, kappa={self.kappa}")
+
 
 HamiltonianModel = Union[TwoMode, TwoModeGeneralized, GeneralizedChain, CircularLattice]
+_MODEL_TYPES = get_args(HamiltonianModel)
 
 
 class StabilityReport(NamedTuple):
@@ -104,95 +184,10 @@ class TwoModeAngles(NamedTuple):
     permuted: bool
 
 
-def _require_finite(model, fields):
-    for field in fields:
-        value = getattr(model, field)
-        if not np.isfinite(value):
-            raise InvalidModelError(f"field '{field}': must be finite, got {value}")
-
-
-def _require_finite_square(field, y):
-    # Y**2 enters M = K - Y**2; a coupling whose square overflows is refused
-    # here, before numpy squares it with a warning into an infinite M.
-    y = np.atleast_1d(y)
-    with np.errstate(over="ignore"):
-        bad = ~np.isfinite(y * y)
-    if np.any(bad):
-        raise InvalidModelError(f"field '{field}': {field}**2 overflows, got {y[bad][0]}")
-
-
-def _checked_chain_ky(model):
-    # The chain's symmetrized K and its Y, from one validating pass.
-    try:
-        k = require_symmetric(model.K, name="K")
-    except (AsymmetricInputError, TypeError, ValueError) as exc:
-        raise InvalidModelError(f"field 'K': {exc}") from exc
-    if k.shape[0] == 0:
-        raise InvalidModelError("field 'K': a chain needs at least one oscillator")
-    y = np.asarray(model.Y, dtype=float)
-    if y.ndim != 1 or y.shape[0] != k.shape[0]:
-        raise InvalidModelError(
-            f"field 'Y': expected length-{k.shape[0]} vector, got shape {y.shape}"
-        )
-    if not np.all(np.isfinite(y)):
-        raise InvalidModelError(f"field 'Y': must be finite, got {y[~np.isfinite(y)][0]}")
-    _require_finite_square("Y", y)
-    with np.errstate(over="ignore"):   # each finite, but M_jj = K_jj - Y_j**2 may not be
-        bad = np.flatnonzero(~np.isfinite(np.diag(k) - y * y))
-    if bad.size:
-        j = bad[0]
-        raise InvalidModelError(f"field 'K': K_jj - Y_j**2 overflows at j = {j}, "
-                                f"got K_jj = {k[j, j]}, Y_j = {y[j]}")
-    return k, y
-
-
-def validate_model(model):
-    """Raise InvalidModelError if the parameters violate the model's domain."""
-    if isinstance(model, TwoMode):
-        _require_finite(model, ("A", "B", "C"))
-        if not (model.A > 0.0 and model.B > 0.0):
-            raise InvalidModelError(f"A and B must be positive, got A={model.A}, B={model.B}")
-        if model.A == model.B:
-            raise InvalidModelError("A == B is excluded (degenerate two-mode closed forms)")
-        disc = 4.0 * model.A * model.B - model.C * model.C  # C**2 raises on overflow
-        if disc < 0.0:
-            raise InvalidModelError(f"4AB - C^2 = {disc} < 0")
-    elif isinstance(model, TwoModeGeneralized):
-        _require_finite(model, ("X1", "X2", "Y1", "Y2", "Z"))
-        for field in ("Y1", "Y2"):
-            _require_finite_square(field, getattr(model, field))
-        for x, y in (("X1", "Y1"), ("X2", "Y2")):
-            # Each finite, but M_jj = X + Z - Y**2 may not be; Python floats
-            # overflow to inf without a warning.
-            xv, yv = float(getattr(model, x)), float(getattr(model, y))
-            if not np.isfinite(xv + float(model.Z) - yv * yv):
-                raise InvalidModelError(f"field '{x}': {x} + Z - {y}**2 overflows, "
-                                        f"got {x} = {xv}, Z = {model.Z}, {y} = {yv}")
-    elif isinstance(model, GeneralizedChain):
-        _checked_chain_ky(model)
-    elif isinstance(model, CircularLattice):
-        if int(model.N) != model.N or model.N < 3:
-            raise InvalidModelError(f"field 'N': need an integer >= 3, got {model.N}")
-        for field in ("k", "kappa"):
-            value = getattr(model, field)
-            if not (np.isfinite(value) and value >= 0.0):
-                raise InvalidModelError(
-                    f"field '{field}': must be finite and >= 0, got {value}"
-                )
-        if not np.isfinite(model.k + 4.0 * model.kappa):  # the largest omega**2
-            raise InvalidModelError(f"field 'kappa': k + 4*kappa overflows for "
-                                    f"k={model.k}, kappa={model.kappa}")
-    else:
-        raise InvalidModelError(f"unknown model type {type(model).__name__}")
-    return model
-
-
 def assemble_ky(model):
     """Stiffness matrix K and the diagonal of Y for any model variant."""
     if isinstance(model, GeneralizedChain):
-        k, y = _checked_chain_ky(model)
-        return k, y.copy()
-    validate_model(model)
+        return model.K.copy(), model.Y.copy()
     if isinstance(model, TwoMode):
         k = np.array([[model.A, model.C / 2.0], [model.C / 2.0, model.B]], dtype=float)
         y = np.zeros(2)
@@ -200,7 +195,7 @@ def assemble_ky(model):
         k = np.array([[model.X1 + model.Z, -model.Z], [-model.Z, model.X2 + model.Z]],
                      dtype=float)
         y = np.array([model.Y1, model.Y2], dtype=float)
-    else:
+    elif isinstance(model, CircularLattice):
         n = int(model.N)
         k = np.zeros((n, n))
         np.fill_diagonal(k, model.k + 2.0 * model.kappa)
@@ -208,13 +203,14 @@ def assemble_ky(model):
         k[idx, (idx + 1) % n] -= model.kappa
         k[idx, (idx - 1) % n] -= model.kappa
         y = np.zeros(n)
+    else:
+        raise InvalidModelError(f"unknown model type {type(model).__name__}")
     return k, y
 
 
 def _k_minus_y2(k, y):
-    m = k.copy()
-    m[np.diag_indices_from(m)] -= y**2
-    return m
+    k[np.diag_indices_from(k)] -= y**2  # in place: k is assemble_ky's own array
+    return k
 
 
 def m_matrix(model):
@@ -225,7 +221,7 @@ def m_matrix(model):
 def stability(model):
     """Report whether all normal-mode frequencies are real (M > 0)."""
     try:
-        low = float(np.linalg.eigvalsh(require_symmetric(m_matrix(model), name="M"))[0])
+        low = float(np.linalg.eigvalsh(m_matrix(model))[0])  # exactly symmetric, finite
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(f"eigendecomposition failed: {exc}") from exc
     return StabilityReport(low > 0.0, low)
@@ -269,7 +265,6 @@ def _ring_frequency_rows(models):
     # of 1 - cos(2 pi j / N) built at the first model.
     rows, table = [], None
     for model in models:
-        validate_model(model)
         n = int(model.N)
         if table is None:
             table = 1.0 - np.cos(2.0 * np.pi * np.arange(n) / n)
@@ -302,10 +297,7 @@ def two_mode_angles(model):
     Frequencies keep the model's own labeling; ``permuted`` flags when that
     labeling is descending. Agrees with ``normal_modes`` to roundoff.
     """
-    validate_model(model)
     if isinstance(model, TwoMode):
-        if model.A == model.B:
-            raise DegenerateParametersError("angle undefined for A == B")
         angle = 0.5 * np.arctan(model.C / (model.B - model.A))
         t = np.tan(angle)
         w1sq = model.A - 0.5 * model.C * t
@@ -364,7 +356,7 @@ _FIELD_CODECS = {
     "int": (_integer, int),
     "np.ndarray": (_array, lambda value: np.asarray(value, dtype=float).tolist()),
 }
-_VARIANTS = {cls.__name__: cls for cls in get_args(HamiltonianModel)}
+_VARIANTS = {cls.__name__: cls for cls in _MODEL_TYPES}
 
 
 def model_from_dict(data):
@@ -385,11 +377,12 @@ def model_from_dict(data):
     if extra:
         raise InvalidModelError(f"field '{sorted(extra)[0]}': not part of variant {variant}")
     values = [_FIELD_CODECS[field.type][0](field.name, data[field.name]) for field in fields]
-    return validate_model(cls(*values))
+    return cls(*values)
 
 
 def model_to_dict(model):
-    validate_model(model)
+    if not isinstance(model, _MODEL_TYPES):
+        raise InvalidModelError(f"unknown model type {type(model).__name__}")
     doc = {"variant": type(model).__name__}
     for field in dataclasses.fields(model):
         doc[field.name] = _FIELD_CODECS[field.type][1](getattr(model, field.name))

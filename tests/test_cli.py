@@ -668,6 +668,17 @@ def test_empty_list_flag_exits_two(argv, flag, capsys):
     assert flag in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["twomode-sweep", "--grid", "0:1:2", "--alphas", "2,2"],
+    ["ghoc-sweep", "--grid", "0:1:2", "--alphas", "2,4,2.0"],
+    ["measures", "--model", "{model}", "--alphas", "2,2"],
+])
+def test_repeated_alpha_exits_two(argv, two_mode_file, capsys):
+    # The sweeps wrote the order's three columns twice; measures dropped the repeat.
+    code, out, err = run([a.format(model=two_mode_file) for a in argv], capsys)
+    assert code == 2 and out == "" and err == "error: alphas repeat the order 2\n"
+
+
 def test_empty_measures_lists_exit_two(two_mode_file, capsys):
     for flag in ("--alphas", "--subsystem"):
         code, out, err = run(["measures", "--model", two_mode_file, flag, ""], capsys)

@@ -185,6 +185,27 @@ def test_sweeps_refuse_an_empty_list_by_name(sweep, name):
         sweep()
 
 
+@pytest.mark.parametrize("sweep", [sweep_two_mode_coupling, sweep_ghoc_y2])
+def test_sweeps_refuse_a_repeated_alpha(sweep):
+    # It used to write mu_2,tsallis_2,renyi_2 twice under one header.
+    with pytest.raises(ValueError, match="^alphas repeat the order 2$"):
+        sweep([0.5], alphas=(2, 4, 2.0))
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda kappas: lattice_disjoint_sweep([0], kappas=kappas, n=20, k=0.0, n1=5, n2=5),
+    lambda kappas: lattice_adjacent_sweep([0, 5], kappas=kappas, n=20, k=0.0, block=10),
+    lambda kappas: lattice_size_sweep([20], kappas=kappas, k=0.0, n1=5, n2=5),
+], ids=["lattice_disjoint_sweep", "lattice_adjacent_sweep", "lattice_size_sweep"])
+def test_ring_sweeps_report_the_first_bad_kappa(sweep):
+    # With k = 0 every kappa > 0 is unstable and kappa < 0 is invalid; the
+    # one reported is the first in list order, whichever kind it is.
+    with pytest.raises(UnstableSystemError):
+        sweep((1.0, -1.0))
+    with pytest.raises(InvalidModelError, match="field 'kappa'"):
+        sweep((-1.0, 1.0))
+
+
 def test_ring_sweeps_match_the_dense_route():
     n, k, kappa = 24, 1e-3, 8.0
     dense = classical_covariance(normal_modes(CircularLattice(n, k, kappa)), np.ones(n))

@@ -130,6 +130,14 @@ def test_alpha_family_rejects_infinite_order():
         alpha_family(np.array([0.5, 0.7]), [2.0, float("inf")])
 
 
+@pytest.mark.parametrize("alphas, order", [((2.0, 2.0), "2"), ((0.9, 1, 2, 1.0), "1"),
+                                           ((4, 8.0, 4.0), "4")])
+def test_alpha_family_refuses_a_repeated_order(alphas, order):
+    # A repeat used to collapse silently into one entry of the family.
+    with pytest.raises(ValueError, match=f"^alphas repeat the order {order}$"):
+        alpha_family(np.array([0.5, 0.7]), alphas)
+
+
 # --- entropy ------------------------------------------------------------------
 
 def test_entropy_zero_on_pure_floor():

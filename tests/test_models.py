@@ -1,7 +1,11 @@
 """Model assembly, stability, normal modes and model-file round trips."""
 
+import dataclasses
 import json
+import os
+import re
 import struct
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,8 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oscent import models
-
+from oscent import covariance, linalg, models
 from oscent.errors import (
     DegenerateParametersError,
     InvalidModelError,
@@ -31,8 +34,8 @@ from oscent.models import (
     save_model,
     stability,
     two_mode_angles,
-    validate_model,
 )
+from oscent.covariance import classical_covariance
 from oscent.linalg import require_symmetric
 
 
@@ -82,48 +85,46 @@ def test_m_matrix_subtracts_squared_coupling():
 
 
 def test_validate_rejects_bad_two_mode():
+    # Construction checks the parameters: an invalid model never exists.
     with pytest.raises(InvalidModelError):
-        validate_model(TwoMode(A=-1.0, B=2.0, C=0.0))
+        TwoMode(A=-1.0, B=2.0, C=0.0)
     with pytest.raises(InvalidModelError):
-        validate_model(TwoMode(A=2.0, B=2.0, C=0.5))
+        TwoMode(A=2.0, B=2.0, C=0.5)
     with pytest.raises(InvalidModelError):
-        validate_model(TwoMode(A=1.0, B=1.5, C=10.0))  # 4AB < C^2
+        TwoMode(A=1.0, B=1.5, C=10.0)  # 4AB < C^2
     with pytest.raises(InvalidModelError, match="4AB - C\\^2 = -inf < 0"):
-        validate_model(TwoMode(A=1.0, B=2.0, C=1e200))  # C**2 overflows
+        TwoMode(A=1.0, B=2.0, C=1e200)  # C**2 overflows
     for bad in (float("nan"), float("inf"), float("-inf")):
-        for model in (TwoMode(A=bad, B=2.0, C=0.5), TwoMode(A=1.0, B=bad, C=0.5),
-                      TwoMode(A=1.0, B=2.0, C=bad)):
+        for fields in (dict(A=bad, B=2.0, C=0.5), dict(A=1.0, B=bad, C=0.5),
+                       dict(A=1.0, B=2.0, C=bad)):
             with pytest.raises(InvalidModelError, match="finite"):
-                validate_model(model)
-            with pytest.raises(InvalidModelError, match="finite"):
-                normal_modes(model)
+                TwoMode(**fields)
 
 
 def test_validate_rejects_bad_lattice():
     with pytest.raises(InvalidModelError):
-        validate_model(CircularLattice(N=2, k=0.1, kappa=1.0))
+        CircularLattice(N=2, k=0.1, kappa=1.0)
     with pytest.raises(InvalidModelError):
-        validate_model(CircularLattice(N=4, k=-0.1, kappa=1.0))
+        CircularLattice(N=4, k=-0.1, kappa=1.0)
     with pytest.raises(InvalidModelError):
-        validate_model(CircularLattice(N=4, k=0.1, kappa=-1.0))
+        CircularLattice(N=4, k=0.1, kappa=-1.0)
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(InvalidModelError):
-            validate_model(CircularLattice(N=4, k=bad, kappa=1.0))
+            CircularLattice(N=4, k=bad, kappa=1.0)
         with pytest.raises(InvalidModelError):
-            validate_model(CircularLattice(N=4, k=0.1, kappa=bad))
+            CircularLattice(N=4, k=0.1, kappa=bad)
     # Each finite, but the largest squared frequency k + 4 kappa overflows.
     for k, kappa in ((1e308, 5e307), (0.1, 1e308), (0.0, 4.5e307)):
         with pytest.raises(InvalidModelError, match="field 'kappa'"):
-            validate_model(CircularLattice(N=4, k=k, kappa=kappa))
-    validate_model(CircularLattice(N=4, k=1e307, kappa=2e307))
+            CircularLattice(N=4, k=k, kappa=kappa)
+    CircularLattice(N=4, k=1e307, kappa=2e307)
 
 
 def test_validate_rejects_asymmetric_chain():
     with pytest.raises(InvalidModelError, match="'K'"):
-        validate_model(GeneralizedChain(K=np.array([[1.0, 0.5], [0.0, 1.0]]),
-                                        Y=np.zeros(2)))
+        GeneralizedChain(K=np.array([[1.0, 0.5], [0.0, 1.0]]), Y=np.zeros(2))
     with pytest.raises(InvalidModelError, match="'Y'"):
-        validate_model(GeneralizedChain(K=np.eye(2), Y=np.zeros(3)))
+        GeneralizedChain(K=np.eye(2), Y=np.zeros(3))
 
 
 def test_validate_rejects_non_finite_chain():
@@ -131,65 +132,119 @@ def test_validate_rejects_non_finite_chain():
         k = np.array([[2.0, 0.5], [0.5, 2.0]])
         k[0, 1] = k[1, 0] = bad
         with pytest.raises(InvalidModelError, match="'K'.*non-finite"):
-            normal_modes(GeneralizedChain(K=k, Y=np.zeros(2)))
+            GeneralizedChain(K=k, Y=np.zeros(2))
         with pytest.raises(InvalidModelError, match="'Y'.*finite"):
-            normal_modes(GeneralizedChain(K=np.eye(2), Y=np.array([0.1, bad])))
+            GeneralizedChain(K=np.eye(2), Y=np.array([0.1, bad]))
 
 
+# Each ``model`` builds an invalid model when called.
 @pytest.mark.parametrize("model, field", [
-    (TwoModeGeneralized(X1=2.0, X2=2.0, Y1=1e200, Y2=0.0, Z=1.0), "Y1"),
-    (TwoModeGeneralized(X1=2.0, X2=2.0, Y1=0.0, Y2=np.float64(-1e155), Z=1.0), "Y2"),
-    (GeneralizedChain(K=np.eye(3), Y=np.array([0.0, 1e200, 0.1])), "Y"),
+    (partial(TwoModeGeneralized, X1=2.0, X2=2.0, Y1=1e200, Y2=0.0, Z=1.0), "Y1"),
+    (partial(TwoModeGeneralized, X1=2.0, X2=2.0, Y1=0.0, Y2=np.float64(-1e155), Z=1.0),
+     "Y2"),
+    (partial(GeneralizedChain, K=np.eye(3), Y=np.array([0.0, 1e200, 0.1])), "Y"),
 ])
 def test_validate_rejects_a_coupling_whose_square_overflows(model, field):
     # Each is finite, but Y**2 in M = K - Y**2 is not.
     with np.errstate(all="raise"):  # refused before numpy squares it
         with pytest.raises(InvalidModelError,
                            match=f"field '{field}': {field}\\*\\*2 overflows"):
-            validate_model(model)
-        with pytest.raises(InvalidModelError, match=f"field '{field}'"):
-            normal_modes(model)
+            model()
     # The largest square that stays finite passes validation.
-    validate_model(TwoModeGeneralized(X1=2.0, X2=2.0, Y1=1e154, Y2=0.0, Z=1.0))
+    TwoModeGeneralized(X1=2.0, X2=2.0, Y1=1e154, Y2=0.0, Z=1.0)
 
 
 @pytest.mark.parametrize("model, field", [
-    (TwoModeGeneralized(X1=1e308, X2=2.0, Y1=0.0, Y2=0.0, Z=1e308), "X1"),
-    (TwoModeGeneralized(X1=2.0, X2=1e308, Y1=0.0, Y2=0.0, Z=1e308), "X2"),
-    (TwoModeGeneralized(X1=-1e308, X2=2.0, Y1=0.0, Y2=0.0, Z=-1e308), "X1"),
-    (TwoModeGeneralized(X1=-1.7e308, X2=2.0, Y1=1.3e154, Y2=0.0, Z=0.0), "X1"),
-    (GeneralizedChain(K=np.diag([1.0, -1.7e308]), Y=np.array([0.0, 1.3e154])), "K"),
+    (partial(TwoModeGeneralized, X1=1e308, X2=2.0, Y1=0.0, Y2=0.0, Z=1e308), "X1"),
+    (partial(TwoModeGeneralized, X1=2.0, X2=1e308, Y1=0.0, Y2=0.0, Z=1e308), "X2"),
+    (partial(TwoModeGeneralized, X1=-1e308, X2=2.0, Y1=0.0, Y2=0.0, Z=-1e308), "X1"),
+    (partial(TwoModeGeneralized, X1=-1.7e308, X2=2.0, Y1=1.3e154, Y2=0.0, Z=0.0), "X1"),
+    (partial(GeneralizedChain, K=np.diag([1.0, -1.7e308]), Y=np.array([0.0, 1.3e154])),
+     "K"),
 ])
 def test_validate_rejects_a_stiffness_diagonal_that_overflows(model, field):
     # Each field is finite, but the diagonal of M = K - Y**2 is not.
     with np.errstate(all="raise"):  # refused before numpy adds them
         with pytest.raises(InvalidModelError, match=f"field '{field}': .* overflows"):
-            validate_model(model)
-        with pytest.raises(InvalidModelError, match=f"field '{field}'"):
-            normal_modes(model)
+            model()
     # The largest sum that stays finite passes validation.
-    validate_model(TwoModeGeneralized(X1=8e307, X2=2.0, Y1=0.0, Y2=0.0, Z=8e307))
+    TwoModeGeneralized(X1=8e307, X2=2.0, Y1=0.0, Y2=0.0, Z=8e307)
+
+
+VALID_MODELS = [
+    TwoMode(A=5.0, B=20.0, C=10.0),
+    TwoModeGeneralized(X1=2.0, X2=2.0, Y1=0.0, Y2=1.0, Z=1.0),
+    GeneralizedChain(K=np.array([[2.0, -0.5], [-0.5, 3.0]]), Y=np.array([0.1, -0.2])),
+    CircularLattice(N=6, k=0.1, kappa=2.0),
+]
+
+
+@pytest.mark.parametrize("model, changes, match", [
+    (VALID_MODELS[0], dict(B=5.0), "A == B is excluded"),
+    (VALID_MODELS[0], dict(C=float("nan")), "field 'C': must be finite"),
+    (VALID_MODELS[1], dict(X1=1e308, Z=1e308), "field 'X1': X1 \\+ Z - Y1\\*\\*2 overflows"),
+    (VALID_MODELS[1], dict(Y2=1e200), "field 'Y2': Y2\\*\\*2 overflows"),
+    (VALID_MODELS[2], dict(K=np.array([[2.0, -0.5], [0.5, 3.0]])), "field 'K': K is not"),
+    (VALID_MODELS[2], dict(Y=np.zeros(3)), "field 'Y': expected length-2"),
+    (VALID_MODELS[3], dict(N=2), "field 'N'"),
+    (VALID_MODELS[3], dict(kappa=-1.0), "field 'kappa'"),
+], ids=["TwoMode-B", "TwoMode-C", "TwoModeGeneralized-X1-Z", "TwoModeGeneralized-Y2",
+        "GeneralizedChain-K", "GeneralizedChain-Y", "CircularLattice-N",
+        "CircularLattice-kappa"])
+def test_replace_checks_like_construction(model, changes, match):
+    # dataclasses.replace builds through __init__, so it cannot skip the check.
+    with pytest.raises(InvalidModelError, match=match) as direct:
+        type(model)(**{**{f.name: getattr(model, f.name)
+                          for f in dataclasses.fields(model)}, **changes})
+    with pytest.raises(InvalidModelError, match=f"^{re.escape(str(direct.value))}$"):
+        dataclasses.replace(model, **changes)
+
+
+def save_to_devnull(model):
+    save_model(model, os.devnull)
+
+
+@pytest.mark.parametrize("call", [normal_modes, assemble_ky, model_to_dict, m_matrix,
+                                  stability, save_to_devnull])
+@pytest.mark.parametrize("obj", [object(), {"variant": "TwoMode"}, None])
+def test_a_non_model_is_refused_by_type(call, obj):
+    with pytest.raises(InvalidModelError, match=f"^unknown model type {type(obj).__name__}$"):
+        call(obj)
+
+
+def test_chain_holds_its_checked_arrays():
+    # K is kept as require_symmetric returns it and Y as floats, both the
+    # model's own read-only arrays, so the checked values cannot change.
+    k = np.array([[2.0, 0.5 + 1e-14], [0.5, 2.0]])
+    y = np.array([1, 0])
+    chain = GeneralizedChain(K=k, Y=y)
+    assert_array_equal(chain.K, 0.5 * (k + k.T))
+    assert chain.Y.dtype == np.float64
+    y[0] = 5
+    assert_array_equal(chain.Y, [1.0, 0.0])
+    for array in (chain.K, chain.Y):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7.0
+    got_k, got_y = assemble_ky(chain)  # copies the caller may change
+    got_k[0, 0] = got_y[0] = -1.0
+    assert_array_equal(chain.K, 0.5 * (k + k.T))
+    assert_array_equal(chain.Y, [1.0, 0.0])
 
 
 def test_empty_chain_is_refused_on_save_and_load(tmp_path):
-    # Saved, it used to read back as a 1-D "K": [] that load_model refuses.
-    empty = GeneralizedChain(K=np.zeros((0, 0)), Y=np.zeros(0))
+    # Saved, it used to read back as a 1-D "K": [] that load_model refuses;
+    # now it cannot be built, so there is nothing to save.
     path = tmp_path / "empty.json"
     with pytest.raises(InvalidModelError, match="field 'K': a chain needs at least one"):
-        save_model(empty, path)
-    assert not path.exists()
-    with pytest.raises(InvalidModelError, match="field 'K'"):
-        normal_modes(empty)
+        GeneralizedChain(K=np.zeros((0, 0)), Y=np.zeros(0))
     path.write_text('{"variant": "GeneralizedChain", "K": [], "Y": []}')
     with pytest.raises(InvalidModelError, match="field 'K'"):
         load_model(path)
 
 
 def test_chain_stiffness_is_checked_once(monkeypatch):
-    # assemble_ky used to check and symmetrize K once in validate_model and
-    # again for the result; one pass gives the same symmetrized matrix.
-    from oscent import models
-
+    # The chain checks and symmetrizes K once, when it is built; assemble_ky
+    # reads the stored result.
     calls = []
 
     def spy(mat, *args, **kwargs):
@@ -202,6 +257,21 @@ def test_chain_stiffness_is_checked_once(monkeypatch):
     assert len(calls) == 1
     assert_array_equal(got, 0.5 * (k + k.T))
     assert_array_equal(y, [0.1, -0.2])
+
+
+def test_a_chain_file_is_checked_once_from_load_to_state(tmp_path, monkeypatch):
+    # load_model checked K, then normal_modes checked it again: K, K, M, qq, pp.
+    save_model(random_chain(np.random.default_rng(7), 6), tmp_path / "chain.json")
+    calls = []
+
+    def spy(mat, name="matrix"):
+        calls.append((name, np.shape(mat)))
+        return require_symmetric(mat, name=name)
+
+    for module in (models, linalg, covariance):
+        monkeypatch.setattr(module, "require_symmetric", spy)
+    classical_covariance(normal_modes(load_model(tmp_path / "chain.json")), np.ones(6))
+    assert calls == [("K", (6, 6)), ("M", (6, 6)), ("qq", (6, 6)), ("pp", (6, 6))]
 
 
 # --- stability --------------------------------------------------------------
@@ -378,9 +448,10 @@ def test_angles_degenerate_cases_raise():
         two_mode_angles(TwoModeGeneralized(X1=2.0, X2=2.0, Y1=0.0, Y2=0.0, Z=1.0))
     with pytest.raises(DegenerateParametersError):
         two_mode_angles(TwoModeGeneralized(X1=1.0, X2=2.0, Y1=0.0, Y2=0.0, Z=0.0))
-    # Equal diagonal couplings are rejected at model validation already.
-    with pytest.raises((InvalidModelError, DegenerateParametersError)):
-        two_mode_angles(TwoMode(A=3.0, B=3.0, C=1.0))
+    # Equal diagonal couplings are refused when the model is built, so the
+    # angle never meets A == B.
+    with pytest.raises(InvalidModelError, match="A == B"):
+        TwoMode(A=3.0, B=3.0, C=1.0)
 
 
 def test_angles_unsupported_model():
@@ -552,12 +623,12 @@ DOUBLES = st.one_of(st.sampled_from(EDGE_DOUBLES),
                     st.floats(allow_nan=False, allow_infinity=False))
 
 
-def is_valid(model):
+def built(cls, *args):
+    """cls(*args), or None where the arguments are outside the model's domain."""
     try:
-        validate_model(model)
+        return cls(*args)
     except InvalidModelError:
-        return False
-    return True
+        return None
 
 
 @st.composite
@@ -565,18 +636,18 @@ def model_strategy(draw):
     kind = draw(st.sampled_from(["TwoMode", "TwoModeGeneralized", "GeneralizedChain",
                                  "CircularLattice"]))
     if kind == "TwoMode":
-        model = TwoMode(*(draw(DOUBLES) for _ in range(3)))
+        model = built(TwoMode, *(draw(DOUBLES) for _ in range(3)))
     elif kind == "TwoModeGeneralized":
-        model = TwoModeGeneralized(*(draw(DOUBLES) for _ in range(5)))
+        model = built(TwoModeGeneralized, *(draw(DOUBLES) for _ in range(5)))
     elif kind == "CircularLattice":
-        model = CircularLattice(draw(st.integers(3, 64)), abs(draw(DOUBLES)),
-                                abs(draw(DOUBLES)))
+        model = built(CircularLattice, draw(st.integers(3, 64)), abs(draw(DOUBLES)),
+                      abs(draw(DOUBLES)))
     else:
         n = draw(st.integers(1, 5))
         k = np.array(draw(st.lists(DOUBLES, min_size=n * n, max_size=n * n))).reshape(n, n)
-        model = GeneralizedChain(np.triu(k) + np.triu(k, 1).T,
-                                 np.array(draw(st.lists(DOUBLES, min_size=n, max_size=n))))
-    assume(is_valid(model))
+        model = built(GeneralizedChain, np.triu(k) + np.triu(k, 1).T,
+                      np.array(draw(st.lists(DOUBLES, min_size=n, max_size=n))))
+    assume(model is not None)
     return model
 
 

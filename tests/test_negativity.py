@@ -195,13 +195,18 @@ def test_stack_equals_each_state_alone_bit_for_bit(n, k, kappas):
 
 
 def test_stack_checks_every_state():
+    # A ring is checked when it is built; a stack built lazily meets each
+    # bad ring at its turn, as one ring alone meets it.
     good = CircularLattice(10, 0.1, 1.0)
-    for bad, error in ((CircularLattice(10, 0.1, -1.0), InvalidModelError),
-                       (CircularLattice(10, 0.0, 1.0), UnstableSystemError)):
-        with pytest.raises(error) as alone:
-            ring_frequencies(bad)
-        with pytest.raises(error, match=f"^{re.escape(str(alone.value))}$"):
-            ring_covariances([good, bad, good])
+    with pytest.raises(InvalidModelError) as alone:
+        CircularLattice(10, 0.1, -1.0)
+    with pytest.raises(InvalidModelError, match=f"^{re.escape(str(alone.value))}$"):
+        ring_covariances(CircularLattice(10, 0.1, kappa) for kappa in (1.0, -1.0, 1.0))
+    bad = CircularLattice(10, 0.0, 1.0)
+    with pytest.raises(UnstableSystemError) as alone:
+        ring_frequencies(bad)
+    with pytest.raises(UnstableSystemError, match=f"^{re.escape(str(alone.value))}$"):
+        ring_covariances([good, bad, good])
     stack = ring_covariances([good, good])
     alone = ring_covariance(good)
     for indices, error in (([], EmptySubsystemError), ([10], IndexOutOfRangeError),

@@ -82,8 +82,23 @@ def test_dump_outputs_runs_every_command_cleanly(tmp_path, monkeypatch):
     assert len(dump.subcommands()) == 9
 
     # One "label: exit 0" line per command and nothing on stderr: every file
-    # but status.txt and the model files comes from one command.
+    # but status.txt and the model files comes from one command. Each refusal
+    # adds its "label: exit 2" line (3 for the unstable ring) and one error
+    # line, and writes no output file.
+    for name in dump.BAD_MODELS:
+        assert (tmp_path / f"model_bad_{name}.json").stat().st_size > 0, name
+    refused = [f"{command} bad {name}" for name in dump.BAD_MODELS
+               for command in ("measures", "negativity")]
+    refused += [f"refused {stem}" for stem in dump.REFUSED]
+    assert not list(tmp_path.glob("refused_*"))
     lines = (tmp_path / "status.txt").read_text(encoding="utf-8").splitlines()
-    assert len(lines) == len(expected) - 1 - len(dump.MODELS)
-    for line in lines:
-        assert line.endswith(": exit 0"), line
+    assert len(lines) == len(expected) - 1 - len(dump.MODELS) + 2 * len(refused)
+    codes = {}
+    for line, after in zip(lines, lines[1:] + [""]):
+        if not line.startswith("error: "):
+            label, code = line.rsplit(": exit ", 1)
+            codes[label] = int(code)
+            assert after.startswith("error: ") == (code != "0"), (line, after)
+    for label in refused:
+        assert codes.pop(label) == (3 if "unstable" in label else 2), label
+    assert set(codes.values()) == {0}

@@ -13,6 +13,11 @@ an empty diff means the two versions print the same bytes. The directory gets
   the ``measures`` and ``negativity`` output on each, plus both on a
   six-mode subset of the chain (``SUBSETS``), a multi-mode reduction with
   a live q-p shear;
+* the refusals of model files that ``save_model`` will not write
+  (``BAD_MODELS``, written as raw JSON, each run through ``measures`` and
+  ``negativity``) and of sweeps with parameters outside a model's domain
+  (``REFUSED``); their exit codes and messages go to ``status.txt``, and
+  a refused command writes no ``--out`` file;
 * the standard output of every script in ``demos/``;
 * the ``-h`` text of the top-level parser (``help.txt``) and of every
   subcommand (``help_<command>.txt``), and the argparse refusals in
@@ -74,6 +79,30 @@ CUTS = {
 # Extra ``measures --subsystem`` runs per model, by file tag.
 SUBSETS = {
     "chain_qp": {"six": "1,3,5,7,9,11"},
+}
+
+# Model files outside each model's domain, by tag, as raw JSON text.
+BAD_MODELS = {
+    "twomode_a_eq_b": '{"variant": "TwoMode", "A": 5.0, "B": 5.0, "C": 1.0}',
+    "ghoc_overflow": '{"variant": "TwoModeGeneralized", "X1": 1e308, "X2": 2.0, '
+                     '"Y1": 0.0, "Y2": 0.0, "Z": 1e308}',
+    "chain_asymmetric": '{"variant": "GeneralizedChain", "K": [[2.0, 0.5], [0.0, 2.0]], '
+                        '"Y": [0.0, 0.0]}',
+    "chain_y_overflow": '{"variant": "GeneralizedChain", "K": [[2.0, 0.0], [0.0, 2.0]], '
+                        '"Y": [1e200, 0.0]}',
+    "ring_n2": '{"variant": "CircularLattice", "N": 2, "k": 0.1, "kappa": 1.0}',
+}
+
+# Sweeps that must be refused, by file stem; the first kappa of the last is
+# unstable (k = 0), the second invalid, and the first is the one reported.
+REFUSED = {
+    "twomode_equal_ab": ["twomode-sweep", "--A", "5", "--B", "5"],
+    "twomode_equal_ab_inside_disc": ["twomode-sweep", "--A", "5", "--B", "5",
+                                     "--grid", "0:1:2"],
+    "ghoc_overflow": ["ghoc-sweep", "--X1", "1e308", "--Z", "1e308"],
+    "lattice_size_negative_kappa": ["lattice-size", "--kappas", "-1"],
+    "lattice_size_unstable_then_negative_kappa": ["lattice-size", "--k", "0",
+                                                  "--kappas", "1,-1"],
 }
 
 # argparse refusals, by file stem: each exits 2 before any command runs.
@@ -164,6 +193,18 @@ def main(argv=None):
                     ["negativity", "--model", model_file, "--group1", group1,
                      "--group2", group2,
                      "--out", path(f"negativity_{name}_{i}{tag}.out")] + extra)
+
+    for name, text in BAD_MODELS.items():
+        model_file = path(f"model_bad_{name}.json")
+        with open(model_file, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text + "\n")
+        run(status, f"measures bad {name}",
+            ["measures", "--model", model_file, "--out", path(f"refused_measures_{name}.out")])
+        run(status, f"negativity bad {name}",
+            ["negativity", "--model", model_file, "--group1", "1", "--group2", "2",
+             "--out", path(f"refused_negativity_{name}.out")])
+    for stem, argv in REFUSED.items():
+        run(status, f"refused {stem}", argv + ["--out", path(f"refused_{stem}.out")])
 
     env = dict(os.environ, PYTHONPATH=SRC)
     demos = os.path.join(ROOT, "demos")
