@@ -22,8 +22,6 @@ from .covariance import (
     partial_transpose,
     quantum_ground_covariance,
     reduce_modes,
-    ring_covariance,
-    ring_covariances,
     ring_windows,
 )
 from .experiments import (

@@ -14,18 +14,16 @@ matrix carries its common per-mode action, which is what downstream measures
 divide out; the ground state is simply the state at action hbar/2.
 
 On the circular lattice the normal modes are Fourier modes, so qq and pp are
-circulant and a unit-action state is fixed by their first rows alone
-(RingCovariance). Both kinds of state reach the measures through
-reduce_modes, which returns the dense reduced CovarianceMatrix either way.
-The rows of rings of one size at several spring constants stack along a
-leading axis (ring_covariances), and ring_windows cuts the same window out
-of every state at once.
+circulant and a unit-action state is fixed by their first rows alone. A
+RingCovariance holds the rows of rings of one size, one state per model,
+and ring_windows cuts the same window out of every state at once.
+reduce_modes reduces a dense CovarianceMatrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import InitVar, dataclass, field
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -35,7 +33,7 @@ from .errors import (
     IndexOutOfRangeError,
     OverlappingGroupsError,
 )
-from .linalg import _circulant_posdef, _require_even_rows, _spectrum_posdef, require_symmetric
+from .linalg import _circulant_posdef, _spectrum_posdef, require_symmetric
 from .models import CircularLattice, NormalModes, _ring_frequency_rows
 
 
@@ -59,8 +57,8 @@ class CovarianceMatrix:
 
     Its reports then skip the symmetry, scale and shear scans and the
     kernel's eigenvalue test (see linalg._unsheared_blocks). Only states
-    built from normal modes (classical_covariance), reductions of exactly
-    even certified ring rows, and their reductions set it.
+    built from normal modes (classical_covariance) and their reductions set
+    it.
     """
 
     matrix: np.ndarray
@@ -101,66 +99,52 @@ class CovarianceMatrix:
         n = self.n_modes
         return self.matrix[n:, n:]
 
-    def _select(self, idx):
-        # ``idx`` is sorted and unique (_checked_indices), so keeping every
-        # mode is a plain copy; anything less takes rows, then columns.
-        n = self.n_modes
-        if idx.size == n:
-            return self.matrix.copy()
-        sel = np.concatenate([idx, idx + n])
-        return self.matrix.take(sel, axis=0).take(sel, axis=1)
+
+def _circulant_row(eigenvalues):
+    # First rows of the circulant matrices with these Fourier-order
+    # eigenvalues (last axis), made exactly even (row[d] == row[N - d]) so
+    # that every reduced block is exactly symmetric.
+    row = np.fft.ifft(eigenvalues, axis=-1).real
+    return 0.5 * (row + np.concatenate([row[..., :1], row[..., :0:-1]], axis=-1))
 
 
 @dataclass(frozen=True, eq=False)
 class RingCovariance:
-    """Unit-action classical states of CircularLattices, stored as rows.
+    """Unit-action classical states of CircularLattices of one size, as rows.
 
-    ``cq[..., d]`` and ``cp[..., d]`` are the qq and pp entries between
-    sites d apart on the ring; the q-p cross block is zero. A leading axis,
-    if present, stacks states of rings of one size (see ring_covariances).
-    No N x N matrix is formed, so reductions cost O(m**2) for m kept sites
-    whatever the ring size.
+    ``models``, any iterable, is read once in order, each tested as by
+    ring_frequencies; models of different N raise ValueError. ``cq[s, d]``
+    and ``cp[s, d]`` are the qq and pp entries between sites d apart in the
+    state of model s, shape (number of models, N); the q-p cross block is
+    zero. Row d of qq is (1/N) sum_j cos(2 pi j d / N) / omega_j and row d
+    of pp the same sum over omega_j, from one cosine table and one inverse
+    FFT per block; they agree with classical_covariance of each ring's
+    normal modes at unit actions to roundoff. No N x N matrix is formed, so
+    a window of m sites costs O(m**2) whatever the ring size.
 
-    ``_certified`` is set at construction when both rows are exactly even
-    (every window is then exactly symmetric) and the qq rows show that
-    every window of every state passes the block-product kernel's
-    positive-definiteness test (linalg._circulant_posdef); it carries the
-    guarantees of ``CovarianceMatrix._certified`` over to every window and
-    reduction. Rows that are not even within ``SYMMETRY_RTOL`` hold no
-    symmetric state and are refused (linalg._require_even_rows).
+    Both rows are exactly even, so every window is exactly symmetric.
+    ``_certified`` is set when the qq rows show that every window of every
+    state passes the block-product kernel's positive-definiteness test
+    (linalg._circulant_posdef); it carries the guarantees of
+    ``CovarianceMatrix._certified`` over to every window.
     """
 
-    cq: np.ndarray
-    cp: np.ndarray
+    models: InitVar[Iterable[CircularLattice]]
+    cq: np.ndarray = field(init=False)
+    cp: np.ndarray = field(init=False)
     _certified: bool = field(init=False, repr=False)
     action = 1.0
 
-    def __post_init__(self):
-        cq = np.asarray(self.cq, dtype=float)
-        cp = np.asarray(self.cp, dtype=float)
-        if cq.shape != cp.shape or cq.ndim not in (1, 2) or not cq.shape[-1]:
-            raise ValueError(
-                "ring rows must have the same shape, 1-D or 2-D with at least "
-                f"one site, got {cq.shape} and {cp.shape}")
-        if not (np.all(np.isfinite(cq)) and np.all(np.isfinite(cp))):
-            raise ValueError("ring rows must be finite")
-        even = _require_even_rows(cq, "ring cq") & _require_even_rows(cp, "ring cp")
+    def __post_init__(self, models):
+        omegas = _ring_frequency_rows(models)
+        cq = _circulant_row(1.0 / omegas)
         object.__setattr__(self, "cq", cq)
-        object.__setattr__(self, "cp", cp)
-        object.__setattr__(self, "_certified", even and _circulant_posdef(cq))
+        object.__setattr__(self, "cp", _circulant_row(omegas))
+        object.__setattr__(self, "_certified", _circulant_posdef(cq))
 
     @property
     def n_modes(self):
         return self.cq.shape[-1]
-
-    def _blocks(self, idx):
-        d = (idx[:, np.newaxis] - idx[np.newaxis, :]) % self.n_modes
-        return np.take(self.cq, d, axis=-1), np.take(self.cp, d, axis=-1)
-
-    def _select(self, idx):
-        qq, pp = self._blocks(idx)
-        zero = np.zeros((idx.size, idx.size))
-        return np.block([[qq, zero], [zero, pp]])
 
 
 @dataclass(frozen=True)
@@ -251,41 +235,15 @@ def classical_covariance(modes: NormalModes, actions):
                             _certified=_spectrum_posdef(spectrum))
 
 
-def _circulant_row(eigenvalues):
-    # First rows of the circulant matrices with these Fourier-order
-    # eigenvalues (last axis), made exactly even (row[d] == row[N - d]) so
-    # that every reduced block is exactly symmetric.
-    row = np.fft.ifft(eigenvalues, axis=-1).real
-    return 0.5 * (row + np.concatenate([row[..., :1], row[..., :0:-1]], axis=-1))
-
-
-def ring_covariances(models):
-    """Unit-action classical covariances of rings of one size, as a stack.
-
-    Row d of qq is (1/N) sum_j cos(2 pi j d / N) / omega_j and row d of pp
-    the same sum over omega_j; agrees with classical_covariance of the
-    ring's normal modes at unit actions to roundoff. ``models``, any iterable,
-    is read once in order, each tested as by ring_frequencies; models of
-    different N raise ValueError. The rows of all of them come from one
-    cosine table and one inverse FFT per block, shape (number of models, N).
-    """
-    omegas = _ring_frequency_rows(models)
-    return RingCovariance(_circulant_row(1.0 / omegas), _circulant_row(omegas))
-
-
-def ring_covariance(model: CircularLattice):
-    """Unit-action classical covariance of one ring (a stack of one, unstacked)."""
-    stack = ring_covariances([model])
-    return RingCovariance(stack.cq[0], stack.cp[0])
-
-
 def ring_windows(ring: RingCovariance, indices):
     """qq and pp blocks of the sites ``indices`` in every state of ``ring``.
 
     The indices are checked and ordered as by reduce_modes. Each block has
-    shape (..., m, m), the rows' leading axes first; the cross block is zero.
+    shape (states, m, m); the cross block is zero.
     """
-    return ring._blocks(_checked_indices(indices, ring.n_modes))
+    idx = _checked_indices(indices, ring.n_modes)
+    d = (idx[:, np.newaxis] - idx[np.newaxis, :]) % ring.n_modes
+    return np.take(ring.cq, d, axis=-1), np.take(ring.cp, d, axis=-1)
 
 
 def quantum_ground_covariance(modes: NormalModes, hbar=1.0):
@@ -348,16 +306,22 @@ def _checked_indices(indices, n):
     return np.array(idx)
 
 
-def reduce_modes(cov, indices):
+def reduce_modes(cov: CovarianceMatrix, indices):
     """Covariance of a subsystem, keeping (q..., p...) ordering.
 
-    ``cov`` is a CovarianceMatrix or a single-state RingCovariance; the
-    result is a CovarianceMatrix either way, certified when ``cov`` is.
-    ``indices`` are 0-based oscillator labels; duplicates collapse, order
-    is ascending in the output.
+    The result is certified when ``cov`` is. ``indices`` are 0-based
+    oscillator labels; duplicates collapse, order is ascending in the output.
     """
-    idx = _checked_indices(indices, cov.n_modes)
-    return CovarianceMatrix(cov._select(idx), cov.action, _certified=cov._certified)
+    n = cov.n_modes
+    idx = _checked_indices(indices, n)
+    # ``idx`` is sorted and unique, so keeping every mode is a plain copy;
+    # anything less takes rows, then columns.
+    if idx.size == n:
+        matrix = cov.matrix.copy()
+    else:
+        sel = np.concatenate([idx, idx + n])
+        matrix = cov.matrix.take(sel, axis=0).take(sel, axis=1)
+    return CovarianceMatrix(matrix, cov.action, _certified=cov._certified)
 
 
 def partial_transpose(cov: CovarianceMatrix, partition: Bipartition):

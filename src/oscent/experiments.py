@@ -14,7 +14,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .covariance import Bipartition, classical_covariance, reduce_modes, ring_covariances
+from .covariance import Bipartition, RingCovariance, classical_covariance, reduce_modes
 from .errors import (
     DegenerateDesignError,
     InvalidModelError,
@@ -111,11 +111,23 @@ def _floats(values, name):
 
 
 def _first_oscillator_sweep(name, grid, model_at, alphas):
-    """Oscillator 1's sigma and measures in model_at(x) for each x in grid."""
+    """Oscillator 1's sigma and measures in model_at(x) for each x in grid.
+
+    Orders whose column names (six significant digits) coincide raise
+    ValueError before any grid point is evaluated.
+    """
     alphas = tuple(_floats(alphas, "alphas"))
     columns = [name, "sigma", "purity", "linear_entropy", "von_neumann"]
+    orders = {}   # column tag -> the order it names
     for alpha in alphas:
-        columns += [f"mu_{alpha:g}", f"tsallis_{alpha:g}", f"renyi_{alpha:g}"]
+        tag = f"{alpha:g}"
+        if tag in orders:
+            if orders[tag] == alpha:
+                raise ValueError(f"alphas repeat the order {tag}")
+            raise ValueError(f"alphas {orders[tag]!r} and {alpha!r} both name the "
+                             f"columns mu_{tag}, tsallis_{tag} and renyi_{tag}")
+        orders[tag] = alpha
+        columns += [f"mu_{tag}", f"tsallis_{tag}", f"renyi_{tag}"]
     rows = []
     for x in grid:
         cov = classical_covariance(normal_modes(model_at(x)), np.ones(2))
@@ -204,7 +216,7 @@ def _ring_rows(keys, partitions, kappas, n, k):
     representatives, classes = _ring_classes(partitions, n)
     # A generator: each ring is built just before its stability test, so the
     # first bad kappa in list order is reported, invalid or unstable.
-    states = ring_covariances(CircularLattice(n, k, kappa) for kappa in kappas)
+    states = RingCovariance(CircularLattice(n, k, kappa) for kappa in kappas)
     per_class = stacked_log_negativities(states, representatives)
     rows = []
     for key, c in zip(keys, classes):
@@ -283,7 +295,7 @@ def lattice_size_sweep(n_grid, kappas=DEFAULT_KAPPAS, k=0.1, n1=10, n2=10):
         if n < n1 + n2:
             raise ValueError(f"N = {n} cannot hold two windows of {n1} and {n2}")
     part = Bipartition(tuple(range(n1)), tuple(range(n1, n1 + n2)))
-    stacks = [ring_covariances(CircularLattice(n, k, kappa) for kappa in kappas)
+    stacks = [RingCovariance(CircularLattice(n, k, kappa) for kappa in kappas)
               for n in n_grid]  # generators, as in _ring_rows
     per_state = stacked_log_negativities(stacks, [part])[0] if stacks else []
     keys = [(n, kappa) for n in n_grid for kappa in kappas]

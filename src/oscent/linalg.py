@@ -169,36 +169,15 @@ def _spectrum_posdef(w):
     return bool(np.all(w.min(axis=-1) > margin * w.max(axis=-1)))
 
 
-def _require_even_rows(rows, name):
-    """Whether first rows (last axis) are exactly even, ``row[d] == row[N - d]``.
-
-    Such a row is the first row of a symmetric circulant. Rows whose
-    largest ``|row[d] - row[N - d]|`` exceeds ``SYMMETRY_RTOL`` times the
-    row's largest entry raise AsymmetricInputError, as require_symmetric
-    refuses the matrix they stand for.
-    """
-    diff = rows[..., 1:] - rows[..., :0:-1]
-    if not diff.any():
-        return True
-    resid = np.max(np.abs(diff), axis=-1)
-    bad = resid > SYMMETRY_RTOL * np.max(np.abs(rows), axis=-1)
-    if np.any(bad):
-        raise AsymmetricInputError(
-            f"{name} rows are not even: max |row[d] - row[N - d]| = "
-            f"{np.max(resid[bad]):.3e} exceeds {SYMMETRY_RTOL:.0e} * max|row|")
-    return False
-
-
 def _circulant_posdef(rows):
     """:func:`_spectrum_posdef` of the symmetric circulants with these
-    exactly even first rows (last axis): every ring window of every state
-    passes the test.
+    exactly even, finite first rows (last axis): every ring window of every
+    state passes the test.
 
     A symmetric circulant's eigenvalues are the real DFT of its row,
     computed here by an O(N log N) transform.
     """
-    with np.errstate(over="ignore", invalid="ignore"):   # inf or NaN certify nothing
-        return _spectrum_posdef(np.fft.rfft(rows, axis=-1).real)
+    return _spectrum_posdef(np.fft.rfft(rows, axis=-1).real)
 
 
 def _unsheared_blocks(mat, name, *, certified=False):
@@ -270,18 +249,18 @@ def _block_product_eigvals(qq, pp, sign_patterns, name="covariance", *, certifie
     return out
 
 
-def _general_spectrum(a, name="covariance"):
+def _general_spectrum(a):
     # With the Cholesky factor a = L L^T, the antisymmetric K = L^T J L is
     # similar to J a, so the symplectic eigenvalues are the singular values
     # of K, each twice. ``a`` is symmetric and 2n x 2n.
     n = a.shape[0] // 2
-    low = _checked_cholesky(a, name)
+    low = _checked_cholesky(a, "covariance")
     k = low.T @ np.concatenate([low[n:], -low[:n]])   # L^T J L, antisymmetric
     squared = np.linalg.eigvalsh(k.T @ k)
     return _pair_up(np.sqrt(np.maximum(squared, 0.0)), float(np.max(np.abs(a))))
 
 
-def symplectic_spectrum(cov, *, name="covariance", _certified=False):
+def symplectic_spectrum(cov, *, _certified=False):
     """Symplectic eigenvalues of a positive-definite phase-space matrix.
 
     These are the moduli of the eigenvalues of ``i J^-1 cov`` (which occur
@@ -316,13 +295,12 @@ def symplectic_spectrum(cov, *, name="covariance", _certified=False):
     always takes the fast route, with no symmetry, scale or shear scan and
     no eigenvalue test; it is trusted, not checked.
     """
-    a, qq, pp = _unsheared_blocks(cov, name, certified=_certified)
+    a, qq, pp = _unsheared_blocks(cov, "covariance", certified=_certified)
     if pp is None:
-        return _general_spectrum(a, name)
-    (lam,) = _block_product_eigvals(qq, pp, [np.ones(qq.shape[0])], name=name,
-                                    certified=_certified)
+        return _general_spectrum(a)
+    (lam,) = _block_product_eigvals(qq, pp, [np.ones(qq.shape[0])], certified=_certified)
     if lam[0] <= 0.0:
         raise NotPositiveDefiniteError(
-            f"{name} pp block is not positive definite on the fast path"
+            "covariance pp block is not positive definite on the fast path"
         )
     return np.sqrt(lam)

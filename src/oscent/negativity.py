@@ -68,13 +68,11 @@ def _unit_blocks(cov, members):
         if not cov or not all(isinstance(ring, RingCovariance) for ring in cov):
             raise ValueError("a sequence of states must hold one or more "
                              "RingCovariance stacks and nothing else")
-        m = len(members)
         windows = [ring_windows(ring, members) for ring in cov]
-        qq = [q.reshape(-1, m, m) for q, _ in windows]
-        pp = [p.reshape(-1, m, m) for _, p in windows]
         certified = all(ring._certified for ring in cov)
         if len(windows) == 1:   # no copy of a lone stack
-            return qq[0], pp[0], certified
+            return (*windows[0], certified)
+        qq, pp = zip(*windows)
         return np.concatenate(qq), np.concatenate(pp), certified
     red = reduce_modes(cov, members)
     action = _require_action(red)
@@ -101,10 +99,10 @@ def _result(lambdas, e_n):
 def stacked_log_negativities(cov, partitions):
     """E_N of many bipartitions in every state of a stack, in the order given.
 
-    ``cov`` is a full-system state (a CovarianceMatrix or a RingCovariance),
-    a stack of ring states of one size (:func:`ring_covariances`), or a
-    non-empty list or tuple of such stacks, whose states are taken in order
-    as one stack (the rings may differ in size). Partitions with the same
+    ``cov`` is a full-system CovarianceMatrix, a RingCovariance (a stack of
+    ring states of one size), or a non-empty list or tuple of RingCovariance
+    stacks, whose states are taken in order as one stack (the rings may
+    differ in size). Partitions with the same
     members share one reduction and one stacked Cholesky factor
     qq_u = L L^T of the reduced qq blocks; each partition then costs one
     stacked symmetric eigensolve of L^T P pp_u P L across the states. Ring

@@ -15,9 +15,10 @@ import oscent.linalg as linalg
 from oscent.covariance import (
     Bipartition,
     CovarianceMatrix,
+    RingCovariance,
     classical_covariance,
     reduce_modes,
-    ring_covariance,
+    ring_windows,
 )
 from oscent.errors import AsymmetricInputError
 from oscent.linalg import CROSS_BLOCK_RTOL, SYMMETRY_RTOL
@@ -98,10 +99,15 @@ def test_certified_two_mode_generalized_matches_the_checked_route():
 
 
 def test_certified_ring_reduction_matches_the_checked_route():
-    ring = ring_covariance(CircularLattice(N=16, k=0.1, kappa=4.0))
+    model = CircularLattice(N=16, k=0.1, kappa=4.0)
+    ring = RingCovariance([model])
     assert ring._certified
-    dense = reduce_modes(ring, [0, 1, 2, 3, 8, 9, 10, 11])
+    idx = [0, 1, 2, 3, 8, 9, 10, 11]
+    dense = reduce_modes(classical_covariance(normal_modes(model), np.ones(16)), idx)
     assert dense._certified
+    (qq,), (pp,) = ring_windows(ring, idx)
+    tol = 1e-12 * float(np.max(np.abs(dense.matrix)))
+    assert np.max(np.abs(qq - dense.qq)) <= tol and np.max(np.abs(pp - dense.pp)) <= tol
     assert_same_bits(dense, [[0, 1, 2], [1, 4, 5, 7], range(8)],
                      [((0, 1, 2, 3), (4, 5, 6, 7)), ((0,), (5,))])
 
@@ -192,9 +198,9 @@ def test_hand_built_non_shear_cross_block_takes_the_general_route(monkeypatch):
     calls = []
     general = linalg._general_spectrum
 
-    def spy(a, name="covariance"):
+    def spy(a):
         calls.append(np.shape(a))
-        return general(a, name)
+        return general(a)
 
     monkeypatch.setattr(linalg, "_general_spectrum", spy)
     m = 2.0 * chain_state(1910, 3, y_scale=0.5).matrix   # a mixed state, room to move

@@ -679,6 +679,15 @@ def test_repeated_alpha_exits_two(argv, two_mode_file, capsys):
     assert code == 2 and out == "" and err == "error: alphas repeat the order 2\n"
 
 
+@pytest.mark.parametrize("command", ["twomode-sweep", "ghoc-sweep"])
+def test_alphas_that_name_one_column_exit_two(command, capsys):
+    # 2 and 2.0000001 both print as 2: the three columns came out twice.
+    code, out, err = run([command, "--grid", "0:1:2", "--alphas", "2,2.0000001"], capsys)
+    assert code == 2 and out == ""
+    assert err == ("error: alphas 2.0 and 2.0000001 both name the columns "
+                   "mu_2, tsallis_2 and renyi_2\n")
+
+
 def test_empty_measures_lists_exit_two(two_mode_file, capsys):
     for flag in ("--alphas", "--subsystem"):
         code, out, err = run(["measures", "--model", two_mode_file, flag, ""], capsys)

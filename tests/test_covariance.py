@@ -1,5 +1,7 @@
 """Covariance assembly against closed forms and the brute-force angle average."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -14,18 +16,15 @@ from oscent.covariance import (
     partial_transpose,
     quantum_ground_covariance,
     reduce_modes,
-    ring_covariance,
-    ring_covariances,
     ring_windows,
 )
 from oscent.errors import (
-    AsymmetricInputError,
     DimensionTooLargeError,
     EmptySubsystemError,
     IndexOutOfRangeError,
     OverlappingGroupsError,
 )
-from oscent.linalg import POSDEF_RTOL, _spectrum_posdef
+from oscent.linalg import POSDEF_RTOL, _circulant_posdef, _spectrum_posdef
 from oscent.measures import purity_from_determinant, sigma_tilde
 from oscent.models import (
     CircularLattice,
@@ -264,7 +263,7 @@ def test_reduce_errors():
 def test_ring_reduction_matches_dense_route(n, kappa):
     model = CircularLattice(N=n, k=0.1, kappa=kappa)
     dense = classical_covariance(normal_modes(model), np.ones(n))
-    ring = ring_covariance(model)
+    ring = RingCovariance([model])
     rng = np.random.default_rng(n)
     index_sets = (
         sorted(int(i) for i in rng.choice(n, size=9, replace=False)),
@@ -272,80 +271,53 @@ def test_ring_reduction_matches_dense_route(n, kappa):
         [n - 3, n - 2, n - 1, 0, 1, 2],      # a window across the seam
     )
     for idx in index_sets:
-        got, expect = reduce_modes(ring, idx), reduce_modes(dense, idx)
+        (qq,), (pp,) = ring_windows(ring, idx)
+        expect = reduce_modes(dense, idx)
         tol = 1e-9 * float(np.max(np.abs(expect.matrix)))
-        assert_allclose(got.qq, expect.qq, rtol=0.0, atol=tol)
-        assert_allclose(got.pp, expect.pp, rtol=0.0, atol=tol)
-        assert np.all(got.qp == 0.0)
-        assert_array_equal(got.qq, got.qq.T)
-        assert_array_equal(got.pp, got.pp.T)
-        assert got.action == expect.action == 1.0
+        assert_allclose(qq, expect.qq, rtol=0.0, atol=tol)
+        assert_allclose(pp, expect.pp, rtol=0.0, atol=tol)
+        assert np.all(expect.qp == 0.0)
+        assert_array_equal(qq, qq.T)
+        assert_array_equal(pp, pp.T)
+    assert ring.action == dense.action == 1.0
 
 
 def test_ring_reduction_checks_indices_like_dense():
-    ring = ring_covariance(CircularLattice(N=6, k=0.1, kappa=1.0))
-    assert_array_equal(reduce_modes(ring, [4, 1, 4]).matrix,
-                       reduce_modes(ring, [1, 4]).matrix)
-    with pytest.raises(EmptySubsystemError):
-        reduce_modes(ring, [])
-    with pytest.raises(IndexOutOfRangeError):
-        reduce_modes(ring, [6])
-    with pytest.raises(IndexOutOfRangeError):
-        reduce_modes(ring, [-1])
+    model = CircularLattice(N=6, k=0.1, kappa=1.0)
+    ring = RingCovariance([model])
+    dense = classical_covariance(normal_modes(model), np.ones(6))
+    for got, want in zip(ring_windows(ring, [4, 1, 4]), ring_windows(ring, [1, 4])):
+        assert_array_equal(got, want)
+    for indices, error in (([], EmptySubsystemError), ([6], IndexOutOfRangeError),
+                           ([-1], IndexOutOfRangeError)):
+        with pytest.raises(error) as refused:
+            reduce_modes(dense, indices)
+        with pytest.raises(error, match=f"^{re.escape(str(refused.value))}$"):
+            ring_windows(ring, indices)
 
 
-def test_ring_rows_must_be_finite():
-    # A NaN row entry used to reach the kernel and read as E_N = 0.
-    ring = ring_covariance(CircularLattice(N=10, k=0.1, kappa=1.0))
-    bad = ring.cp.copy()
-    bad[3] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        RingCovariance(ring.cq, bad)
-    stack = ring_covariances([CircularLattice(N=10, k=0.1, kappa=kappa)
-                              for kappa in (1.0, 4.0)])
-    bad = stack.cq.copy()
-    bad[1, 0] = np.inf
-    with pytest.raises(ValueError, match="finite"):
-        RingCovariance(bad, stack.cp)
-
-
-def test_ring_rows_must_be_even():
-    # Uneven hand-built rows used to pass, and the ring route read only the
-    # lower triangle of each window: E_N = 0.0 where the dense route refuses
-    # the same state as asymmetric.
-    cq, cp = np.array([2.0, 0.5, 0.1, 0.3]), np.array([1.0, -0.2, 0.05, -0.2])
-    with pytest.raises(AsymmetricInputError, match="ring cq rows are not even"):
-        RingCovariance(cq, cp)
-    stack = ring_covariances([CircularLattice(N=10, k=0.1, kappa=kappa)
-                              for kappa in (1.0, 4.0)])
-    bad = stack.cp.copy()
-    bad[1, 3] *= 1.0 + 1e-9
-    with pytest.raises(AsymmetricInputError, match="ring cp rows are not even"):
-        RingCovariance(stack.cq, bad)
-    # Roundoff within SYMMETRY_RTOL is accepted, as by require_symmetric.
-    near = stack.cp.copy()
-    near[1, 3] *= 1.0 + 1e-14
-    RingCovariance(stack.cq, near)
-
-
-def test_ring_rows_must_share_a_one_or_two_dimensional_shape():
-    # cq of 10 sites with cp of 6 used to end in a bare IndexError.
-    ring = ring_covariance(CircularLattice(N=10, k=0.1, kappa=1.0))
-    short = ring_covariance(CircularLattice(N=6, k=0.1, kappa=1.0))
-    with pytest.raises(ValueError, match="same shape"):
-        RingCovariance(ring.cq, short.cp)
-    with pytest.raises(ValueError, match="1-D or 2-D"):
-        RingCovariance(ring.cq[np.newaxis, np.newaxis], ring.cp[np.newaxis, np.newaxis])
-    with pytest.raises(ValueError, match="1-D or 2-D"):
-        RingCovariance(np.float64(1.0), np.float64(1.0))
-
-
-def test_ring_rows_must_hold_a_site():
-    # Empty rows used to construct; they now fail in the constructor's own
-    # check, before any transform of them.
-    for rows in (np.zeros(0), np.zeros((3, 0))):
-        with pytest.raises(ValueError, match="at least one site"):
-            RingCovariance(rows, rows)
+def test_model_built_ring_rows_are_even_finite_and_certified_quietly():
+    # The invariant that stands in for checks of the rows: _circulant_row
+    # averages row[d] with row[N - d], which IEEE addition makes exactly
+    # even, and the models bound 0 < omega**2 <= k + 4 kappa < inf, so both
+    # rows are finite and their certificate raises no floating-point error.
+    rng = np.random.default_rng(2121)
+    stacks = [[CircularLattice(3, 5e-324, 0.0), CircularLattice(3, 5e-324, 4e307)],
+              [CircularLattice(2000, 5e-324, 4e307), CircularLattice(2000, 1e300, 0.0)],
+              [CircularLattice(4, 1e300, 4e307), CircularLattice(4, 1.0, 5e-324)]]
+    for _ in range(120):
+        n = int(rng.integers(3, 600))
+        stacks.append([CircularLattice(n, 10.0 ** rng.uniform(-323.0, 300.0),
+                                       10.0 ** rng.uniform(-323.0, 307.6))
+                       for _ in range(int(rng.integers(1, 4)))])
+    for models in stacks:
+        ring = RingCovariance(models)
+        assert ring.cq.shape == ring.cp.shape == (len(models), models[0].N)
+        for rows in (ring.cq, ring.cp):
+            assert_array_equal(rows[:, 1:], rows[:, :0:-1])
+            assert np.all(np.isfinite(rows))
+        with np.errstate(all="raise"):
+            assert ring._certified == _circulant_posdef(ring.cq)
 
 
 def test_zero_by_zero_covariance_is_refused():
@@ -369,10 +341,10 @@ def test_ring_windows_lie_inside_the_circulant_spectrum():
         n = int(rng.integers(3, 401))
         k = 10.0 ** rng.uniform(-12.0, 1.0)
         kappa = 10.0 ** rng.uniform(-2.0, 2.0)
-        ring = ring_covariance(CircularLattice(n, k, kappa))
-        w = np.fft.rfft(ring.cq).real
+        ring = RingCovariance([CircularLattice(n, k, kappa)])
+        w = np.fft.rfft(ring.cq[0]).real
         sites = rng.choice(n, size=int(rng.integers(1, min(n, 40) + 1)), replace=False)
-        qq, _ = ring_windows(ring, sites)
+        (qq,), _ = ring_windows(ring, sites)
         got = np.linalg.eigvalsh(qq)
         tol = 16.0 * n * eps * w.max()
         assert got[0] >= w.min() - tol
@@ -411,28 +383,15 @@ def test_normal_mode_reductions_lie_inside_the_mode_spectrum():
 
 
 def test_ring_certificate_reads_the_rows():
-    stack = ring_covariances([CircularLattice(N=12, k=0.1, kappa=kappa)
-                              for kappa in (1.0, 64.0)])
+    stack = RingCovariance([CircularLattice(N=12, k=0.1, kappa=kappa)
+                            for kappa in (1.0, 64.0)])
     assert stack._certified
-    assert RingCovariance(stack.cq[1], stack.cp[1])._certified
-    # One indefinite state uncertifies the stack.
-    assert not RingCovariance(np.stack([stack.cq[0], -stack.cq[1]]), stack.cp)._certified
-    # Rows that are not exactly even give no symmetric circulant to read,
-    # and pp rows that are not give windows that are not exactly symmetric,
-    # though both are even within SYMMETRY_RTOL and so accepted.
-    odd = stack.cq[0].copy()
-    odd[1] += 1e-15
-    assert not RingCovariance(odd, stack.cp[0])._certified
-    odd = stack.cp[0].copy()
-    odd[1] *= 1.0 + 4.0 * np.finfo(float).eps
-    assert not RingCovariance(stack.cq[0], odd)._certified
-    assert not reduce_modes(RingCovariance(stack.cq[0], odd), [0, 1, 2])._certified
-    # A nearly singular ring is refused however its rows were made.
-    flat = RingCovariance(np.ones(8), np.ones(8))
-    assert not flat._certified
-    # Rows whose transform overflows certify nothing, quietly.
-    huge = np.full(5, 1e308)
-    assert not RingCovariance(huge, huge)._certified
+    assert RingCovariance([CircularLattice(N=12, k=0.1, kappa=64.0)])._certified
+    # At k = 1e-22 the ring's qq eigenvalue ratio sqrt(k / (k + 4 kappa)) is
+    # about 6e-13, below the margin: one such state uncertifies the stack.
+    low = CircularLattice(N=12, k=1e-22, kappa=64.0)
+    assert not RingCovariance([low])._certified
+    assert not RingCovariance([CircularLattice(N=12, k=0.1, kappa=1.0), low])._certified
 
 
 # --- partial transpose -------------------------------------------------------

@@ -12,9 +12,8 @@ from oscent import experiments
 from oscent.cli import main
 from oscent.covariance import (
     Bipartition,
+    RingCovariance,
     classical_covariance,
-    ring_covariance,
-    ring_covariances,
 )
 from oscent.errors import (
     DegenerateDesignError,
@@ -192,6 +191,17 @@ def test_sweeps_refuse_a_repeated_alpha(sweep):
         sweep([0.5], alphas=(2, 4, 2.0))
 
 
+@pytest.mark.parametrize("sweep", [sweep_two_mode_coupling, sweep_ghoc_y2])
+def test_sweeps_refuse_alphas_that_name_one_column_before_any_point(sweep):
+    # An empty grid never reaches alpha_family, and returned the repeated
+    # header; orders that differ past six digits print alike too.
+    with pytest.raises(ValueError, match="^alphas repeat the order 2$"):
+        sweep([], alphas=(2, 2))
+    with pytest.raises(ValueError, match=r"^alphas 2\.0 and 2\.0000001 both name the "
+                                         r"columns mu_2, tsallis_2 and renyi_2$"):
+        sweep([], alphas=(2, 2.0000001))
+
+
 @pytest.mark.parametrize("sweep", [
     lambda kappas: lattice_disjoint_sweep([0], kappas=kappas, n=20, k=0.0, n1=5, n2=5),
     lambda kappas: lattice_adjacent_sweep([0, 5], kappas=kappas, n=20, k=0.0, block=10),
@@ -245,7 +255,7 @@ def test_ring_classes_join_partitions_related_by_ring_symmetry():
     reps, classes = _ring_classes([base] + same + apart, n)
     assert classes == [0] * (1 + len(same)) + [1, 2]
     assert reps == [base] + apart
-    state = ring_covariance(CircularLattice(n, 0.1, 4.0))
+    state = RingCovariance([CircularLattice(n, 0.1, 4.0)])
     e_base = log_negativity(state, base).log_negativity
     assert e_base > 0.0
     for part in same:
@@ -255,7 +265,7 @@ def test_ring_classes_join_partitions_related_by_ring_symmetry():
 @pytest.mark.parametrize("n", [24, 37])
 def test_ring_sweeps_match_each_partition_solved_alone(n):
     k, kappas, block, w = 1e-3, (1.0, 16.0), n // 2, 5
-    states = {kappa: ring_covariance(CircularLattice(n, k, kappa)) for kappa in kappas}
+    states = {kappa: RingCovariance([CircularLattice(n, k, kappa)]) for kappa in kappas}
     table = lattice_adjacent_sweep(range(block + 1), kappas=kappas, n=n, k=k,
                                    block=block)
     for n1, kappa, e, _ in table.rows:
@@ -277,7 +287,7 @@ def test_stacked_sweep_rows_equal_each_kappa_alone_bit_for_bit(n, k, kappas):
         # partition per symmetry class, in a batch per kappa.
         reps, classes = _ring_classes(parts, ring)
         per_kappa = [[per_state[0] for per_state in stacked_log_negativities(
-            ring_covariance(CircularLattice(ring, k, kappa)), reps)] for kappa in kappas]
+            RingCovariance([CircularLattice(ring, k, kappa)]), reps)] for kappa in kappas]
         return [(float(key), kappa, results[c].log_negativity, results[c].negativity)
                 for key, c in zip(keys, classes) for kappa, results in zip(kappas, per_kappa)]
 
@@ -347,7 +357,7 @@ def test_lattice_size_stack_matches_each_size_alone(n_grid, kappas, k, n1, n2):
     rows = []
     for n in n_grid:
         (per_state,) = stacked_log_negativities(
-            ring_covariances([CircularLattice(n, k, kappa) for kappa in kappas]), [part])
+            RingCovariance([CircularLattice(n, k, kappa) for kappa in kappas]), [part])
         rows += [(float(n), kappa, res.log_negativity, res.negativity)
                  for kappa, res in zip(kappas, per_state)]
     table = lattice_size_sweep(n_grid, kappas=kappas, k=k, n1=n1, n2=n2)

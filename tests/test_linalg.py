@@ -11,7 +11,7 @@ from oscent.errors import (
     NotPositiveDefiniteError,
     UnpairedSpectrumError,
 )
-from oscent.covariance import Bipartition, classical_covariance, reduce_modes, ring_covariances
+from oscent.covariance import Bipartition, RingCovariance, classical_covariance, reduce_modes
 from oscent.linalg import (
     _block_product_eigvals,
     _general_spectrum,
@@ -332,7 +332,7 @@ def test_no_route_computes_eigenvectors(monkeypatch):
     # Cholesky factors.
     chain = reduce_modes(qp_chain_covariance(79, 12), range(8))
     general = random_spd(np.random.default_rng(83), 8, shift=1.0)
-    rings = ring_covariances([CircularLattice(20, 0.1, kappa) for kappa in (1.0, 4.0)])
+    rings = RingCovariance([CircularLattice(20, 0.1, kappa) for kappa in (1.0, 4.0)])
     parts = [Bipartition([0, 1, 2], [3, 4]), Bipartition([5], [0, 7])]
 
     def outputs():

@@ -1,5 +1,6 @@
 """Logarithmic negativity: both evaluation routes, oracles, and guards."""
 
+import copy
 import re
 
 import numpy as np
@@ -13,8 +14,6 @@ from oscent.covariance import (
     classical_covariance,
     quantum_ground_covariance,
     reduce_modes,
-    ring_covariance,
-    ring_covariances,
     ring_windows,
 )
 from oscent.errors import (
@@ -101,11 +100,13 @@ def test_decoupled_lattice_is_exactly_zero():
     assert log_negativity(cov, part).log_negativity == 0.0
     assert log_negativity_via_symplectic(cov, part).log_negativity == 0.0
     for n in (8, 9, 200):
-        ring = ring_covariance(CircularLattice(N=n, k=0.5, kappa=0.0))
+        model = CircularLattice(N=n, k=0.5, kappa=0.0)
+        ring = RingCovariance([model])
+        dense = classical_covariance(normal_modes(model), np.ones(n))
         for part in (Bipartition([0, 1, 2], [4, 5]), Bipartition([0, 1], [2, 3]),
                      Bipartition([n - 1], [0, 1])):
             assert log_negativity(ring, part).log_negativity == 0.0
-            assert log_negativity_via_symplectic(ring, part).log_negativity == 0.0
+            assert log_negativity_via_symplectic(dense, part).log_negativity == 0.0
 
 
 def test_single_group_partition_is_zero():
@@ -163,13 +164,13 @@ def test_batch_equals_one_partition_at_a_time_bit_for_bit():
 def test_ring_state_matches_dense_route():
     model = CircularLattice(N=30, k=1e-4, kappa=16.0)
     dense = classical_covariance(normal_modes(model), np.ones(30))
-    ring = ring_covariance(model)
+    ring = RingCovariance([model])
     parts = [Bipartition(range(n1), range(n1, 12)) for n1 in (0, 3, 6, 12)]
     parts.append(Bipartition([28, 29, 0], [1, 2, 3, 4]))
     for part, got in zip(parts, one_state(ring, parts)):
         expect = log_negativity(dense, part).log_negativity
         assert abs(got.log_negativity - expect) <= 1e-9
-        assert abs(log_negativity_via_symplectic(ring, part).log_negativity
+        assert abs(log_negativity_via_symplectic(dense, part).log_negativity
                    - expect) <= 1e-9
 
 
@@ -178,13 +179,13 @@ def test_ring_state_matches_dense_route():
                                           (64, 1e-4, (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0))])
 def test_stack_equals_each_state_alone_bit_for_bit(n, k, kappas):
     models = [CircularLattice(n, k, kappa) for kappa in kappas]
-    stack = ring_covariances(models)
+    stack = RingCovariance(models)
     assert stack.cq.shape == stack.cp.shape == (len(kappas), n)
     parts = [Bipartition(range(n1), range(n1, 8)) for n1 in (0, 3, 8)]
     parts += [Bipartition([n - 2, n - 1, 0], [1, 2, 5]), Bipartition([], [2, 9])]
     stacked = stacked_log_negativities(stack, parts)
     for s, model in enumerate(models):
-        alone = ring_covariance(model)
+        alone = RingCovariance([model])
         assert alone.cq.tobytes() == stack.cq[s].tobytes()
         assert alone.cp.tobytes() == stack.cp[s].tobytes()
         for per_state, one in zip(stacked, one_state(alone, parts)):
@@ -201,24 +202,28 @@ def test_stack_checks_every_state():
     with pytest.raises(InvalidModelError) as alone:
         CircularLattice(10, 0.1, -1.0)
     with pytest.raises(InvalidModelError, match=f"^{re.escape(str(alone.value))}$"):
-        ring_covariances(CircularLattice(10, 0.1, kappa) for kappa in (1.0, -1.0, 1.0))
+        RingCovariance(CircularLattice(10, 0.1, kappa) for kappa in (1.0, -1.0, 1.0))
     bad = CircularLattice(10, 0.0, 1.0)
     with pytest.raises(UnstableSystemError) as alone:
         ring_frequencies(bad)
     with pytest.raises(UnstableSystemError, match=f"^{re.escape(str(alone.value))}$"):
-        ring_covariances([good, bad, good])
-    stack = ring_covariances([good, good])
-    alone = ring_covariance(good)
+        RingCovariance([good, bad, good])
+    stack = RingCovariance([good, good])
+    dense = classical_covariance(normal_modes(good), np.ones(10))
     for indices, error in (([], EmptySubsystemError), ([10], IndexOutOfRangeError),
                            ([-1, 3], IndexOutOfRangeError)):
-        with pytest.raises(error) as dense:
-            reduce_modes(alone, indices)
-        with pytest.raises(error, match=f"^{re.escape(str(dense.value))}$"):
+        with pytest.raises(error) as refused:
+            reduce_modes(dense, indices)
+        with pytest.raises(error, match=f"^{re.escape(str(refused.value))}$"):
             ring_windows(stack, indices)
-    # An indefinite qq in the second state only.
-    indefinite = RingCovariance(np.stack([alone.cq, -alone.cq]), stack.cp)
-    with pytest.raises(NotPositiveDefiniteError):
-        stacked_log_negativities(indefinite, [Bipartition([0], [1])])
+    # The second state's window is the whole ring at k = 1e-22: its qq has
+    # eigenvalue ratio below POSDEF_RTOL, so the stack is not certified and
+    # the kernel's eigenvalue test refuses it.
+    indefinite = RingCovariance([CircularLattice(20, 0.1, 64.0),
+                                 CircularLattice(20, 1e-22, 64.0)])
+    assert not indefinite._certified
+    with pytest.raises(NotPositiveDefiniteError, match="eigenvalue 6.250010e-02$"):
+        stacked_log_negativities(indefinite, [Bipartition(range(10), range(10, 20))])
     # log_negativity takes one state, not a stack of several.
     with pytest.raises(ValueError, match="one state"):
         log_negativity(stack, Bipartition([0], [1]))
@@ -226,17 +231,18 @@ def test_stack_checks_every_state():
 
 def test_rings_of_different_sizes_cannot_share_a_stack():
     with pytest.raises(ValueError, match="N = 10 and N = 12"):
-        ring_covariances([CircularLattice(10, 0.1, 1.0), CircularLattice(12, 0.1, 1.0)])
+        RingCovariance([CircularLattice(10, 0.1, 1.0), CircularLattice(12, 0.1, 1.0)])
 
 
 def uncertified(ring):
-    copy = RingCovariance(ring.cq, ring.cp)
-    object.__setattr__(copy, "_certified", False)
-    return copy
+    # The same rows with the certificate off: every check runs.
+    twin = copy.copy(ring)
+    object.__setattr__(twin, "_certified", False)
+    return twin
 
 
 def test_certified_ring_stacks_skip_only_the_eigenvalue_test(eigvalsh_shapes):
-    stack = ring_covariances([CircularLattice(16, 0.1, kappa) for kappa in (1.0, 8.0)])
+    stack = RingCovariance([CircularLattice(16, 0.1, kappa) for kappa in (1.0, 8.0)])
     assert stack._certified
     parts = [Bipartition(range(n1), range(n1, 6)) for n1 in (1, 2, 3)]
     shapes = eigvalsh_shapes
@@ -249,10 +255,10 @@ def test_certified_ring_stacks_skip_only_the_eigenvalue_test(eigvalsh_shapes):
         for g, w in zip(got_p, want_p):
             assert g.lambda_tilde.tobytes() == w.lambda_tilde.tobytes()
             assert g.log_negativity == w.log_negativity
-    # A reduction of a certified ring is certified and skips the test too; a
+    # The dense state of the same ring is certified and skips the test too; a
     # hand-built CovarianceMatrix of the same entries, and symplectic_spectrum
     # of a bare array, keep it.
-    dense = reduce_modes(ring_covariance(CircularLattice(16, 0.1, 1.0)), range(16))
+    dense = classical_covariance(normal_modes(CircularLattice(16, 0.1, 1.0)), np.ones(16))
     assert dense._certified
     shapes.clear()
     skipped = log_negativity(dense, parts[0])
@@ -269,8 +275,8 @@ def test_certified_ring_stacks_skip_only_the_eigenvalue_test(eigvalsh_shapes):
 
 
 def test_sequence_of_ring_stacks_is_one_stack_in_order(eigvalsh_shapes):
-    small = ring_covariances([CircularLattice(9, 0.1, kappa) for kappa in (1.0, 4.0)])
-    large = ring_covariances([CircularLattice(23, 0.05, kappa) for kappa in (2.0, 8.0, 32.0)])
+    small = RingCovariance([CircularLattice(9, 0.1, kappa) for kappa in (1.0, 4.0)])
+    large = RingCovariance([CircularLattice(23, 0.05, kappa) for kappa in (2.0, 8.0, 32.0)])
     parts = [Bipartition([0, 1], [2, 3, 4]), Bipartition([0, 2], [1, 3])]
     shapes = eigvalsh_shapes
     got = stacked_log_negativities((small, large), parts)
@@ -281,15 +287,18 @@ def test_sequence_of_ring_stacks_is_one_stack_in_order(eigvalsh_shapes):
         assert len(got_p) == 5
         for g, w in zip(got_p, want_p):
             assert g.lambda_tilde.tobytes() == w.lambda_tilde.tobytes()
-    # One uncertified stack puts the whole sequence through the test.
+    # One uncertified stack (at k = 1e-22 the kappa = 32 ring falls below
+    # the margin) puts the whole sequence through the test.
+    low = RingCovariance([CircularLattice(23, 1e-22, kappa) for kappa in (2.0, 8.0, 32.0)])
+    assert not low._certified
     shapes.clear()
-    stacked_log_negativities([small, uncertified(large)], parts[:1])
+    stacked_log_negativities([small, low], parts[:1])
     assert shapes == [(5, 5, 5)] * 2
     with pytest.raises(ValueError, match="one or more RingCovariance"):
         stacked_log_negativities([], parts)
+    dense = classical_covariance(normal_modes(CircularLattice(9, 0.1, 1.0)), np.ones(9))
     with pytest.raises(ValueError, match="one or more RingCovariance"):
-        stacked_log_negativities([small, reduce_modes(ring_covariance(
-            CircularLattice(9, 0.1, 1.0)), range(9))], parts)
+        stacked_log_negativities([small, dense], parts)
 
 
 def test_nearly_singular_qq_is_refused_like_the_spectrum_route():
@@ -329,8 +338,11 @@ def pure_state_cuts():
             X1=2.0, X2=3.0, Y1=0.3, Y2=-0.5, Z=1.0)), np.ones(2)), [0], [1]),
         "qp-chain": (classical_covariance(normal_modes(chain), np.ones(12)),
                      [0, 2, 5, 7, 8], [1, 3, 4, 6, 9, 10, 11]),
-        "ring": (ring_covariance(CircularLattice(16, 0.1, 4.0)), range(6), range(6, 16)),
+        "ring": (classical_covariance(normal_modes(RING), np.ones(16)), range(6), range(6, 16)),
     }
+
+
+RING = CircularLattice(16, 0.1, 4.0)
 
 
 @pytest.mark.parametrize("case", ["two-mode", "generalized", "qp-chain", "ring"])
@@ -345,6 +357,9 @@ def test_pure_state_cut_pins_the_doubled_convention(case):
     part = Bipartition(group1, group2)
     for route in (log_negativity, log_negativity_via_symplectic):
         assert_allclose(route(cov, part).log_negativity, want, rtol=1e-10)
+    if case == "ring":   # and from the ring's rows
+        assert_allclose(log_negativity(RingCovariance([RING]), part).log_negativity,
+                        want, rtol=1e-10)
 
 
 def test_swapping_groups_changes_nothing():

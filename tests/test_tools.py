@@ -48,7 +48,7 @@ def test_dump_outputs_runs_every_command_cleanly(tmp_path, monkeypatch):
     dump = load_tool("dump_outputs")
     assert dump.main([str(tmp_path)]) == 0
 
-    expected = {"status.txt", "fit_kappa.csv", "fit_kappa.json"}
+    expected = {"status.txt", "fit_kappa.csv", "fit_kappa.json", "lattice_size_uncertified.csv"}
     for stem in ("twomode_sweep", "ghoc_sweep", "lattice_d", "lattice_adjacent",
                  "lattice_size"):
         expected |= {f"{stem}.csv", f"{stem}.json"}
@@ -83,8 +83,8 @@ def test_dump_outputs_runs_every_command_cleanly(tmp_path, monkeypatch):
 
     # One "label: exit 0" line per command and nothing on stderr: every file
     # but status.txt and the model files comes from one command. Each refusal
-    # adds its "label: exit 2" line (3 for the unstable ring) and one error
-    # line, and writes no output file.
+    # adds its "label: exit 2" line (3 for the unstable ring and the
+    # near-singular window) and one error line, and writes no output file.
     for name in dump.BAD_MODELS:
         assert (tmp_path / f"model_bad_{name}.json").stat().st_size > 0, name
     refused = [f"{command} bad {name}" for name in dump.BAD_MODELS
@@ -100,5 +100,6 @@ def test_dump_outputs_runs_every_command_cleanly(tmp_path, monkeypatch):
             codes[label] = int(code)
             assert after.startswith("error: ") == (code != "0"), (line, after)
     for label in refused:
-        assert codes.pop(label) == (3 if "unstable" in label else 2), label
+        assert codes.pop(label) == (3 if "unstable" in label or "singular" in label
+                                    else 2), label
     assert set(codes.values()) == {0}

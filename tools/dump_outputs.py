@@ -8,6 +8,8 @@ an empty diff means the two versions print the same bytes. The directory gets
 * the default CSV and ``--json`` output of ``twomode-sweep``, ``ghoc-sweep``,
   ``lattice-d``, ``lattice-adjacent`` and ``lattice-size``, and of
   ``fit-cft`` (every default kappa) and ``fit-kappa`` on those tables;
+* ``lattice-size`` on rings whose stack is not certified (``UNCERTIFIED``),
+  so that the negativity kernel's eigenvalue-only test runs;
 * four model files written by ``save_model`` (two-mode, generalized
   two-mode, a seeded 12-site chain with q-p coupling, a 16-site ring) and
   the ``measures`` and ``negativity`` output on each, plus both on a
@@ -93,8 +95,14 @@ BAD_MODELS = {
     "ring_n2": '{"variant": "CircularLattice", "N": 2, "k": 0.1, "kappa": 1.0}',
 }
 
-# Sweeps that must be refused, by file stem; the first kappa of the last is
-# unstable (k = 0), the second invalid, and the first is the one reported.
+# lattice-size on rings below the certificate's margin (k = 1e-22): the
+# kernel tests every window's qq itself, and every window passes.
+UNCERTIFIED = ["lattice-size", "--k", "1e-22", "--grid", "40:200:2", "--kappas", "1,64"]
+
+# Sweeps that must be refused, by file stem. In the unstable-then-negative
+# one the first kappa is unstable (k = 0), the second invalid, and the first
+# is the one reported; the near-singular window is the whole ring, whose qq
+# fails the kernel's test (exit 3); the two orders print alike as 2.
 REFUSED = {
     "twomode_equal_ab": ["twomode-sweep", "--A", "5", "--B", "5"],
     "twomode_equal_ab_inside_disc": ["twomode-sweep", "--A", "5", "--B", "5",
@@ -103,6 +111,10 @@ REFUSED = {
     "lattice_size_negative_kappa": ["lattice-size", "--kappas", "-1"],
     "lattice_size_unstable_then_negative_kappa": ["lattice-size", "--k", "0",
                                                   "--kappas", "1,-1"],
+    "lattice_size_near_singular_window": ["lattice-size", "--k", "1e-22",
+                                          "--grid", "20:20:1", "--kappas", "64"],
+    "twomode_alphas_one_column": ["twomode-sweep", "--grid", "0:1:2",
+                                  "--alphas", "2,2.0000001"],
 }
 
 # argparse refusals, by file stem: each exits 2 before any command runs.
@@ -166,6 +178,8 @@ def main(argv=None):
         stem = command.replace("-", "_")
         run(status, command, [command, "--out", path(f"{stem}.csv")])
         run(status, f"{command} --json", [command, "--json", "--out", path(f"{stem}.json")])
+    run(status, "lattice-size uncertified", UNCERTIFIED + ["--out",
+                                                           path("lattice_size_uncertified.csv")])
     for kappa in KAPPAS:
         for ext, flag in (("csv", []), ("json", ["--json"])):
             run(status, f"fit-cft {kappa} {ext}",
