@@ -219,11 +219,11 @@ def test_stack_checks_every_state():
     # The second state's window is the whole ring at k = 1e-22: its qq has
     # eigenvalue ratio below POSDEF_RTOL, so the stack is not certified and
     # the kernel's eigenvalue test refuses it.
-    indefinite = RingCovariance([CircularLattice(20, 0.1, 64.0),
-                                 CircularLattice(20, 1e-22, 64.0)])
-    assert not indefinite._certified
+    near_singular = RingCovariance([CircularLattice(20, 0.1, 64.0),
+                                    CircularLattice(20, 1e-22, 64.0)])
+    assert not near_singular._certified
     with pytest.raises(NotPositiveDefiniteError, match="eigenvalue 6.250010e-02$"):
-        stacked_log_negativities(indefinite, [Bipartition(range(10), range(10, 20))])
+        stacked_log_negativities(near_singular, [Bipartition(range(10), range(10, 20))])
     # log_negativity takes one state, not a stack of several.
     with pytest.raises(ValueError, match="one state"):
         log_negativity(stack, Bipartition([0], [1]))
@@ -325,6 +325,9 @@ def test_lambdas_sorted_ascending_both_routes():
         assert result.lambda_tilde.shape == (5,)
 
 
+RING = CircularLattice(16, 0.1, 4.0)
+
+
 def pure_state_cuts():
     # Whole-system cuts of pure states: a subsystem against its complement.
     rng = np.random.default_rng(211)
@@ -340,9 +343,6 @@ def pure_state_cuts():
                      [0, 2, 5, 7, 8], [1, 3, 4, 6, 9, 10, 11]),
         "ring": (classical_covariance(normal_modes(RING), np.ones(16)), range(6), range(6, 16)),
     }
-
-
-RING = CircularLattice(16, 0.1, 4.0)
 
 
 @pytest.mark.parametrize("case", ["two-mode", "generalized", "qp-chain", "ring"])
