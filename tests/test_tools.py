@@ -60,6 +60,8 @@ def test_dump_outputs_runs_every_command_cleanly(tmp_path, monkeypatch):
                      for tag in dump.SUBSETS.get(name, {}) for json in ("", "_json")}
         expected |= {f"negativity_{name}_{i}{tag}.out"
                      for i in range(len(dump.CUTS[name])) for tag in ("", "_json")}
+    expected.add("model_soft_chain.json")
+    expected |= {f"{stem}.out" for stem in dump.SOFT_CHAIN_RUNS if not stem.startswith("refused_")}
     expected |= {f"demo_{script[:-3]}.txt" for script in os.listdir(ROOT / "demos")
                  if script.endswith(".py")}
     parser_files = {"help.txt"} | {f"refusal_{name}.txt" for name in dump.REFUSALS}
@@ -82,17 +84,19 @@ def test_dump_outputs_runs_every_command_cleanly(tmp_path, monkeypatch):
     assert len(dump.subcommands()) == 9
 
     # One "label: exit 0" line per command and nothing on stderr: every file
-    # but status.txt and the model files comes from one command. Each refusal
-    # adds its "label: exit 2" line (3 for the unstable ring and the
-    # near-singular window) and one error line, and writes no output file.
+    # but status.txt and the model files (MODELS and SOFT_CHAIN) comes from
+    # one command. Each refusal adds its "label: exit 2" line (3 for the
+    # unstable ring, the near-singular window and the soft chain's singular
+    # qq block) and one error line, and writes no output file.
     for name in dump.BAD_MODELS:
         assert (tmp_path / f"model_bad_{name}.json").stat().st_size > 0, name
     refused = [f"{command} bad {name}" for name in dump.BAD_MODELS
                for command in ("measures", "negativity")]
     refused += [f"refused {stem}" for stem in dump.REFUSED]
+    refused += [stem for stem in dump.SOFT_CHAIN_RUNS if stem.startswith("refused_")]
     assert not list(tmp_path.glob("refused_*"))
     lines = (tmp_path / "status.txt").read_text(encoding="utf-8").splitlines()
-    assert len(lines) == len(expected) - 1 - len(dump.MODELS) + 2 * len(refused)
+    assert len(lines) == len(expected) - 2 - len(dump.MODELS) + 2 * len(refused)
     codes = {}
     for line, after in zip(lines, lines[1:] + [""]):
         if not line.startswith("error: "):

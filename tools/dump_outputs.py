@@ -15,6 +15,8 @@ an empty diff means the two versions print the same bytes. The directory gets
   the ``measures`` and ``negativity`` output on each, plus both on a
   six-mode subset of the chain (``SUBSETS``), a multi-mode reduction with
   a live q-p shear;
+* a model file whose state is not certified (``SOFT_CHAIN``) and the
+  ``SOFT_CHAIN_RUNS`` on it, so that reports take the checked route;
 * the refusals of model files that ``save_model`` will not write
   (``BAD_MODELS``, written as raw JSON, each run through ``measures`` and
   ``negativity``) and of sweeps with parameters outside a model's domain
@@ -81,6 +83,24 @@ CUTS = {
 # Extra ``measures --subsystem`` runs per model, by file tag.
 SUBSETS = {
     "chain_qp": {"six": "1,3,5,7,9,11"},
+}
+
+# A 4-site chain whose state is not certified: site 1 is very soft and
+# weakly coupled (omega runs from 9.9e-14 to 1.5), so the reports below take
+# the checked route, and the cut 2 | 3 undoes the live q-p shear of its
+# sites. The whole system's qq block fails the kernel's test (exit 3).
+SOFT_CHAIN = models.model_from_dict({
+    "variant": "GeneralizedChain",
+    "K": [[1e-26, 1e-14, 0.0, 0.0], [1e-14, 1.0, 0.3, 0.0],
+          [0.0, 0.3, 2.0, 0.4], [0.0, 0.0, 0.4, 1.5]],
+    "Y": [0.0, 0.2, -0.1, 0.15],
+})
+
+# Runs on the SOFT_CHAIN file, by output stem (also the status label).
+SOFT_CHAIN_RUNS = {
+    "measures_soft_chain_sub": ["measures", "--subsystem", "2,3"],
+    "negativity_soft_chain": ["negativity", "--group1", "2", "--group2", "3"],
+    "refused_measures_soft_chain_singular_qq": ["measures"],
 }
 
 # Model files outside each model's domain, by tag, as raw JSON text.
@@ -207,6 +227,11 @@ def main(argv=None):
                     ["negativity", "--model", model_file, "--group1", group1,
                      "--group2", group2,
                      "--out", path(f"negativity_{name}_{i}{tag}.out")] + extra)
+
+    soft_file = path("model_soft_chain.json")
+    models.save_model(SOFT_CHAIN, soft_file)
+    for stem, argv in SOFT_CHAIN_RUNS.items():
+        run(status, stem, argv + ["--model", soft_file, "--out", path(f"{stem}.out")])
 
     for name, text in BAD_MODELS.items():
         model_file = path(f"model_bad_{name}.json")
