@@ -37,12 +37,7 @@ from .experiments import (
     sweep_ghoc_y2,
     sweep_two_mode_coupling,
 )
-from .linalg import (
-    EigDecomposition,
-    eig_sym,
-    symplectic_form,
-    symplectic_spectrum,
-)
+from .linalg import symplectic_form, symplectic_spectrum
 from .measures import (
     DEFAULT_ALPHAS,
     AlphaMeasures,
@@ -72,7 +67,6 @@ from .models import (
     model_from_dict,
     model_to_dict,
     normal_modes,
-    ring_frequencies,
     save_model,
     stability,
     two_mode_angles,

@@ -33,7 +33,7 @@ from .errors import (
     IndexOutOfRangeError,
     OverlappingGroupsError,
 )
-from .linalg import _circulant_posdef, _spectrum_posdef, require_symmetric
+from .linalg import _spectrum_posdef, require_symmetric
 from .models import CircularLattice, NormalModes, _ring_frequency_rows
 
 
@@ -112,11 +112,10 @@ def _circulant_row(eigenvalues):
 class RingCovariance:
     """Unit-action classical states of CircularLattices of one size, as rows.
 
-    ``models``, any iterable, is read once in order, each tested as by
-    ring_frequencies; models of different N raise ValueError. ``cq[s, d]``
-    and ``cp[s, d]`` are the qq and pp entries between sites d apart in the
-    state of model s, shape (number of models, N); the q-p cross block is
-    zero. Row d of qq is (1/N) sum_j cos(2 pi j d / N) / omega_j and row d
+    ``models``, one or more in any iterable, is read once in order (see
+    models._ring_frequency_rows). ``cq[s, d]`` and ``cp[s, d]`` are the qq
+    and pp entries between sites d apart in the state of model s, shape
+    (number of models, N); the q-p cross block is zero. Row d of qq is (1/N) sum_j cos(2 pi j d / N) / omega_j and row d
     of pp the same sum over omega_j, from one cosine table and one inverse
     FFT per block; they agree with classical_covariance of each ring's
     normal modes at unit actions to roundoff. No N x N matrix is formed, so
@@ -125,8 +124,9 @@ class RingCovariance:
     Both rows are exactly even, so every window is exactly symmetric.
     ``_certified`` is set when the qq rows show that every window of every
     state passes the block-product kernel's positive-definiteness test
-    (linalg._circulant_posdef); it carries the guarantees of
-    ``CovarianceMatrix._certified`` over to every window.
+    (linalg._spectrum_posdef of the rows' DFT, a circulant's spectrum); it
+    carries the guarantees of ``CovarianceMatrix._certified`` over to every
+    window.
     """
 
     models: InitVar[Iterable[CircularLattice]]
@@ -140,7 +140,7 @@ class RingCovariance:
         cq = _circulant_row(1.0 / omegas)
         object.__setattr__(self, "cq", cq)
         object.__setattr__(self, "cp", _circulant_row(omegas))
-        object.__setattr__(self, "_certified", _circulant_posdef(cq))
+        object.__setattr__(self, "_certified", _spectrum_posdef(np.fft.rfft(cq).real))
 
     @property
     def n_modes(self):
@@ -187,6 +187,12 @@ def _checked_actions(actions, n):
 
 def _common_action(actions):
     return float(actions[0]) if np.all(actions == actions[0]) else None
+
+
+def _require_dense(cov, caller):
+    if not isinstance(cov, CovarianceMatrix):
+        raise TypeError(f"{caller} takes a CovarianceMatrix, got {type(cov).__name__}; "
+                        "cut the windows of a RingCovariance with ring_windows")
 
 
 def _require_action(cov):
@@ -312,6 +318,7 @@ def reduce_modes(cov: CovarianceMatrix, indices):
     The result is certified when ``cov`` is. ``indices`` are 0-based
     oscillator labels; duplicates collapse, order is ascending in the output.
     """
+    _require_dense(cov, "reduce_modes")
     n = cov.n_modes
     idx = _checked_indices(indices, n)
     # ``idx`` is sorted and unique, so keeping every mode is a plain copy;

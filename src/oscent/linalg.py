@@ -7,14 +7,11 @@ splits into ``n x n`` blocks ``[[qq, qp], [qp.T, pp]]``.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import (
     AsymmetricInputError,
     EmptySubsystemError,
-    NoConvergenceError,
     NotPositiveDefiniteError,
     UnpairedSpectrumError,
 )
@@ -24,13 +21,6 @@ SYMMETRY_RTOL = 1e-12       # |a_ij - a_ji| <= SYMMETRY_RTOL * max|a|
 POSDEF_RTOL = 1e-12         # eigenvalue > POSDEF_RTOL * max eigenvalue
 PAIR_RTOL = 1e-9            # symplectic eigenvalues must pair up this tightly
 CROSS_BLOCK_RTOL = 1e-12    # |qp| (or a shear's residual) <= this * max|cov|
-
-
-class EigDecomposition(NamedTuple):
-    """Eigenvalues ascending; eigenvector k is ``eigenvectors[:, k]``."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def require_symmetric(mat, name="matrix"):
@@ -74,17 +64,6 @@ def require_symmetric(mat, name="matrix"):
     return d
 
 
-def eig_sym(mat, name="matrix"):
-    """Eigenvalues ascending and orthonormal eigenvector columns of a matrix
-    symmetric within ``SYMMETRY_RTOL``, as ``np.linalg.eigh`` gives them: the
-    sign of each column is unspecified."""
-    a = require_symmetric(mat, name=name)
-    try:
-        return EigDecomposition(*np.linalg.eigh(a))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergenceError(f"eigendecomposition failed: {exc}") from exc
-
-
 def symplectic_form(n_modes):
     """Standard form J = [[0, I], [-I, 0]] in (q..., p...) ordering."""
     j = np.zeros((2 * n_modes, 2 * n_modes))
@@ -105,34 +84,6 @@ def _pair_up(values, scale):
             f"between {a[worst]:.12e} and {b[worst]:.12e}"
         )
     return 0.5 * (a + b)
-
-
-def unsheared_momentum_block(qq, qp, pp, scale):
-    """The pp block after undoing a local q-p shear, or None if there is none.
-
-    A cross block ``qp = -qq Y`` with Y diagonal is what the map
-    ``(q, p) -> (q, p - Y q)`` adds to a state with no cross block. The map
-    acts on each oscillator alone and is symplectic, so the state it undoes
-    to, with blocks ``(qq, pp - Y qq Y)`` and no cross block, has the same
-    symplectic spectrum and the same log-negativity of every bipartition.
-    Y is read from the diagonals, ``y_j = -qp_jj / qq_jj``, and accepted
-    when ``max|qp + qq Y| <= CROSS_BLOCK_RTOL * scale``; a vanishing cross
-    block (the same test) returns ``pp`` itself.
-    """
-    if float(np.max(np.abs(qp))) <= CROSS_BLOCK_RTOL * scale:
-        return pp
-    d = np.diag(qq)
-    if not np.all(d > 0.0):
-        return None
-    y = -np.diag(qp) / d
-    if float(np.max(np.abs(qp + qq * y))) > CROSS_BLOCK_RTOL * scale:
-        return None
-    return _unshear(qq, pp, y)
-
-
-def _unshear(qq, pp, y):
-    # pp - Y qq Y, the pp block of the state the shear y came from.
-    return pp - (y[:, np.newaxis] * qq) * y
 
 
 def _checked_cholesky(a, label, *, certified=False):
@@ -169,38 +120,39 @@ def _spectrum_posdef(w):
     return bool(np.all(w.min(axis=-1) > margin * w.max(axis=-1)))
 
 
-def _circulant_posdef(rows):
-    """:func:`_spectrum_posdef` of the symmetric circulants with these
-    exactly even, finite first rows (last axis): every ring window of every
-    state passes the test.
-
-    A symmetric circulant's eigenvalues are the real DFT of its row,
-    computed here by an O(N log N) transform.
-    """
-    return _spectrum_posdef(np.fft.rfft(rows, axis=-1).real)
-
-
 def _unsheared_blocks(mat, name, *, certified=False):
     # The symmetrised 2n x 2n matrix, its qq block and its pp block with any
-    # local q-p shear undone (None when the cross block is not one).
-    # A ``certified`` matrix (CovarianceMatrix._certified) skips the
-    # symmetry, scale and shear scans; pp is kept when the Y read is zero.
-    if certified:
-        n = mat.shape[0] // 2
-        qq, pp = mat[:n, :n], mat[n:, n:]
-        y = -np.diag(mat[:n, n:]) / np.diag(qq)
-        return mat, qq, _unshear(qq, pp, y) if y.any() else pp
-    a = require_symmetric(mat, name=name)
+    # local q-p shear undone (None when the cross block is not one). The map
+    # (q, p) -> (q, p - Y q), Y diagonal, adds the cross block qp = -qq Y; it
+    # acts on each oscillator alone and is symplectic, so undoing it, to the
+    # blocks (qq, pp - Y qq Y), changes no spectrum. Y is read from the
+    # diagonals, y_j = -qp_jj / qq_jj. A ``certified`` matrix
+    # (CovarianceMatrix._certified) skips the symmetry, scale and shear
+    # scans, and keeps pp when that Y is zero; any other matrix keeps pp when
+    # max|qp| <= CROSS_BLOCK_RTOL max|a|, and is unsheared when
+    # max|qp + qq Y| is within the same bound.
+    a = mat if certified else require_symmetric(mat, name=name)
     if a.shape[0] % 2:
-        raise AsymmetricInputError(
-            f"{name} must be 2n x 2n, got {a.shape[0]} rows"
-        )
+        raise AsymmetricInputError(f"{name} must be 2n x 2n, got {a.shape[0]} rows")
     if not a.size:
         raise EmptySubsystemError(f"{name} is 0 x 0: it holds no modes")
     n = a.shape[0] // 2
-    qq = a[:n, :n]
-    scale = max(float(np.max(a)), -float(np.min(a)))   # max|a| without an |a| temporary
-    return a, qq, unsheared_momentum_block(qq, a[:n, n:], a[n:, n:], scale)
+    qq, qp, pp = a[:n, :n], a[:n, n:], a[n:, n:]
+    if certified:
+        y = -np.diag(qp) / np.diag(qq)
+        if not y.any():
+            return a, qq, pp
+    else:
+        scale = max(float(np.max(a)), -float(np.min(a)))   # max|a| without an |a| temporary
+        if float(np.max(np.abs(qp))) <= CROSS_BLOCK_RTOL * scale:
+            return a, qq, pp
+        d = np.diag(qq)
+        if not np.all(d > 0.0):
+            return a, qq, None
+        y = -np.diag(qp) / d
+        if float(np.max(np.abs(qp + qq * y))) > CROSS_BLOCK_RTOL * scale:
+            return a, qq, None
+    return a, qq, pp - (y[:, np.newaxis] * qq) * y
 
 
 def _block_product_eigvals(qq, pp, sign_patterns, name="covariance", *, certified=False):
@@ -268,7 +220,7 @@ def symplectic_spectrum(cov, *, _certified=False):
     alone picks the route:
 
     * cross block zero or a local shear ``qp = -qq Y`` (relative to the
-      largest entry, see :func:`unsheared_momentum_block`):
+      largest entry):
       ``sqrt(eig(qq @ pp))`` via the symmetrized product ``L^T pp L``
       (``qq = L L^T``) of :func:`_block_product_eigvals`, with pp unsheared;
     * any other cross block: with the Cholesky factor ``cov = L L^T``, the

@@ -20,7 +20,7 @@ from typing import Dict
 
 import numpy as np
 
-from .covariance import CovarianceMatrix, _require_action
+from .covariance import CovarianceMatrix, _require_action, _require_dense
 from .errors import (
     AlphaOutOfDomainError,
     DegenerateParametersError,
@@ -46,6 +46,7 @@ def sigma_tilde(cov: CovarianceMatrix):
     normal modes, or a reduction of one) skips the symmetry, scale and
     shear scans and the qq eigenvalue test its certificate covers.
     """
+    _require_dense(cov, "sigma_tilde")
     nu = symplectic_spectrum(cov.matrix, _certified=cov._certified)
     nu = nu / (2.0 * _require_action(cov))
     low = nu < 0.5 - SIGMA_FLOOR_TOL
@@ -88,6 +89,7 @@ def von_neumann_entropy(sigma):
 
 def purity_from_determinant(cov: CovarianceMatrix):
     """Purity as action**n / sqrt(det cov); equals prod(1 / (2 sigma_k))."""
+    _require_dense(cov, "purity_from_determinant")
     action = _require_action(cov)
     sign, logdet = np.linalg.slogdet(cov.matrix)
     if sign <= 0.0:

@@ -24,7 +24,7 @@ from .errors import (
     NoConvergenceError,
     UnstableSystemError,
 )
-from .linalg import eig_sym, require_symmetric
+from .linalg import require_symmetric
 
 
 def _require_finite(model, fields):
@@ -236,7 +236,10 @@ def normal_modes(model):
         If the smallest eigenvalue of M is not strictly positive.
     """
     k, y = assemble_ky(model)
-    w, s = eig_sym(_k_minus_y2(k, y), name="M")
+    try:
+        w, s = np.linalg.eigh(_k_minus_y2(k, y))  # exactly symmetric, finite
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergenceError(f"eigendecomposition failed: {exc}") from exc
     if w[0] <= 0.0:
         raise UnstableSystemError(
             f"system is not stable: min eigenvalue of K - Y^2 is {w[0]:.6e}"
@@ -244,25 +247,11 @@ def normal_modes(model):
     return NormalModes(s, np.sqrt(w), y)
 
 
-def ring_frequencies(model: CircularLattice):
-    """Closed-form normal-mode frequencies of a ring, in Fourier order.
-
-    The ring's K is circulant, so its eigenvectors are the Fourier modes
-    and mode j has omega_j**2 = k + 2 kappa (1 - cos(2 pi j / N)),
-    j = 0..N-1 (not sorted).
-
-    Raises
-    ------
-    UnstableSystemError
-        If any omega_j**2 is not strictly positive (k = 0 leaves the
-        uniform translation at zero frequency).
-    """
-    return _ring_frequency_rows([model])[0]
-
-
 def _ring_frequency_rows(models):
-    # ring_frequencies of rings of one size, one row each, from one table
-    # of 1 - cos(2 pi j / N) built at the first model.
+    # Frequencies of rings of one size, one row each in Fourier order: K is
+    # circulant, so mode j has omega_j**2 = k + 2 kappa (1 - cos(2 pi j / N)),
+    # from one cosine table built at the first model. Any omega_j**2 <= 0
+    # (k = 0 leaves the uniform translation at zero) is unstable.
     rows, table = [], None
     for model in models:
         n = int(model.N)
@@ -276,6 +265,8 @@ def _ring_frequency_rows(models):
                 f"system is not stable: min eigenvalue of K - Y^2 is {np.min(w2):.6e}"
             )
         rows.append(np.sqrt(w2))
+    if not rows:
+        raise ValueError("rings of one size need one or more models: the model list is empty")
     return np.stack(rows)
 
 

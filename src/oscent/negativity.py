@@ -96,6 +96,20 @@ def _result(lambdas, e_n):
     return NegativityResult(lambdas, e_n, 0.5 * (2.0**e_n - 1.0))
 
 
+def _stacked_results(blocks, partitions):
+    # results[i][s] of stacked_log_negativities, ``blocks`` from _unit_blocks.
+    qq_u, pp_u, certified = blocks
+    patterns = [partition.momentum_signs() for partition in partitions]
+    per_pattern = _block_product_eigvals(qq_u, pp_u, patterns, name="reduced",
+                                         certified=certified)
+    results = []
+    for lambdas in per_pattern:
+        lambdas = np.maximum(lambdas, np.finfo(float).tiny)
+        results.append([_result(row, e_n)
+                        for row, e_n in zip(lambdas, _bits_from_lambdas(lambdas))])
+    return results
+
+
 def stacked_log_negativities(cov, partitions):
     """E_N of many bipartitions in every state of a stack, in the order given.
 
@@ -116,14 +130,10 @@ def stacked_log_negativities(cov, partitions):
         by_members.setdefault(partition.members, []).append(i)
     results = [None] * len(partitions)
     for members, positions in by_members.items():
-        qq_u, pp_u, certified = _unit_blocks(cov, members)
-        patterns = [partitions[i].momentum_signs() for i in positions]
-        per_pattern = _block_product_eigvals(qq_u, pp_u, patterns, name="reduced",
-                                             certified=certified)
-        for i, lambdas in zip(positions, per_pattern):
-            lambdas = np.maximum(lambdas, np.finfo(float).tiny)
-            results[i] = [_result(row, e_n)
-                          for row, e_n in zip(lambdas, _bits_from_lambdas(lambdas))]
+        per_pattern = _stacked_results(_unit_blocks(cov, members),
+                                       [partitions[i] for i in positions])
+        for i, per_state in zip(positions, per_pattern):
+            results[i] = per_state
     return results
 
 
@@ -137,11 +147,11 @@ def log_negativity(cov, partition: Bipartition):
     the unsheared block ``pp - Y qq Y``. Any other cross block raises
     CrossBlockNotZeroError.
     """
-    (per_state,) = stacked_log_negativities(cov, [partition])
-    if len(per_state) != 1:
+    blocks = _unit_blocks(cov, partition.members)
+    if blocks[0].shape[0] != 1:   # refused before any solve
         raise ValueError("log_negativity takes one state; "
                          "use stacked_log_negativities for a stack")
-    return per_state[0]
+    return _stacked_results(blocks, [partition])[0][0]
 
 
 def log_negativity_via_symplectic(cov, partition: Bipartition):

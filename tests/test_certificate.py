@@ -123,8 +123,9 @@ def test_certified_reports_make_no_symmetry_check(monkeypatch):
     monkeypatch.setattr(linalg, "require_symmetric", spy)
     monkeypatch.setattr(covariance, "require_symmetric", spy)
     cov = chain_state(1905, 8, y_scale=0.5)
-    # Built once, checked once: M in normal_modes, then the state's blocks.
-    assert calls == [("M", (8, 8)), ("qq", (8, 8)), ("pp", (8, 8))]
+    # Built once, checked once: the state's blocks (normal_modes trusts the
+    # model's exactly symmetric M).
+    assert calls == [("qq", (8, 8)), ("pp", (8, 8))]
     calls.clear()
     measure_report(reduce_modes(cov, [0, 2, 5]))
     log_negativity(cov, Bipartition((0, 2), (5,)))

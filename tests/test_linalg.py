@@ -17,7 +17,6 @@ from oscent.linalg import (
     _general_spectrum,
     POSDEF_RTOL,
     _pair_up,
-    eig_sym,
     require_symmetric,
     symplectic_form,
     symplectic_spectrum,
@@ -86,43 +85,6 @@ def test_require_symmetric_near_the_largest_double():
 def test_require_symmetric_rejects_nonsquare():
     with pytest.raises(AsymmetricInputError):
         require_symmetric(np.zeros((2, 3)))
-
-
-# --- eig_sym ----------------------------------------------------------------
-
-def test_eig_sym_hand_2x2():
-    # [[2, 1], [1, 2]] has eigenvalues 1 and 3, eigenvectors (1, -+1)/sqrt2.
-    w, v = eig_sym([[2.0, 1.0], [1.0, 2.0]])
-    assert_allclose(w, [1.0, 3.0], atol=1e-14)
-    assert_allclose(np.abs(v), np.full((2, 2), 1.0 / np.sqrt(2.0)), atol=1e-14)
-
-
-def test_eig_sym_circulant_dft_oracle():
-    # Circulant eigenvalues are the DFT of the first row.
-    rng = np.random.default_rng(3)
-    first = rng.normal(size=8)
-    first = first + first[::-1].take(np.arange(-1, 7))  # symmetrize the circulant
-    n = 8
-    c = np.empty((n, n))
-    for i in range(n):
-        c[i] = np.roll(first, i)
-    c = 0.5 * (c + c.T)
-    w, _ = eig_sym(c)
-    oracle = np.sort(np.fft.fft(c[0]).real)
-    assert_allclose(w, oracle, atol=1e-12)
-
-
-def test_eig_sym_ascending_orthonormal_reconstructs():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a = random_spd(rng, rng.integers(2, 9))
-        w, v = eig_sym(a)
-        assert np.all(np.diff(w) >= 0.0)
-        assert_allclose(v.T @ v, np.eye(a.shape[0]), atol=1e-12)
-        assert_allclose((v * w) @ v.T, a, atol=1e-10 * np.max(np.abs(a)))
-        # Column signs are unspecified, but the same input gives the same bits.
-        w2, v2 = eig_sym(a.copy())
-        assert w.tobytes() == w2.tobytes() and v.tobytes() == v2.tobytes()
 
 
 # --- symplectic form and spectrum -------------------------------------------

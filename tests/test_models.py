@@ -29,8 +29,8 @@ from oscent.models import (
     m_matrix,
     model_from_dict,
     model_to_dict,
+    _ring_frequency_rows,
     normal_modes,
-    ring_frequencies,
     save_model,
     stability,
     two_mode_angles,
@@ -260,7 +260,8 @@ def test_chain_stiffness_is_checked_once(monkeypatch):
 
 
 def test_a_chain_file_is_checked_once_from_load_to_state(tmp_path, monkeypatch):
-    # load_model checked K, then normal_modes checked it again: K, K, M, qq, pp.
+    # load_model checked K, then normal_modes checked it again, then M:
+    # K, K, M, qq, pp. A built model's K and M are exactly symmetric.
     save_model(random_chain(np.random.default_rng(7), 6), tmp_path / "chain.json")
     calls = []
 
@@ -271,7 +272,7 @@ def test_a_chain_file_is_checked_once_from_load_to_state(tmp_path, monkeypatch):
     for module in (models, linalg, covariance):
         monkeypatch.setattr(module, "require_symmetric", spy)
     classical_covariance(normal_modes(load_model(tmp_path / "chain.json")), np.ones(6))
-    assert calls == [("K", (6, 6)), ("M", (6, 6)), ("qq", (6, 6)), ("pp", (6, 6))]
+    assert calls == [("K", (6, 6)), ("qq", (6, 6)), ("pp", (6, 6))]
 
 
 # --- stability --------------------------------------------------------------
@@ -321,12 +322,12 @@ def test_normal_modes_lattice_dft_oracle():
 def test_ring_frequencies_match_the_eigensolver():
     for n in (3, 8, 13):
         model = CircularLattice(N=n, k=0.2, kappa=3.0)
-        assert_allclose(np.sort(ring_frequencies(model)),
+        assert_allclose(np.sort(_ring_frequency_rows([model])[0]),
                         normal_modes(model).omegas, rtol=1e-12)
     with pytest.raises(UnstableSystemError):
-        ring_frequencies(CircularLattice(N=8, k=0.0, kappa=1.0))
+        _ring_frequency_rows([CircularLattice(N=8, k=0.0, kappa=1.0)])
     with pytest.raises(InvalidModelError):
-        ring_frequencies(CircularLattice(N=8, k=float("nan"), kappa=1.0))
+        _ring_frequency_rows([CircularLattice(N=8, k=float("nan"), kappa=1.0)])
 
 
 def test_normal_modes_decoupled_pair():
@@ -340,7 +341,11 @@ def test_normal_modes_reconstruction_property():
     for _ in range(20):
         chain = random_chain(rng, int(rng.integers(2, 9)))
         modes = normal_modes(chain)
-        assert np.all(modes.omegas > 0.0)
+        assert np.all(modes.omegas > 0.0) and np.all(np.diff(modes.omegas) >= 0.0)
+        # Column signs are unspecified, but the same model gives the same bits.
+        again = normal_modes(chain)
+        assert again.omegas.tobytes() == modes.omegas.tobytes()
+        assert again.s.tobytes() == modes.s.tobytes()
         assert_allclose(modes.s.T @ modes.s, np.eye(len(modes.omegas)), atol=1e-10)
         m = m_matrix(chain)
         rebuilt = (modes.s * modes.omegas**2) @ modes.s.T

@@ -27,14 +27,14 @@ from oscent.errors import (
     UnstableSystemError,
 )
 from oscent.linalg import require_symmetric, symplectic_spectrum
-from oscent.measures import sigma_tilde
+from oscent.measures import measure_report, purity_from_determinant, sigma_tilde
 from oscent.models import (
     CircularLattice,
     GeneralizedChain,
     TwoMode,
     TwoModeGeneralized,
+    _ring_frequency_rows,
     normal_modes,
-    ring_frequencies,
 )
 from oscent.negativity import (
     log_negativity,
@@ -205,7 +205,7 @@ def test_stack_checks_every_state():
         RingCovariance(CircularLattice(10, 0.1, kappa) for kappa in (1.0, -1.0, 1.0))
     bad = CircularLattice(10, 0.0, 1.0)
     with pytest.raises(UnstableSystemError) as alone:
-        ring_frequencies(bad)
+        _ring_frequency_rows([bad])
     with pytest.raises(UnstableSystemError, match=f"^{re.escape(str(alone.value))}$"):
         RingCovariance([good, bad, good])
     stack = RingCovariance([good, good])
@@ -232,6 +232,45 @@ def test_stack_checks_every_state():
 def test_rings_of_different_sizes_cannot_share_a_stack():
     with pytest.raises(ValueError, match="N = 10 and N = 12"):
         RingCovariance([CircularLattice(10, 0.1, 1.0), CircularLattice(12, 0.1, 1.0)])
+
+
+def test_a_ring_stack_of_no_models_is_refused_by_name():
+    # It used to end in numpy's "need at least one array to stack".
+    for models in ([], iter(())):
+        with pytest.raises(ValueError, match="^rings of one size need one or more "
+                                             "models: the model list is empty$"):
+            RingCovariance(models)
+
+
+def test_dense_entries_refuse_a_ring_stack_by_type():
+    # They used to end in AttributeError: 'RingCovariance' object has no
+    # attribute 'matrix'.
+    ring = RingCovariance([CircularLattice(10, 0.1, 1.0)])
+    part = Bipartition((0,), (1,))
+    for name, call in (("reduce_modes", lambda: reduce_modes(ring, [0, 1])),
+                       ("sigma_tilde", lambda: measure_report(ring)),
+                       ("sigma_tilde", lambda: sigma_tilde(ring)),
+                       ("purity_from_determinant", lambda: purity_from_determinant(ring)),
+                       ("reduce_modes", lambda: log_negativity_via_symplectic(ring, part))):
+        with pytest.raises(TypeError, match=f"^{name} takes a CovarianceMatrix, got "
+                                            "RingCovariance; .* with ring_windows$"):
+            call()
+
+
+def test_log_negativity_refuses_a_stack_before_any_solve(eigvalsh_shapes):
+    # It used to factor and solve every state first and only then refuse,
+    # so a stack whose second window the kernel refuses raised that instead.
+    good = CircularLattice(20, 0.1, 64.0)
+    part = Bipartition(range(10), range(10, 20))
+    for stack in (RingCovariance([good, good]),
+                  [RingCovariance([good]), RingCovariance([good])],
+                  RingCovariance([good, CircularLattice(20, 1e-22, 64.0)])):
+        with pytest.raises(ValueError, match="^log_negativity takes one state; "
+                                             "use stacked_log_negativities for a stack$"):
+            log_negativity(stack, part)
+    assert eigvalsh_shapes == []
+    log_negativity(RingCovariance([good]), part)
+    assert eigvalsh_shapes == [(1, 20, 20)]
 
 
 def uncertified(ring):

@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from oscent.covariance import Bipartition, classical_covariance, reduce_modes
 from oscent.linalg import (
     _block_product_eigvals,
     _general_spectrum,
+    _unsheared_blocks,
     require_symmetric,
     symplectic_spectrum,
-    unsheared_momentum_block,
 )
 from oscent.measures import measure_report, sigma_tilde
 from oscent.models import GeneralizedChain, TwoModeGeneralized, normal_modes
@@ -44,13 +44,10 @@ def chain_pair(k_off, y, margin):
 
 def product_route(cov):
     """The fast symplectic route by hand: unshear pp, then the block product."""
-    cov = require_symmetric(cov)
-    n = cov.shape[0] // 2
-    pp = unsheared_momentum_block(cov[:n, :n], cov[:n, n:], cov[n:, n:],
-                                  float(np.max(np.abs(cov))))
+    _, qq, pp = _unsheared_blocks(cov, "covariance")
     if pp is None:
         return None
-    (lam,) = _block_product_eigvals(cov[:n, :n], pp, [np.ones(n)])
+    (lam,) = _block_product_eigvals(qq, pp, [np.ones(qq.shape[0])])
     return np.sqrt(lam)
 
 
@@ -145,12 +142,13 @@ def test_unsheared_block_is_pp_itself_without_cross_block_and_none_for_no_shear(
     rng = np.random.default_rng(223)
     a = random_spd_cross_block(rng, 3)
     a[:3, 3:] = a[3:, :3] = 0.0
-    scale = float(np.max(np.abs(a)))
-    pp = a[3:, 3:]
-    assert unsheared_momentum_block(a[:3, :3], a[:3, 3:], pp, scale) is pp
+    sym, qq, pp = _unsheared_blocks(a, "covariance")
+    # pp is the block of the symmetrized matrix itself, which for an exactly
+    # symmetric input holds the same bits.
+    assert pp.base is sym and qq.base is sym
+    assert_array_equal(sym, a)
     b = random_spd_cross_block(rng, 3)
-    assert unsheared_momentum_block(b[:3, :3], b[:3, 3:], b[3:, 3:],
-                                    float(np.max(np.abs(b)))) is None
+    assert _unsheared_blocks(b, "covariance")[2] is None
 
 
 def test_fast_route_unshears_or_refuses():
