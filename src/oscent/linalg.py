@@ -133,7 +133,9 @@ def _unsheared_blocks(mat, name, *, certified=False):
     # max|qp + qq Y| is within the same bound.
     a = mat if certified else require_symmetric(mat, name=name)
     if a.shape[0] % 2:
-        raise AsymmetricInputError(f"{name} must be 2n x 2n, got {a.shape[0]} rows")
+        raise AsymmetricInputError(
+            f"{name} must be 2n x 2n, got {a.shape[0]} rows"
+        )
     if not a.size:
         raise EmptySubsystemError(f"{name} is 0 x 0: it holds no modes")
     n = a.shape[0] // 2

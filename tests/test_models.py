@@ -20,6 +20,7 @@ from oscent.errors import (
     UnstableSystemError,
 )
 from oscent.models import (
+    _ring_frequency_rows,
     CircularLattice,
     GeneralizedChain,
     TwoMode,
@@ -29,7 +30,6 @@ from oscent.models import (
     m_matrix,
     model_from_dict,
     model_to_dict,
-    _ring_frequency_rows,
     normal_modes,
     save_model,
     stability,
@@ -260,8 +260,8 @@ def test_chain_stiffness_is_checked_once(monkeypatch):
 
 
 def test_a_chain_file_is_checked_once_from_load_to_state(tmp_path, monkeypatch):
-    # load_model checked K, then normal_modes checked it again, then M:
-    # K, K, M, qq, pp. A built model's K and M are exactly symmetric.
+    # load_model checks K once; normal_modes trusts the built model's exactly
+    # symmetric K and M (the calls used to be K, K, M, qq, pp).
     save_model(random_chain(np.random.default_rng(7), 6), tmp_path / "chain.json")
     calls = []
 

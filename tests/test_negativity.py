@@ -29,11 +29,11 @@ from oscent.errors import (
 from oscent.linalg import require_symmetric, symplectic_spectrum
 from oscent.measures import measure_report, purity_from_determinant, sigma_tilde
 from oscent.models import (
+    _ring_frequency_rows,
     CircularLattice,
     GeneralizedChain,
     TwoMode,
     TwoModeGeneralized,
-    _ring_frequency_rows,
     normal_modes,
 )
 from oscent.negativity import (
