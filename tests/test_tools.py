@@ -48,7 +48,8 @@ def test_dump_outputs_runs_every_command_cleanly(tmp_path, monkeypatch):
     dump = load_tool("dump_outputs")
     assert dump.main([str(tmp_path)]) == 0
 
-    expected = {"status.txt", "fit_kappa.csv", "fit_kappa.json", "lattice_size_uncertified.csv"}
+    expected = {"status.txt", "fit_kappa.csv", "fit_kappa.json", "lattice_size_uncertified.csv",
+                "lattice_size_mixed_certificate.csv"}
     for stem in ("twomode_sweep", "ghoc_sweep", "lattice_d", "lattice_adjacent",
                  "lattice_size"):
         expected |= {f"{stem}.csv", f"{stem}.json"}

@@ -9,7 +9,10 @@ an empty diff means the two versions print the same bytes. The directory gets
   ``lattice-d``, ``lattice-adjacent`` and ``lattice-size``, and of
   ``fit-cft`` (every default kappa) and ``fit-kappa`` on those tables;
 * ``lattice-size`` on rings whose stack is not certified (``UNCERTIFIED``),
-  so that the negativity kernel's eigenvalue-only test runs;
+  so that the negativity kernel's eigenvalue-only test runs, and on the
+  default grid at a k where only the smaller rings are certified
+  (``MIXED_CERTIFICATE``), so that the test runs on a sequence of stacks
+  some of which are certified;
 * four model files written by ``save_model`` (two-mode, generalized
   two-mode, a seeded 12-site chain with q-p coupling, a 16-site ring) and
   the ``measures`` and ``negativity`` output on each, plus both on a
@@ -119,6 +122,11 @@ BAD_MODELS = {
 # kernel tests every window's qq itself, and every window passes.
 UNCERTIFIED = ["lattice-size", "--k", "1e-22", "--grid", "40:200:2", "--kappas", "1,64"]
 
+# lattice-size on the default grid at k = 5e-22: the stacks of N = 20..220
+# are certified and those of N = 240..500 are not, so the sequence as a
+# whole is not and the kernel tests every window of every size.
+MIXED_CERTIFICATE = ["lattice-size", "--k", "5e-22", "--kappas", "1,64"]
+
 # Sweeps that must be refused, by file stem. In the unstable-then-negative
 # one the first kappa is unstable (k = 0), the second invalid, and the first
 # is the one reported; the near-singular window is the whole ring, whose qq
@@ -200,6 +208,8 @@ def main(argv=None):
         run(status, f"{command} --json", [command, "--json", "--out", path(f"{stem}.json")])
     run(status, "lattice-size uncertified", UNCERTIFIED + ["--out",
                                                            path("lattice_size_uncertified.csv")])
+    run(status, "lattice-size mixed certificate",
+        MIXED_CERTIFICATE + ["--out", path("lattice_size_mixed_certificate.csv")])
     for kappa in KAPPAS:
         for ext, flag in (("csv", []), ("json", ["--json"])):
             run(status, f"fit-cft {kappa} {ext}",
