@@ -247,6 +247,9 @@ def ring_windows(ring: RingCovariance, indices):
     The indices are checked and ordered as by reduce_modes. Each block has
     shape (states, m, m); the cross block is zero.
     """
+    if not isinstance(ring, RingCovariance):
+        raise TypeError(f"ring_windows takes a RingCovariance, got {type(ring).__name__}; "
+                        "reduce a CovarianceMatrix with reduce_modes")
     idx = _checked_indices(indices, ring.n_modes)
     d = (idx[:, np.newaxis] - idx[np.newaxis, :]) % ring.n_modes
     return np.take(ring.cq, d, axis=-1), np.take(ring.cp, d, axis=-1)

@@ -15,7 +15,10 @@ exactly zero.
 Two independent evaluations are provided: the m-eigenvalue block product
 above (symmetrized, real arithmetic) and the 2m moduli of the eigenvalues of
 J^-1 times the partially transposed covariance (complex, general
-eigensolver), which come in pairs +/- sqrt(lambda_j).
+eigensolver), which come in pairs +/- sqrt(lambda_j). The block product
+takes one kind of state per entry: log_negativity one bipartition of a dense
+CovarianceMatrix, stacked_log_negativities many bipartitions of every state
+of RingCovariance stacks at once.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 
 from .covariance import (
     Bipartition,
+    CovarianceMatrix,
     RingCovariance,
     _require_action,
     partial_transpose,
@@ -56,32 +60,16 @@ class NegativityResult:
     negativity: float
 
 
-def _unit_blocks(cov, members):
-    # Stacks (S, m, m) of qq and the unsheared pp of the reduction to
-    # ``members``, in units of the action, and whether every qq block is
-    # certified positive definite. Ring stacks, alone or in a sequence, give
-    # one block per state in order (unit action, no cross block to undo);
-    # any other state gives a stack of one, certified when the reduction is.
-    if isinstance(cov, RingCovariance):
-        cov = [cov]
-    if isinstance(cov, (list, tuple)):
-        if not cov or not all(isinstance(ring, RingCovariance) for ring in cov):
-            raise ValueError("a sequence of states must hold one or more "
-                             "RingCovariance stacks and nothing else")
-        windows = [ring_windows(ring, members) for ring in cov]
-        certified = all(ring._certified for ring in cov)
-        if len(windows) == 1:   # no copy of a lone stack
-            return (*windows[0], certified)
-        qq, pp = zip(*windows)
-        return np.concatenate(qq), np.concatenate(pp), certified
-    red = reduce_modes(cov, members)
-    action = _require_action(red)
-    _, qq, pp = _unsheared_blocks(red.matrix, "reduced covariance",
-                                  certified=red._certified)
-    if pp is None:
-        raise CrossBlockNotZeroError(
-            "q-p cross block of the reduced covariance is neither zero nor a local shear")
-    return (qq / action)[np.newaxis], (pp / action)[np.newaxis], red._certified
+def _ring_blocks(rings, members):
+    # Stacks (S, m, m) of the qq and pp windows of ``members`` in every state
+    # of the ring stacks, in order (unit action, no cross block to undo), and
+    # whether every window is certified positive definite.
+    windows = [ring_windows(ring, members) for ring in rings]
+    certified = all(ring._certified for ring in rings)
+    if len(windows) == 1:   # no copy of a lone stack
+        return (*windows[0], certified)
+    qq, pp = zip(*windows)
+    return np.concatenate(qq), np.concatenate(pp), certified
 
 
 def _bits_from_lambdas(lambdas):
@@ -96,9 +84,9 @@ def _result(lambdas, e_n):
     return NegativityResult(lambdas, e_n, 0.5 * (2.0**e_n - 1.0))
 
 
-def _stacked_results(blocks, partitions):
-    # results[i][s] of stacked_log_negativities, ``blocks`` from _unit_blocks.
-    qq_u, pp_u, certified = blocks
+def _stacked_results(qq_u, pp_u, certified, partitions):
+    # results[i][s]: partition i in state s of the (S, m, m) unit-action
+    # stacks qq_u and pp_u of the partitions' common members.
     patterns = [partition.momentum_signs() for partition in partitions]
     per_pattern = _block_product_eigvals(qq_u, pp_u, patterns, name="reduced",
                                          certified=certified)
@@ -110,48 +98,56 @@ def _stacked_results(blocks, partitions):
     return results
 
 
-def stacked_log_negativities(cov, partitions):
-    """E_N of many bipartitions in every state of a stack, in the order given.
+def stacked_log_negativities(rings, partitions):
+    """E_N of many bipartitions in every state of ring stacks, in the order given.
 
-    ``cov`` is a full-system CovarianceMatrix, a RingCovariance (a stack of
-    ring states of one size), or a non-empty list or tuple of RingCovariance
-    stacks, whose states are taken in order as one stack (the rings may
-    differ in size). Partitions with the same
-    members share one reduction and one stacked Cholesky factor
-    qq_u = L L^T of the reduced qq blocks; each partition then costs one
+    ``rings`` is a RingCovariance (a stack of ring states of one size), or
+    a non-empty list or tuple of them, whose states are taken in order as
+    one stack (the rings may differ in size); anything else raises
+    TypeError. Partitions with the same members share one set of windows
+    and one stacked Cholesky factor qq_u = L L^T of their qq blocks; each partition then costs one
     stacked symmetric eigensolve of L^T P pp_u P L across the states. Ring
     stacks whose rows certify every window positive definite (all of them,
-    for a sequence), and states built from normal modes, skip the
-    eigenvalue test before the factor. Returns ``results[i][s]``,
-    partition i in state s.
+    for a sequence) skip the eigenvalue test before the factor. Returns
+    ``results[i][s]``, partition i in state s.
     """
+    rings = [rings] if isinstance(rings, RingCovariance) else rings
+    if not (isinstance(rings, (list, tuple)) and rings
+            and all(isinstance(ring, RingCovariance) for ring in rings)):
+        raise TypeError("stacked_log_negativities takes a RingCovariance or a non-empty list "
+                        f"or tuple of them, got {type(rings).__name__}; "
+                        "use log_negativity for a CovarianceMatrix")
     by_members = {}
     for i, partition in enumerate(partitions):
         by_members.setdefault(partition.members, []).append(i)
     results = [None] * len(partitions)
     for members, positions in by_members.items():
-        per_pattern = _stacked_results(_unit_blocks(cov, members),
+        per_pattern = _stacked_results(*_ring_blocks(rings, members),
                                        [partitions[i] for i in positions])
         for i, per_state in zip(positions, per_pattern):
             results[i] = per_state
     return results
 
 
-def log_negativity(cov, partition: Bipartition):
+def log_negativity(cov: CovarianceMatrix, partition: Bipartition):
     """E_N from the m eigenvalues of qq_u P pp_u P (symmetrized product).
 
-    ``cov`` is one full-system state; the reduction to the partition's
-    members happens here, and a stack of several ring states is refused.
+    ``cov`` is one full-system CovarianceMatrix, reduced here to the
+    partition's members (ring stacks go to stacked_log_negativities).
     The cross block of the reduced covariance must vanish or be a local
     shear ``qp = -qq Y`` with Y diagonal, as every model's is; pp_u is then
     the unsheared block ``pp - Y qq Y``. Any other cross block raises
     CrossBlockNotZeroError.
     """
-    blocks = _unit_blocks(cov, partition.members)
-    if blocks[0].shape[0] != 1:   # refused before any solve
-        raise ValueError("log_negativity takes one state; "
-                         "use stacked_log_negativities for a stack")
-    return _stacked_results(blocks, [partition])[0][0]
+    red = reduce_modes(cov, partition.members)
+    action = _require_action(red)
+    _, qq, pp = _unsheared_blocks(red.matrix, "reduced covariance",
+                                  certified=red._certified)
+    if pp is None:
+        raise CrossBlockNotZeroError(
+            "q-p cross block of the reduced covariance is neither zero nor a local shear")
+    return _stacked_results((qq / action)[np.newaxis], (pp / action)[np.newaxis],
+                            red._certified, [partition])[0][0]
 
 
 def log_negativity_via_symplectic(cov, partition: Bipartition):

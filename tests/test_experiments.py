@@ -256,26 +256,31 @@ def test_ring_classes_join_partitions_related_by_ring_symmetry():
     assert classes == [0] * (1 + len(same)) + [1, 2]
     assert reps == [base] + apart
     state = RingCovariance([CircularLattice(n, 0.1, 4.0)])
-    e_base = log_negativity(state, base).log_negativity
+    e_base = stacked_log_negativities(state, [base])[0][0].log_negativity
     assert e_base > 0.0
     for part in same:
-        assert abs(log_negativity(state, part).log_negativity - e_base) <= 1e-12
+        e = stacked_log_negativities(state, [part])[0][0].log_negativity
+        assert abs(e - e_base) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [24, 37])
 def test_ring_sweeps_match_each_partition_solved_alone(n):
     k, kappas, block, w = 1e-3, (1.0, 16.0), n // 2, 5
     states = {kappa: RingCovariance([CircularLattice(n, k, kappa)]) for kappa in kappas}
+
+    def alone(kappa, part):
+        return stacked_log_negativities(states[kappa], [part])[0][0].log_negativity
+
     table = lattice_adjacent_sweep(range(block + 1), kappas=kappas, n=n, k=k,
                                    block=block)
     for n1, kappa, e, _ in table.rows:
         part = Bipartition(range(int(n1)), range(int(n1), block))
-        assert abs(e - log_negativity(states[kappa], part).log_negativity) <= 1e-12
+        assert abs(e - alone(kappa, part)) <= 1e-12
     table = lattice_disjoint_sweep(range(n - 2 * w + 1), kappas=kappas, n=n, k=k,
                                    n1=w, n2=w)
     for d, kappa, e, _ in table.rows:
         part = Bipartition(range(w), [(w + int(d) + j) % n for j in range(w)])
-        assert abs(e - log_negativity(states[kappa], part).log_negativity) <= 1e-12
+        assert abs(e - alone(kappa, part)) <= 1e-12
 
 
 @pytest.mark.parametrize("n, k, kappas", [(24, 1e-3, (1.0, 16.0)),

@@ -22,7 +22,7 @@ from oscent.linalg import (
     symplectic_spectrum,
 )
 from oscent.models import CircularLattice, GeneralizedChain, normal_modes, stability
-from oscent.negativity import stacked_log_negativities
+from oscent.negativity import log_negativity, stacked_log_negativities
 
 
 def random_spd(rng, n, shift=0.5):
@@ -298,8 +298,9 @@ def test_no_route_computes_eigenvectors(monkeypatch):
     parts = [Bipartition([0, 1, 2], [3, 4]), Bipartition([5], [0, 7])]
 
     def outputs():
-        lambdas = [r.lambda_tilde for state in (chain, rings)
-                   for per_state in stacked_log_negativities(state, parts) for r in per_state]
+        lambdas = [log_negativity(chain, part).lambda_tilde for part in parts]
+        lambdas += [r.lambda_tilde for per_state in stacked_log_negativities(rings, parts)
+                    for r in per_state]
         margins = [stability(model).min_eigenvalue for model in (
             GeneralizedChain(general[:4, :4], np.full(4, 0.3)), CircularLattice(8, 0.0, 1.0))]
         return [symplectic_spectrum(chain.matrix),

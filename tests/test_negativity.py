@@ -68,17 +68,21 @@ def brute_force_lambdas(cov, partition):
     return np.sort(lam.real)
 
 
-def one_state(cov, partitions):
-    # The batch over one state: results[i] for partition i.
-    return [per_state[0] for per_state in stacked_log_negativities(cov, partitions)]
+def one_state(ring, partitions):
+    # The batch over a one-state ring: results[i] for partition i.
+    return [per_state[0] for per_state in stacked_log_negativities(ring, partitions)]
 
 
 def one_partition_lambdas(cov, partition):
-    # The kernel's arithmetic for one partition of one state, step for
-    # step, so the batch can be held to it bit for bit.
+    # The kernel's arithmetic for one partition of one dense state.
     red = reduce_modes(cov, partition.members)
     a, m = require_symmetric(red.matrix), red.n_modes
-    qq_u, pp_u = a[:m, :m] / red.action, a[m:, m:] / red.action
+    return kernel_lambdas(a[:m, :m] / red.action, a[m:, m:] / red.action, partition)
+
+
+def kernel_lambdas(qq_u, pp_u, partition):
+    # The kernel's arithmetic for one partition of one pair of unit-action
+    # blocks, step for step, so the entries can be held to it bit for bit.
     low = np.linalg.cholesky(qq_u)
     flip = partition.momentum_signs()
     flip = flip * flip[-1]                      # the same rows for P and -P
@@ -105,7 +109,7 @@ def test_decoupled_lattice_is_exactly_zero():
         dense = classical_covariance(normal_modes(model), np.ones(n))
         for part in (Bipartition([0, 1, 2], [4, 5]), Bipartition([0, 1], [2, 3]),
                      Bipartition([n - 1], [0, 1])):
-            assert log_negativity(ring, part).log_negativity == 0.0
+            assert stacked_log_negativities(ring, [part])[0][0].log_negativity == 0.0
             assert log_negativity_via_symplectic(dense, part).log_negativity == 0.0
 
 
@@ -151,14 +155,22 @@ def test_batch_equals_one_partition_at_a_time_bit_for_bit():
         parts = [random_partition(rng, n) for _ in range(4)]
         parts += [Bipartition([0], [n - 1]), Bipartition([1, 2], []),
                   Bipartition([0], [n - 1])]
-        batch = one_state(cov, parts)
-        assert len(batch) == len(parts)
-        for part, got in zip(parts, batch):
+        for part in parts:
             one = log_negativity(cov, part)
-            assert got.lambda_tilde.tobytes() == one.lambda_tilde.tobytes()
-            assert got.lambda_tilde.tobytes() == one_partition_lambdas(cov, part).tobytes()
-            assert got.log_negativity == one.log_negativity
-            assert got.negativity == one.negativity
+            assert one.lambda_tilde.tobytes() == one_partition_lambdas(cov, part).tobytes()
+        # A ring stack: the batch over every state, partition by partition.
+        ring = RingCovariance([CircularLattice(3 * n, 0.1, kappa) for kappa in (1.0, 8.0)])
+        batch = stacked_log_negativities(ring, parts)
+        assert len(batch) == len(parts)
+        for part, per_state in zip(parts, batch):
+            qq, pp = ring_windows(ring, part.members)
+            for got, qq_u, pp_u in zip(per_state, qq, pp):
+                assert got.lambda_tilde.tobytes() == kernel_lambdas(qq_u, pp_u, part).tobytes()
+            alone = stacked_log_negativities(ring, [part])[0]
+            for got, one in zip(per_state, alone):
+                assert got.lambda_tilde.tobytes() == one.lambda_tilde.tobytes()
+                assert got.log_negativity == one.log_negativity
+                assert got.negativity == one.negativity
 
 
 def test_ring_state_matches_dense_route():
@@ -224,8 +236,8 @@ def test_stack_checks_every_state():
     assert not near_singular._certified
     with pytest.raises(NotPositiveDefiniteError, match="eigenvalue 6.250010e-02$"):
         stacked_log_negativities(near_singular, [Bipartition(range(10), range(10, 20))])
-    # log_negativity takes one state, not a stack of several.
-    with pytest.raises(ValueError, match="one state"):
+    # log_negativity takes a dense state, not a ring stack.
+    with pytest.raises(TypeError, match="takes a CovarianceMatrix"):
         log_negativity(stack, Bipartition([0], [1]))
 
 
@@ -260,17 +272,49 @@ def test_dense_entries_refuse_a_ring_stack_by_type():
 def test_log_negativity_refuses_a_stack_before_any_solve(eigvalsh_shapes):
     # It used to factor and solve every state first and only then refuse,
     # so a stack whose second window the kernel refuses raised that instead.
+    # Every ring form, one state included, is now refused by type.
     good = CircularLattice(20, 0.1, 64.0)
     part = Bipartition(range(10), range(10, 20))
-    for stack in (RingCovariance([good, good]),
-                  [RingCovariance([good]), RingCovariance([good])],
-                  RingCovariance([good, CircularLattice(20, 1e-22, 64.0)])):
-        with pytest.raises(ValueError, match="^log_negativity takes one state; "
-                                             "use stacked_log_negativities for a stack$"):
+    for stack, name in ((RingCovariance([good]), "RingCovariance"),
+                        (RingCovariance([good, good]), "RingCovariance"),
+                        ([RingCovariance([good]), RingCovariance([good])], "list"),
+                        (RingCovariance([good, CircularLattice(20, 1e-22, 64.0)]),
+                         "RingCovariance")):
+        with pytest.raises(TypeError, match=f"^reduce_modes takes a CovarianceMatrix, "
+                                            f"got {name}; "):
             log_negativity(stack, part)
     assert eigvalsh_shapes == []
-    log_negativity(RingCovariance([good]), part)
+    stacked_log_negativities(RingCovariance([good]), [part])
     assert eigvalsh_shapes == [(1, 20, 20)]
+
+
+def test_stacked_entry_refuses_anything_but_ring_stacks_before_any_solve(eigvalsh_shapes):
+    ring = RingCovariance([CircularLattice(9, 0.1, 1.0)])
+    dense = classical_covariance(normal_modes(CircularLattice(9, 0.1, 1.0)), np.ones(9))
+    parts = [Bipartition([0, 1], [2, 3])]
+    for rings, name in ((dense, "CovarianceMatrix"), ([], "list"), ((), "tuple"),
+                        ([ring, dense], "list"), ((dense,), "tuple"),
+                        (iter([ring]), "list_iterator")):
+        with pytest.raises(TypeError, match="^stacked_log_negativities takes a RingCovariance "
+                                            "or a non-empty list or tuple of them, "
+                                            f"got {name}; use log_negativity for a "
+                                            "CovarianceMatrix$"):
+            stacked_log_negativities(rings, parts)
+    assert eigvalsh_shapes == []
+    # A tuple is one stack in order, as a list is.
+    for got, want in zip(stacked_log_negativities((ring, ring), parts)[0],
+                         2 * stacked_log_negativities([ring], parts)[0]):
+        assert got.lambda_tilde.tobytes() == want.lambda_tilde.tobytes()
+
+
+def test_ring_windows_refuses_a_dense_state_by_type():
+    # It used to end in AttributeError: 'CovarianceMatrix' object has no
+    # attribute 'cq'.
+    dense = classical_covariance(normal_modes(CircularLattice(10, 0.1, 1.0)), np.ones(10))
+    with pytest.raises(TypeError, match="^ring_windows takes a RingCovariance, got "
+                                        "CovarianceMatrix; reduce a CovarianceMatrix "
+                                        "with reduce_modes$"):
+        ring_windows(dense, [0, 1])
 
 
 def uncertified(ring):
@@ -333,10 +377,10 @@ def test_sequence_of_ring_stacks_is_one_stack_in_order(eigvalsh_shapes):
     shapes.clear()
     stacked_log_negativities([small, low], parts[:1])
     assert shapes == [(5, 5, 5)] * 2
-    with pytest.raises(ValueError, match="one or more RingCovariance"):
+    with pytest.raises(TypeError, match="non-empty list or tuple"):
         stacked_log_negativities([], parts)
     dense = classical_covariance(normal_modes(CircularLattice(9, 0.1, 1.0)), np.ones(9))
-    with pytest.raises(ValueError, match="one or more RingCovariance"):
+    with pytest.raises(TypeError, match="use log_negativity for a CovarianceMatrix"):
         stacked_log_negativities([small, dense], parts)
 
 
@@ -397,8 +441,8 @@ def test_pure_state_cut_pins_the_doubled_convention(case):
     for route in (log_negativity, log_negativity_via_symplectic):
         assert_allclose(route(cov, part).log_negativity, want, rtol=1e-10)
     if case == "ring":   # and from the ring's rows
-        assert_allclose(log_negativity(RingCovariance([RING]), part).log_negativity,
-                        want, rtol=1e-10)
+        ((ring,),) = stacked_log_negativities(RingCovariance([RING]), [part])
+        assert_allclose(ring.log_negativity, want, rtol=1e-10)
 
 
 def test_swapping_groups_changes_nothing():
