@@ -95,8 +95,10 @@ def _checked_cholesky(a, label, *, certified=False):
         w = np.linalg.eigvalsh(a)
         bad = ~(w[..., 0] > POSDEF_RTOL * w[..., -1])
         if np.any(bad):
+            low, high = w[..., 0][bad][0], w[..., -1][bad][0]
             raise NotPositiveDefiniteError(
-                f"{label} is not positive definite: eigenvalue {w[..., 0][bad][0]:.6e}"
+                f"{label} is not positive definite: eigenvalue {low:.6e} is not above "
+                f"{POSDEF_RTOL:.0e} * largest eigenvalue {high:.6e} = {POSDEF_RTOL * high:.6e}"
             )
     try:
         return np.linalg.cholesky(a)

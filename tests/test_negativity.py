@@ -234,7 +234,9 @@ def test_stack_checks_every_state():
     near_singular = RingCovariance([CircularLattice(20, 0.1, 64.0),
                                     CircularLattice(20, 1e-22, 64.0)])
     assert not near_singular._certified
-    with pytest.raises(NotPositiveDefiniteError, match="eigenvalue 6.250010e-02$"):
+    with pytest.raises(NotPositiveDefiniteError,
+                       match=r"eigenvalue 6.250010e-02 is not above 1e-12 \* largest "
+                             r"eigenvalue 1.000000e\+11 = 1.000000e-01$"):
         stacked_log_negativities(near_singular, [Bipartition(range(10), range(10, 20))])
     # log_negativity takes a dense state, not a ring stack.
     with pytest.raises(TypeError, match="takes a CovarianceMatrix"):
@@ -395,6 +397,22 @@ def test_nearly_singular_qq_is_refused_like_the_spectrum_route():
     with pytest.raises(NotPositiveDefiniteError, match="qq block"):
         symplectic_spectrum(cov.matrix)
     with pytest.raises(NotPositiveDefiniteError, match="qq block"):
+        log_negativity(cov, Bipartition([0], [1]))
+
+
+def test_ill_conditioned_refusal_names_both_eigenvalues_and_the_bound():
+    # A positive-definite block with eigenvalue ratio 1e-13: the message
+    # used to name only the smallest eigenvalue, which reads as no reason.
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    qq = rot @ np.diag([1.0, 1e-13]) @ rot.T
+    qq = 0.5 * (qq + qq.T)
+    low, high = np.linalg.eigvalsh(qq)
+    assert low > 0.0
+    cov = CovarianceMatrix(np.block([[qq, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]]))
+    want = (f"reduced qq block is not positive definite: eigenvalue {low:.6e} is not "
+            f"above 1e-12 * largest eigenvalue {high:.6e} = {1e-12 * high:.6e}")
+    with pytest.raises(NotPositiveDefiniteError, match=f"^{re.escape(want)}$"):
         log_negativity(cov, Bipartition([0], [1]))
 
 
