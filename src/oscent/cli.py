@@ -283,14 +283,14 @@ def _run(args):
         n = cov.n_modes
         indices = range(n) if args.subsystem is None else _parse_indices(args.subsystem, n)
         label = "+".join(str(i + 1) for i in sorted(set(indices)))
-        report = measure_report(reduce_modes(cov, indices),
-                                alphas=_alphas_from(args), label=label)
+        alphas = _alphas_from(args)
         columns = ["subsystem", "purity", "linear_entropy", "von_neumann"]
+        columns += experiments._order_columns(alphas)
+        report = measure_report(reduce_modes(cov, indices), alphas=alphas, label=label)
         row = [label, report.purity, report.linear_entropy, report.von_neumann]
-        for alpha in sorted(report.families):
+        for alpha in alphas:
             fam = report.families[alpha]
-            columns += ["alpha", "mu", "tsallis", "renyi"]
-            row += [fam.alpha, fam.purity, fam.tsallis, fam.renyi]
+            row += [fam.purity, fam.tsallis, fam.renyi]
         table = experiments.SweepTable(tuple(columns), (tuple(row),))
     elif args.command == "negativity":
         cov = _unit_action_state(args.model)

@@ -41,6 +41,11 @@ class SweepTable:
     columns: Tuple[str, ...]
     rows: Tuple[tuple, ...]
 
+    def __post_init__(self):
+        if len(set(self.columns)) < len(self.columns):
+            name = next(c for i, c in enumerate(self.columns) if c in self.columns[:i])
+            raise ValueError(f"column {name!r} appears twice in the table")
+
     def column(self, name):
         if name not in self.columns:
             raise ValueError(f"no column {name!r} in the table; "
@@ -110,15 +115,12 @@ def _floats(values, name):
     return values
 
 
-def _first_oscillator_sweep(name, grid, model_at, alphas):
-    """Oscillator 1's sigma and measures in model_at(x) for each x in grid.
+def _order_columns(alphas):
+    """Columns mu_<alpha>, tsallis_<alpha> and renyi_<alpha> per order, in order.
 
-    Orders whose column names (six significant digits) coincide raise
-    ValueError before any grid point is evaluated.
+    Orders whose names (six significant digits) coincide raise ValueError.
     """
-    alphas = tuple(_floats(alphas, "alphas"))
-    columns = [name, "sigma", "purity", "linear_entropy", "von_neumann"]
-    orders = {}   # column tag -> the order it names
+    columns, orders = [], {}   # orders: column tag -> the order it names
     for alpha in alphas:
         tag = f"{alpha:g}"
         if tag in orders:
@@ -128,6 +130,18 @@ def _first_oscillator_sweep(name, grid, model_at, alphas):
                              f"columns mu_{tag}, tsallis_{tag} and renyi_{tag}")
         orders[tag] = alpha
         columns += [f"mu_{tag}", f"tsallis_{tag}", f"renyi_{tag}"]
+    return columns
+
+
+def _first_oscillator_sweep(name, grid, model_at, alphas):
+    """Oscillator 1's sigma and measures in model_at(x) for each x in grid.
+
+    Orders whose column names coincide raise ValueError before any grid
+    point is evaluated.
+    """
+    alphas = tuple(_floats(alphas, "alphas"))
+    columns = [name, "sigma", "purity", "linear_entropy", "von_neumann"]
+    columns += _order_columns(alphas)
     rows = []
     for x in grid:
         cov = classical_covariance(normal_modes(model_at(x)), np.ones(2))

@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 from oscent import cli, experiments
 from oscent.cli import _parse_floats, build_parser, main
 from oscent.experiments import SweepTable, read_sweep_csv, saturation_curve
+from oscent.measures import DEFAULT_ALPHAS
 from oscent.models import TwoMode, GeneralizedChain, save_model
 
 PURITY_REF = 0.967545386773935
@@ -256,6 +257,31 @@ def test_measures_whole_system_default(two_mode_file, capsys):
     record = json.loads(out)[0]
     assert record["subsystem"] == "1+2"
     assert_allclose(record["purity"], 1.0, atol=1e-12)
+
+
+def test_measures_json_keeps_every_order(chain_file, capsys):
+    # Each order's columns used to be named alpha, mu, tsallis and renyi,
+    # so every JSON record kept only the last order, alpha = 64.
+    code, out, _ = run(["measures", "--model", chain_file, "--subsystem", "1,2"], capsys)
+    assert code == 0
+    header, row = out.strip().split("\n")
+    code, out, _ = run(["measures", "--model", chain_file, "--subsystem", "1,2", "--json"],
+                       capsys)
+    assert code == 0
+    (record,) = json.loads(out)
+    tags = [f"{alpha:g}" for alpha in DEFAULT_ALPHAS]
+    assert len(tags) == 8
+    assert header.split(",") == list(record) == (
+        ["subsystem", "purity", "linear_entropy", "von_neumann"]
+        + [f"{name}_{tag}" for tag in tags for name in ("mu", "tsallis", "renyi")])
+    assert record["mu_1"] is None
+    for name, cell in zip(header.split(",")[1:], row.split(",")[1:]):
+        if record[name] is not None:
+            assert record[name] == float(cell), name
+    # Orders come in the order given.
+    code, out, _ = run(["measures", "--model", chain_file, "--alphas", "4,2"], capsys)
+    assert code == 0
+    assert out.split("\n")[0].endswith(",mu_4,tsallis_4,renyi_4,mu_2,tsallis_2,renyi_2")
 
 
 def test_negativity_groups(chain_file, capsys):
@@ -679,10 +705,14 @@ def test_repeated_alpha_exits_two(argv, two_mode_file, capsys):
     assert code == 2 and out == "" and err == "error: alphas repeat the order 2\n"
 
 
-@pytest.mark.parametrize("command", ["twomode-sweep", "ghoc-sweep"])
-def test_alphas_that_name_one_column_exit_two(command, capsys):
+@pytest.mark.parametrize("argv", [["twomode-sweep", "--grid", "0:1:2"],
+                                  ["ghoc-sweep", "--grid", "0:1:2"],
+                                  ["measures", "--model", "{model}"]],
+                         ids=["twomode-sweep", "ghoc-sweep", "measures"])
+def test_alphas_that_name_one_column_exit_two(argv, two_mode_file, capsys):
     # 2 and 2.0000001 both print as 2: the three columns came out twice.
-    code, out, err = run([command, "--grid", "0:1:2", "--alphas", "2,2.0000001"], capsys)
+    argv = [a.format(model=two_mode_file) for a in argv]
+    code, out, err = run(argv + ["--alphas", "2,2.0000001"], capsys)
     assert code == 2 and out == ""
     assert err == ("error: alphas 2.0 and 2.0000001 both name the columns "
                    "mu_2, tsallis_2 and renyi_2\n")

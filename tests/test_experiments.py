@@ -442,6 +442,16 @@ def test_column_lookup_rejects_unknown_name():
         table.column("missing")
 
 
+def test_table_refuses_a_repeated_column_name(tmp_path):
+    # Its records would keep only the last cell of the name.
+    with pytest.raises(ValueError, match="^column 'mu' appears twice in the table$"):
+        SweepTable(("alpha_2", "mu", "alpha_64", "mu"), ((2.0, 0.5, 64.0, 0.1),))
+    path = tmp_path / "old.csv"
+    path.write_text("subsystem,alpha,mu,alpha,mu\n1,2,0.5,64,0.1\n")
+    with pytest.raises(ValueError, match="^column 'alpha' appears twice in the table$"):
+        read_sweep_csv(path)
+
+
 def test_reading_empty_csv_raises(tmp_path):
     path = tmp_path / "empty.csv"
     for text in ("", "\n \n\r\n"):
