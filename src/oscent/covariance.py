@@ -155,8 +155,8 @@ class Bipartition:
     group2: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        g1 = tuple(sorted(int(i) for i in set(self.group1)))
-        g2 = tuple(sorted(int(i) for i in set(self.group2)))
+        g1 = tuple(sorted(set(map(_oscillator_index, self.group1))))
+        g2 = tuple(sorted(set(map(_oscillator_index, self.group2))))
         common = set(g1) & set(g2)
         if common:
             raise OverlappingGroupsError(
@@ -305,8 +305,18 @@ def angle_average_covariance(modes: NormalModes, actions, grid_points=64):
     return CovarianceMatrix(0.5 * (cov + cov.T), _common_action(actions))
 
 
+def _oscillator_index(value):
+    # ``value`` as an int; a non-integral value (0.7, NaN, inf) is refused,
+    # not truncated. Integral floats and numpy integers pass.
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if not float(value).is_integer():
+        raise IndexOutOfRangeError(f"oscillator index {value} is not an integer")
+    return int(value)
+
+
 def _checked_indices(indices, n):
-    idx = sorted(set(int(i) for i in indices))
+    idx = sorted(set(map(_oscillator_index, indices)))
     if not idx:
         raise EmptySubsystemError("subsystem selection is empty")
     if idx[0] < 0 or idx[-1] >= n:

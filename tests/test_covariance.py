@@ -460,6 +460,34 @@ def test_bipartition_overlap_and_signs():
     assert_array_equal(part.momentum_signs(), [1.0, -1.0, 1.0])
 
 
+@pytest.mark.parametrize("bad, shown", [(0.7, "0.7"), (np.float64(1.5), "1.5"),
+                                        (float("nan"), "nan"), (float("inf"), "inf"),
+                                        (-float("inf"), "-inf")])
+def test_non_integral_indices_are_refused_not_truncated(bad, shown):
+    # reduce_modes(cov, [0.7]) reduced to mode 0 and Bipartition([0.5], [1.9])
+    # became (0,) | (1,); NaN ended in "cannot convert float NaN to integer".
+    model = CircularLattice(N=6, k=0.1, kappa=1.0)
+    dense = classical_covariance(normal_modes(model), np.ones(6))
+    message = f"^oscillator index {re.escape(shown)} is not an integer$"
+    for call in (lambda: reduce_modes(dense, [1, bad]),
+                 lambda: ring_windows(RingCovariance([model]), [bad]),
+                 lambda: Bipartition([bad], [3]),
+                 lambda: Bipartition([0], [bad, 2])):
+        with pytest.raises(IndexOutOfRangeError, match=message):
+            call()
+
+
+def test_integral_floats_and_numpy_integers_are_indices():
+    dense = classical_covariance(normal_modes(CircularLattice(N=6, k=0.1, kappa=1.0)),
+                                 np.ones(6))
+    want = reduce_modes(dense, [1, 4]).matrix
+    for indices in ([1.0, 4.0], [np.int64(1), np.int32(4)], [np.float64(4.0), 1], [True, 4]):
+        assert reduce_modes(dense, indices).matrix.tobytes() == want.tobytes()
+    part = Bipartition([np.int64(4), 0.0], (np.uint8(2), 2.0))
+    assert part.group1 == (0, 4) and part.group2 == (2,)
+    assert all(type(i) is int for i in part.members)
+
+
 def test_covariance_matrix_validation():
     with pytest.raises(ValueError):
         CovarianceMatrix(np.zeros((3, 3)))
