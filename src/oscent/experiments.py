@@ -32,6 +32,7 @@ from .negativity import stacked_log_negativities
 
 DEFAULT_KAPPAS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 _STEP_TOL = 1e-10  # fit_kappa_asymptote stops below this relative parameter step
+_MAX_ITER = 500    # ... and gives up after this many iterations
 
 
 @dataclass(frozen=True)
@@ -367,7 +368,7 @@ def saturation_curve(kappa, a, b, c, d):
     return a - b / (kappa**c + d)
 
 
-def fit_kappa_asymptote(kappas, e_values, max_iter=500):
+def fit_kappa_asymptote(kappas, e_values):
     """Fit E_N(kappa) = a - b/(kappa**c + d) by damped Gauss-Newton.
 
     Starts from a = max(E), b = a - min(E), c = 0.5, d = 1. The damping
@@ -382,7 +383,7 @@ def fit_kappa_asymptote(kappas, e_values, max_iter=500):
     ValueError
         If a kappa is not positive and finite or an E_N is not finite.
     NoConvergenceError
-        If max_iter iterations pass without the step shrinking to tolerance.
+        If 500 iterations pass without the step shrinking to tolerance.
     """
     kappa = np.asarray(kappas, dtype=float)
     e = np.asarray(e_values, dtype=float)
@@ -413,7 +414,7 @@ def fit_kappa_asymptote(kappas, e_values, max_iter=500):
     r = residual(theta)
     cost = float(r @ r)
     damping = 1e-3
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         j = jacobian(theta)
         jtj = j.T @ j
         g = j.T @ r
@@ -441,5 +442,5 @@ def fit_kappa_asymptote(kappas, e_values, max_iter=500):
             if damping > 1e12:
                 break
     raise NoConvergenceError(
-        f"asymptote fit did not converge in {max_iter} iterations"
+        f"asymptote fit did not converge in {_MAX_ITER} iterations"
     )

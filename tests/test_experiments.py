@@ -611,11 +611,12 @@ def test_kappa_fit_refuses_a_kappa_that_is_not_positive_and_finite(bad):
         fit_kappa_asymptote(kappa, e)
 
 
-def test_kappa_fit_iteration_cap_raises():
+def test_kappa_fit_iteration_cap_raises(monkeypatch):
     kappa = np.geomspace(1.0, 64.0, 12)
     e = saturation_curve(kappa, **REFERENCE)
-    with pytest.raises(NoConvergenceError):
-        fit_kappa_asymptote(kappa, e, max_iter=0)
+    monkeypatch.setattr(experiments, "_MAX_ITER", 0)
+    with pytest.raises(NoConvergenceError, match="did not converge in 0 iterations"):
+        fit_kappa_asymptote(kappa, e)
 
 
 def test_default_kappa_grid():
