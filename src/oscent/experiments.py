@@ -32,7 +32,7 @@ from .negativity import stacked_log_negativities
 
 DEFAULT_KAPPAS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 _STEP_TOL = 1e-10  # fit_kappa_asymptote stops below this relative parameter step
-_MAX_ITER = 500    # ... and gives up after this many iterations
+_MAX_ITER = 500    # fit_kappa_asymptote gives up after this many iterations
 
 
 @dataclass(frozen=True)

@@ -105,11 +105,11 @@ def stacked_log_negativities(rings, partitions):
     a non-empty list or tuple of them, whose states are taken in order as
     one stack (the rings may differ in size); anything else raises
     TypeError. Partitions with the same members share one set of windows
-    and one stacked Cholesky factor qq_u = L L^T of their qq blocks; each partition then costs one
-    stacked symmetric eigensolve of L^T P pp_u P L across the states. Ring
-    stacks whose rows certify every window positive definite (all of them,
-    for a sequence) skip the eigenvalue test before the factor. Returns
-    ``results[i][s]``, partition i in state s.
+    and one stacked Cholesky factor qq_u = L L^T of their qq blocks; each
+    partition then costs one stacked symmetric eigensolve of L^T P pp_u P L
+    across the states. Ring stacks whose rows certify every window positive
+    definite (all of them, for a sequence) skip the eigenvalue test before
+    the factor. Returns ``results[i][s]``, partition i in state s.
     """
     rings = [rings] if isinstance(rings, RingCovariance) else rings
     if not (isinstance(rings, (list, tuple)) and rings
