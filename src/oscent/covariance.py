@@ -59,11 +59,20 @@ class CovarianceMatrix:
     kernel's eigenvalue test (see linalg._unsheared_blocks). Only states
     built from normal modes (classical_covariance) and their reductions set
     it.
+
+    The private keyword ``_pure`` vouches that the matrix is a whole state
+    built from normal modes at one common action. Such a state is pure by
+    construction, whatever its conditioning: every normalized symplectic
+    width is exactly 1/2 and its purity exactly 1, so its reports take
+    those values without a solve (see measures.sigma_tilde). Only
+    classical_covariance sets it, when the actions are uniform, and
+    reduce_modes keeps it only when it keeps every mode.
     """
 
     matrix: np.ndarray
     action: Optional[float] = 1.0
     _certified: bool = field(default=False, kw_only=True, repr=False)
+    _pure: bool = field(default=False, kw_only=True, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -192,7 +201,8 @@ def _common_action(actions):
 def _require_dense(cov, caller):
     if not isinstance(cov, CovarianceMatrix):
         raise TypeError(f"{caller} takes a CovarianceMatrix, got {type(cov).__name__}; "
-                        "cut the windows of a RingCovariance with ring_windows")
+                        "cut the windows of a RingCovariance with ring_windows, or "
+                        "take their negativity with stacked_log_negativities")
 
 
 def _require_action(cov):
@@ -222,7 +232,8 @@ def classical_covariance(modes: NormalModes, actions):
         are ``actions / omegas``, and when their ratio clears the kernel's
         test with room for the roundoff of forming ``qq``
         (linalg._spectrum_posdef), the state is marked certified (see
-        ``CovarianceMatrix._certified``).
+        ``CovarianceMatrix._certified``). At uniform actions it is marked
+        pure (see ``CovarianceMatrix._pure``).
     """
     s, omegas, ydiag = modes
     actions = _checked_actions(actions, omegas.shape[0])
@@ -237,8 +248,9 @@ def classical_covariance(modes: NormalModes, actions):
     qq = require_symmetric(qq, name="qq")
     pp += (s * (actions * omegas)) @ s.T
     pp = require_symmetric(pp, name="pp")
-    return CovarianceMatrix(np.block([[qq, qp], [qp.T, pp]]), _common_action(actions),
-                            _certified=_spectrum_posdef(spectrum))
+    action = _common_action(actions)
+    return CovarianceMatrix(np.block([[qq, qp], [qp.T, pp]]), action,
+                            _certified=_spectrum_posdef(spectrum), _pure=action is not None)
 
 
 def ring_windows(ring: RingCovariance, indices):
@@ -257,8 +269,9 @@ def ring_windows(ring: RingCovariance, indices):
 
 def quantum_ground_covariance(modes: NormalModes, hbar=1.0):
     """Ground-state covariance: the classical build at actions hbar/2."""
-    if hbar <= 0.0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
+    # Written so that NaN fails too: every comparison with NaN is false.
+    if not 0.0 < hbar < np.inf:
+        raise ValueError(f"hbar must be finite and positive, got {hbar}")
     return classical_covariance(modes, np.full(modes.omegas.shape[0], hbar / 2.0))
 
 
@@ -277,6 +290,8 @@ def angle_average_covariance(modes: NormalModes, actions, grid_points=64):
         raise DimensionTooLargeError(
             f"angle averaging is exponential in modes; {n} > 4"
         )
+    if not isinstance(grid_points, (int, np.integer)):
+        raise ValueError(f"grid_points must be an integer, got {grid_points!r}")
     if grid_points < 16:
         raise ValueError(f"need at least 16 grid points per angle, got {grid_points}")
     actions = _checked_actions(actions, n)
@@ -328,20 +343,23 @@ def _checked_indices(indices, n):
 def reduce_modes(cov: CovarianceMatrix, indices):
     """Covariance of a subsystem, keeping (q..., p...) ordering.
 
-    The result is certified when ``cov`` is. ``indices`` are 0-based
-    oscillator labels; duplicates collapse, order is ascending in the output.
+    The result is certified when ``cov`` is, and pure when ``cov`` is and
+    every mode is kept. ``indices`` are 0-based oscillator labels;
+    duplicates collapse, order is ascending in the output.
     """
     _require_dense(cov, "reduce_modes")
     n = cov.n_modes
     idx = _checked_indices(indices, n)
     # ``idx`` is sorted and unique, so keeping every mode is a plain copy;
     # anything less takes rows, then columns.
-    if idx.size == n:
+    whole = idx.size == n
+    if whole:
         matrix = cov.matrix.copy()
     else:
         sel = np.concatenate([idx, idx + n])
         matrix = cov.matrix.take(sel, axis=0).take(sel, axis=1)
-    return CovarianceMatrix(matrix, cov.action, _certified=cov._certified)
+    return CovarianceMatrix(matrix, cov.action, _certified=cov._certified,
+                            _pure=whole and cov._pure)
 
 
 def partial_transpose(cov: CovarianceMatrix, partition: Bipartition):

@@ -44,11 +44,16 @@ def sigma_tilde(cov: CovarianceMatrix):
     farther below raises SubHeisenbergError, since no classical-state or
     ground-state reduction can produce it. A certified state (built from
     normal modes, or a reduction of one) skips the symmetry, scale and
-    shear scans and the qq eigenvalue test its certificate covers.
+    shear scans and the qq eigenvalue test its certificate covers. A whole
+    state built from normal modes at one common action (``cov._pure``) is
+    pure, so every width is exactly 1/2 and no solve runs.
     """
     _require_dense(cov, "sigma_tilde")
+    action = _require_action(cov)
+    if cov._pure:
+        return np.full(cov.n_modes, 0.5)
     nu = symplectic_spectrum(cov.matrix, _certified=cov._certified)
-    nu = nu / (2.0 * _require_action(cov))
+    nu = nu / (2.0 * action)
     low = nu < 0.5 - SIGMA_FLOOR_TOL
     if np.any(low):
         raise SubHeisenbergError(
@@ -145,9 +150,13 @@ class MeasureReport:
 
 
 def measure_report(cov: CovarianceMatrix, alphas=DEFAULT_ALPHAS, label=""):
-    """Purity, linear entropy, entropy and the alpha family of a reduction."""
+    """Purity, linear entropy, entropy and the alpha family of a reduction.
+
+    The purity of a pure whole state (``cov._pure``) is exactly 1; any other
+    state takes it from purity_from_determinant.
+    """
     sigma = sigma_tilde(cov)
-    purity = purity_from_determinant(cov)
+    purity = 1.0 if cov._pure else purity_from_determinant(cov)
     return MeasureReport(
         label=label,
         sigma=sigma,

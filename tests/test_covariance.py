@@ -173,6 +173,14 @@ def test_quantum_rejects_bad_hbar():
         quantum_ground_covariance(modes, 0.0)
 
 
+@pytest.mark.parametrize("hbar", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+def test_quantum_refuses_hbar_that_is_not_finite_and_positive(hbar):
+    # NaN and inf used to pass the hbar check and be refused only as actions.
+    modes = normal_modes(TwoMode(A=4.0, B=9.0, C=0.0))
+    with pytest.raises(ValueError, match=f"^hbar must be finite and positive, got {hbar}$"):
+        quantum_ground_covariance(modes, hbar)
+
+
 # --- angle-average oracle ----------------------------------------------------
 
 def test_angle_average_single_mode_is_exact():
@@ -211,6 +219,14 @@ def test_angle_average_guards():
         angle_average_covariance(small, np.ones(2), grid_points=8)
 
 
+@pytest.mark.parametrize("grid_points", [16.5, 16.0, float("nan"), "32"])
+def test_angle_average_refuses_grid_points_that_are_not_integers(grid_points):
+    # 16.5 and NaN used to end in range()'s bare TypeError.
+    modes = normal_modes(TwoMode(A=4.0, B=9.0, C=0.0))
+    with pytest.raises(ValueError, match="^grid_points must be an integer, got "):
+        angle_average_covariance(modes, np.ones(2), grid_points=grid_points)
+
+
 # --- reduction ---------------------------------------------------------------
 
 def test_reduce_full_set_is_identity():
@@ -219,6 +235,28 @@ def test_reduce_full_set_is_identity():
     red = reduce_modes(cov, [0, 1])
     assert_array_equal(red.matrix, cov.matrix)
     assert red.action == cov.action
+
+
+def test_only_whole_normal_mode_states_at_one_action_are_marked_pure():
+    modes = normal_modes(TwoMode(A=5.0, B=20.0, C=10.0))
+    cov = classical_covariance(modes, np.ones(2))
+    assert cov._pure and quantum_ground_covariance(modes, hbar=0.7)._pure
+    assert reduce_modes(cov, [1, 0, 1])._pure
+    assert not reduce_modes(cov, [0])._pure
+    assert not reduce_modes(reduce_modes(
+        classical_covariance(normal_modes(CircularLattice(N=6, k=0.1, kappa=1.0)),
+                             np.ones(6)), range(4)), range(4))._pure
+    assert not classical_covariance(modes, np.array([1.0, 2.0]))._pure
+    assert not angle_average_covariance(modes, np.ones(2), grid_points=16)._pure
+    assert not partial_transpose(cov, Bipartition((0,), (1,)))._pure
+    assert not CovarianceMatrix(cov.matrix, cov.action)._pure
+    # Purity holds by construction, so an uncertified state is marked too:
+    # this chain's omegas run from 9.9e-14 to 1.5.
+    soft = GeneralizedChain(K=np.array([[1e-26, 1e-14, 0.0, 0.0], [1e-14, 1.0, 0.3, 0.0],
+                                        [0.0, 0.3, 2.0, 0.4], [0.0, 0.0, 0.4, 1.5]]),
+                            Y=np.array([0.0, 0.2, -0.1, 0.15]))
+    soft_cov = classical_covariance(normal_modes(soft), np.ones(4))
+    assert soft_cov._pure and not soft_cov._certified
 
 
 def test_reduce_single_oscillator_blocks():

@@ -1,9 +1,13 @@
 """Purity and entropy measures, their limits, and the two-oscillator closed forms."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oscent.measures as measures
 from oscent.covariance import (
     CovarianceMatrix,
     angle_average_covariance,
@@ -285,6 +289,47 @@ def test_certified_report_runs_one_eigensolve(eigvalsh_shapes):
     assert eigvalsh_shapes == [(4, 4)] * 2
     assert certified.sigma.tobytes() == tested.sigma.tobytes()
     assert certified.purity == tested.purity
+
+
+def dump_tool_chain():
+    """The seeded 12-site q-p chain of tools/dump_outputs.py."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "dump_outputs.py"
+    spec = importlib.util.spec_from_file_location("dump_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.qp_chain()
+
+
+def test_whole_normal_mode_states_read_exact_values_without_a_solve(monkeypatch):
+    # A whole state built at one common action is pure by construction: its
+    # widths are exactly 1/2, its purity exactly 1 and every entropy exactly
+    # 0. The solves used to return them to roundoff only; on the 400-site
+    # ring S read 1.1e-11 and Tsallis(0.9) 9.3e-11.
+    chain = normal_modes(dump_tool_chain())
+    states = [classical_covariance(normal_modes(TwoMode(5.0, 20.0, 10.0)), np.ones(2)),
+              classical_covariance(chain, np.ones(12)),
+              classical_covariance(normal_modes(CircularLattice(400, 1e-4, 1.0)),
+                                   np.ones(400)),
+              quantum_ground_covariance(chain, hbar=0.7)]
+    assert chain.ydiag.any() and states[-1].action == 0.35
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a pure whole state needs no solve")
+
+    monkeypatch.setattr(measures, "symplectic_spectrum", no_solve)
+    monkeypatch.setattr(np.linalg, "slogdet", no_solve)
+    for cov in states:
+        n = cov.n_modes
+        for whole in (cov, reduce_modes(cov, range(n - 1, -1, -1))):
+            assert whole._pure
+            assert np.array_equal(sigma_tilde(whole), np.full(n, 0.5))
+            report = measure_report(whole)
+            assert np.array_equal(report.sigma, np.full(n, 0.5))
+            assert (report.purity, report.linear_entropy, report.von_neumann) == (1.0, 0.0, 0.0)
+            assert sorted(report.families) == sorted(DEFAULT_ALPHAS)
+            for alpha, fam in report.families.items():
+                assert (fam.tsallis, fam.renyi) == (0.0, 0.0), alpha
+                assert fam.purity == 1.0 or (alpha == 1.0 and np.isnan(fam.purity))
 
 
 def test_uncertified_states_keep_the_eigenvalue_test(eigvalsh_shapes):

@@ -267,7 +267,8 @@ def test_dense_entries_refuse_a_ring_stack_by_type():
                        ("purity_from_determinant", lambda: purity_from_determinant(ring)),
                        ("reduce_modes", lambda: log_negativity_via_symplectic(ring, part))):
         with pytest.raises(TypeError, match=f"^{name} takes a CovarianceMatrix, got "
-                                            "RingCovariance; .* with ring_windows$"):
+                                            "RingCovariance; .* with ring_windows, or take "
+                                            "their negativity with stacked_log_negativities$"):
             call()
 
 
@@ -283,7 +284,7 @@ def test_log_negativity_refuses_a_stack_before_any_solve(eigvalsh_shapes):
                         (RingCovariance([good, CircularLattice(20, 1e-22, 64.0)]),
                          "RingCovariance")):
         with pytest.raises(TypeError, match=f"^reduce_modes takes a CovarianceMatrix, "
-                                            f"got {name}; "):
+                                            f"got {name}; .* stacked_log_negativities$"):
             log_negativity(stack, part)
     assert eigvalsh_shapes == []
     stacked_log_negativities(RingCovariance([good]), [part])

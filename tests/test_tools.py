@@ -87,8 +87,9 @@ def test_dump_outputs_runs_every_command_cleanly(tmp_path, monkeypatch):
     # One "label: exit 0" line per command and nothing on stderr: every file
     # but status.txt and the model files (MODELS and SOFT_CHAIN) comes from
     # one command. Each refusal adds its "label: exit 2" line (3 for the
-    # unstable ring, the near-singular window and the soft chain's singular
-    # qq block) and one error line, and writes no output file.
+    # unstable ring, the near-singular window and the singular qq block of
+    # the soft chain's sites 1, 2) and one error line, and writes no output
+    # file.
     for name in dump.BAD_MODELS:
         assert (tmp_path / f"model_bad_{name}.json").stat().st_size > 0, name
     refused = [f"{command} bad {name}" for name in dump.BAD_MODELS
@@ -108,3 +109,9 @@ def test_dump_outputs_runs_every_command_cleanly(tmp_path, monkeypatch):
         assert codes.pop(label) == (3 if "unstable" in label or "singular" in label
                                     else 2), label
     assert set(codes.values()) == {0}
+
+    # The soft chain's pair 1, 2 fails the kernel's test, but the whole
+    # chain is pure by construction and reads its exact values.
+    assert "refused_measures_soft_chain_singular_qq" in dump.SOFT_CHAIN_RUNS
+    whole = (tmp_path / "measures_soft_chain_whole.out").read_text(encoding="utf-8")
+    assert whole.splitlines()[1] == "1+2+3+4,1,0,0" + ",1,0,0,nan,0,0" + ",1,0,0" * 6

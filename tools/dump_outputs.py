@@ -91,7 +91,9 @@ SUBSETS = {
 # A 4-site chain whose state is not certified: site 1 is very soft and
 # weakly coupled (omega runs from 9.9e-14 to 1.5), so the reports below take
 # the checked route, and the cut 2 | 3 undoes the live q-p shear of its
-# sites. The whole system's qq block fails the kernel's test (exit 3).
+# sites. The whole system is pure by construction and reads its exact
+# values without a solve; the qq block of sites 1, 2 fails the kernel's
+# test (exit 3).
 SOFT_CHAIN = models.model_from_dict({
     "variant": "GeneralizedChain",
     "K": [[1e-26, 1e-14, 0.0, 0.0], [1e-14, 1.0, 0.3, 0.0],
@@ -103,7 +105,8 @@ SOFT_CHAIN = models.model_from_dict({
 SOFT_CHAIN_RUNS = {
     "measures_soft_chain_sub": ["measures", "--subsystem", "2,3"],
     "negativity_soft_chain": ["negativity", "--group1", "2", "--group2", "3"],
-    "refused_measures_soft_chain_singular_qq": ["measures"],
+    "measures_soft_chain_whole": ["measures"],
+    "refused_measures_soft_chain_singular_qq": ["measures", "--subsystem", "1,2"],
 }
 
 # Model files outside each model's domain, by tag, as raw JSON text.
