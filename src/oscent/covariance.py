@@ -122,23 +122,28 @@ class RingCovariance:
     """Unit-action classical states of CircularLattices of one size, as rows.
 
     ``models``, one or more in any iterable, is read once in order (see
-    models._ring_frequency_rows). ``cq[s, d]`` and ``cp[s, d]`` are the qq
-    and pp entries between sites d apart in the state of model s, shape
-    (number of models, N); the q-p cross block is zero. Row d of qq is (1/N) sum_j cos(2 pi j d / N) / omega_j and row d
-    of pp the same sum over omega_j, from one cosine table and one inverse
-    FFT per block; they agree with classical_covariance of each ring's
-    normal modes at unit actions to roundoff. No N x N matrix is formed, so
-    a window of m sites costs O(m**2) whatever the ring size.
+    models._ring_frequency_rows). The qq entry between sites d apart in the
+    state of model s is ``c0[s] + cq[s, d]`` and its pp entry is
+    ``cp[s, d]``; the rows have shape (number of models, N) and the q-p
+    cross block is zero. The zero mode's constant c0 = 1 / (N omega_0) is
+    kept apart from row d of the other modes, (1/N) sum_{j != 0}
+    cos(2 pi j d / N) / omega_j, so that a difference of two qq entries
+    holds no c0 to cancel (see _mirror_windows); cp[s, d] is the same sum
+    over every omega_j. The rows come from one cosine table and one batched
+    inverse FFT and agree with classical_covariance of each ring's normal
+    modes at unit actions to roundoff. No N x N matrix is formed, so a
+    window of m sites costs O(m**2) whatever the ring size.
 
     Both rows are exactly even, so every window is exactly symmetric.
-    ``_certified`` is set when the qq rows show that every window of every
-    state passes the block-product kernel's positive-definiteness test
-    (linalg._spectrum_posdef of the rows' DFT, a circulant's spectrum); it
-    carries the guarantees of ``CovarianceMatrix._certified`` over to every
-    window.
+    ``_certified`` is set when the circulant spectrum 1 / omega that the qq
+    rows are built from shows that every window of every state passes the
+    block-product kernel's positive-definiteness test
+    (linalg._spectrum_posdef); it carries the guarantees of
+    ``CovarianceMatrix._certified`` over to every window.
     """
 
     models: InitVar[Iterable[CircularLattice]]
+    c0: np.ndarray = field(init=False)
     cq: np.ndarray = field(init=False)
     cp: np.ndarray = field(init=False)
     _certified: bool = field(init=False, repr=False)
@@ -146,10 +151,13 @@ class RingCovariance:
 
     def __post_init__(self, models):
         omegas = _ring_frequency_rows(models)
-        cq = _circulant_row(1.0 / omegas)
+        inverse = 1.0 / omegas
+        object.__setattr__(self, "_certified", _spectrum_posdef(inverse))
+        object.__setattr__(self, "c0", inverse[:, 0] / omegas.shape[-1])
+        inverse[:, 0] = 0.0
+        cq, cp = _circulant_row(np.stack([inverse, omegas]))   # one transform for both
         object.__setattr__(self, "cq", cq)
-        object.__setattr__(self, "cp", _circulant_row(omegas))
-        object.__setattr__(self, "_certified", _spectrum_posdef(np.fft.rfft(cq).real))
+        object.__setattr__(self, "cp", cp)
 
     @property
     def n_modes(self):
@@ -264,7 +272,62 @@ def ring_windows(ring: RingCovariance, indices):
                         "reduce a CovarianceMatrix with reduce_modes")
     idx = _checked_indices(indices, ring.n_modes)
     d = (idx[:, np.newaxis] - idx[np.newaxis, :]) % ring.n_modes
-    return np.take(ring.cq, d, axis=-1), np.take(ring.cp, d, axis=-1)
+    qq = np.take(ring.cq, d, axis=-1)
+    qq += ring.c0[:, np.newaxis, np.newaxis]
+    return qq, np.take(ring.cp, d, axis=-1)
+
+
+def _ring_reflection(ring: RingCovariance, partition):
+    """The t of a reflection i -> t - i (mod N) of the ring that maps the
+    partition's group1 onto its group2, or None when there is none.
+
+    The members are refused as by ring_windows. Such a reflection also maps
+    group2 onto group1 and fixes no member.
+    """
+    n = ring.n_modes
+    members = partition.members   # sorted ints
+    if not members or members[0] < 0 or members[-1] >= n:
+        _checked_indices(members, n)   # raises
+    group1, group2 = partition.group1, partition.group2
+    size = len(group1)
+    if size != len(group2):
+        return None
+    # Summed over group1, the images t - i give size * t = sum(members)
+    # (mod N), which rules out most candidates at one product.
+    total = sum(members)
+    targets = set(group2)
+    for partner in group2:   # the image of group1[0]
+        t = (group1[0] + partner) % n
+        if (size * t - total) % n == 0 and all((t - i) % n in targets for i in group1):
+            return t
+    return None
+
+
+def _mirror_windows(ring: RingCovariance, group1, t):
+    """Even and odd blocks of the window group1 + (t - group1) (mod N).
+
+    With the reflection i -> t - i mapping the sites ``group1`` (ascending)
+    onto the rest of the window, every qq and pp window commutes with it,
+    and the vectors e_i +/- e_(t - i) split each into an even and an odd
+    block of m/2 sites:
+
+        qq+-[i, j] = c0 + cq[a_i - a_j] +- (c0 + cq[a_i + a_j - t])
+
+    over a = group1, and the same for pp with cp. Returns ``qq_even,
+    qq_odd, pp_even, pp_odd``, each of shape (states, m/2, m/2) and exactly
+    symmetric. The zero mode's c0 enters qq_even only, as 2 c0, so
+    qq_odd is a difference of rows with no c0 to cancel.
+    """
+    a = np.asarray(group1)
+    n = ring.n_modes
+    d = (a[:, np.newaxis] - a[np.newaxis, :]) % n
+    s = (a[:, np.newaxis] + a[np.newaxis, :] - t) % n
+    blocks = []
+    for row in (ring.cq, ring.cp):
+        near, far = np.take(row, d, axis=-1), np.take(row, s, axis=-1)
+        blocks += [near + far, near - far]
+    blocks[0] += 2.0 * ring.c0[:, np.newaxis, np.newaxis]
+    return tuple(blocks)
 
 
 def quantum_ground_covariance(modes: NormalModes, hbar=1.0):

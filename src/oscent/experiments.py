@@ -301,7 +301,8 @@ def lattice_size_sweep(n_grid, kappas=DEFAULT_KAPPAS, k=0.1, n1=10, n2=10):
 
     Only the two windows are ever assembled, so N may run far beyond what
     a dense N x N eigensolve allows. The windows of every ring size and
-    kappa form one stack, evaluated in one call of the negativity kernel.
+    kappa form one stack, evaluated in one call of stacked_log_negativities
+    (the default 10 | 10 windows as two half-size products; see there).
     """
     n_grid = [int(n) for n in n_grid]
     kappas = _floats(kappas, "kappas")

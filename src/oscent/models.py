@@ -250,24 +250,28 @@ def normal_modes(model):
 def _ring_frequency_rows(models):
     # Frequencies of rings of one size, one row each in Fourier order: K is
     # circulant, so mode j has omega_j**2 = k + 2 kappa (1 - cos(2 pi j / N)),
-    # from one cosine table built at the first model. Any omega_j**2 <= 0
-    # (k = 0 leaves the uniform translation at zero) is unstable.
-    rows, table = [], None
+    # from one cosine table for every model. The models are read once, in
+    # order, so the first bad one is the one reported. The table is exactly
+    # 0 at j = 0 and never negative, so a model's smallest omega**2 is its k:
+    # k = 0 leaves the uniform translation at zero, which is unstable.
+    size, ks, kappas = None, [], []
     for model in models:
         n = int(model.N)
-        if table is None:
-            table = 1.0 - np.cos(2.0 * np.pi * np.arange(n) / n)
-        elif n != table.size:
-            raise ValueError(f"rings of one size only: got N = {table.size} and N = {n}")
-        w2 = model.k + 2.0 * model.kappa * table
-        if not np.all(w2 > 0.0):
+        if size is None:
+            size = n
+        elif n != size:
+            raise ValueError(f"rings of one size only: got N = {size} and N = {n}")
+        if not model.k > 0.0:
             raise UnstableSystemError(
-                f"system is not stable: min eigenvalue of K - Y^2 is {np.min(w2):.6e}"
+                f"system is not stable: min eigenvalue of K - Y^2 is {model.k + 0.0:.6e}"
             )
-        rows.append(np.sqrt(w2))
-    if not rows:
+        ks.append(model.k)
+        kappas.append(model.kappa)
+    if size is None:
         raise ValueError("rings of one size need one or more models: the model list is empty")
-    return np.stack(rows)
+    table = 1.0 - np.cos(2.0 * np.pi * np.arange(size) / size)
+    k, kappa = np.array(ks, dtype=float), np.array(kappas, dtype=float)
+    return np.sqrt(k[:, np.newaxis] + 2.0 * kappa[:, np.newaxis] * table)
 
 
 def two_mode_angles(model):

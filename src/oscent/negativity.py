@@ -31,7 +31,9 @@ from .covariance import (
     Bipartition,
     CovarianceMatrix,
     RingCovariance,
+    _mirror_windows,
     _require_action,
+    _ring_reflection,
     partial_transpose,
     reduce_modes,
     ring_windows,
@@ -60,16 +62,12 @@ class NegativityResult:
     negativity: float
 
 
-def _ring_blocks(rings, members):
-    # Stacks (S, m, m) of the qq and pp windows of ``members`` in every state
-    # of the ring stacks, in order (unit action, no cross block to undo), and
-    # whether every window is certified positive definite.
-    windows = [ring_windows(ring, members) for ring in rings]
-    certified = all(ring._certified for ring in rings)
-    if len(windows) == 1:   # no copy of a lone stack
-        return (*windows[0], certified)
-    qq, pp = zip(*windows)
-    return np.concatenate(qq), np.concatenate(pp), certified
+def _stacked(per_ring):
+    # One stack per block from a tuple of (S, m, m) blocks per ring, the
+    # rings' states in order; a lone ring's blocks are not copied.
+    if len(per_ring) == 1:
+        return per_ring[0]
+    return tuple(np.concatenate(blocks) for blocks in zip(*per_ring))
 
 
 def _bits_from_lambdas(lambdas):
@@ -84,18 +82,30 @@ def _result(lambdas, e_n):
     return NegativityResult(lambdas, e_n, 0.5 * (2.0**e_n - 1.0))
 
 
+def _results(lambdas):
+    # One NegativityResult per row of an (S, m) stack of ascending lambdas.
+    lambdas = np.maximum(lambdas, np.finfo(float).tiny)
+    return [_result(row, e_n) for row, e_n in zip(lambdas, _bits_from_lambdas(lambdas))]
+
+
 def _stacked_results(qq_u, pp_u, certified, partitions):
     # results[i][s]: partition i in state s of the (S, m, m) unit-action
     # stacks qq_u and pp_u of the partitions' common members.
     patterns = [partition.momentum_signs() for partition in partitions]
-    per_pattern = _block_product_eigvals(qq_u, pp_u, patterns, name="reduced",
-                                         certified=certified)
-    results = []
-    for lambdas in per_pattern:
-        lambdas = np.maximum(lambdas, np.finfo(float).tiny)
-        results.append([_result(row, e_n)
-                        for row, e_n in zip(lambdas, _bits_from_lambdas(lambdas))])
-    return results
+    return [_results(lambdas)
+            for lambdas in _block_product_eigvals(qq_u, pp_u, patterns, name="reduced",
+                                                  certified=certified)]
+
+
+def _mirror_results(qq_even, qq_odd, pp_even, pp_odd, certified):
+    # results[s] from the even and odd blocks of a mirror window
+    # (covariance._mirror_windows). P swaps the even and odd sectors, so the
+    # lambdas are those of qq_even pp_odd together with those of
+    # qq_odd pp_even, two products of one sign at half the size.
+    ones = [np.ones(qq_even.shape[-1])]
+    halves = [_block_product_eigvals(q, p, ones, name="reduced", certified=certified)[0]
+              for q, p in ((qq_even, pp_odd), (qq_odd, pp_even))]
+    return _results(np.sort(np.concatenate(halves, axis=-1), axis=-1))
 
 
 def stacked_log_negativities(rings, partitions):
@@ -104,12 +114,16 @@ def stacked_log_negativities(rings, partitions):
     ``rings`` is a RingCovariance (a stack of ring states of one size), or
     a non-empty list or tuple of them, whose states are taken in order as
     one stack (the rings may differ in size); anything else raises
-    TypeError. Partitions with the same members share one set of windows
+    TypeError. A partition that a reflection of every ring maps onto
+    itself, its groups swapped (a mirror partition), is solved as two
+    half-size products of one sign, from its window's even and odd blocks.
+    The other partitions with the same members share one set of windows
     and one stacked Cholesky factor qq_u = L L^T of their qq blocks; each
-    partition then costs one stacked symmetric eigensolve of L^T P pp_u P L
-    across the states. Ring stacks whose rows certify every window positive
+    then costs one stacked symmetric eigensolve of L^T P pp_u P L across
+    the states. Ring stacks whose rows certify every window positive
     definite (all of them, for a sequence) skip the eigenvalue test before
-    the factor. Returns ``results[i][s]``, partition i in state s.
+    each factor; otherwise a mirror window is tested half by half. Returns
+    ``results[i][s]``, partition i in state s.
     """
     rings = [rings] if isinstance(rings, RingCovariance) else rings
     if not (isinstance(rings, (list, tuple)) and rings
@@ -117,15 +131,27 @@ def stacked_log_negativities(rings, partitions):
         raise TypeError("stacked_log_negativities takes a RingCovariance or a non-empty list "
                         f"or tuple of them, got {type(rings).__name__}; "
                         "use log_negativity for a CovarianceMatrix")
+    certified = all(ring._certified for ring in rings)
     by_members = {}
     for i, partition in enumerate(partitions):
         by_members.setdefault(partition.members, []).append(i)
     results = [None] * len(partitions)
     for members, positions in by_members.items():
-        per_pattern = _stacked_results(*_ring_blocks(rings, members),
-                                       [partitions[i] for i in positions])
-        for i, per_state in zip(positions, per_pattern):
-            results[i] = per_state
+        general = []
+        for i in positions:
+            axes = [_ring_reflection(ring, partitions[i]) for ring in rings]
+            if None in axes:
+                general.append(i)
+                continue
+            results[i] = _mirror_results(
+                *_stacked([_mirror_windows(ring, partitions[i].group1, t)
+                           for ring, t in zip(rings, axes)]), certified)
+        if general:
+            per_pattern = _stacked_results(
+                *_stacked([ring_windows(ring, members) for ring in rings]), certified,
+                [partitions[i] for i in general])
+            for i, per_state in zip(general, per_pattern):
+                results[i] = per_state
     return results
 
 

@@ -11,6 +11,7 @@ from oscent.covariance import (
     Bipartition,
     CovarianceMatrix,
     RingCovariance,
+    _mirror_windows,
     angle_average_covariance,
     classical_covariance,
     partial_transpose,
@@ -27,6 +28,7 @@ from oscent.errors import (
 from oscent.linalg import POSDEF_RTOL, _spectrum_posdef
 from oscent.measures import purity_from_determinant, sigma_tilde
 from oscent.models import (
+    _ring_frequency_rows,
     CircularLattice,
     GeneralizedChain,
     TwoMode,
@@ -338,7 +340,9 @@ def test_model_built_ring_rows_are_even_finite_and_certified_quietly():
     # The invariant that stands in for checks of the rows: _circulant_row
     # averages row[d] with row[N - d], which IEEE addition makes exactly
     # even, and the models bound 0 < omega**2 <= k + 4 kappa < inf, so both
-    # rows are finite and their certificate raises no floating-point error.
+    # rows and the zero mode's c0 are finite, and the certificate, read from
+    # the spectrum 1 / omega the qq rows are built from, raises no
+    # floating-point error.
     rng = np.random.default_rng(2121)
     stacks = [[CircularLattice(3, 5e-324, 0.0), CircularLattice(3, 5e-324, 4e307)],
               [CircularLattice(2000, 5e-324, 4e307), CircularLattice(2000, 1e300, 0.0)],
@@ -354,8 +358,11 @@ def test_model_built_ring_rows_are_even_finite_and_certified_quietly():
         for rows in (ring.cq, ring.cp):
             assert_array_equal(rows[:, 1:], rows[:, :0:-1])
             assert np.all(np.isfinite(rows))
+        assert ring.c0.shape == (len(models),)
+        assert np.all((ring.c0 > 0.0) & np.isfinite(ring.c0))
+        omegas = _ring_frequency_rows(models)
         with np.errstate(all="raise"):
-            assert ring._certified == _spectrum_posdef(np.fft.rfft(ring.cq).real)
+            assert ring._certified == _spectrum_posdef(1.0 / omegas)
 
 
 def test_zero_by_zero_covariance_is_refused():
@@ -369,10 +376,13 @@ def test_zero_by_zero_covariance_is_refused():
 
 def test_ring_windows_lie_inside_the_circulant_spectrum():
     # The fact the kernel skip rests on: by Cauchy interlacing, the eigenvalues
-    # of any window of a ring's qq lie inside the rfft spectrum of its row, up
-    # to the roundoff term 16 N eps * max that the certificate's margin holds.
-    # Every such ring has min/max = sqrt(k / (k + 4 kappa)) >= 5e-8 and is
-    # certified, so each window must also pass the kernel's own test.
+    # of any window of a ring's qq lie inside the rfft spectrum of its full
+    # row c0 + cq, up to the roundoff term 16 N eps * max that the
+    # certificate's margin holds. Every such ring has min/max =
+    # sqrt(k / (k + 4 kappa)) >= 5e-8 and is certified, so each window must
+    # also pass the kernel's own test. The even and odd blocks of a mirror
+    # window are its compressions to orthonormal vectors (e_i +/- e_(t-i)) /
+    # sqrt(2), so by Poincare's separation theorem they lie inside it too.
     rng = np.random.default_rng(1414)
     eps = np.finfo(float).eps
     for _ in range(200):
@@ -380,15 +390,23 @@ def test_ring_windows_lie_inside_the_circulant_spectrum():
         k = 10.0 ** rng.uniform(-12.0, 1.0)
         kappa = 10.0 ** rng.uniform(-2.0, 2.0)
         ring = RingCovariance([CircularLattice(n, k, kappa)])
-        w = np.fft.rfft(ring.cq[0]).real
+        w = np.fft.rfft(ring.cq[0] + ring.c0[0]).real
         sites = rng.choice(n, size=int(rng.integers(1, min(n, 40) + 1)), replace=False)
         (qq,), _ = ring_windows(ring, sites)
-        got = np.linalg.eigvalsh(qq)
         tol = 16.0 * n * eps * w.max()
-        assert got[0] >= w.min() - tol
-        assert got[-1] <= w.max() + tol
+        # A mirror window about a random axis t: one site of each pair
+        # {i, t - i} that the sites meet, none that the reflection fixes.
+        t = int(rng.integers(0, n))
+        group1 = sorted({min(i, (t - i) % n) for i in map(int, sites) if (2 * i - t) % n})
+        blocks = [qq]
+        if group1:
+            blocks += [block[0] for block in _mirror_windows(ring, group1, t)[:2]]
+        for block in blocks:
+            got = np.linalg.eigvalsh(block)
+            assert got[0] >= w.min() - tol
+            assert got[-1] <= w.max() + tol
+            assert got[0] > POSDEF_RTOL * got[-1]
         assert ring._certified
-        assert got[0] > POSDEF_RTOL * got[-1]
 
 
 def test_normal_mode_reductions_lie_inside_the_mode_spectrum():

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -336,21 +337,24 @@ def test_default_ring_sweeps_solve_one_partition_per_class(monkeypatch, eigvalsh
         return results
 
     # Every default ring stack is certified positive definite from its rows,
-    # so the only eigvalsh calls are the product solves, one per class.
+    # so the only eigvalsh calls are the product solves, one per class, or
+    # two at half the size for a class that a reflection of the ring maps
+    # onto itself with its groups swapped (a mirror class): lattice-adjacent's
+    # 50 | 50 split, every lattice-d separation and the lattice-size window.
     monkeypatch.setattr(experiments, "stacked_log_negativities", spy)
     lattice_adjacent_sweep(range(101))
     assert calls == [(51, 7)]
-    assert eigvalsh_shapes == [(7, 100, 100)] * 51
+    assert sorted(eigvalsh_shapes) == [(7, 50, 50)] * 2 + [(7, 100, 100)] * 50
     calls.clear()
     eigvalsh_shapes.clear()
     lattice_disjoint_sweep(range(0, 101, 10))
     assert calls == [(6, 3)]
-    assert len(eigvalsh_shapes) == 6
+    assert eigvalsh_shapes == [(3, 50, 50)] * 12
     calls.clear()
     eigvalsh_shapes.clear()
     lattice_size_sweep(range(20, 501, 20))
     assert calls == [(1, 175)]
-    assert eigvalsh_shapes == [(175, 20, 20)]
+    assert eigvalsh_shapes == [(175, 10, 10)] * 2
 
 
 @pytest.mark.parametrize("n_grid, kappas, k, n1, n2", [
@@ -373,18 +377,19 @@ def test_lattice_size_stack_matches_each_size_alone(n_grid, kappas, k, n1, n2):
 def test_lattice_size_near_the_positive_definite_floor(eigvalsh_shapes):
     # At k = 1e-20 the kappa = 64 rings have qq eigenvalue ratio 6.25e-12,
     # above the certificate's margin POSDEF_RTOL + 16 N eps: certified, one
-    # eigvalsh call. At k = 1e-22 the ratio is 6.25e-13: the 40-site ring is
-    # not certified, so the eigenvalue test runs, and its 20-site windows
-    # (ratio 1.25e-12) pass it. The 20-site ring's window is the whole ring
-    # and fails it. The stacked rows are those that one call per ring size
-    # gives, bit for bit.
+    # eigvalsh call per half of the mirror window 0..9 | 10..19. At
+    # k = 1e-22 the ratio is 6.25e-13: the 40-site ring is not certified,
+    # so the eigenvalue test runs on each half, and every half passes it.
+    # The 20-site ring's window is the whole ring, whose even half fails it.
+    # The stacked rows are those that one call per ring size gives, bit for
+    # bit.
     def each_size_alone(n_grid, k):
         return [row for n in n_grid
                 for row in lattice_size_sweep([n], kappas=(1, 64), k=k).rows]
 
     calls = eigvalsh_shapes
     table = lattice_size_sweep([20, 200], kappas=(1, 64), k=1e-20)
-    assert calls == [(4, 20, 20)]
+    assert calls == [(4, 10, 10)] * 2
     assert np.array(table.rows).tobytes() == np.array(each_size_alone([20, 200], 1e-20)).tobytes()
     # E_N of the 20-site ring at kappa = 1 is 34.2192809488736 from mpmath at
     # 60 digits; the kernel stays no farther from it than the direct full
@@ -392,11 +397,54 @@ def test_lattice_size_near_the_positive_definite_floor(eigvalsh_shapes):
     assert abs(table.rows[0][2] - 34.2192809488736) <= abs(34.21928060602842 - 34.2192809488736)
     calls.clear()
     table = lattice_size_sweep([40, 200], kappas=(1, 64), k=1e-22)
-    assert calls == [(4, 20, 20)] * 2
+    assert calls == [(4, 10, 10)] * 4
     assert np.array(table.rows).tobytes() == np.array(each_size_alone([40, 200], 1e-22)).tobytes()
     with pytest.raises(NotPositiveDefiniteError,
                        match="^reduced qq block is not positive definite: eigenvalue"):
         lattice_size_sweep([20, 200], kappas=(1, 64), k=1e-22)
+
+
+def mpmath_ring_log_negativity(n, k, kappa, group1, group2):
+    # E_N of a window of the ring (n, k, kappa) at unit actions, from the
+    # cosine sums of its rows and the eigenvalues of L^T P pp P L
+    # (qq = L L^T), all at 60 digits.
+    with mpmath.workdps(60):
+        k, kappa = mpmath.mpf(k), mpmath.mpf(kappa)
+        angle = [2 * mpmath.pi * j / n for j in range(n)]
+        omega = [mpmath.sqrt(k + 2 * kappa * (1 - mpmath.cos(a))) for a in angle]
+        cq = [mpmath.fsum(mpmath.cos(a * d) / w for a, w in zip(angle, omega)) / n
+              for d in range(n)]
+        cp = [mpmath.fsum(mpmath.cos(a * d) * w for a, w in zip(angle, omega)) / n
+              for d in range(n)]
+        members = sorted(group1 + group2)
+        sign = [-1 if i in group2 else 1 for i in members]
+        m = len(members)
+        qq = mpmath.matrix(m, m)
+        pp = mpmath.matrix(m, m)
+        for a, i in enumerate(members):
+            for b, j in enumerate(members):
+                qq[a, b] = cq[(i - j) % n]
+                pp[a, b] = sign[a] * sign[b] * cp[(i - j) % n]
+        low = mpmath.cholesky(qq)
+        lambdas = mpmath.eigsy(low.T * pp * low, eigvals_only=True)
+        return float(-mpmath.fsum(mpmath.log(x, 2) for x in lambdas if x < 1))
+
+
+@pytest.mark.parametrize("n1, n2, before", [
+    (10, 10, 34.21928060602842),    # mirror: two half-size products
+    (3, 4, 1.7545840136868118),     # no reflection: the whole window
+])
+def test_zero_mode_kept_apart_near_the_floor_matches_mpmath(n1, n2, before):
+    # At k = 1e-20 the zero mode puts c0 = 1 / (N sqrt k) = 5e8 into every qq
+    # entry of the 20-site ring. With c0 kept apart from the other modes'
+    # rows, the mirror window's odd half holds no c0 and the 3 | 4 window
+    # adds it once to rows that carry their own roundoff only. Neither error
+    # may exceed that of the route that kept c0 inside the rows, whose
+    # values are ``before``.
+    group1, group2 = list(range(n1)), list(range(n1, n1 + n2))
+    exact = mpmath_ring_log_negativity(20, "1e-20", 1, group1, group2)
+    (row,) = lattice_size_sweep([20], kappas=(1,), k=1e-20, n1=n1, n2=n2).rows
+    assert abs(row[2] - exact) <= abs(before - exact)
 
 
 @pytest.mark.parametrize("command", ["lattice-adjacent", "lattice-d", "lattice-size"])

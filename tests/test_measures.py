@@ -66,12 +66,17 @@ def random_chain(rng, n, y_scale=0.5):
 # --- sigma_tilde --------------------------------------------------------------
 
 def test_whole_system_sits_on_the_pure_floor():
+    # The numerical route on the whole matrix: every symplectic width of a
+    # state at common action c is c, so nu / (2 c) sits at 1/2 up to
+    # roundoff. sigma_tilde reads the whole state's exact 1/2 with no solve.
     rng = np.random.default_rng(103)
     for _ in range(5):
         n = int(rng.integers(2, 7))
         c = float(rng.uniform(0.5, 3.0))
         cov = classical_covariance(normal_modes(random_chain(rng, n)), np.full(n, c))
-        assert_allclose(sigma_tilde(cov), np.full(n, 0.5), atol=1e-12)
+        assert_allclose(symplectic_spectrum(cov.matrix) / (2.0 * c), np.full(n, 0.5),
+                        atol=1e-12)
+        assert np.array_equal(sigma_tilde(cov), np.full(n, 0.5))
 
 
 def test_reduced_sigma_reference_value():

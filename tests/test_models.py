@@ -330,6 +330,23 @@ def test_ring_frequencies_match_the_eigensolver():
         _ring_frequency_rows([CircularLattice(N=8, k=float("nan"), kappa=1.0)])
 
 
+def test_ring_frequency_rows_of_a_stack_are_each_model_alone_bit_for_bit():
+    # One expression for the whole stack gives every row the bits of that
+    # model's own sqrt(k + 2 kappa table); the stability test reads k, the
+    # smallest omega**2, and reports it as the row's minimum was reported.
+    n = 37
+    table = 1.0 - np.cos(2.0 * np.pi * np.arange(n) / n)
+    models = [CircularLattice(N=n, k=k, kappa=kappa)
+              for k, kappa in ((0.1, 1.0), (5e-324, 4e307), (1e-20, 64), (3, 0.0), (1e300, 0.7))]
+    rows = _ring_frequency_rows(iter(models))
+    for row, model in zip(rows, models):
+        assert row.tobytes() == np.sqrt(model.k + 2.0 * model.kappa * table).tobytes()
+    for k in (0.0, -0.0, 0):
+        with pytest.raises(UnstableSystemError, match=r"^system is not stable: min "
+                                                      r"eigenvalue of K - Y\^2 is 0\.000000e\+00$"):
+            _ring_frequency_rows(models[:2] + [CircularLattice(N=n, k=k, kappa=2.0)])
+
+
 def test_normal_modes_decoupled_pair():
     modes = normal_modes(TwoMode(A=4.0, B=9.0, C=0.0))
     assert_allclose(modes.omegas, [2.0, 3.0], rtol=1e-14)

@@ -11,6 +11,8 @@ from oscent.covariance import (
     Bipartition,
     CovarianceMatrix,
     RingCovariance,
+    _mirror_windows,
+    _ring_reflection,
     classical_covariance,
     quantum_ground_covariance,
     reduce_modes,
@@ -37,6 +39,7 @@ from oscent.models import (
     normal_modes,
 )
 from oscent.negativity import (
+    _stacked_results,
     log_negativity,
     log_negativity_via_symplectic,
     stacked_log_negativities,
@@ -95,6 +98,21 @@ def kernel_lambdas(qq_u, pp_u, partition):
     z *= flip[:, np.newaxis]                    # z = T pp_u T L
     lambdas = np.linalg.eigvalsh(low.T @ z)     # reads the lower triangle
     return np.maximum(lambdas, np.finfo(float).tiny)
+
+
+def ring_kernel_lambdas(ring, partition):
+    # The kernel's arithmetic for one partition in every state of a ring
+    # stack: on its window, or for a mirror partition on the window's even
+    # and odd halves, each a product of one sign, merged in order.
+    t = _ring_reflection(ring, partition)
+    if t is None:
+        qq, pp = ring_windows(ring, partition.members)
+        return [kernel_lambdas(qq_u, pp_u, partition) for qq_u, pp_u in zip(qq, pp)]
+    qq_even, qq_odd, pp_even, pp_odd = _mirror_windows(ring, partition.group1, t)
+    one_sign = Bipartition(partition.group1)
+    return [np.sort(np.concatenate([kernel_lambdas(q_e, p_o, one_sign),
+                                    kernel_lambdas(q_o, p_e, one_sign)]))
+            for q_e, q_o, p_e, p_o in zip(qq_even, qq_odd, pp_even, pp_odd)]
 
 
 def test_decoupled_lattice_is_exactly_zero():
@@ -163,9 +181,8 @@ def test_batch_equals_one_partition_at_a_time_bit_for_bit():
         batch = stacked_log_negativities(ring, parts)
         assert len(batch) == len(parts)
         for part, per_state in zip(parts, batch):
-            qq, pp = ring_windows(ring, part.members)
-            for got, qq_u, pp_u in zip(per_state, qq, pp):
-                assert got.lambda_tilde.tobytes() == kernel_lambdas(qq_u, pp_u, part).tobytes()
+            for got, want in zip(per_state, ring_kernel_lambdas(ring, part)):
+                assert got.lambda_tilde.tobytes() == want.tobytes()
             alone = stacked_log_negativities(ring, [part])[0]
             for got, one in zip(per_state, alone):
                 assert got.lambda_tilde.tobytes() == one.lambda_tilde.tobytes()
@@ -207,6 +224,67 @@ def test_stack_equals_each_state_alone_bit_for_bit(n, k, kappas):
             assert got.negativity == one.negativity
 
 
+def random_mirror_partition(rng, n, t):
+    # Up to 12 pairs {i, t - i} (mod n), drawn from the 16 whose two sites
+    # lie nearest each other on the ring, none that the reflection fixes;
+    # each pair sends a random one of its sites to group 1.
+    pairs = sorted({tuple(sorted((i, (t - i) % n))) for i in range(n) if (2 * i - t) % n},
+                   key=lambda pair: min((pair[1] - pair[0]) % n, (pair[0] - pair[1]) % n))
+    pairs = pairs[:16]
+    chosen = rng.choice(len(pairs), size=int(rng.integers(1, min(len(pairs), 12) + 1)),
+                        replace=False)
+    group1 = [pairs[c][int(rng.integers(2))] for c in chosen]
+    return Bipartition(group1, [(t - i) % n for i in group1])
+
+
+def test_mirror_route_matches_the_dense_symplectic_route():
+    # Random rings and mirror partitions about even and odd axes t, against
+    # the independent route on the dense normal-mode state, and against the
+    # whole-window kernel on the same rows. Tolerance: each of at most 24
+    # lambdas carries a relative error of about eps times the condition
+    # number sqrt((k + 4 kappa) / k) <= 6.3e3 of qq, so |dE_N| is at most
+    # about 24 * 6.3e3 * eps / ln 2 = 4.8e-11; these seeds agree to 5e-14.
+    rng = np.random.default_rng(2525)
+    tol, entangled = 5e-11, 0
+    for case in range(40):
+        n = int(rng.integers(3, 301))
+        k = 10.0 ** rng.uniform(-6.0, 1.0)
+        kappa = 10.0 ** rng.uniform(-1.0, 1.0)
+        t = (2 * int(rng.integers(0, (n + 1) // 2)) + case % 2) % n
+        part = random_mirror_partition(rng, n, t)
+        model = CircularLattice(n, k, kappa)
+        ring = RingCovariance([model])
+        assert _ring_reflection(ring, part) == t
+        ((got,),) = stacked_log_negativities(ring, [part])
+        entangled += got.log_negativity > 0.0
+        dense = classical_covariance(normal_modes(model), np.ones(n))
+        want = log_negativity_via_symplectic(dense, part).log_negativity
+        assert abs(got.log_negativity - want) <= tol, (n, t, k, kappa, part)
+        ((whole,),) = _stacked_results(*ring_windows(ring, part.members), True, [part])
+        assert abs(got.log_negativity - whole.log_negativity) <= tol
+        assert_allclose(got.lambda_tilde, whole.lambda_tilde, rtol=1e-9)
+    assert entangled >= 30
+
+
+@pytest.mark.parametrize("group1, group2, t", [
+    ([198, 199], [0, 1], 199),      # the pair reflected across the seam
+    ([199, 0], [1, 2], 1),          # a group that wraps around site 0
+    ([198, 199], [0, 2], None),     # no reflection: the whole window
+])
+def test_windows_across_the_seam_agree_whichever_route_they_take(group1, group2, t):
+    model = CircularLattice(200, 1e-4, 4.0)
+    ring = RingCovariance([model])
+    dense = classical_covariance(normal_modes(model), np.ones(200))
+    part = Bipartition(group1, group2)
+    assert _ring_reflection(ring, part) == t
+    ((got,),) = stacked_log_negativities(ring, [part])
+    want = log_negativity_via_symplectic(dense, part).log_negativity
+    assert got.log_negativity > 0.0
+    assert abs(got.log_negativity - want) <= 5e-11    # as in the random cases above
+    ((whole,),) = _stacked_results(*ring_windows(ring, part.members), True, [part])
+    assert abs(got.log_negativity - whole.log_negativity) <= 5e-11
+
+
 def test_stack_checks_every_state():
     # A ring is checked when it is built; a stack built lazily meets each
     # bad ring at its turn, as one ring alone meets it.
@@ -230,12 +308,15 @@ def test_stack_checks_every_state():
             ring_windows(stack, indices)
     # The second state's window is the whole ring at k = 1e-22: its qq has
     # eigenvalue ratio below POSDEF_RTOL, so the stack is not certified and
-    # the kernel's eigenvalue test refuses it.
+    # the kernel's eigenvalue test refuses it. The window is a mirror one,
+    # tested half by half: the even half holds the zero mode's 1 / omega_0 =
+    # 1e11 and, as its smallest, 1 / omega_9 = 6.3279e-02 (omega_10 is odd),
+    # read here to within the roundoff of entries of 1e10.
     near_singular = RingCovariance([CircularLattice(20, 0.1, 64.0),
                                     CircularLattice(20, 1e-22, 64.0)])
     assert not near_singular._certified
     with pytest.raises(NotPositiveDefiniteError,
-                       match=r"eigenvalue 6.250010e-02 is not above 1e-12 \* largest "
+                       match=r"eigenvalue 6.328067e-02 is not above 1e-12 \* largest "
                              r"eigenvalue 1.000000e\+11 = 1.000000e-01$"):
         stacked_log_negativities(near_singular, [Bipartition(range(10), range(10, 20))])
     # log_negativity takes a dense state, not a ring stack.
@@ -287,8 +368,8 @@ def test_log_negativity_refuses_a_stack_before_any_solve(eigvalsh_shapes):
                                             f"got {name}; .* stacked_log_negativities$"):
             log_negativity(stack, part)
     assert eigvalsh_shapes == []
-    stacked_log_negativities(RingCovariance([good]), [part])
-    assert eigvalsh_shapes == [(1, 20, 20)]
+    stacked_log_negativities(RingCovariance([good]), [part])   # a mirror partition
+    assert eigvalsh_shapes == [(1, 10, 10)] * 2
 
 
 def test_stacked_entry_refuses_anything_but_ring_stacks_before_any_solve(eigvalsh_shapes):
@@ -330,13 +411,14 @@ def uncertified(ring):
 def test_certified_ring_stacks_skip_only_the_eigenvalue_test(eigvalsh_shapes):
     stack = RingCovariance([CircularLattice(16, 0.1, kappa) for kappa in (1.0, 8.0)])
     assert stack._certified
+    # 3 | 3 is a mirror partition, solved half by half.
     parts = [Bipartition(range(n1), range(n1, 6)) for n1 in (1, 2, 3)]
     shapes = eigvalsh_shapes
     got = stacked_log_negativities(stack, parts)
-    assert shapes == [(2, 6, 6)] * 3            # one product solve per partition
+    assert shapes == [(2, 3, 3)] * 2 + [(2, 6, 6)] * 2   # one product solve per half or partition
     shapes.clear()
     want = stacked_log_negativities(uncertified(stack), parts)
-    assert shapes == [(2, 6, 6)] * 4            # the eigenvalue test, then the same
+    assert shapes == [(2, 3, 3)] * 4 + [(2, 6, 6)] * 3   # the eigenvalue test before each factor
     for got_p, want_p in zip(got, want):
         for g, w in zip(got_p, want_p):
             assert g.lambda_tilde.tobytes() == w.lambda_tilde.tobytes()
@@ -363,10 +445,11 @@ def test_certified_ring_stacks_skip_only_the_eigenvalue_test(eigvalsh_shapes):
 def test_sequence_of_ring_stacks_is_one_stack_in_order(eigvalsh_shapes):
     small = RingCovariance([CircularLattice(9, 0.1, kappa) for kappa in (1.0, 4.0)])
     large = RingCovariance([CircularLattice(23, 0.05, kappa) for kappa in (2.0, 8.0, 32.0)])
+    # The second partition is a mirror one on both rings (i -> 3 - i).
     parts = [Bipartition([0, 1], [2, 3, 4]), Bipartition([0, 2], [1, 3])]
     shapes = eigvalsh_shapes
     got = stacked_log_negativities((small, large), parts)
-    assert shapes == [(5, 5, 5), (5, 4, 4)]
+    assert shapes == [(5, 5, 5), (5, 2, 2), (5, 2, 2)]
     want = [a + b for a, b in zip(stacked_log_negativities(small, parts),
                                   stacked_log_negativities(large, parts))]
     for got_p, want_p in zip(got, want):

@@ -50,6 +50,7 @@ def test_dump_outputs_runs_every_command_cleanly(tmp_path, monkeypatch):
 
     expected = {"status.txt", "fit_kappa.csv", "fit_kappa.json", "lattice_size_uncertified.csv",
                 "lattice_size_mixed_certificate.csv"}
+    expected |= {f"{stem}.csv" for stem in dump.WHOLE_WINDOW}
     for stem in ("twomode_sweep", "ghoc_sweep", "lattice_d", "lattice_adjacent",
                  "lattice_size"):
         expected |= {f"{stem}.csv", f"{stem}.json"}

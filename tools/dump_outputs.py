@@ -13,6 +13,11 @@ an empty diff means the two versions print the same bytes. The directory gets
   default grid at a k where only the smaller rings are certified
   (``MIXED_CERTIFICATE``), so that the test runs on a sequence of stacks
   some of which are certified;
+* ``lattice-size`` and ``lattice-d`` on windows of unequal size
+  (``WHOLE_WINDOW``), which no reflection of the ring maps onto each other,
+  so that both ring sweeps also take the whole-window route under the gate
+  (every default ``lattice-size`` and ``lattice-d`` window is split into
+  even and odd halves);
 * four model files written by ``save_model`` (two-mode, generalized
   two-mode, a seeded 12-site chain with q-p coupling, a 16-site ring) and
   the ``measures`` and ``negativity`` output on each, plus both on a
@@ -130,6 +135,13 @@ UNCERTIFIED = ["lattice-size", "--k", "1e-22", "--grid", "40:200:2", "--kappas",
 # whole is not and the kernel tests every window of every size.
 MIXED_CERTIFICATE = ["lattice-size", "--k", "5e-22", "--kappas", "1,64"]
 
+# The two ring sweeps on groups of unequal size, by file stem: no reflection
+# of the ring swaps them, so each window is solved whole.
+WHOLE_WINDOW = {
+    "lattice_size_n1_3_n2_4": ["lattice-size", "--n1", "3", "--n2", "4"],
+    "lattice_d_n1_50_n2_40": ["lattice-d", "--n1", "50", "--n2", "40"],
+}
+
 # Sweeps that must be refused, by file stem. In the unstable-then-negative
 # one the first kappa is unstable (k = 0), the second invalid, and the first
 # is the one reported; the near-singular window is the whole ring, whose qq
@@ -213,6 +225,8 @@ def main(argv=None):
                                                            path("lattice_size_uncertified.csv")])
     run(status, "lattice-size mixed certificate",
         MIXED_CERTIFICATE + ["--out", path("lattice_size_mixed_certificate.csv")])
+    for stem, argv in WHOLE_WINDOW.items():
+        run(status, stem, argv + ["--out", path(f"{stem}.csv")])
     for kappa in KAPPAS:
         for ext, flag in (("csv", []), ("json", ["--json"])):
             run(status, f"fit-cft {kappa} {ext}",
