@@ -17,7 +17,6 @@ from .covariance import (
     Bipartition,
     CovarianceMatrix,
     RingCovariance,
-    angle_average_covariance,
     classical_covariance,
     partial_transpose,
     quantum_ground_covariance,

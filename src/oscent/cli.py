@@ -287,11 +287,9 @@ def _run(args):
         columns = ["subsystem", "purity", "linear_entropy", "von_neumann"]
         columns += experiments._order_columns(alphas)
         report = measure_report(reduce_modes(cov, indices), alphas=alphas, label=label)
-        row = [label, report.purity, report.linear_entropy, report.von_neumann]
-        for alpha in alphas:
-            fam = report.families[alpha]
-            row += [fam.purity, fam.tsallis, fam.renyi]
-        table = experiments.SweepTable(tuple(columns), (tuple(row),))
+        row = (label, report.purity, report.linear_entropy, report.von_neumann,
+               *experiments._order_cells(report, alphas))
+        table = experiments.SweepTable(tuple(columns), (row,))
     elif args.command == "negativity":
         cov = _unit_action_state(args.model)
         n = cov.n_modes

@@ -28,7 +28,6 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import (
-    DimensionTooLargeError,
     EmptySubsystemError,
     IndexOutOfRangeError,
     OverlappingGroupsError,
@@ -277,30 +276,53 @@ def ring_windows(ring: RingCovariance, indices):
     return qq, np.take(ring.cp, d, axis=-1)
 
 
-def _ring_reflection(ring: RingCovariance, partition):
-    """The t of a reflection i -> t - i (mod N) of the ring that maps the
-    partition's group1 onto its group2, or None when there is none.
+def _ring_symmetry(partitions, n):
+    """(class key, mirror axis) of each bipartition of a ring of n sites.
 
-    The members are refused as by ring_windows. Such a reflection also maps
-    group2 onto group1 and fixes no member.
+    Partitions share a class key when a rotation i -> i + t or reflection
+    i -> t - i (mod n), perhaps followed by swapping the groups, maps one
+    onto the other; ring rows are exactly even, so their windows are the
+    same matrices up to a permutation and share one E_N. A lone partition's
+    key is None, and no orbit is searched. The axis is a t whose reflection
+    maps group1 onto group2 (and so group2 onto group1), or None. Each
+    partition must have members, all in [0, n).
     """
-    n = ring.n_modes
-    members = partition.members   # sorted ints
-    if not members or members[0] < 0 or members[-1] >= n:
-        _checked_indices(members, n)   # raises
-    group1, group2 = partition.group1, partition.group2
-    size = len(group1)
-    if size != len(group2):
-        return None
-    # Summed over group1, the images t - i give size * t = sum(members)
-    # (mod N), which rules out most candidates at one product.
-    total = sum(members)
-    targets = set(group2)
-    for partner in group2:   # the image of group1[0]
-        t = (group1[0] + partner) % n
-        if (size * t - total) % n == 0 and all((t - i) % n in targets for i in group1):
-            return t
-    return None
+    axes = []
+    for partition in partitions:
+        group1, group2 = partition.group1, partition.group2
+        size, axis = len(group1), None
+        if size == len(group2):
+            # Summed over group1, the images t - i give size * t =
+            # sum(members) (mod n), which rules out most candidates at once.
+            total, targets = sum(group1) + sum(group2), set(group2)
+            for partner in group2:   # the image of group1[0]
+                t = (group1[0] + partner) % n
+                if (size * t - total) % n == 0 and all((t - i) % n in targets for i in group1):
+                    axis = t
+                    break
+        axes.append(axis)
+    if len(partitions) < 2:
+        return [(None, t) for t in axes]
+    # Per member set: the lexicographically least image under the dihedral
+    # group (it holds site 0, so only the maps sending a member to 0 are
+    # tried) and the member order each map reaching it induces. The members
+    # are sorted, so every image is sorted by a cyclic shift of their order.
+    orbits = {}
+    for members in {p.members for p in partitions}:
+        sites = np.array(members, dtype=int)
+        m = sites.size
+        j = np.arange(m)
+        order = np.concatenate([(j[:, np.newaxis] + j) % m, (j[:, np.newaxis] - j) % m])
+        images = np.concatenate([sites[order[:m]] - sites[:, np.newaxis],
+                                 sites[:, np.newaxis] - sites[order[m:]]]) % n
+        least = min(images.tolist())
+        orbits[members] = (tuple(least), order[np.all(images == least, axis=1)])
+    keys = []
+    for partition in partitions:
+        canonical, orders = orbits[partition.members]
+        signs = partition.momentum_signs()[orders]
+        keys.append((canonical, min(tuple(row) for row in (signs * signs[:, :1]).tolist())))
+    return list(zip(keys, axes))
 
 
 def _mirror_windows(ring: RingCovariance, group1, t):
@@ -336,51 +358,6 @@ def quantum_ground_covariance(modes: NormalModes, hbar=1.0):
     if not 0.0 < hbar < np.inf:
         raise ValueError(f"hbar must be finite and positive, got {hbar}")
     return classical_covariance(modes, np.full(modes.omegas.shape[0], hbar / 2.0))
-
-
-def angle_average_covariance(modes: NormalModes, actions, grid_points=64):
-    """Covariance by brute-force averaging over the mode angles.
-
-    Samples the exact trajectory parametrization on a uniform tensor grid of
-    ``grid_points`` angles per mode and averages the second moments. Uniform
-    grids integrate trigonometric polynomials below the grid order exactly,
-    so for ``grid_points >= 16`` this matches the analytic covariance to
-    roundoff. Cost grows as ``grid_points**n``; refuses n > 4.
-    """
-    s, omegas, ydiag = modes
-    n = omegas.shape[0]
-    if n > 4:
-        raise DimensionTooLargeError(
-            f"angle averaging is exponential in modes; {n} > 4"
-        )
-    if not isinstance(grid_points, (int, np.integer)):
-        raise ValueError(f"grid_points must be an integer, got {grid_points!r}")
-    if grid_points < 16:
-        raise ValueError(f"need at least 16 grid points per angle, got {grid_points}")
-    actions = _checked_actions(actions, n)
-
-    phi = 2.0 * np.pi * np.arange(grid_points) / grid_points
-    amp_q = np.sqrt(2.0 * actions / omegas)
-    amp_p = np.sqrt(2.0 * actions * omegas)
-
-    # Accumulate second moments chunk by chunk along the first angle axis,
-    # in fixed order, so the reduction is deterministic.
-    second = np.zeros((2 * n, 2 * n))
-    first = np.zeros(2 * n)
-    total = grid_points**n
-    for i0 in range(grid_points):
-        grids = np.meshgrid(*([phi[i0 : i0 + 1]] + [phi] * (n - 1)), indexing="ij")
-        angles = np.stack([g.reshape(-1) for g in grids])  # (n, pts)
-        sin_a = np.sin(angles)
-        cos_a = np.cos(angles)
-        q = s @ (amp_q[:, np.newaxis] * sin_a)
-        p = s @ (amp_p[:, np.newaxis] * cos_a) - ydiag[:, np.newaxis] * q
-        r = np.vstack([q, p])
-        second += r @ r.T
-        first += r.sum(axis=1)
-    mean = first / total
-    cov = second / total - np.outer(mean, mean)
-    return CovarianceMatrix(0.5 * (cov + cov.T), _common_action(actions))
 
 
 def _oscillator_index(value):

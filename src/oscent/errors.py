@@ -56,10 +56,6 @@ class CrossBlockNotZeroError(ValueError, OscentNumericalError):
     """The position-momentum cross block is neither zero nor a local shear."""
 
 
-class DimensionTooLargeError(ValueError, OscentInputError):
-    """The requested brute-force computation is too large to be exact."""
-
-
 class SubHeisenbergError(ValueError, OscentNumericalError):
     """A normalized symplectic eigenvalue lies below the 1/2 floor."""
 

@@ -134,6 +134,15 @@ def _order_columns(alphas):
     return columns
 
 
+def _order_cells(report, alphas):
+    """The cells under _order_columns(alphas): mu, Tsallis and Renyi per order."""
+    cells = []
+    for alpha in alphas:
+        fam = report.families[alpha]
+        cells += [fam.purity, fam.tsallis, fam.renyi]
+    return cells
+
+
 def _first_oscillator_sweep(name, grid, model_at, alphas):
     """Oscillator 1's sigma and measures in model_at(x) for each x in grid.
 
@@ -147,12 +156,8 @@ def _first_oscillator_sweep(name, grid, model_at, alphas):
     for x in grid:
         cov = classical_covariance(normal_modes(model_at(x)), np.ones(2))
         report = measure_report(reduce_modes(cov, [0]), alphas)
-        row = [x, float(report.sigma[0]), report.purity, report.linear_entropy,
-               report.von_neumann]
-        for alpha in alphas:
-            fam = report.families[alpha]
-            row += [fam.purity, fam.tsallis, fam.renyi]
-        rows.append(tuple(row))
+        rows.append((x, float(report.sigma[0]), report.purity, report.linear_entropy,
+                     report.von_neumann, *_order_cells(report, alphas)))
     return SweepTable(tuple(columns), tuple(rows))
 
 
@@ -182,62 +187,19 @@ def sweep_ghoc_y2(y2_grid, x1=2.0, x2=2.0, y1=0.0, z=1.0, alphas=DEFAULT_ALPHAS)
                                    alphas)
 
 
-def _ring_classes(partitions, n):
-    """Symmetry classes of bipartitions of a ring of n sites.
-
-    Two partitions share a class when a rotation i -> i + t or reflection
-    i -> t - i (mod n) of the ring, perhaps followed by swapping the two
-    groups, maps one onto the other. Every ring state has rows that are
-    exactly even, so the reduced blocks of a class are the same matrices up
-    to a permutation and share one E_N. Returns the first partition of each
-    class, in input order, and the class number of every partition.
-    """
-    if len(partitions) < 2:
-        return list(partitions), list(range(len(partitions)))
-    # Per member set: the lexicographically least image under the dihedral
-    # group (it holds site 0, so only the maps sending a member to 0 are
-    # tried) and the member order each map reaching it induces. The members
-    # are sorted, so every image is sorted by a cyclic shift of their order.
-    orbits = {}
-    for members in {p.members for p in partitions}:
-        sites = np.array(members, dtype=int)
-        m = sites.size
-        j = np.arange(m)
-        order = np.concatenate([(j[:, np.newaxis] + j) % m, (j[:, np.newaxis] - j) % m])
-        images = np.concatenate([sites[order[:m]] - sites[:, np.newaxis],
-                                 sites[:, np.newaxis] - sites[order[m:]]]) % n
-        least = min(images.tolist(), default=[])
-        orbits[members] = (tuple(least), order[np.all(images == least, axis=1)])
-    first, classes, representatives = {}, [], []
-    for partition in partitions:
-        canonical, orders = orbits[partition.members]
-        signs = partition.momentum_signs()[orders]
-        pattern = min((tuple(row) for row in (signs * signs[:, :1]).tolist()),
-                      default=())
-        key = (canonical, pattern)
-        if key not in first:
-            first[key] = len(representatives)
-            representatives.append(partition)
-        classes.append(first[key])
-    return representatives, classes
-
-
 def _ring_rows(keys, partitions, kappas, n, k):
     """Rows (key, kappa, E_N, N) on the ring (n, k): key outer, kappa inner.
 
     ``partitions[i]`` belongs to ``keys[i]``. The states at all kappas form
-    one stack, across which one partition per symmetry class is evaluated.
+    one stack, across which stacked_log_negativities solves one partition
+    per symmetry class.
     """
-    representatives, classes = _ring_classes(partitions, n)
     # A generator: each ring is built just before its stability test, so the
     # first bad kappa in list order is reported, invalid or unstable.
     states = RingCovariance(CircularLattice(n, k, kappa) for kappa in kappas)
-    per_class = stacked_log_negativities(states, representatives)
-    rows = []
-    for key, c in zip(keys, classes):
-        for kappa, res in zip(kappas, per_class[c]):
-            rows.append((float(key), kappa, res.log_negativity, res.negativity))
-    return rows
+    return [(float(key), kappa, res.log_negativity, res.negativity)
+            for key, per_state in zip(keys, stacked_log_negativities(states, partitions))
+            for kappa, res in zip(kappas, per_state)]
 
 
 def _ring_group(start, count, n):

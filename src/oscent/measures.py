@@ -15,6 +15,7 @@ and the entropy-like quantities derive from products and log-sums of g.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict
 
@@ -118,6 +119,9 @@ def alpha_family(sigma, alphas=DEFAULT_ALPHAS):
     The Renyi value is accumulated as a sum of logs so that large orders on
     many modes underflow gracefully (the product form may reach 0.0). An
     order given twice raises ValueError: it would name two columns alike.
+    An order other than 1 whose mu, Tsallis or Renyi value leaves the double
+    range (a power or their product overflows, or a difference rounds to 0)
+    raises AlphaOutOfDomainError naming the order.
     """
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     out: Dict[float, AlphaMeasures] = {}
@@ -129,10 +133,17 @@ def alpha_family(sigma, alphas=DEFAULT_ALPHAS):
             s = von_neumann_entropy(sigma)
             out[alpha] = AlphaMeasures(alpha, float("nan"), s, s)
             continue
-        g = g_alpha(sigma, alpha)
-        mu = float(np.prod(g))
-        tsallis = (1.0 - mu) / (alpha - 1.0) + 0.0  # + 0.0 drops negative zero
-        renyi = float(np.sum(np.log(g))) / (1.0 - alpha) + 0.0
+        # Every overflow or division by zero here ends in a non-finite
+        # value, which is refused below, so numpy need not warn of it.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            g = g_alpha(sigma, alpha)
+            mu = float(np.prod(g))
+            tsallis = (1.0 - mu) / (alpha - 1.0) + 0.0  # + 0.0 drops negative zero
+            renyi = float(np.sum(np.log(g))) / (1.0 - alpha) + 0.0
+        if not (math.isfinite(mu) and math.isfinite(tsallis) and math.isfinite(renyi)):
+            raise AlphaOutOfDomainError(
+                f"order {alpha:g} leaves the double range on these widths: "
+                f"mu = {mu:g}, tsallis = {tsallis:g}, renyi = {renyi:g}")
         out[alpha] = AlphaMeasures(alpha, mu, tsallis, renyi)
     return out
 

@@ -31,9 +31,10 @@ from .covariance import (
     Bipartition,
     CovarianceMatrix,
     RingCovariance,
+    _checked_indices,
     _mirror_windows,
     _require_action,
-    _ring_reflection,
+    _ring_symmetry,
     partial_transpose,
     reduce_modes,
     ring_windows,
@@ -114,16 +115,21 @@ def stacked_log_negativities(rings, partitions):
     ``rings`` is a RingCovariance (a stack of ring states of one size), or
     a non-empty list or tuple of them, whose states are taken in order as
     one stack (the rings may differ in size); anything else raises
-    TypeError. A partition that a reflection of every ring maps onto
-    itself, its groups swapped (a mirror partition), is solved as two
-    half-size products of one sign, from its window's even and odd blocks.
-    The other partitions with the same members share one set of windows
-    and one stacked Cholesky factor qq_u = L L^T of their qq blocks; each
-    then costs one stacked symmetric eigensolve of L^T P pp_u P L across
-    the states. Ring stacks whose rows certify every window positive
-    definite (all of them, for a sequence) skip the eigenvalue test before
-    each factor; otherwise a mirror window is tested half by half. Returns
-    ``results[i][s]``, partition i in state s.
+    TypeError. A partition with no members, or with one outside a ring, is
+    refused before any solve: the first such partition, on the first ring it
+    misses. Partitions that a rotation or reflection of each ring, perhaps
+    with their groups swapped, maps onto one another form a class
+    (covariance._ring_symmetry); only the first of each class is solved, and
+    the rest of the class gets its result objects. A partition that a
+    reflection of every ring maps onto itself, its groups swapped (a mirror
+    partition), is solved as two half-size products of one sign, from its
+    window's even and odd blocks. Other solved partitions with the same
+    members share one set of windows and one stacked Cholesky factor
+    qq_u = L L^T of their qq blocks; each then costs one stacked symmetric
+    eigensolve of L^T P pp_u P L across the states. Ring stacks whose rows
+    certify every window positive definite (all of them, for a sequence)
+    skip the eigenvalue test before each factor; otherwise a mirror window
+    is tested half by half. Returns ``results[i][s]``, partition i in state s.
     """
     rings = [rings] if isinstance(rings, RingCovariance) else rings
     if not (isinstance(rings, (list, tuple)) and rings
@@ -132,14 +138,24 @@ def stacked_log_negativities(rings, partitions):
                         f"or tuple of them, got {type(rings).__name__}; "
                         "use log_negativity for a CovarianceMatrix")
     certified = all(ring._certified for ring in rings)
+    sizes = dict.fromkeys(ring.n_modes for ring in rings)
+    for members in (partition.members for partition in partitions):
+        for n in sizes:
+            if not members or members[0] < 0 or members[-1] >= n:
+                _checked_indices(members, n)   # raises
+    symmetry = {n: _ring_symmetry(partitions, n) for n in sizes}
+    keys = [tuple(key for key, _ in analysis) for analysis in zip(*symmetry.values())]
+    first = {}   # class key -> its first partition, the one solved
     by_members = {}
-    for i, partition in enumerate(partitions):
-        by_members.setdefault(partition.members, []).append(i)
+    for i, key in enumerate(keys):
+        if key not in first:
+            first[key] = i
+            by_members.setdefault(partitions[i].members, []).append(i)
     results = [None] * len(partitions)
     for members, positions in by_members.items():
         general = []
         for i in positions:
-            axes = [_ring_reflection(ring, partitions[i]) for ring in rings]
+            axes = [symmetry[ring.n_modes][i][1] for ring in rings]
             if None in axes:
                 general.append(i)
                 continue
@@ -152,7 +168,7 @@ def stacked_log_negativities(rings, partitions):
                 [partitions[i] for i in general])
             for i, per_state in zip(general, per_pattern):
                 results[i] = per_state
-    return results
+    return [results[first[key]] for key in keys]
 
 
 def log_negativity(cov: CovarianceMatrix, partition: Bipartition):

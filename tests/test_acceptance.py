@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose
 
 from oscent.covariance import (
     Bipartition,
-    angle_average_covariance,
     classical_covariance,
     partial_transpose,
     quantum_ground_covariance,
@@ -44,6 +43,8 @@ from oscent.models import (
     two_mode_angles,
 )
 from oscent.negativity import log_negativity, log_negativity_via_symplectic
+
+from quadrature import angle_average_covariance
 
 EXAMPLE_MODELS = (
     TwoMode(A=5.0, B=20.0, C=10.0),

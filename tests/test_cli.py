@@ -647,6 +647,36 @@ def test_overflowing_stiffness_exits_two_with_clean_stderr(argv, tmp_path):
     assert one_error_line(proc.stderr) and "field 'X1': X1 + Z - Y1**2 overflows" in proc.stderr
 
 
+@pytest.mark.parametrize("argv, order", [
+    (["twomode-sweep", "--grid", "19:19:1", "--alphas", "3000,5000"], "5000"),
+    (["twomode-sweep", "--grid", "19:19:1", "--alphas", "3000,5000", "--json"], "5000"),
+    (["twomode-sweep", "--grid", "19:19:1", "--alphas", "1e-320"], f"{1e-320:g}"),
+    (["measures", "--model", "ring.json", "--subsystem", "6,1", "--alphas", "1e20"], "1e+20"),
+], ids=["large-order", "large-order-json", "tiny-order", "measures-large-order"])
+def test_overflowing_alpha_order_exits_two_with_clean_stderr(argv, order, tmp_path):
+    # As its own process, so that a numpy overflow warning would show. The
+    # Renyi value of the large orders, and every value of the tiny one, left
+    # the double range and was written as inf (null in JSON) with exit 0.
+    (tmp_path / "ring.json").write_text(
+        '{"variant": "CircularLattice", "N": 7, "k": 100, "kappa": 1}')
+    proc = subprocess.run([sys.executable, "-m", "oscent.cli"] + argv, cwd=tmp_path,
+                          capture_output=True, text=True, env=source_env())
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert one_error_line(proc.stderr) and f"order {order} " in proc.stderr
+
+
+def test_large_order_inside_the_double_range_keeps_its_row(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "oscent.cli", "twomode-sweep", "--grid",
+                           "19:19:1", "--alphas", "3000"], cwd=tmp_path,
+                          capture_output=True, text=True, env=source_env())
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == (
+        "C,sigma,purity,linear_entropy,von_neumann,mu_3000,tsallis_3000,renyi_3000\n"
+        "19,0.69373054627751918,0.72074093130675054,0.27925906869324946,"
+        "0.52935719537409853,1.9101989093404177e-231,0.00033344448149383126,"
+        "0.17714236382259835\n")
+
+
 def one_error_line(err):
     return err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 

@@ -12,7 +12,6 @@ from oscent.covariance import (
     CovarianceMatrix,
     RingCovariance,
     _mirror_windows,
-    angle_average_covariance,
     classical_covariance,
     partial_transpose,
     quantum_ground_covariance,
@@ -20,7 +19,6 @@ from oscent.covariance import (
     ring_windows,
 )
 from oscent.errors import (
-    DimensionTooLargeError,
     EmptySubsystemError,
     IndexOutOfRangeError,
     OverlappingGroupsError,
@@ -37,6 +35,8 @@ from oscent.models import (
     normal_modes,
     two_mode_angles,
 )
+
+from quadrature import DimensionTooLargeError, angle_average_covariance
 
 
 def random_chain(rng, n, y_scale=0.5):

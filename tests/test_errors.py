@@ -10,7 +10,6 @@ from oscent.errors import OscentInputError, OscentNumericalError
 # Every narrow class with its exit-code base and its builtin base.
 CONTRACT = {
     "AlphaOutOfDomainError": (OscentInputError, ValueError),
-    "DimensionTooLargeError": (OscentInputError, ValueError),
     "EmptySubsystemError": (OscentInputError, ValueError),
     "IndexOutOfRangeError": (OscentInputError, IndexError),
     "InvalidModelError": (OscentInputError, ValueError),

@@ -14,6 +14,7 @@ from oscent.cli import main
 from oscent.covariance import (
     Bipartition,
     RingCovariance,
+    _ring_symmetry,
     classical_covariance,
 )
 from oscent.errors import (
@@ -27,7 +28,6 @@ from oscent.errors import (
 from oscent.experiments import (
     DEFAULT_KAPPAS,
     SweepTable,
-    _ring_classes,
     fit_adjacent_cft,
     fit_kappa_asymptote,
     lattice_adjacent_sweep,
@@ -239,29 +239,51 @@ def test_size_sweep_never_forms_the_ring_matrix():
 
 # --- ring symmetry classes ---------------------------------------------------------
 
+# Bipartitions of a 12-site ring: the first six form one class, and each of
+# the last two is a class of its own.
+RING_12_CLASS = [
+    Bipartition((0, 1), (3,)),
+    Bipartition((5, 6), (8,)),     # rotated by 5
+    Bipartition((10, 11), (1,)),   # rotated by 10: wraps around the ring
+    Bipartition((0, 11), (9,)),    # reflected, i -> -i
+    Bipartition((3,), (0, 1)),     # groups swapped
+    Bipartition((7,), (4, 5)),     # reflected, rotated and swapped
+]
+RING_12_APART = [
+    Bipartition((0, 1), (4,)),     # members {0, 1, 4}: other gaps
+    Bipartition((0, 3), (1,)),     # members {0, 1, 3}, other split
+]
+
+
 def test_ring_classes_join_partitions_related_by_ring_symmetry():
     n = 12
-    base = Bipartition((0, 1), (3,))
-    same = [
-        Bipartition((5, 6), (8,)),     # rotated by 5
-        Bipartition((10, 11), (1,)),   # rotated by 10: wraps around the ring
-        Bipartition((0, 11), (9,)),    # reflected, i -> -i
-        Bipartition((3,), (0, 1)),     # groups swapped
-        Bipartition((7,), (4, 5)),     # reflected, rotated and swapped
-    ]
-    apart = [
-        Bipartition((0, 1), (4,)),     # members {0, 1, 4}: other gaps
-        Bipartition((0, 3), (1,)),     # members {0, 1, 3}, other split
-    ]
-    reps, classes = _ring_classes([base] + same + apart, n)
-    assert classes == [0] * (1 + len(same)) + [1, 2]
-    assert reps == [base] + apart
+    base, *same = RING_12_CLASS
+    apart = RING_12_APART
+    keys = [key for key, _ in _ring_symmetry([base] + same + apart, n)]
+    assert keys[:1 + len(same)] == [keys[0]] * (1 + len(same))
+    assert len({keys[0], *keys[1 + len(same):]}) == 3
     state = RingCovariance([CircularLattice(n, 0.1, 4.0)])
     e_base = stacked_log_negativities(state, [base])[0][0].log_negativity
     assert e_base > 0.0
     for part in same:
         e = stacked_log_negativities(state, [part])[0][0].log_negativity
         assert abs(e - e_base) <= 1e-12
+
+
+def test_one_call_solves_one_partition_per_class(eigvalsh_shapes):
+    # Passed to the public batch in one call, the eight partitions make three
+    # classes and three product solves on the certified stack: the first
+    # class's solve, and one per class apart. The first partition and the
+    # last share the members {0, 1, 3}, and so one Cholesky factor.
+    state = RingCovariance([CircularLattice(12, 0.1, kappa) for kappa in (1.0, 4.0)])
+    got = stacked_log_negativities(state, RING_12_CLASS + RING_12_APART)
+    assert eigvalsh_shapes == [(2, 3, 3)] * 3
+    for per_state in got[1:len(RING_12_CLASS)]:
+        assert per_state is got[0]
+        assert [r.lambda_tilde.tobytes() for r in per_state] == \
+               [r.lambda_tilde.tobytes() for r in got[0]]
+    assert len({id(per_state) for per_state in got}) == 3
+    assert got[0][1].log_negativity > 0.0
 
 
 @pytest.mark.parametrize("n", [24, 37])
@@ -289,13 +311,12 @@ def test_ring_sweeps_match_each_partition_solved_alone(n):
                                           (60, 1e-4, DEFAULT_KAPPAS)])
 def test_stacked_sweep_rows_equal_each_kappa_alone_bit_for_bit(n, k, kappas):
     def alone(keys, parts, ring=n):
-        # The rows as each kappa's state alone gives them, key outer: one
-        # partition per symmetry class, in a batch per kappa.
-        reps, classes = _ring_classes(parts, ring)
+        # The rows as each kappa's state alone gives them, key outer: the
+        # whole batch per kappa, solved one partition per symmetry class.
         per_kappa = [[per_state[0] for per_state in stacked_log_negativities(
-            RingCovariance([CircularLattice(ring, k, kappa)]), reps)] for kappa in kappas]
-        return [(float(key), kappa, results[c].log_negativity, results[c].negativity)
-                for key, c in zip(keys, classes) for kappa, results in zip(kappas, per_kappa)]
+            RingCovariance([CircularLattice(ring, k, kappa)]), parts)] for kappa in kappas]
+        return [(float(key), kappa, results[i].log_negativity, results[i].negativity)
+                for i, key in enumerate(keys) for kappa, results in zip(kappas, per_kappa)]
 
     def same_bits(table, rows):
         return np.array(table.rows).tobytes() == np.array(rows).tobytes()
@@ -343,12 +364,12 @@ def test_default_ring_sweeps_solve_one_partition_per_class(monkeypatch, eigvalsh
     # 50 | 50 split, every lattice-d separation and the lattice-size window.
     monkeypatch.setattr(experiments, "stacked_log_negativities", spy)
     lattice_adjacent_sweep(range(101))
-    assert calls == [(51, 7)]
+    assert calls == [(101, 7)]
     assert sorted(eigvalsh_shapes) == [(7, 50, 50)] * 2 + [(7, 100, 100)] * 50
     calls.clear()
     eigvalsh_shapes.clear()
     lattice_disjoint_sweep(range(0, 101, 10))
-    assert calls == [(6, 3)]
+    assert calls == [(11, 3)]
     assert eigvalsh_shapes == [(3, 50, 50)] * 12
     calls.clear()
     eigvalsh_shapes.clear()

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 import oscent.measures as measures
 from oscent.covariance import (
     CovarianceMatrix,
-    angle_average_covariance,
     classical_covariance,
     quantum_ground_covariance,
     reduce_modes,
@@ -42,6 +41,8 @@ from oscent.models import (
     normal_modes,
     two_mode_angles,
 )
+
+from quadrature import angle_average_covariance
 
 # One-oscillator reduction of the A=5, B=20, C=10 pair at unit actions,
 # frozen from the covariance pipeline and confirmed by two closed forms.
@@ -137,6 +138,19 @@ def test_g_alpha_domain():
 def test_alpha_family_rejects_infinite_order():
     with pytest.raises(AlphaOutOfDomainError):
         alpha_family(np.array([0.5, 0.7]), [2.0, float("inf")])
+
+
+@pytest.mark.parametrize("sigma, alpha", [
+    ([0.6, 0.7], 5000.0),        # (sigma + 1/2)**alpha overflows: Renyi is inf
+    ([0.6, 0.7], 1e-320),        # the difference in g rounds to 0: all three inf
+    ([50.0] * 100, 0.01),        # every g is finite, their product overflows
+])
+def test_alpha_family_refuses_an_order_outside_the_double_range(sigma, alpha):
+    # These used to come back as inf (and, in the CLI, print with exit 0).
+    # numpy's warnings are errors in this suite, so none may escape either.
+    with pytest.raises(AlphaOutOfDomainError, match=f"^order {alpha:g} leaves the double"):
+        alpha_family(np.array(sigma), [2.0, alpha])
+    assert np.isnan(alpha_family(np.array(sigma), [1.0])[1.0].purity)
 
 
 @pytest.mark.parametrize("alphas, order", [((2.0, 2.0), "2"), ((0.9, 1, 2, 1.0), "1"),

@@ -1,6 +1,7 @@
 """Logarithmic negativity: both evaluation routes, oracles, and guards."""
 
 import copy
+import itertools
 import re
 
 import numpy as np
@@ -12,7 +13,7 @@ from oscent.covariance import (
     CovarianceMatrix,
     RingCovariance,
     _mirror_windows,
-    _ring_reflection,
+    _ring_symmetry,
     classical_covariance,
     quantum_ground_covariance,
     reduce_modes,
@@ -104,7 +105,7 @@ def ring_kernel_lambdas(ring, partition):
     # The kernel's arithmetic for one partition in every state of a ring
     # stack: on its window, or for a mirror partition on the window's even
     # and odd halves, each a product of one sign, merged in order.
-    t = _ring_reflection(ring, partition)
+    ((_, t),) = _ring_symmetry([partition], ring.n_modes)
     if t is None:
         qq, pp = ring_windows(ring, partition.members)
         return [kernel_lambdas(qq_u, pp_u, partition) for qq_u, pp_u in zip(qq, pp)]
@@ -176,18 +177,28 @@ def test_batch_equals_one_partition_at_a_time_bit_for_bit():
         for part in parts:
             one = log_negativity(cov, part)
             assert one.lambda_tilde.tobytes() == one_partition_lambdas(cov, part).tobytes()
-        # A ring stack: the batch over every state, partition by partition.
+        # A ring stack: the batch over every state, one solve per symmetry
+        # class. Each partition gets the result objects of its class's first
+        # partition, bit for bit what that one gives alone.
         ring = RingCovariance([CircularLattice(3 * n, 0.1, kappa) for kappa in (1.0, 8.0)])
         batch = stacked_log_negativities(ring, parts)
         assert len(batch) == len(parts)
-        for part, per_state in zip(parts, batch):
-            for got, want in zip(per_state, ring_kernel_lambdas(ring, part)):
+        keys = [key for key, _ in _ring_symmetry(parts, 3 * n)]
+        for part, key, per_state in zip(parts, keys, batch):
+            first = keys.index(key)
+            assert per_state is batch[first]
+            for got, want in zip(per_state, ring_kernel_lambdas(ring, parts[first])):
                 assert got.lambda_tilde.tobytes() == want.tobytes()
-            alone = stacked_log_negativities(ring, [part])[0]
+            alone = stacked_log_negativities(ring, [parts[first]])[0]
             for got, one in zip(per_state, alone):
                 assert got.lambda_tilde.tobytes() == one.lambda_tilde.tobytes()
                 assert got.log_negativity == one.log_negativity
                 assert got.negativity == one.negativity
+            # The partition's own windows are those of its class's first one
+            # with the sites permuted, so they differ by roundoff only: a few
+            # eps times the condition number of qq, below 1e2 on these rings.
+            for got, own in zip(per_state, ring_kernel_lambdas(ring, part)):
+                assert_allclose(got.lambda_tilde, own, rtol=1e-12)
 
 
 def test_ring_state_matches_dense_route():
@@ -254,7 +265,7 @@ def test_mirror_route_matches_the_dense_symplectic_route():
         part = random_mirror_partition(rng, n, t)
         model = CircularLattice(n, k, kappa)
         ring = RingCovariance([model])
-        assert _ring_reflection(ring, part) == t
+        assert _ring_symmetry([part], n) == [(None, t)]
         ((got,),) = stacked_log_negativities(ring, [part])
         entangled += got.log_negativity > 0.0
         dense = classical_covariance(normal_modes(model), np.ones(n))
@@ -264,6 +275,87 @@ def test_mirror_route_matches_the_dense_symplectic_route():
         assert abs(got.log_negativity - whole.log_negativity) <= tol
         assert_allclose(got.lambda_tilde, whole.lambda_tilde, rtol=1e-9)
     assert entangled >= 30
+
+
+def dihedral_images(partition, n):
+    # (group1, group2) as sets under each of the 2n rotations i -> s + i and
+    # reflections i -> s - i of the ring, each also with its groups swapped.
+    images = set()
+    for s, sign in itertools.product(range(n), (1, -1)):
+        g1, g2 = (frozenset((s + sign * i) % n for i in g)
+                  for g in (partition.group1, partition.group2))
+        images |= {(g1, g2), (g2, g1)}
+    return images
+
+
+def mirror_axes(partition, n):
+    # Every t whose reflection i -> t - i maps group1 onto group2.
+    return {t for t in range(n)
+            if {(t - i) % n for i in partition.group1} == set(partition.group2)}
+
+
+def test_ring_symmetry_agrees_with_the_whole_dihedral_group():
+    # Random rings of up to 40 sites, with random partitions (a group may be
+    # empty), mirror partitions about even and odd axes t, and images of
+    # earlier partitions under random dihedral maps, perhaps swapped. Class
+    # keys are equal exactly when some map takes one partition onto the
+    # other, and the axis is one of the partition's mirror axes, or None
+    # when it has none. Both are exact integer answers: no tolerance.
+    rng = np.random.default_rng(2626)
+    related = mirrors = 0
+    for case in range(80):
+        n = int(rng.integers(3, 41))
+        parts = []
+        for _ in range(6):
+            kind = int(rng.integers(3)) if parts else 0
+            if kind == 0:
+                sites = rng.choice(n, size=int(rng.integers(1, min(n, 12) + 1)), replace=False)
+                cut = int(rng.integers(0, sites.size + 1))
+                parts.append(Bipartition(sites[:cut].tolist(), sites[cut:].tolist()))
+            elif kind == 1:
+                t = (2 * int(rng.integers(0, (n + 1) // 2)) + case % 2) % n
+                parts.append(random_mirror_partition(rng, n, t))
+            else:
+                source = parts[int(rng.integers(len(parts)))]
+                s, sign = int(rng.integers(n)), int(rng.choice([1, -1]))
+                groups = [[(s + sign * i) % n for i in g]
+                          for g in (source.group1, source.group2)]
+                parts.append(Bipartition(*groups[::int(rng.choice([1, -1]))]))
+        analysis = _ring_symmetry(parts, n)
+        for part, (_, t) in zip(parts, analysis):
+            axes = mirror_axes(part, n)
+            assert (t in axes) if axes else t is None, (n, part, t)
+            assert _ring_symmetry([part], n) == [(None, t)]
+            mirrors += bool(axes)
+        for (a, (key_a, _)), (b, (key_b, _)) in itertools.combinations(
+                zip(parts, analysis), 2):
+            same = (frozenset(b.group1), frozenset(b.group2)) in dihedral_images(a, n)
+            assert (key_a == key_b) == same, (n, a, b)
+            related += same
+    assert related >= 100 and mirrors >= 100
+
+
+def test_classes_are_taken_per_ring_size(eigvalsh_shapes):
+    # {0} | {1} and {0} | {19} share a class on 20 sites (19 = -1 mod 20), but
+    # not on 200, so a call on both rings solves them apart: each as a
+    # mirror partition, two (2, 1, 1) halves apiece, bit for bit as alone.
+    rings = [RingCovariance([CircularLattice(n, 0.1, 4.0)]) for n in (20, 200)]
+    parts = [Bipartition([0], [1]), Bipartition([0], [19])]
+    (key_a, _), (key_b, _) = _ring_symmetry(parts, 20)
+    assert key_a == key_b
+    (key_a, _), (key_b, _) = _ring_symmetry(parts, 200)
+    assert key_a != key_b
+    got = stacked_log_negativities(rings, parts)
+    assert eigvalsh_shapes == [(2, 1, 1)] * 4
+    for part, per_state in zip(parts, got):
+        (alone,) = stacked_log_negativities(rings, [part])
+        assert [r.lambda_tilde.tobytes() for r in per_state] == \
+               [r.lambda_tilde.tobytes() for r in alone]
+    # On 20 sites the two are one window up to a permutation: equal to
+    # roundoff, a few eps on a 2-site window. On 200 the sites 19 apart are
+    # not entangled at all, unlike the neighbours.
+    assert abs(got[0][0].log_negativity - got[1][0].log_negativity) <= 1e-14
+    assert got[0][1].log_negativity > 0.0 == got[1][1].log_negativity
 
 
 @pytest.mark.parametrize("group1, group2, t", [
@@ -276,7 +368,7 @@ def test_windows_across_the_seam_agree_whichever_route_they_take(group1, group2,
     ring = RingCovariance([model])
     dense = classical_covariance(normal_modes(model), np.ones(200))
     part = Bipartition(group1, group2)
-    assert _ring_reflection(ring, part) == t
+    assert _ring_symmetry([part], 200) == [(None, t)]
     ((got,),) = stacked_log_negativities(ring, [part])
     want = log_negativity_via_symplectic(dense, part).log_negativity
     assert got.log_negativity > 0.0
@@ -370,6 +462,23 @@ def test_log_negativity_refuses_a_stack_before_any_solve(eigvalsh_shapes):
     assert eigvalsh_shapes == []
     stacked_log_negativities(RingCovariance([good]), [part])   # a mirror partition
     assert eigvalsh_shapes == [(1, 10, 10)] * 2
+
+
+def test_stacked_entry_names_the_first_bad_partition_on_the_first_ring_it_misses(
+        eigvalsh_shapes):
+    # Partitions in order, and each on the rings in order: site 100 misses
+    # only the 20-site ring, site 300 both, and -1 the first.
+    rings = [RingCovariance([CircularLattice(n, 0.1, 1.0)]) for n in (200, 20)]
+    good = Bipartition([0], [1])
+    for bad, error, message in (
+            ([[0], [100]], IndexOutOfRangeError, "oscillator index 100 outside [0, 20)"),
+            ([[0], [300]], IndexOutOfRangeError, "oscillator index 300 outside [0, 200)"),
+            ([[-1], [1]], IndexOutOfRangeError, "oscillator index -1 outside [0, 200)"),
+            ([[], []], EmptySubsystemError, "subsystem selection is empty")):
+        parts = [good, Bipartition(*bad), Bipartition([0], [300]), good]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            stacked_log_negativities(rings, parts)
+    assert eigvalsh_shapes == []
 
 
 def test_stacked_entry_refuses_anything_but_ring_stacks_before_any_solve(eigvalsh_shapes):

@@ -49,7 +49,7 @@ def test_dump_outputs_runs_every_command_cleanly(tmp_path, monkeypatch):
     assert dump.main([str(tmp_path)]) == 0
 
     expected = {"status.txt", "fit_kappa.csv", "fit_kappa.json", "lattice_size_uncertified.csv",
-                "lattice_size_mixed_certificate.csv"}
+                "lattice_size_mixed_certificate.csv", "lattice_adjacent_whole_ring.csv"}
     expected |= {f"{stem}.csv" for stem in dump.WHOLE_WINDOW}
     for stem in ("twomode_sweep", "ghoc_sweep", "lattice_d", "lattice_adjacent",
                  "lattice_size"):

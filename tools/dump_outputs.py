@@ -18,6 +18,10 @@ an empty diff means the two versions print the same bytes. The directory gets
   so that both ring sweeps also take the whole-window route under the gate
   (every default ``lattice-size`` and ``lattice-d`` window is split into
   even and odd halves);
+* ``lattice-adjacent`` on a block that is the whole ring (``WHOLE_RING``),
+  where every rotation and reflection keeps the member set, so that the
+  symmetry classes of its splits come from the whole dihedral orbit, and
+  the split n1 = 20 is a mirror one;
 * four model files written by ``save_model`` (two-mode, generalized
   two-mode, a seeded 12-site chain with q-p coupling, a 16-site ring) and
   the ``measures`` and ``negativity`` output on each, plus both on a
@@ -142,6 +146,11 @@ WHOLE_WINDOW = {
     "lattice_d_n1_50_n2_40": ["lattice-d", "--n1", "50", "--n2", "40"],
 }
 
+# lattice-adjacent on a block of all 40 sites of the ring: each split n1 |
+# 40 - n1 shares its class with 40 - n1 | n1, and 20 | 20 is a mirror split.
+WHOLE_RING = ["lattice-adjacent", "--N", "40", "--block", "40", "--grid", "0:40:41",
+              "--kappas", "1,8"]
+
 # Sweeps that must be refused, by file stem. In the unstable-then-negative
 # one the first kappa is unstable (k = 0), the second invalid, and the first
 # is the one reported; the near-singular window is the whole ring, whose qq
@@ -227,6 +236,8 @@ def main(argv=None):
         MIXED_CERTIFICATE + ["--out", path("lattice_size_mixed_certificate.csv")])
     for stem, argv in WHOLE_WINDOW.items():
         run(status, stem, argv + ["--out", path(f"{stem}.csv")])
+    run(status, "lattice-adjacent whole ring",
+        WHOLE_RING + ["--out", path("lattice_adjacent_whole_ring.csv")])
     for kappa in KAPPAS:
         for ext, flag in (("csv", []), ("json", ["--json"])):
             run(status, f"fit-cft {kappa} {ext}",
