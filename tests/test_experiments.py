@@ -272,9 +272,10 @@ def test_ring_classes_join_partitions_related_by_ring_symmetry():
 
 def test_one_call_solves_one_partition_per_class(eigvalsh_shapes):
     # Passed to the public batch in one call, the eight partitions make three
-    # classes and three product solves on the certified stack: the first
-    # class's solve, and one per class apart. The first partition and the
-    # last share the members {0, 1, 3}, and so one Cholesky factor.
+    # classes and so three product solves on the certified stack: one for
+    # the six related partitions and one for each of the other two. The
+    # first partition and the last share the members {0, 1, 3}, and so one
+    # Cholesky factor.
     state = RingCovariance([CircularLattice(12, 0.1, kappa) for kappa in (1.0, 4.0)])
     got = stacked_log_negativities(state, RING_12_CLASS + RING_12_APART)
     assert eigvalsh_shapes == [(2, 3, 3)] * 3
