@@ -22,6 +22,7 @@ reduce_modes reduces a dense CovarianceMatrix.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Optional
 
@@ -171,24 +172,29 @@ class Bipartition:
     group2: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        g1 = tuple(sorted(set(map(_oscillator_index, self.group1))))
-        g2 = tuple(sorted(set(map(_oscillator_index, self.group2))))
-        common = set(g1) & set(g2)
+        s1, s2 = _index_set(self.group1), _index_set(self.group2)
+        common = s1 & s2
         if common:
             raise OverlappingGroupsError(
                 f"groups share oscillators {sorted(common)}"
             )
+        g1, g2 = tuple(sorted(s1)), tuple(sorted(s2))
         object.__setattr__(self, "group1", g1)
         object.__setattr__(self, "group2", g2)
+        # The members and their signs are built once; equality and hashing
+        # stay on the two groups.
+        members = tuple(sorted(g1 + g2))
+        in_group2 = np.fromiter(map(s2.__contains__, members), dtype=bool, count=len(members))
+        object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "_signs", np.where(in_group2, -1.0, 1.0))
 
     @property
     def members(self):
-        return tuple(sorted(self.group1 + self.group2))
+        return self._members
 
     def momentum_signs(self):
         """+1 for group1 modes, -1 for group2, in sorted member order."""
-        g2 = set(self.group2)
-        return np.array([-1.0 if i in g2 else 1.0 for i in self.members])
+        return self._signs.copy()
 
 
 def _checked_actions(actions, n):
@@ -303,24 +309,31 @@ def _ring_symmetry(partitions, n):
         axes.append(axis)
     if len(partitions) < 2:
         return [(None, t) for t in axes]
-    # Per member set: the lexicographically least image under the dihedral
-    # group (it holds site 0, so only the maps sending a member to 0 are
-    # tried) and the member order each map reaching it induces. The members
-    # are sorted, so every image is sorted by a cyclic shift of their order.
+    # Per member set: the least rotation of its cyclic gap sequence, read
+    # forwards or reversed, and the member order each map reaching it
+    # induces. The gaps read forwards from member q are the set rotated so
+    # that q sits at 0, and read reversed from gap q the set reflected so
+    # that member -q does; gap sequences order as the moved sets do. As
+    # big-endian 8-byte words, the gaps order as their bytes.
     orbits = {}
     for members in {p.members for p in partitions}:
-        sites = np.array(members, dtype=int)
+        sites = np.array(members)
         m = sites.size
+        gaps = np.diff(sites, append=sites[0] + n).astype(">u8")
+        reads = {}
+        for step, seq in ((1, gaps), (-1, gaps[::-1])):
+            word = seq.tobytes() * 2
+            for q in range(m):
+                reads[step, q] = word[8 * q:8 * (q + m)]
+        least = min(reads.values())
         j = np.arange(m)
-        order = np.concatenate([(j[:, np.newaxis] + j) % m, (j[:, np.newaxis] - j) % m])
-        images = np.concatenate([sites[order[:m]] - sites[:, np.newaxis],
-                                 sites[:, np.newaxis] - sites[order[m:]]]) % n
-        least = min(images.tolist())
-        orbits[members] = (tuple(least), order[np.all(images == least, axis=1)])
+        orders = np.array([step * (q + j) % m
+                           for (step, q), read in reads.items() if read == least])
+        orbits[members] = (least, orders)
     keys = []
     for partition in partitions:
         canonical, orders = orbits[partition.members]
-        signs = partition.momentum_signs()[orders]
+        signs = partition._signs[orders]
         keys.append((canonical, min(tuple(row) for row in (signs * signs[:, :1]).tolist())))
     return list(zip(keys, axes))
 
@@ -370,8 +383,19 @@ def _oscillator_index(value):
     return int(value)
 
 
+def _index_set(values):
+    # The set of ``values`` as ints. operator.index takes ints and numpy
+    # integers at C speed; only when it refuses one does every value go
+    # through _oscillator_index.
+    values = tuple(values)
+    try:
+        return set(map(operator.index, values))
+    except TypeError:
+        return set(map(_oscillator_index, values))
+
+
 def _checked_indices(indices, n):
-    idx = sorted(set(map(_oscillator_index, indices)))
+    idx = sorted(_index_set(indices))
     if not idx:
         raise EmptySubsystemError("subsystem selection is empty")
     if idx[0] < 0 or idx[-1] >= n:

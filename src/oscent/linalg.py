@@ -175,33 +175,56 @@ def _block_product_eigvals(qq, pp, sign_patterns, name="covariance", *, certifie
     give the same bits. ``B = pp L`` is formed once per call; ``T`` flips
     the group G of rows whose sign differs from the last, and ``pp T L``
     is ``B`` less ``2 pp[:, G] L[G, :]``, which touches only the first
-    ``max(G) + 1`` columns since ``L`` is lower triangular. Its rows scaled
-    by ``T`` give ``Z = T pp T L``, and eigvalsh reads only the lower
-    triangle of ``L^T Z``, so no symmetrizing pass is needed.
+    ``c = max(G) + 1`` columns since ``L`` is lower triangular. Its rows
+    scaled by ``T`` give ``Z = T pp T L``, and eigvalsh reads only the
+    lower triangle of ``X = L^T Z``, so no symmetrizing pass is needed.
+
+    That lower triangle differs from the one of ``X0 = L^T B`` only in its
+    first ``c`` columns: below row ``c``, ``L^T`` meets the rows of ``T``
+    only where ``L`` is zero. A call of two or more patterns therefore
+    forms ``X0`` once and, per pattern, only ``L^T Z[:, :c]``, written
+    over one copy of ``X0``; the next pattern puts back from ``X0`` the
+    columns it does not overwrite. Those columns are products of the same
+    operands as in the full ``L^T Z``, not a difference from ``X0``, and
+    on gemm they carry its bits. A lone pattern takes the full product,
+    with ``B`` changed in place.
     """
     low = _checked_cholesky(qq, f"{name} qq block", certified=certified)
     low_t = np.swapaxes(low, -1, -2)
     pp = np.ascontiguousarray(pp)
     b = pp @ low
+    lone = len(sign_patterns) == 1
+    x0 = x = None
     out = []
     for signs in sign_patterns:
         flip = np.asarray(signs, dtype=float)
         flip = flip * flip[-1]
         group = np.flatnonzero(flip < 0.0)
-        if not group.size:   # one sign throughout: T = I, so Z = B
+        if not group.size:   # one sign throughout: T = I, so X = X0
+            x0 = low_t @ b if x0 is None else x0
+            out.append(np.linalg.eigvalsh(x0))
+            continue
+        # At least two columns, so that matmul stays on gemm (one column
+        # goes to gemv); column 1 then only repeats X0 where eigvalsh reads.
+        c = max(group[-1] + 1, 2)
+        # A contiguous group is cut by slice; contiguous operands keep
+        # matmul on one path whatever the stack size.
+        rows = slice(group[0], group[-1] + 1) if group.size == group[-1] + 1 - group[0] else group
+        z = b[..., :c] - 2.0 * (np.ascontiguousarray(pp[..., rows])
+                                @ np.ascontiguousarray(low[..., rows, :c]))
+        z *= flip[:, np.newaxis]
+        if lone:
+            b[..., :c] = z
             out.append(np.linalg.eigvalsh(low_t @ b))
             continue
-        c = group[-1] + 1
-        # The previous pattern's z is freed only once this copy exists:
-        # freeing it first lets glibc trim the heap between patterns and
-        # fault the pages back in (ten times the page faults of a
-        # lattice-adjacent call).
-        z = b.copy()
-        # Contiguous operands keep matmul on one path whatever the stack size.
-        z[..., :c] -= 2.0 * (np.ascontiguousarray(pp[..., group])
-                             @ np.ascontiguousarray(low[..., group, :c]))
-        z *= flip[:, np.newaxis]
-        out.append(np.linalg.eigvalsh(low_t @ z))
+        if x is None:
+            x0 = low_t @ b if x0 is None else x0
+            x, dirty = x0.copy(), 0
+        # Put back the columns the last pattern changed and this one keeps.
+        x[..., c:dirty] = x0[..., c:dirty]
+        x[..., :c] = low_t @ z
+        dirty = c
+        out.append(np.linalg.eigvalsh(x))
     return out
 
 

@@ -349,7 +349,7 @@ def _array(field, value):
 _FIELD_CODECS = {
     "float": (_number, lambda value: value.item() if isinstance(value, np.generic) else value),
     "int": (_integer, int),
-    "np.ndarray": (_array, lambda value: np.asarray(value, dtype=float).tolist()),
+    "np.ndarray": (_array, lambda value: np.ascontiguousarray(value, dtype=float)),
 }
 _VARIANTS = {cls.__name__: cls for cls in _MODEL_TYPES}
 
@@ -375,13 +375,19 @@ def model_from_dict(data):
     return cls(*values)
 
 
-def model_to_dict(model):
+def _model_fields(model):
+    # The model file's fields in order, arrays as C-contiguous float arrays.
     if not isinstance(model, _MODEL_TYPES):
         raise InvalidModelError(f"unknown model type {type(model).__name__}")
     doc = {"variant": type(model).__name__}
     for field in dataclasses.fields(model):
         doc[field.name] = _FIELD_CODECS[field.type][1](getattr(model, field.name))
     return doc
+
+
+def model_to_dict(model):
+    return {name: value.tolist() if isinstance(value, np.ndarray) else value
+            for name, value in _model_fields(model).items()}
 
 
 def load_model(path):
@@ -403,26 +409,40 @@ def load_model(path):
     return model_from_dict(data)
 
 
+def _number_row(row, separator):
+    # The numbers of a 1-D float array joined by ``separator``, each as
+    # repr writes it. orjson writes repr's text for 0 and for 1e-4 <= |x| <
+    # 1e16, where repr uses no exponent; a row with any other number takes
+    # json's C encoder.
+    import orjson  # here, not at the top, as in load_model
+
+    magnitude = np.abs(row)
+    if np.all((magnitude == 0.0) | ((magnitude >= 1e-4) & (magnitude < 1e16))):
+        return orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].replace(
+            b",", separator.encode("ascii"))
+    return json.dumps(row.tolist(), separators=(separator, ": "))[1:-1].encode("ascii")
+
+
 def _encode_indented(out, value, pad):
     # Append value laid out as json.JSONEncoder(indent=2) lays it out; pad is
     # the newline and indent of the line value starts on. That encoder runs
-    # in pure Python whenever indent is set, so each list of numbers here is
-    # one call to the C encoder. Lists come from ndarray.tolist(): a list
-    # holds numbers only or lists only.
+    # in pure Python whenever indent is set, so each row of numbers here is
+    # one call to a C encoder (_number_row), taken straight from its array;
+    # the arrays of a model are never empty.
     inner = pad + "  "
     if isinstance(value, dict) and value:
         for i, (key, item) in enumerate(value.items()):
             out += f"{',' if i else '{'}{inner}{json.dumps(key)}: ".encode("ascii")
             _encode_indented(out, item, inner)
         out += f"{pad}}}".encode("ascii")
-    elif isinstance(value, list) and value and isinstance(value[0], list):
+    elif isinstance(value, np.ndarray) and value.ndim == 2:
         for i, row in enumerate(value):
             out += f"{',' if i else '['}{inner}".encode("ascii")
             _encode_indented(out, row, inner)
         out += f"{pad}]".encode("ascii")
-    elif isinstance(value, list) and value:
-        row = json.dumps(value, separators=("," + inner, ": "))
-        out += f"[{inner}{row[1:-1]}{pad}]".encode("ascii")
+    elif isinstance(value, np.ndarray) and value.ndim == 1:
+        out += f"[{inner}".encode("ascii") + _number_row(value, "," + inner)
+        out += f"{pad}]".encode("ascii")
     else:
         out += json.dumps(value).encode("ascii")
 
@@ -433,7 +453,7 @@ def save_model(model, path):
     # the ASCII text at one byte a character; one joined str of the whole
     # file would peak about 7 MiB higher on a 300-site chain.
     data = bytearray()
-    _encode_indented(data, model_to_dict(model), "\n")
+    _encode_indented(data, _model_fields(model), "\n")
     data += b"\n"
     with open(path, "wb") as fh:
         fh.write(data)

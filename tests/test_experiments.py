@@ -469,6 +469,25 @@ def test_zero_mode_kept_apart_near_the_floor_matches_mpmath(n1, n2, before):
     assert abs(row[2] - exact) <= abs(before - exact)
 
 
+@pytest.mark.parametrize("n1, before", [
+    (1, 1.4063449647706843), (3, 2.0577745866939092),
+    (7, 2.5235930098634243), (9, 2.5962450988161683),
+])
+def test_adjacent_splits_at_the_positive_definite_floor_match_mpmath(n1, before):
+    # Adjacent splits of a 20-site block of the 40-site ring at k = 1e-20,
+    # where qq carries c0 = 1 / (N sqrt k) = 2.5e8 in every entry. The four
+    # splits share one kernel call, so each takes the column update over
+    # X0 = L^T pp L; ``before`` is the full product L^T P pp P L of the
+    # kernel before the update (1e-7 off: the zero mode's rank-one term,
+    # ROADMAP item 2). The update may be no farther from mpmath at 60
+    # digits. The rejected update L^T pp L - 2 (X + X^T) read ten times the
+    # error of the full product at this floor (README).
+    rows = lattice_adjacent_sweep([1, 3, 7, 9], kappas=(1,), n=40, k=1e-20, block=20).rows
+    (e_n,) = [row[2] for row in rows if row[0] == n1]
+    exact = mpmath_ring_log_negativity(40, "1e-20", 1, list(range(n1)), list(range(n1, 20)))
+    assert abs(e_n - exact) <= abs(before - exact)
+
+
 @pytest.mark.parametrize("command", ["lattice-adjacent", "lattice-d", "lattice-size"])
 def test_default_ring_tables_match_the_dense_reference(command, tmp_path, capsys):
     # The reference tables were written by the dense normal-mode route; 1e-9

@@ -288,6 +288,41 @@ def test_kernel_gives_a_pattern_and_its_negation_the_same_bits():
         assert_allclose(plus, direct, rtol=1e-10)
 
 
+def test_column_update_matches_the_full_product():
+    # A call of several patterns writes only the first c = max(G) + 1
+    # columns of L^T Z over X0 = L^T B (at least two; see the kernel). Both
+    # are products of the same operands, so they can differ only in how
+    # gemm blocks the sums, by at most m eps (|L|^T |Z|) per entry (Higham,
+    # *Accuracy and Stability of Numerical Algorithms*, 2002, sec. 3.5),
+    # and by Weyl's inequality each eigenvalue by at most the 2-norm of
+    # that bound; twice it is allowed. The patterns flip a prefix, a
+    # scattered group, row 0 alone (c = 1, the two-column case) and row
+    # m - 2 alone (c = m - 1, the largest: the last member never flips),
+    # each held to the full product and to the kernel's own lone call.
+    rng = np.random.default_rng(27)
+    eps = np.finfo(float).eps
+    for _ in range(8):
+        m = int(rng.integers(4, 41))
+        a = rng.normal(size=(m, m))
+        cov = classical_covariance(
+            normal_modes(GeneralizedChain(K=a @ a.T + 0.5 * np.eye(m), Y=np.zeros(m))),
+            np.ones(m))
+        qq, pp = cov.qq, cov.pp
+        scattered = np.ones(m)
+        scattered[rng.choice(m - 1, size=(m - 1) // 2, replace=False)] = -1.0
+        patterns = [np.where(np.arange(m) < m // 2, 1.0, -1.0), scattered,
+                    np.where(np.arange(m) == 0, -1.0, 1.0),
+                    np.where(np.arange(m) == m - 2, 1.0, -1.0), np.ones(m)]
+        low = np.linalg.cholesky(qq)
+        for signs, got in zip(patterns, _block_product_eigvals(qq, pp, patterns)):
+            z = (pp * np.outer(signs, signs)) @ low
+            want = np.linalg.eigvalsh(low.T @ z)
+            bound = 2.0 * m * eps * np.linalg.norm(np.abs(low.T) @ np.abs(z), 2)
+            assert np.max(np.abs(got - want)) <= bound
+            (alone,) = _block_product_eigvals(qq, pp, [signs])
+            assert np.max(np.abs(got - alone)) <= bound
+
+
 def test_no_route_computes_eigenvectors(monkeypatch):
     # Only normal_modes needs eigenvectors; the stability test, every
     # spectrum and every negativity route get by with eigenvalues and

@@ -639,8 +639,11 @@ def field_bits(model):
     return bits
 
 
+# 1e-4 and 1e16 bound the range where save_model's rows take orjson: repr
+# writes the doubles just below 1e-4, and 1e16 itself, with an exponent.
 EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
-                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e-300, 1e22, 1e23]
+                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e-300, 1e22, 1e23,
+                1e-4, float(np.nextafter(1e-4, 0.0)), float(np.nextafter(1e16, 0.0)), 1e16]
 DOUBLES = st.one_of(st.sampled_from(EDGE_DOUBLES),
                     st.floats(allow_nan=False, allow_infinity=False))
 

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oscent.covariance import (
@@ -81,39 +83,71 @@ def one_partition_lambdas(cov, partition):
     # The kernel's arithmetic for one partition of one dense state.
     red = reduce_modes(cov, partition.members)
     a, m = require_symmetric(red.matrix), red.n_modes
-    return kernel_lambdas(a[:m, :m] / red.action, a[m:, m:] / red.action, partition)
+    (lambdas,) = kernel_lambdas(a[:m, :m] / red.action, a[m:, m:] / red.action, [partition])
+    return lambdas
 
 
-def kernel_lambdas(qq_u, pp_u, partition):
-    # The kernel's arithmetic for one partition of one pair of unit-action
-    # blocks, step for step, so the entries can be held to it bit for bit.
+def kernel_lambdas(qq_u, pp_u, partitions):
+    # The kernel's arithmetic for the partitions of one call on one pair of
+    # unit-action blocks, step for step, so the entries can be held to it
+    # bit for bit: a lone pattern takes the full product L^T Z, and a call
+    # of several takes X0 = L^T B with the first c columns of each
+    # pattern's L^T Z written over a copy of it.
     low = np.linalg.cholesky(qq_u)
-    flip = partition.momentum_signs()
-    flip = flip * flip[-1]                      # the same rows for P and -P
-    group = np.flatnonzero(flip < 0.0)
-    z = pp_u @ low                              # shared by every pattern
-    if group.size:
-        c = group[-1] + 1                       # L[group, c:] is zero
-        z[:, :c] -= 2.0 * (np.ascontiguousarray(pp_u[:, group])
-                           @ np.ascontiguousarray(low[group, :c]))
-    z *= flip[:, np.newaxis]                    # z = T pp_u T L
-    lambdas = np.linalg.eigvalsh(low.T @ z)     # reads the lower triangle
-    return np.maximum(lambdas, np.finfo(float).tiny)
+    b = pp_u @ low                              # shared by every pattern
+    x0 = low.T @ b
+    out = []
+    for partition in partitions:
+        flip = partition.momentum_signs()
+        flip = flip * flip[-1]                  # the same rows for P and -P
+        group = np.flatnonzero(flip < 0.0)
+        if not group.size:
+            x = x0
+        else:
+            c = max(group[-1] + 1, 2)           # L[group, c:] is zero
+            z = b[:, :c] - 2.0 * (np.ascontiguousarray(pp_u[:, group])
+                                  @ np.ascontiguousarray(low[group, :c]))
+            z *= flip[:, np.newaxis]            # z = (T pp_u T L)[:, :c]
+            if len(partitions) == 1:
+                x = b.copy()
+                x[:, :c] = z
+                x = low.T @ x
+            else:
+                x = x0.copy()
+                x[:, :c] = low.T @ z
+        lambdas = np.linalg.eigvalsh(x)         # reads the lower triangle
+        out.append(np.maximum(lambdas, np.finfo(float).tiny))
+    return out
 
 
-def ring_kernel_lambdas(ring, partition):
-    # The kernel's arithmetic for one partition in every state of a ring
-    # stack: on its window, or for a mirror partition on the window's even
-    # and odd halves, each a product of one sign, merged in order.
-    ((_, t),) = _ring_symmetry([partition], ring.n_modes)
-    if t is None:
-        qq, pp = ring_windows(ring, partition.members)
-        return [kernel_lambdas(qq_u, pp_u, partition) for qq_u, pp_u in zip(qq, pp)]
-    qq_even, qq_odd, pp_even, pp_odd = _mirror_windows(ring, partition.group1, t)
-    one_sign = Bipartition(partition.group1)
-    return [np.sort(np.concatenate([kernel_lambdas(q_e, p_o, one_sign),
-                                    kernel_lambdas(q_o, p_e, one_sign)]))
-            for q_e, q_o, p_e, p_o in zip(qq_even, qq_odd, pp_even, pp_odd)]
+def ring_kernel_lambdas(ring, partitions):
+    # The batch's arithmetic in every state of a ring stack, step for step:
+    # result[i][s] for partition i in state s. Only the first partition of
+    # each class is solved: a mirror partition on its window's even and odd
+    # halves, each a product of one sign, merged in order; the others with
+    # the same members in one kernel call on their window, in order.
+    analysis = _ring_symmetry(partitions, ring.n_modes)
+    first = {}
+    for i, (key, _) in enumerate(analysis):
+        first.setdefault(key, i)
+    solved, calls = {}, {}
+    for i in first.values():
+        partition, t = partitions[i], analysis[i][1]
+        if t is None:
+            calls.setdefault(partition.members, []).append(i)
+            continue
+        qq_even, qq_odd, pp_even, pp_odd = _mirror_windows(ring, partition.group1, t)
+        one_sign = [Bipartition(partition.group1)]
+        solved[i] = [np.sort(np.concatenate(kernel_lambdas(q_e, p_o, one_sign)
+                                            + kernel_lambdas(q_o, p_e, one_sign)))
+                     for q_e, q_o, p_e, p_o in zip(qq_even, qq_odd, pp_even, pp_odd)]
+    for members, positions in calls.items():
+        qq, pp = ring_windows(ring, members)
+        per_state = [kernel_lambdas(q, p, [partitions[i] for i in positions])
+                     for q, p in zip(qq, pp)]
+        for j, i in enumerate(positions):
+            solved[i] = [lambdas[j] for lambdas in per_state]
+    return [solved[first[key]] for key, _ in analysis]
 
 
 def test_decoupled_lattice_is_exactly_zero():
@@ -179,16 +213,22 @@ def test_batch_equals_one_partition_at_a_time_bit_for_bit():
             assert one.lambda_tilde.tobytes() == one_partition_lambdas(cov, part).tobytes()
         # A ring stack: the batch over every state, one solve per symmetry
         # class. Each partition gets the result objects of its class's first
-        # partition, bit for bit what that one gives alone.
+        # partition, bit for bit the batch's own arithmetic, and what that
+        # partition gives alone.
         ring = RingCovariance([CircularLattice(3 * n, 0.1, kappa) for kappa in (1.0, 8.0)])
         batch = stacked_log_negativities(ring, parts)
         assert len(batch) == len(parts)
         keys = [key for key, _ in _ring_symmetry(parts, 3 * n)]
-        for part, key, per_state in zip(parts, keys, batch):
+        for part, key, per_state, want_per_state in zip(parts, keys, batch,
+                                                        ring_kernel_lambdas(ring, parts)):
             first = keys.index(key)
             assert per_state is batch[first]
-            for got, want in zip(per_state, ring_kernel_lambdas(ring, parts[first])):
+            for got, want in zip(per_state, want_per_state):
                 assert got.lambda_tilde.tobytes() == want.tobytes()
+            # Alone, the partition is a lone pattern and takes the full
+            # product, whose columns the batch's column update repeats bit
+            # for bit: gemm gives a column the same sums whatever the number
+            # of columns, and the kernel multiplies at least two.
             alone = stacked_log_negativities(ring, [parts[first]])[0]
             for got, one in zip(per_state, alone):
                 assert got.lambda_tilde.tobytes() == one.lambda_tilde.tobytes()
@@ -197,7 +237,8 @@ def test_batch_equals_one_partition_at_a_time_bit_for_bit():
             # The partition's own windows are those of its class's first one
             # with the sites permuted, so they differ by roundoff only: a few
             # eps times the condition number of qq, below 1e2 on these rings.
-            for got, own in zip(per_state, ring_kernel_lambdas(ring, part)):
+            (own_per_state,) = ring_kernel_lambdas(ring, [part])
+            for got, own in zip(per_state, own_per_state):
                 assert_allclose(got.lambda_tilde, own, rtol=1e-12)
 
 
@@ -333,6 +374,53 @@ def test_ring_symmetry_agrees_with_the_whole_dihedral_group():
             assert (key_a == key_b) == same, (n, a, b)
             related += same
     assert related >= 100 and mirrors >= 100
+
+
+@st.composite
+def ring_bipartitions(draw):
+    # A ring of 3 to 16 sites and 2 to 6 bipartitions of it, each with a
+    # member: random labels, a mirror partition about a random axis t (each
+    # pair {i, t - i} out, or split either way), or the image of an earlier
+    # one under a rotation or reflection, its groups perhaps swapped.
+    n = draw(st.integers(3, 16))
+    parts = []
+    for _ in range(draw(st.integers(2, 6))):
+        kind = draw(st.sampled_from(["labels", "mirror", "image"] if parts else ["labels"]))
+        if kind == "labels":
+            labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any))
+            groups = [[i for i, label in enumerate(labels) if label == g] for g in (1, 2)]
+        elif kind == "mirror":
+            t = draw(st.integers(0, n - 1))
+            pairs = sorted({tuple(sorted((i, (t - i) % n))) for i in range(n) if (2 * i - t) % n})
+            labels = draw(st.lists(st.integers(0, 2), min_size=len(pairs),
+                                   max_size=len(pairs)).filter(any))
+            groups = [[pair[label - 1] for pair, label in zip(pairs, labels) if label],
+                      [pair[2 - label] for pair, label in zip(pairs, labels) if label]]
+        else:
+            source = draw(st.sampled_from(parts))
+            s, sign = draw(st.integers(0, n - 1)), draw(st.sampled_from([1, -1]))
+            groups = [[(s + sign * i) % n for i in g] for g in (source.group1, source.group2)]
+            groups = groups[::draw(st.sampled_from([1, -1]))]
+        parts.append(Bipartition(*groups))
+    return n, parts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=ring_bipartitions())
+def test_ring_symmetry_agrees_with_a_brute_force_dihedral_search(case):
+    # On rings of up to 16 sites every map can be tried: two bipartitions
+    # share a class key exactly when one of the 4n maps (rotation or
+    # reflection, groups kept or swapped) takes one onto the other, and the
+    # mirror axis is one that maps group1 onto group2, None when there is
+    # none. Exact integer answers: no tolerance.
+    n, parts = case
+    analysis = _ring_symmetry(parts, n)
+    for part, (_, t) in zip(parts, analysis):
+        axes = mirror_axes(part, n)
+        assert (t in axes) if axes else t is None
+    for (a, (key_a, _)), (b, (key_b, _)) in itertools.combinations(zip(parts, analysis), 2):
+        same = (frozenset(b.group1), frozenset(b.group2)) in dihedral_images(a, n)
+        assert (key_a == key_b) == same
 
 
 def test_classes_are_taken_per_ring_size(eigvalsh_shapes):
