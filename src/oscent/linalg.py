@@ -183,49 +183,54 @@ def _block_product_eigvals(qq, pp, sign_patterns, name="covariance", *, certifie
     first ``c`` columns: below row ``c``, ``L^T`` meets the rows of ``T``
     only where ``L`` is zero. A call of two or more patterns therefore
     forms ``X0`` once and, per pattern, only ``L^T Z[:, :c]``, written
-    over one copy of ``X0``; the next pattern puts back from ``X0`` the
-    columns it does not overwrite. Those columns are products of the same
-    operands as in the full ``L^T Z``, not a difference from ``X0``, and
-    on gemm they carry its bits. A lone pattern takes the full product,
-    with ``B`` changed in place.
+    over ``X0`` in place; the next pattern puts back from a copy of
+    ``X0``'s first columns those it does not overwrite. Those columns are
+    products of the same operands as in the full ``L^T Z``, not a
+    difference from ``X0``; on OpenBLAS's Haswell gemm they carry its bits.
+    Only the first columns of ``B`` and ``X0`` that some pattern reads or
+    overwrites are kept beside ``X``. A lone pattern takes the full
+    product, with ``B`` changed in place.
     """
     low = _checked_cholesky(qq, f"{name} qq block", certified=certified)
     low_t = np.swapaxes(low, -1, -2)
     pp = np.ascontiguousarray(pp)
     b = pp @ low
-    lone = len(sign_patterns) == 1
-    x0 = x = None
-    out = []
-    for signs in sign_patterns:
-        flip = np.asarray(signs, dtype=float)
-        flip = flip * flip[-1]
-        group = np.flatnonzero(flip < 0.0)
-        if not group.size:   # one sign throughout: T = I, so X = X0
-            x0 = low_t @ b if x0 is None else x0
-            out.append(np.linalg.eigvalsh(x0))
-            continue
-        # At least two columns, so that matmul stays on gemm (one column
-        # goes to gemv); column 1 then only repeats X0 where eigvalsh reads.
-        c = max(group[-1] + 1, 2)
-        # A contiguous group is cut by slice; contiguous operands keep
-        # matmul on one path whatever the stack size.
-        rows = slice(group[0], group[-1] + 1) if group.size == group[-1] + 1 - group[0] else group
-        z = b[..., :c] - 2.0 * (np.ascontiguousarray(pp[..., rows])
-                                @ np.ascontiguousarray(low[..., rows, :c]))
-        z *= flip[:, np.newaxis]
-        if lone:
-            b[..., :c] = z
-            out.append(np.linalg.eigvalsh(low_t @ b))
-            continue
-        if x is None:
-            x0 = low_t @ b if x0 is None else x0
-            x, dirty = x0.copy(), 0
+    flips = [np.asarray(signs, dtype=float) for signs in sign_patterns]
+    flips = [flip * flip[-1] for flip in flips]
+    groups = [np.flatnonzero(flip < 0.0) for flip in flips]
+    # c = 0 for one sign throughout (T = I, so X = X0); otherwise at least
+    # two columns, so that matmul stays on gemm (one column goes to gemv),
+    # and column 1 then only repeats X0 where eigvalsh reads.
+    cols = [max(group[-1] + 1, 2) if group.size else 0 for group in groups]
+    if len(flips) == 1:
+        if cols[0]:
+            b[..., :cols[0]] = _flipped_columns(pp, low, b, flips[0], groups[0], cols[0])
+        return [np.linalg.eigvalsh(low_t @ b)]
+    x = low_t @ b
+    # The patterns read only the first max(c) columns of B and X0; keeping
+    # just those holds no more (S, m, m) arrays than a lone pattern does.
+    b = b[..., :max(cols)].copy()
+    head = x[..., :max(cols)].copy()
+    out, dirty = [], 0
+    for flip, group, c in zip(flips, groups, cols):
         # Put back the columns the last pattern changed and this one keeps.
-        x[..., c:dirty] = x0[..., c:dirty]
-        x[..., :c] = low_t @ z
+        x[..., c:dirty] = head[..., c:dirty]
+        if c:
+            np.matmul(low_t, _flipped_columns(pp, low, b, flip, group, c), out=x[..., :c])
         dirty = c
         out.append(np.linalg.eigvalsh(x))
     return out
+
+
+def _flipped_columns(pp, low, b, flip, group, c):
+    # The first c columns of T pp T L: B less 2 pp[:, G] L[G, :c], its rows
+    # scaled by T, formed in place (the difference's bits, no temporaries).
+    # Contiguous operands keep matmul on one path whatever the stack size.
+    z = np.ascontiguousarray(pp[..., group]) @ np.ascontiguousarray(low[..., group, :c])
+    z *= -2.0
+    z += b[..., :c]
+    z *= flip[:, np.newaxis]
+    return z
 
 
 def _general_spectrum(a):

@@ -288,19 +288,38 @@ def test_kernel_gives_a_pattern_and_its_negation_the_same_bits():
         assert_allclose(plus, direct, rtol=1e-10)
 
 
+def column_update_bound(qq, pp):
+    # The roundoff allowed between the kernel's eigenvalues and those of
+    # another evaluation of L^T T pp T L, in units of F = |L|^T |pp| |L|,
+    # which bounds |L|^T |Z| entrywise for every sign pattern. Each of two
+    # products carries at most m eps F per entry (Higham, *Accuracy and
+    # Stability of Numerical Algorithms*, 2002, sec. 3.5), and F is
+    # symmetric, so the symmetric matrices eigvalsh reads (lower triangle)
+    # differ by at most 2 m eps ||F||_2 in the 2-norm; each eigvalsh adds
+    # its backward error, taken as m eps ||X||_2 <= m eps ||F||_2. By
+    # Weyl's inequality the eigenvalues then differ by at most
+    # 4 m eps ||F||_2; the caller adds its own terms.
+    m = qq.shape[-1]
+    low = np.linalg.cholesky(qq)
+    f = np.abs(low.T) @ np.abs(pp) @ np.abs(low)
+    return m * np.finfo(float).eps * np.linalg.norm(f, 2)
+
+
 def test_column_update_matches_the_full_product():
     # A call of several patterns writes only the first c = max(G) + 1
-    # columns of L^T Z over X0 = L^T B (at least two; see the kernel). Both
-    # are products of the same operands, so they can differ only in how
-    # gemm blocks the sums, by at most m eps (|L|^T |Z|) per entry (Higham,
-    # *Accuracy and Stability of Numerical Algorithms*, 2002, sec. 3.5),
-    # and by Weyl's inequality each eigenvalue by at most the 2-norm of
-    # that bound; twice it is allowed. The patterns flip a prefix, a
-    # scattered group, row 0 alone (c = 1, the two-column case) and row
-    # m - 2 alone (c = m - 1, the largest: the last member never flips),
-    # each held to the full product and to the kernel's own lone call.
+    # columns of L^T Z over X0 = L^T B (at least two; see the kernel). The
+    # patterns flip a prefix, a scattered group, row 0 alone (c = 1, the
+    # two-column case) and row m - 2 alone (c = m - 1, the largest: the
+    # last member never flips). Each is held to the kernel's lone call,
+    # the full product of the same Z, within the gemm and eigvalsh terms
+    # of column_update_bound, twice over for the first-order terms it
+    # leaves out: 8 m eps ||F||_2. And to the textbook Z = (pp * s s^T) L:
+    # the kernel's Z is B - 2 pp[:, G] L[G, :c] with the rows flipped, and
+    # B, the correction and the test's own product each carry m eps
+    # |pp| |L|, the subtraction eps, so the two Z add at most (4m + 1) eps
+    # F to X; with the products and solves, (8m + 1) eps ||F||_2, twice
+    # over: 18 m eps ||F||_2.
     rng = np.random.default_rng(27)
-    eps = np.finfo(float).eps
     for _ in range(8):
         m = int(rng.integers(4, 41))
         a = rng.normal(size=(m, m))
@@ -314,13 +333,12 @@ def test_column_update_matches_the_full_product():
                     np.where(np.arange(m) == 0, -1.0, 1.0),
                     np.where(np.arange(m) == m - 2, 1.0, -1.0), np.ones(m)]
         low = np.linalg.cholesky(qq)
+        unit = column_update_bound(qq, pp)
         for signs, got in zip(patterns, _block_product_eigvals(qq, pp, patterns)):
-            z = (pp * np.outer(signs, signs)) @ low
-            want = np.linalg.eigvalsh(low.T @ z)
-            bound = 2.0 * m * eps * np.linalg.norm(np.abs(low.T) @ np.abs(z), 2)
-            assert np.max(np.abs(got - want)) <= bound
             (alone,) = _block_product_eigvals(qq, pp, [signs])
-            assert np.max(np.abs(got - alone)) <= bound
+            assert np.max(np.abs(got - alone)) <= 8.0 * unit
+            want = np.linalg.eigvalsh(low.T @ ((pp * np.outer(signs, signs)) @ low))
+            assert np.max(np.abs(got - want)) <= 18.0 * unit
 
 
 def test_no_route_computes_eigenvectors(monkeypatch):
