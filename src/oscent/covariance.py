@@ -181,12 +181,12 @@ class Bipartition:
         g1, g2 = tuple(sorted(s1)), tuple(sorted(s2))
         object.__setattr__(self, "group1", g1)
         object.__setattr__(self, "group2", g2)
-        # The members and their signs are built once; equality and hashing
-        # stay on the two groups.
+        # The members and their group-2 mask are built once; equality and
+        # hashing stay on the two groups.
         members = tuple(sorted(g1 + g2))
-        in_group2 = np.fromiter(map(s2.__contains__, members), dtype=bool, count=len(members))
         object.__setattr__(self, "_members", members)
-        object.__setattr__(self, "_signs", np.where(in_group2, -1.0, 1.0))
+        object.__setattr__(self, "_in_group2", np.fromiter(
+            map(s2.__contains__, members), dtype=bool, count=len(members)))
 
     @property
     def members(self):
@@ -194,7 +194,7 @@ class Bipartition:
 
     def momentum_signs(self):
         """+1 for group1 modes, -1 for group2, in sorted member order."""
-        return self._signs.copy()
+        return np.where(self._in_group2, -1.0, 1.0)
 
 
 def _checked_actions(actions, n):
@@ -333,8 +333,8 @@ def _ring_symmetry(partitions, n):
     keys = []
     for partition in partitions:
         canonical, orders = orbits[partition.members]
-        signs = partition._signs[orders]
-        keys.append((canonical, min(tuple(row) for row in (signs * signs[:, :1]).tolist())))
+        masks = partition._in_group2[orders]
+        keys.append((canonical, min(tuple(row) for row in (masks ^ masks[:, :1]).tolist())))
     return list(zip(keys, axes))
 
 

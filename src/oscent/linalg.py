@@ -181,20 +181,20 @@ def _block_product_eigvals(qq, pp, sign_patterns, name="covariance", *, certifie
 
     That lower triangle differs from the one of ``X0 = L^T B`` only in its
     first ``c`` columns: below row ``c``, ``L^T`` meets the rows of ``T``
-    only where ``L`` is zero. A call of two or more patterns therefore
-    forms ``X0`` once and, per pattern, only ``L^T Z[:, :c]``, written
-    over ``X0`` in place; the next pattern puts back from a copy of
-    ``X0``'s first columns those it does not overwrite. Those columns are
-    products of the same operands as in the full ``L^T Z``, not a
-    difference from ``X0``; on OpenBLAS's Haswell gemm they carry its bits.
-    Only the first columns of ``B`` and ``X0`` that some pattern reads or
-    overwrites are kept beside ``X``. A lone pattern takes the full
-    product, with ``B`` changed in place.
+    only where ``L`` is zero. Every call therefore forms ``X0`` once and,
+    per pattern, only ``L^T Z[:, :c]``, written over ``X0`` in place. The
+    patterns are solved in ascending ``c``, so each overwrites every column
+    the one before it changed, and its eigenvalues depend on its own
+    operands alone, not on the other patterns of the call or their order.
+    Those columns are products of the same operands as in the full
+    ``L^T Z``, not a difference from ``X0``. Only the first ``max(c)``
+    columns of ``B`` are kept beside ``X``.
     """
     low = _checked_cholesky(qq, f"{name} qq block", certified=certified)
     low_t = np.swapaxes(low, -1, -2)
     pp = np.ascontiguousarray(pp)
     b = pp @ low
+    x = low_t @ b
     flips = [np.asarray(signs, dtype=float) for signs in sign_patterns]
     flips = [flip * flip[-1] for flip in flips]
     groups = [np.flatnonzero(flip < 0.0) for flip in flips]
@@ -202,35 +202,22 @@ def _block_product_eigvals(qq, pp, sign_patterns, name="covariance", *, certifie
     # two columns, so that matmul stays on gemm (one column goes to gemv),
     # and column 1 then only repeats X0 where eigvalsh reads.
     cols = [max(group[-1] + 1, 2) if group.size else 0 for group in groups]
-    if len(flips) == 1:
-        if cols[0]:
-            b[..., :cols[0]] = _flipped_columns(pp, low, b, flips[0], groups[0], cols[0])
-        return [np.linalg.eigvalsh(low_t @ b)]
-    x = low_t @ b
-    # The patterns read only the first max(c) columns of B and X0; keeping
-    # just those holds no more (S, m, m) arrays than a lone pattern does.
-    b = b[..., :max(cols)].copy()
-    head = x[..., :max(cols)].copy()
-    out, dirty = [], 0
-    for flip, group, c in zip(flips, groups, cols):
-        # Put back the columns the last pattern changed and this one keeps.
-        x[..., c:dirty] = head[..., c:dirty]
+    b = b[..., :max(cols)].copy()   # all that the patterns read of B
+    out = [None] * len(flips)
+    for i in sorted(range(len(flips)), key=cols.__getitem__):
+        flip, group, c = flips[i], groups[i], cols[i]
         if c:
-            np.matmul(low_t, _flipped_columns(pp, low, b, flip, group, c), out=x[..., :c])
-        dirty = c
-        out.append(np.linalg.eigvalsh(x))
+            # The first c columns of T pp T L: B less 2 pp[:, G] L[G, :c],
+            # its rows scaled by T, formed in place (the difference's bits,
+            # no temporaries). Contiguous operands keep matmul on one path
+            # whatever the stack size.
+            z = np.ascontiguousarray(pp[..., group]) @ np.ascontiguousarray(low[..., group, :c])
+            z *= -2.0
+            z += b[..., :c]
+            z *= flip[:, np.newaxis]
+            np.matmul(low_t, z, out=x[..., :c])
+        out[i] = np.linalg.eigvalsh(x)
     return out
-
-
-def _flipped_columns(pp, low, b, flip, group, c):
-    # The first c columns of T pp T L: B less 2 pp[:, G] L[G, :c], its rows
-    # scaled by T, formed in place (the difference's bits, no temporaries).
-    # Contiguous operands keep matmul on one path whatever the stack size.
-    z = np.ascontiguousarray(pp[..., group]) @ np.ascontiguousarray(low[..., group, :c])
-    z *= -2.0
-    z += b[..., :c]
-    z *= flip[:, np.newaxis]
-    return z
 
 
 def _general_spectrum(a):

@@ -514,6 +514,9 @@ def test_bipartition_overlap_and_signs():
     part = Bipartition((4, 0), (2,))
     assert part.members == (0, 2, 4)
     assert_array_equal(part.momentum_signs(), [1.0, -1.0, 1.0])
+    # Each call builds a fresh array, so a caller's edits do not reach the next.
+    part.momentum_signs()[:] = 0.0
+    assert_array_equal(part.momentum_signs(), [1.0, -1.0, 1.0])
 
 
 @pytest.mark.parametrize("bad, shown", [(0.7, "0.7"), (np.float64(1.5), "1.5"),

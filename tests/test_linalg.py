@@ -305,20 +305,26 @@ def column_update_bound(qq, pp):
     return m * np.finfo(float).eps * np.linalg.norm(f, 2)
 
 
+def flipped_column_count(signs):
+    # The kernel's c for a pattern: 0 for one sign, else max(G) + 1, at least 2.
+    group = np.flatnonzero(signs * signs[-1] < 0.0)
+    return max(group[-1] + 1, 2) if group.size else 0
+
+
 def test_column_update_matches_the_full_product():
-    # A call of several patterns writes only the first c = max(G) + 1
-    # columns of L^T Z over X0 = L^T B (at least two; see the kernel). The
+    # Every call writes only the first c = max(G) + 1 columns of each
+    # pattern's L^T Z over X0 = L^T B (at least two; see the kernel). The
     # patterns flip a prefix, a scattered group, row 0 alone (c = 1, the
     # two-column case) and row m - 2 alone (c = m - 1, the largest: the
-    # last member never flips). Each is held to the kernel's lone call,
-    # the full product of the same Z, within the gemm and eigvalsh terms
-    # of column_update_bound, twice over for the first-order terms it
-    # leaves out: 8 m eps ||F||_2. And to the textbook Z = (pp * s s^T) L:
-    # the kernel's Z is B - 2 pp[:, G] L[G, :c] with the rows flipped, and
-    # B, the correction and the test's own product each carry m eps
-    # |pp| |L|, the subtraction eps, so the two Z add at most (4m + 1) eps
-    # F to X; with the products and solves, (8m + 1) eps ||F||_2, twice
-    # over: 18 m eps ||F||_2.
+    # last member never flips). A pattern's bits depend on its own
+    # operands alone, so each equals its lone call bit for bit, in the
+    # given order, shuffled and with c falling. And each is held to the
+    # textbook Z = (pp * s s^T) L: the kernel's Z is B - 2 pp[:, G] L[G, :c]
+    # with the rows flipped, and B, the correction and the test's own
+    # product each carry m eps |pp| |L|, the subtraction eps, so the two Z
+    # add at most (4m + 1) eps F to X; with the products and solves of
+    # column_update_bound, (8m + 1) eps ||F||_2, twice over for the
+    # first-order terms it leaves out: 18 m eps ||F||_2.
     rng = np.random.default_rng(27)
     for _ in range(8):
         m = int(rng.integers(4, 41))
@@ -334,11 +340,15 @@ def test_column_update_matches_the_full_product():
                     np.where(np.arange(m) == m - 2, 1.0, -1.0), np.ones(m)]
         low = np.linalg.cholesky(qq)
         unit = column_update_bound(qq, pp)
-        for signs, got in zip(patterns, _block_product_eigvals(qq, pp, patterns)):
-            (alone,) = _block_product_eigvals(qq, pp, [signs])
-            assert np.max(np.abs(got - alone)) <= 8.0 * unit
-            want = np.linalg.eigvalsh(low.T @ ((pp * np.outer(signs, signs)) @ low))
-            assert np.max(np.abs(got - want)) <= 18.0 * unit
+        for order in (range(len(patterns)), (3, 0, 4, 2, 1),
+                      sorted(range(len(patterns)),
+                             key=lambda i: -flipped_column_count(patterns[i]))):
+            call = [patterns[i] for i in order]
+            for signs, got in zip(call, _block_product_eigvals(qq, pp, call)):
+                (alone,) = _block_product_eigvals(qq, pp, [signs])
+                assert got.tobytes() == alone.tobytes()
+                want = np.linalg.eigvalsh(low.T @ ((pp * np.outer(signs, signs)) @ low))
+                assert np.max(np.abs(got - want)) <= 18.0 * unit
 
 
 def test_no_route_computes_eigenvectors(monkeypatch):

@@ -49,8 +49,6 @@ from oscent.negativity import (
     stacked_log_negativities,
 )
 
-from test_linalg import column_update_bound
-
 
 def random_chain(rng, n):
     a = rng.normal(size=(n, n))
@@ -93,9 +91,8 @@ def one_partition_lambdas(cov, partition):
 def kernel_lambdas(qq_u, pp_u, partitions):
     # The kernel's arithmetic for the partitions of one call on one pair of
     # unit-action blocks, step for step, so the entries can be held to it
-    # bit for bit: a lone pattern takes the full product L^T Z, and a call
-    # of several takes X0 = L^T B with the first c columns of each
-    # pattern's L^T Z written over a copy of it.
+    # bit for bit: every pattern takes X0 = L^T B with the first c columns
+    # of its own L^T Z written over a copy of it.
     low = np.linalg.cholesky(qq_u)
     b = pp_u @ low                              # shared by every pattern
     x0 = low.T @ b
@@ -112,13 +109,8 @@ def kernel_lambdas(qq_u, pp_u, partitions):
             z *= -2.0
             z += b[:, :c]
             z *= flip[:, np.newaxis]            # z = (T pp_u T L)[:, :c]
-            if len(partitions) == 1:
-                x = b.copy()
-                x[:, :c] = z
-                x = low.T @ x
-            else:
-                x = x0.copy()
-                np.matmul(low.T, z, out=x[:, :c])
+            x = x0.copy()
+            np.matmul(low.T, z, out=x[:, :c])
         lambdas = np.linalg.eigvalsh(x)         # reads the lower triangle
         out.append(np.maximum(lambdas, np.finfo(float).tiny))
     return out
@@ -229,16 +221,12 @@ def test_batch_equals_one_partition_at_a_time_bit_for_bit():
             for got, want in zip(per_state, want_per_state):
                 assert got.lambda_tilde.tobytes() == want.tobytes()
                 assert got.log_negativity == _bits_from_lambdas(want)
-            # Alone, the partition is a lone pattern and takes the full
-            # product of the same Z, where the batch may take the column
-            # update: the two differ only in how gemm blocks the sums, and
-            # on some BLAS kernels not at all. They are held to the gemm and
-            # eigvalsh bound of test_linalg's column update test.
+            # A pattern's bits depend on its own operands alone, not on the
+            # other patterns of its kernel call, so the class's first
+            # partition solved alone gives the batch's bits.
             alone = stacked_log_negativities(ring, [parts[first]])[0]
-            qq, pp = ring_windows(ring, parts[first].members)
-            for got, one, q, p in zip(per_state, alone, qq, pp):
-                bound = 8.0 * column_update_bound(q, p)
-                assert np.max(np.abs(got.lambda_tilde - one.lambda_tilde)) <= bound
+            for got, one in zip(per_state, alone):
+                assert got.lambda_tilde.tobytes() == one.lambda_tilde.tobytes()
             # The partition's own windows are those of its class's first one
             # with the sites permuted, so they differ by roundoff only: a few
             # eps times the condition number of qq, below 1e2 on these rings.

@@ -22,6 +22,9 @@ an empty diff means the two versions print the same bytes. The directory gets
   where every rotation and reflection keeps the member set, so that the
   symmetry classes of its splits come from the whole dihedral orbit, and
   the split n1 = 20 is a mirror one;
+* ``lattice-adjacent`` on the grid n1 = 100, 99, ..., 0 (``DESCENDING``),
+  so that the splits of one kernel call come with falling column counts
+  c, the reverse of the order the kernel solves them in;
 * four model files written by ``save_model`` (two-mode, generalized
   two-mode, a seeded 12-site chain with q-p coupling, a 16-site ring) and
   the ``measures`` and ``negativity`` output on each, plus both on a
@@ -151,6 +154,10 @@ WHOLE_WINDOW = {
 WHOLE_RING = ["lattice-adjacent", "--N", "40", "--block", "40", "--grid", "0:40:41",
               "--kappas", "1,8"]
 
+# lattice-adjacent with n1 falling from 100 to 0: the splits solved whole
+# reach the kernel with c = 0, 99, 98, ..., 51.
+DESCENDING = ["lattice-adjacent", "--grid", "100:0:101"]
+
 # Sweeps that must be refused, by file stem. In the unstable-then-negative
 # one the first kappa is unstable (k = 0), the second invalid, and the first
 # is the one reported; the near-singular window is the whole ring, whose qq
@@ -238,6 +245,8 @@ def main(argv=None):
         run(status, stem, argv + ["--out", path(f"{stem}.csv")])
     run(status, "lattice-adjacent whole ring",
         WHOLE_RING + ["--out", path("lattice_adjacent_whole_ring.csv")])
+    run(status, "lattice-adjacent descending",
+        DESCENDING + ["--out", path("lattice_adjacent_descending.csv")])
     for kappa in KAPPAS:
         for ext, flag in (("csv", []), ("json", ["--json"])):
             run(status, f"fit-cft {kappa} {ext}",
