@@ -41,6 +41,11 @@ from .models import CircularLattice, NormalModes, _ring_frequency_rows
 class CovarianceMatrix:
     """2n x 2n second-moment matrix with its normalization tag.
 
+    ``matrix`` is kept as a read-only C-contiguous float view: a
+    C-contiguous float array passed in is shared, not copied, so the state
+    sees any later change the caller makes through its own array, and
+    anything else is converted once. Copy it before changing it.
+
     ``action`` is the common per-mode action the matrix is proportional to
     (hbar/2 for the quantum ground state). It is None when the actions were
     not uniform, in which case the normalized measures are undefined.
@@ -65,8 +70,8 @@ class CovarianceMatrix:
     construction, whatever its conditioning: every normalized symplectic
     width is exactly 1/2 and its purity exactly 1, so its reports take
     those values without a solve (see measures.sigma_tilde). Only
-    classical_covariance sets it, when the actions are uniform, and
-    reduce_modes keeps it only when it keeps every mode.
+    classical_covariance sets it, when the actions are uniform; reduce_modes
+    keeps it only by returning the state itself, when it keeps every mode.
     """
 
     matrix: np.ndarray
@@ -80,6 +85,9 @@ class CovarianceMatrix:
             raise ValueError(f"covariance must be 2n x 2n, got shape {m.shape}")
         if not m.size:
             raise EmptySubsystemError("covariance is 0 x 0: it holds no modes")
+        # A view, so that making it read-only leaves the caller's array writable.
+        m = np.ascontiguousarray(m).view()
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         if self.action is not None:
             action = float(self.action)
@@ -158,6 +166,8 @@ class RingCovariance:
         cq, cp = _circulant_row(np.stack([inverse, omegas]))   # one transform for both
         object.__setattr__(self, "cq", cq)
         object.__setattr__(self, "cp", cp)
+        for rows in (self.c0, cq, cp):   # its own arrays, so no view is needed
+            rows.flags.writeable = False
 
     @property
     def n_modes(self):
@@ -407,23 +417,22 @@ def _checked_indices(indices, n):
 def reduce_modes(cov: CovarianceMatrix, indices):
     """Covariance of a subsystem, keeping (q..., p...) ordering.
 
-    The result is certified when ``cov`` is, and pure when ``cov`` is and
-    every mode is kept. ``indices`` are 0-based oscillator labels;
-    duplicates collapse, order is ascending in the output.
+    ``indices`` are 0-based oscillator labels; duplicates collapse, order
+    is ascending in the output. Indices that cover every mode return
+    ``cov`` itself, with its own action and flags: a state's matrix is
+    read-only, so sharing it is safe. Any other result is a new state,
+    certified when ``cov`` is and never pure.
     """
     _require_dense(cov, "reduce_modes")
     n = cov.n_modes
     idx = _checked_indices(indices, n)
-    # ``idx`` is sorted and unique, so keeping every mode is a plain copy;
-    # anything less takes rows, then columns.
-    whole = idx.size == n
-    if whole:
-        matrix = cov.matrix.copy()
-    else:
-        sel = np.concatenate([idx, idx + n])
-        matrix = cov.matrix.take(sel, axis=0).take(sel, axis=1)
-    return CovarianceMatrix(matrix, cov.action, _certified=cov._certified,
-                            _pure=whole and cov._pure)
+    if idx.size == n:   # sorted and unique, so every mode
+        return cov
+    # One gather over the flat C-order positions of the kept rows and
+    # columns: the same copy as rows then columns, with no row intermediate.
+    sel = np.concatenate([idx, idx + n])
+    matrix = cov.matrix.take(sel[:, np.newaxis] * (2 * n) + sel)
+    return CovarianceMatrix(matrix, cov.action, _certified=cov._certified)
 
 
 def partial_transpose(cov: CovarianceMatrix, partition: Bipartition):
@@ -444,5 +453,8 @@ def partial_transpose(cov: CovarianceMatrix, partition: Bipartition):
             f"covariance holds {m} modes but the partition names {len(members)}"
         )
     signs = np.concatenate([np.ones(m), partition.momentum_signs()])
-    flipped = cov.matrix * np.outer(signs, signs)
+    # Rows, then columns: products with +/-1 are exact, so these are the
+    # bits of cov * outer(signs, signs), with no (2m)**2 sign temporary.
+    flipped = cov.matrix * signs[:, np.newaxis]
+    flipped *= signs
     return CovarianceMatrix(flipped, cov.action)

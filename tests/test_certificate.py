@@ -211,7 +211,7 @@ def test_normal_mode_states_and_their_reductions_are_exactly_symmetric():
 
 
 def test_hand_built_asymmetric_state_is_still_refused():
-    m = uncertified(chain_state(1909, 4, y_scale=0.5)).matrix
+    m = uncertified(chain_state(1909, 4, y_scale=0.5)).matrix.copy()   # a state's is read-only
     m[0, 1] += 1e3 * SYMMETRY_RTOL * np.max(np.abs(m))
     bent = CovarianceMatrix(m, 1.0)
     with pytest.raises(AsymmetricInputError, match="not symmetric"):

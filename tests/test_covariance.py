@@ -1,6 +1,7 @@
 """Covariance assembly against closed forms and the brute-force angle average."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from oscent.errors import (
     OverlappingGroupsError,
 )
 from oscent.linalg import POSDEF_RTOL, _spectrum_posdef
-from oscent.measures import purity_from_determinant, sigma_tilde
+from oscent.measures import measure_report, purity_from_determinant, sigma_tilde
 from oscent.models import (
     _ring_frequency_rows,
     CircularLattice,
@@ -234,9 +235,110 @@ def test_angle_average_refuses_grid_points_that_are_not_integers(grid_points):
 def test_reduce_full_set_is_identity():
     cov = classical_covariance(normal_modes(TwoMode(A=5.0, B=20.0, C=10.0)),
                                np.ones(2))
-    red = reduce_modes(cov, [0, 1])
-    assert_array_equal(red.matrix, cov.matrix)
-    assert red.action == cov.action
+    assert reduce_modes(cov, [0, 1]) is cov
+
+
+def state_flags(cov):
+    return cov.action, cov._certified, cov._pure
+
+
+def test_covering_indices_return_the_state_itself():
+    rng = np.random.default_rng(2031)
+    n = 6
+    certified = classical_covariance(normal_modes(random_chain(rng, n)), np.ones(n))
+    # Omegas from 9.9e-14 to 1.5: pure by construction, not certified.
+    soft = classical_covariance(normal_modes(GeneralizedChain(
+        K=np.array([[1e-26, 1e-14, 0.0, 0.0], [1e-14, 1.0, 0.3, 0.0],
+                    [0.0, 0.3, 2.0, 0.4], [0.0, 0.0, 0.4, 1.5]]),
+        Y=np.array([0.0, 0.2, -0.1, 0.15]))), np.ones(4))
+    a = rng.normal(size=(2 * n, 2 * n))
+    hand_built = CovarianceMatrix(a @ a.T + np.eye(2 * n), 0.5)
+    assert state_flags(certified) == (1.0, True, True)
+    assert state_flags(soft) == (1.0, False, True)
+    assert state_flags(hand_built) == (0.5, False, False)
+    for cov in (certified, soft, hand_built):
+        before = state_flags(cov)
+        m = cov.n_modes
+        scrambled = rng.permutation(m).tolist()
+        for indices in (range(m), scrambled, scrambled + scrambled[:2],
+                        np.array(scrambled[::-1] + [0])):
+            assert reduce_modes(cov, indices) is cov
+        assert state_flags(cov) == before
+
+
+def two_step_gather(matrix, indices):
+    idx = np.array(sorted(set(indices)))
+    sel = np.concatenate([idx, idx + matrix.shape[0] // 2])
+    return np.asarray(matrix).take(sel, axis=0).take(sel, axis=1)
+
+
+def test_reduction_gathers_the_bits_of_rows_then_columns():
+    rng = np.random.default_rng(2032)
+    n = 9
+    built = classical_covariance(normal_modes(random_chain(rng, n)), np.ones(n))
+    a = rng.normal(size=(2 * n, 2 * n))
+    fortran = np.asfortranarray(a @ a.T + np.eye(2 * n))
+    hand_built = CovarianceMatrix(fortran)
+    assert hand_built.matrix.flags.c_contiguous
+    for cov, source in ((built, built.matrix), (hand_built, fortran)):
+        for _ in range(20):
+            size = int(rng.integers(1, n))
+            indices = rng.choice(n, size, replace=False).tolist()
+            indices += rng.choice(indices, int(rng.integers(0, 3))).tolist()   # repeats
+            rng.shuffle(indices)
+            red = reduce_modes(cov, indices)
+            assert red.matrix.tobytes() == two_step_gather(source, indices).tobytes()
+            assert red._certified == cov._certified and not red._pure
+
+
+def test_every_state_matrix_is_read_only():
+    rng = np.random.default_rng(2033)
+    n = 4
+    built = classical_covariance(normal_modes(random_chain(rng, n)), np.ones(n))
+    a = rng.normal(size=(2 * n, 2 * n))
+    mine = a @ a.T + np.eye(2 * n)
+    hand_built = CovarianceMatrix(mine)
+    part = Bipartition((0, 2), (1,))
+    states = [built, hand_built, reduce_modes(built, [2, 0, 1]),
+              reduce_modes(hand_built, [1, 3]),
+              partial_transpose(reduce_modes(built, part.members), part)]
+    for cov in states:
+        assert not cov.matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cov.matrix[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            cov.qq[0, 0] = 1.0
+    # The caller's C-contiguous float array is shared and stays writable:
+    # a hand-built state sees later changes made through it.
+    assert mine.flags.writeable and np.shares_memory(mine, hand_built.matrix)
+    mine[0, 0] = 7.0
+    assert hand_built.matrix[0, 0] == 7.0
+    # Anything else is converted once, and the input is left alone.
+    for other in (np.asfortranarray(mine), np.eye(2 * n, dtype=int), np.eye(2 * n).tolist()):
+        cov = CovarianceMatrix(other)
+        assert not np.shares_memory(other, cov.matrix)
+        assert cov.matrix.flags.c_contiguous and cov.matrix.dtype == np.float64
+        assert not cov.matrix.flags.writeable
+        if isinstance(other, np.ndarray):
+            assert other.flags.writeable
+
+
+def test_whole_state_report_makes_no_copy_of_the_matrix():
+    n = 200
+    cov = classical_covariance(normal_modes(CircularLattice(N=n, k=0.1, kappa=1.0)),
+                               np.ones(n))
+    reduce_modes(cov, [0])   # first calls outside the trace
+    measure_report(cov)
+    tracemalloc.start()
+    try:
+        report = measure_report(reduce_modes(cov, range(n)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.purity == 1.0
+    # The state's matrix is (2n)**2 = 4 n**2 doubles; a copy of it traces
+    # 32 n**2 bytes.
+    assert peak < n * n * 8, peak
 
 
 def test_only_whole_normal_mode_states_at_one_action_are_marked_pure():
@@ -363,6 +465,15 @@ def test_model_built_ring_rows_are_even_finite_and_certified_quietly():
         omegas = _ring_frequency_rows(models)
         with np.errstate(all="raise"):
             assert ring._certified == _spectrum_posdef(1.0 / omegas)
+
+
+def test_ring_rows_are_read_only():
+    ring = RingCovariance([CircularLattice(N=8, k=0.1, kappa=1.0),
+                           CircularLattice(N=8, k=0.1, kappa=4.0)])
+    for rows in (ring.c0, ring.cq, ring.cp):
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] = 1.0
 
 
 def test_zero_by_zero_covariance_is_refused():
@@ -495,6 +606,21 @@ def test_partial_transpose_accepts_any_cross_block():
         flipped = partial_transpose(cov, part)
         assert_array_equal(flipped.matrix, p @ cov.matrix @ p)
         assert_array_equal(partial_transpose(flipped, part).matrix, cov.matrix)
+
+
+def test_partial_transpose_keeps_the_bits_of_the_outer_product():
+    # Products with +/-1 are exact in any order, signed zeros included.
+    rng = np.random.default_rng(2034)
+    a = rng.normal(size=(6, 6))
+    m = a @ a.T + np.eye(6)
+    for (i, j), zero in zip([(0, 4), (3, 4), (4, 5), (1, 5)], [0.0, -0.0, -0.0, 0.0]):
+        m[i, j] = m[j, i] = zero
+    cov = CovarianceMatrix(m)
+    for part in (Bipartition((0,), (1, 2)), Bipartition((1,), (0, 2)),
+                 Bipartition((0, 1, 2), ()), Bipartition((), (0, 1, 2))):
+        signs = np.concatenate([np.ones(3), part.momentum_signs()])
+        want = m * np.outer(signs, signs)
+        assert partial_transpose(cov, part).matrix.tobytes() == want.tobytes()
 
 
 def test_partial_transpose_member_count_must_match():

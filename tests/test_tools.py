@@ -112,6 +112,12 @@ def test_dump_outputs_runs_every_command_cleanly(tmp_path, monkeypatch):
                                     else 2), label
     assert set(codes.values()) == {0}
 
+    # Every site of the chain, scrambled and with a repeat, is the whole
+    # state: its report reads as the default one, label included.
+    for json in ("", "_json"):
+        assert ((tmp_path / f"measures_chain_qp_whole{json}.out").read_bytes()
+                == (tmp_path / f"measures_chain_qp_all{json}.out").read_bytes())
+
     # The soft chain's pair 1, 2 fails the kernel's test, but the whole
     # chain is pure by construction and reads its exact values.
     assert "refused_measures_soft_chain_singular_qq" in dump.SOFT_CHAIN_RUNS

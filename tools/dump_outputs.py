@@ -30,6 +30,11 @@ an empty diff means the two versions print the same bytes. The directory gets
   the ``measures`` and ``negativity`` output on each, plus both on a
   six-mode subset of the chain (``SUBSETS``), a multi-mode reduction with
   a live q-p shear;
+* on the chain, ``measures --subsystem`` listing every site in scrambled
+  order with one site repeated (``SUBSETS``) and a ``negativity`` cut whose
+  two groups cover every site (the last of ``CUTS``), so that the whole
+  state reaches both reports through a covering index list as well as by
+  default;
 * a model file whose state is not certified (``SOFT_CHAIN``) and the
   ``SOFT_CHAIN_RUNS`` on it, so that reports take the checked route;
 * the refusals of model files that ``save_model`` will not write
@@ -90,14 +95,15 @@ MODELS = {
 CUTS = {
     "twomode": [("1", "2"), ("2", "1")],
     "ghoc": [("1", "2"), ("2", "1")],
-    "chain_qp": [("1,2,3", "4,5,6,7"), ("1,5,9", "2,12"), ("1,3,5", "7,9,11")],
+    "chain_qp": [("1,2,3", "4,5,6,7"), ("1,5,9", "2,12"), ("1,3,5", "7,9,11"),
+                 ("8,2,12,4,10,6", "5,1,11,3,9,7")],
     "ring": [("1,2,3,4", "5,6,7,8"), ("1,2", "9,10")],
 }
 
 
 # Extra ``measures --subsystem`` runs per model, by file tag.
 SUBSETS = {
-    "chain_qp": {"six": "1,3,5,7,9,11"},
+    "chain_qp": {"six": "1,3,5,7,9,11", "whole": "7,3,12,1,9,5,11,2,8,4,10,6,3"},
 }
 
 # A 4-site chain whose state is not certified: site 1 is very soft and
