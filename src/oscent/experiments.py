@@ -335,8 +335,9 @@ def fit_kappa_asymptote(kappas, e_values):
     """Fit E_N(kappa) = a - b/(kappa**c + d) by damped Gauss-Newton.
 
     Starts from a = max(E), b = a - min(E), c = 0.5, d = 1. The damping
-    parameter grows tenfold on a rejected step and shrinks tenfold on an
-    accepted one; convergence is a relative parameter step below 1e-10.
+    parameter grows tenfold on a rejected step (one whose cost is higher or
+    not finite) and shrinks tenfold on an accepted one; convergence is a
+    relative parameter step below 1e-10.
 
     Constant data converges immediately to b = 0 with c and d left at their
     starting values (unidentifiable); inspect params["b"] to detect it.
@@ -374,22 +375,29 @@ def fit_kappa_asymptote(kappas, e_values):
         j[:, 3] = b / pole**2
         return j
 
-    r = residual(theta)
-    cost = float(r @ r)
-    damping = 1e-3
-    for _ in range(_MAX_ITER):
-        j = jacobian(theta)
-        jtj = j.T @ j
-        g = j.T @ r
-        try:
-            step = np.linalg.solve(jtj + damping * np.diag(np.diag(jtj) + 1e-12), -g)
-        except np.linalg.LinAlgError:
-            damping *= 10.0
-            continue
-        candidate = theta + step
-        r_new = residual(candidate)
-        cost_new = float(r_new @ r_new)
-        if cost_new <= cost:
+    # A trial step may overflow kappa**c or divide by a vanished pole; its
+    # non-finite cost rejects it, so numpy's warnings would only be noise.
+    with np.errstate(all="ignore"):
+        r = residual(theta)
+        cost = float(r @ r)
+        damping = 1e-3
+        for _ in range(_MAX_ITER):
+            j = jacobian(theta)
+            jtj = j.T @ j
+            g = j.T @ r
+            try:
+                step = np.linalg.solve(jtj + damping * np.diag(np.diag(jtj) + 1e-12), -g)
+            except np.linalg.LinAlgError:
+                damping *= 10.0
+                continue
+            candidate = theta + step
+            r_new = residual(candidate)
+            cost_new = float(r_new @ r_new)
+            if not np.isfinite(cost_new) or cost_new > cost:
+                damping *= 10.0
+                if damping > 1e12:
+                    break
+                continue
             rel_step = float(np.max(np.abs(step) / np.maximum(np.abs(candidate), 1e-12)))
             theta, r, cost = candidate, r_new, cost_new
             damping = max(damping / 10.0, 1e-12)
@@ -400,10 +408,6 @@ def fit_kappa_asymptote(kappas, e_values):
                     rms_residual=rms,
                     grid=tuple(kappa.tolist()),
                 )
-        else:
-            damping *= 10.0
-            if damping > 1e12:
-                break
     raise NoConvergenceError(
         f"asymptote fit did not converge in {_MAX_ITER} iterations"
     )

@@ -2,6 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Every property test draws the same examples on every run and has no
+# per-example deadline; each test keeps its own example count.
+settings.register_profile("oscent", derandomize=True, deadline=None)
+settings.load_profile("oscent")
 
 
 @pytest.fixture

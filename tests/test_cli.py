@@ -564,6 +564,18 @@ def test_fit_kappa_refuses_a_non_finite_cell(column, cell, tmp_path, capsys):
     assert one_error_line(err) and named in err
 
 
+def test_fit_kappa_that_cannot_fit_exits_three_with_one_error_line(tmp_path, capsys):
+    # Trial steps overflow kappa**c here; numpy's RuntimeWarnings used to
+    # print before the error line (and, with warnings as errors, escape main).
+    e = [0.9, -0.7, -1.3, -0.6, 0.0, -2.3, -0.2]
+    rows = [(100.0, 2.0**j, ej, 0.0) for j, ej in enumerate(e)]
+    path = tmp_path / "size.csv"
+    SweepTable(("N", "kappa", "log_negativity", "negativity"), tuple(rows)).write_csv(path)
+    code, out, err = run(["fit-kappa", "--in", str(path)], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: asymptote fit did not converge in 500 iterations\n"
+
+
 @pytest.mark.parametrize("command, table, missing", [
     ("fit-cft", "N", "n1"),      # a lattice-size table
     ("fit-kappa", "n1", "N"),    # a lattice-adjacent table

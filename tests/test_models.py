@@ -676,7 +676,7 @@ def model_strategy(draw):
     return model
 
 
-@settings(max_examples=300, deadline=None, derandomize=True,
+@settings(max_examples=300,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(model=model_strategy())
 def test_model_files_match_the_stdlib_encoder_and_decoder(tmp_path_factory, model):
@@ -687,7 +687,7 @@ def test_model_files_match_the_stdlib_encoder_and_decoder(tmp_path_factory, mode
     assert field_bits(load_model(path)) == field_bits(reference)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(digits=st.lists(st.text("0123456789", min_size=1, max_size=40), min_size=1, max_size=4),
        exponents=st.lists(st.integers(-345, 330), min_size=4, max_size=4),
        signs=st.lists(st.sampled_from(["", "-"]), min_size=4, max_size=4))

@@ -398,7 +398,7 @@ def ring_bipartitions(draw):
     return n, parts
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(case=ring_bipartitions())
 def test_ring_symmetry_agrees_with_a_brute_force_dihedral_search(case):
     # On rings of up to 16 sites every map can be tried: two bipartitions

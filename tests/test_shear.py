@@ -74,7 +74,7 @@ def chain_qp_covariance(seed, n=300):
     return unit_state(GeneralizedChain(K=k, Y=y))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_y_chain_equals_its_unsheared_twin(data):
     n = data.draw(st.integers(2, 6), label="n")

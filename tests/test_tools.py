@@ -48,7 +48,8 @@ def test_dump_outputs_runs_every_command_cleanly(tmp_path, monkeypatch):
     dump = load_tool("dump_outputs")
     assert dump.main([str(tmp_path)]) == 0
 
-    expected = {"status.txt", "fit_kappa.csv", "fit_kappa.json", "lattice_size_uncertified.csv",
+    expected = {"status.txt", "fit_kappa.csv", "fit_kappa.json", "fit_kappa_unfittable.csv",
+                "lattice_size_uncertified.csv",
                 "lattice_size_mixed_certificate.csv", "lattice_adjacent_whole_ring.csv",
                 "lattice_adjacent_descending.csv"}
     expected |= {f"{stem}.csv" for stem in dump.WHOLE_WINDOW}
@@ -87,20 +88,21 @@ def test_dump_outputs_runs_every_command_cleanly(tmp_path, monkeypatch):
     assert len(dump.subcommands()) == 9
 
     # One "label: exit 0" line per command and nothing on stderr: every file
-    # but status.txt and the model files (MODELS and SOFT_CHAIN) comes from
-    # one command. Each refusal adds its "label: exit 2" line (3 for the
-    # unstable ring, the near-singular window and the singular qq block of
-    # the soft chain's sites 1, 2) and one error line, and writes no output
-    # file.
+    # but status.txt, the model files (MODELS and SOFT_CHAIN) and the
+    # unfittable table comes from one command. Each refusal adds its
+    # "label: exit 2" line (3 for the unstable ring, the near-singular
+    # window, the singular qq block of the soft chain's sites 1, 2 and the
+    # unfittable table) and one error line, and writes no output file.
     for name in dump.BAD_MODELS:
         assert (tmp_path / f"model_bad_{name}.json").stat().st_size > 0, name
     refused = [f"{command} bad {name}" for name in dump.BAD_MODELS
                for command in ("measures", "negativity")]
     refused += [f"refused {stem}" for stem in dump.REFUSED]
     refused += [stem for stem in dump.SOFT_CHAIN_RUNS if stem.startswith("refused_")]
+    refused.append("refused fit_kappa_unfittable")
     assert not list(tmp_path.glob("refused_*"))
     lines = (tmp_path / "status.txt").read_text(encoding="utf-8").splitlines()
-    assert len(lines) == len(expected) - 2 - len(dump.MODELS) + 2 * len(refused)
+    assert len(lines) == len(expected) - 3 - len(dump.MODELS) + 2 * len(refused)
     codes = {}
     for line, after in zip(lines, lines[1:] + [""]):
         if not line.startswith("error: "):
@@ -108,8 +110,8 @@ def test_dump_outputs_runs_every_command_cleanly(tmp_path, monkeypatch):
             codes[label] = int(code)
             assert after.startswith("error: ") == (code != "0"), (line, after)
     for label in refused:
-        assert codes.pop(label) == (3 if "unstable" in label or "singular" in label
-                                    else 2), label
+        numerical = any(word in label for word in ("unstable", "singular", "unfittable"))
+        assert codes.pop(label) == (3 if numerical else 2), label
     assert set(codes.values()) == {0}
 
     # Every site of the chain, scrambled and with a repeat, is the whole

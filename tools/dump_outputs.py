@@ -42,6 +42,9 @@ an empty diff means the two versions print the same bytes. The directory gets
   ``negativity``) and of sweeps with parameters outside a model's domain
   (``REFUSED``); their exit codes and messages go to ``status.txt``, and
   a refused command writes no ``--out`` file;
+* a ``lattice-size`` table that ``fit-kappa`` cannot fit (``UNFITTABLE``,
+  written as ``fit_kappa_unfittable.csv``), so that ``status.txt`` holds
+  its refusal's standard error: one error line, no numpy warning;
 * the standard output of every script in ``demos/``;
 * the ``-h`` text of the top-level parser (``help.txt``) and of every
   subcommand (``help_<command>.txt``), and the argparse refusals in
@@ -182,6 +185,12 @@ REFUSED = {
                                   "--alphas", "2,2.0000001"],
 }
 
+# A table on which fit-kappa's trial steps overflow kappa**c and the fit
+# gives up (exit 3).
+UNFITTABLE = ("N,kappa,log_negativity,negativity\n"
+              + "".join(f"100,{2**j},{e},0\n"
+                        for j, e in enumerate([0.9, -0.7, -1.3, -0.6, 0.0, -2.3, -0.2])))
+
 # argparse refusals, by file stem: each exits 2 before any command runs.
 REFUSALS = {
     "no_command": [],
@@ -297,6 +306,11 @@ def main(argv=None):
              "--out", path(f"refused_negativity_{name}.out")])
     for stem, argv in REFUSED.items():
         run(status, f"refused {stem}", argv + ["--out", path(f"refused_{stem}.out")])
+    with open(path("fit_kappa_unfittable.csv"), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(UNFITTABLE)
+    run(status, "refused fit_kappa_unfittable",
+        ["fit-kappa", "--in", path("fit_kappa_unfittable.csv"),
+         "--out", path("refused_fit_kappa_unfittable.out")])
 
     env = dict(os.environ, PYTHONPATH=SRC)
     demos = os.path.join(ROOT, "demos")
