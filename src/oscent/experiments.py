@@ -347,7 +347,9 @@ def fit_kappa_asymptote(kappas, e_values):
     ValueError
         If a kappa is not positive and finite or an E_N is not finite.
     NoConvergenceError
-        If 500 iterations pass without the step shrinking to tolerance.
+        If 500 iterations pass without the step shrinking to tolerance, or
+        if the damping passes 1e12 first; the message names the stop and
+        the iterations run.
     """
     kappa = np.asarray(kappas, dtype=float)
     e = np.asarray(e_values, dtype=float)
@@ -381,7 +383,7 @@ def fit_kappa_asymptote(kappas, e_values):
         r = residual(theta)
         cost = float(r @ r)
         damping = 1e-3
-        for _ in range(_MAX_ITER):
+        for done in range(1, _MAX_ITER + 1):
             j = jacobian(theta)
             jtj = j.T @ j
             g = j.T @ r
@@ -396,7 +398,9 @@ def fit_kappa_asymptote(kappas, e_values):
             if not np.isfinite(cost_new) or cost_new > cost:
                 damping *= 10.0
                 if damping > 1e12:
-                    break
+                    raise NoConvergenceError(
+                        f"asymptote fit gave up after {done} iterations: "
+                        "its damping passed 1e12")
                 continue
             rel_step = float(np.max(np.abs(step) / np.maximum(np.abs(candidate), 1e-12)))
             theta, r, cost = candidate, r_new, cost_new

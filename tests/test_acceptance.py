@@ -44,6 +44,7 @@ from oscent.models import (
 )
 from oscent.negativity import log_negativity, log_negativity_via_symplectic
 
+from chains import random_chain
 from quadrature import angle_average_covariance
 
 EXAMPLE_MODELS = (
@@ -68,13 +69,6 @@ class Stopwatch:
         print(f"{label}: {elapsed:.2f} s (budget {self.budget:.0f} s)")
         assert elapsed < self.budget
         return elapsed
-
-
-def random_chain(rng, n, y_scale=0.0):
-    a = rng.normal(size=(n, n))
-    m = a @ a.T + 0.5 * np.eye(n)
-    y = rng.uniform(-y_scale, y_scale, size=n) if y_scale else np.zeros(n)
-    return GeneralizedChain(K=m + np.diag(y**2), Y=y)
 
 
 def test_criterion_01_one_mode_sigma_closed_form():
@@ -175,7 +169,7 @@ def test_criterion_06_negativity_route_equivalence():
     rng = np.random.default_rng(606)
     for _ in range(50):
         n = int(rng.integers(2, 9))
-        cov = classical_covariance(normal_modes(random_chain(rng, n)),
+        cov = classical_covariance(normal_modes(random_chain(rng, n, y_scale=None)),
                                    np.ones(n))
         cut = int(rng.integers(1, n))
         modes = rng.permutation(n)
@@ -298,7 +292,7 @@ def test_criterion_10_property_suite():
     # Partial transposition is an exact involution.
     for _ in range(100):
         n = int(rng.integers(2, 7))
-        cov = classical_covariance(normal_modes(random_chain(rng, n)),
+        cov = classical_covariance(normal_modes(random_chain(rng, n, y_scale=None)),
                                    np.ones(n))
         cut = int(rng.integers(1, n))
         part = Bipartition(tuple(range(cut)), tuple(range(cut, n)))

@@ -31,16 +31,15 @@ from oscent.models import (
 )
 from oscent.negativity import log_negativity
 
+from chains import random_chain
+
 EPS = np.finfo(float).eps
 
 
 def chain_state(seed, n, y_scale):
     """Unit-action state of a seeded chain with K - Y**2 positive definite."""
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n, n))
-    y = rng.uniform(-y_scale, y_scale, size=n)
-    k = a @ a.T + 0.5 * np.eye(n) + np.diag(y**2)
-    return classical_covariance(normal_modes(GeneralizedChain(K=k, Y=y)), np.ones(n))
+    chain = random_chain(np.random.default_rng(seed), n, y_scale)
+    return classical_covariance(normal_modes(chain), np.ones(n))
 
 
 def uncertified(cov):

@@ -521,6 +521,18 @@ def test_fit_cft_missing_kappa(tmp_path, capsys):
     assert code == 2 and "kappa = 16" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["twomode-sweep", "--grid", "0:1:0"], "grid needs at least one step, got 0"),
+    (["fit-kappa", "--in", "{size}", "--N", "7"], "no rows with N = 7.0 in {size}"),
+])
+def test_an_empty_selection_exits_two(argv, message, tmp_path, capsys):
+    size = tmp_path / "size.csv"
+    SweepTable(("N", "kappa", "log_negativity", "negativity"),
+               tuple((100.0, 2.0**j, 0.1 * j, 0.0) for j in range(5))).write_csv(size)
+    code, out, err = run([a.format(size=size) for a in argv], capsys)
+    assert (code, out, err) == (2, "", f"error: {message.format(size=size)}\n")
+
+
 def test_fit_cft_refuses_rows_outside_the_block(tmp_path, capsys):
     # A 100-site block fitted as --block 50: every n1 > 50 used to be
     # dropped without a word.
@@ -564,16 +576,29 @@ def test_fit_kappa_refuses_a_non_finite_cell(column, cell, tmp_path, capsys):
     assert one_error_line(err) and named in err
 
 
+def fit_kappa_at_n100(kappa, e, tmp_path, capsys):
+    """fit-kappa's exit code, stdout and stderr on rows of N = 100."""
+    rows = [(100.0, ka, ej, 0.0) for ka, ej in zip(kappa, e)]
+    path = tmp_path / "size.csv"
+    SweepTable(("N", "kappa", "log_negativity", "negativity"), tuple(rows)).write_csv(path)
+    return run(["fit-kappa", "--in", str(path)], capsys)
+
+
 def test_fit_kappa_that_cannot_fit_exits_three_with_one_error_line(tmp_path, capsys):
     # Trial steps overflow kappa**c here; numpy's RuntimeWarnings used to
     # print before the error line (and, with warnings as errors, escape main).
     e = [0.9, -0.7, -1.3, -0.6, 0.0, -2.3, -0.2]
-    rows = [(100.0, 2.0**j, ej, 0.0) for j, ej in enumerate(e)]
-    path = tmp_path / "size.csv"
-    SweepTable(("N", "kappa", "log_negativity", "negativity"), tuple(rows)).write_csv(path)
-    code, out, err = run(["fit-kappa", "--in", str(path)], capsys)
+    code, out, err = fit_kappa_at_n100([2.0**j for j in range(7)], e, tmp_path, capsys)
     assert (code, out) == (3, "")
     assert err == "error: asymptote fit did not converge in 500 iterations\n"
+
+
+def test_fit_kappa_that_gives_up_early_names_its_stop(tmp_path, capsys):
+    # The damping passes 1e12 long before the iteration cap.
+    code, out, err = fit_kappa_at_n100([0.11, 0.15, 0.95, 2.27, 76.14],
+                                       [-0.8, 0.1, -2.4, 0.7, -0.7], tmp_path, capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: asymptote fit gave up after 22 iterations: its damping passed 1e12\n"
 
 
 @pytest.mark.parametrize("command, table, missing", [

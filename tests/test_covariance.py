@@ -37,14 +37,8 @@ from oscent.models import (
     two_mode_angles,
 )
 
+from chains import random_chain
 from quadrature import DimensionTooLargeError, angle_average_covariance
-
-
-def random_chain(rng, n, y_scale=0.5):
-    a = rng.normal(size=(n, n))
-    m = a @ a.T + 0.5 * np.eye(n)
-    y = rng.uniform(-y_scale, y_scale, size=n)
-    return GeneralizedChain(K=m + np.diag(y**2), Y=y)
 
 
 # --- classical covariance ----------------------------------------------------

@@ -24,6 +24,8 @@ from oscent.linalg import (
 from oscent.models import CircularLattice, GeneralizedChain, normal_modes, stability
 from oscent.negativity import log_negativity, stacked_log_negativities
 
+from chains import random_chain, random_qp_chain
+
 
 def random_spd(rng, n, shift=0.5):
     a = rng.normal(size=(n, n))
@@ -164,14 +166,8 @@ def eigh_general_route(cov):
 
 
 def qp_chain_covariance(seed, n):
-    # Random chain with a live q-p block; M = K - Y**2 is diagonally dominant.
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(-1.0, 1.0, size=(n, n))
-    k = 0.5 * (a + a.T)
-    np.fill_diagonal(k, 0.0)
-    y = rng.uniform(-0.5, 0.5, size=n)
-    k[np.diag_indices(n)] = np.sum(np.abs(k), axis=1) + 1.0 + y**2
-    return classical_covariance(normal_modes(GeneralizedChain(K=k, Y=y)), np.ones(n))
+    chain = random_qp_chain(np.random.default_rng(seed), n)
+    return classical_covariance(normal_modes(chain), np.ones(n))
 
 
 def test_general_route_matches_the_eigh_route_on_qp_chains():
@@ -328,10 +324,8 @@ def test_column_update_matches_the_full_product():
     rng = np.random.default_rng(27)
     for _ in range(8):
         m = int(rng.integers(4, 41))
-        a = rng.normal(size=(m, m))
-        cov = classical_covariance(
-            normal_modes(GeneralizedChain(K=a @ a.T + 0.5 * np.eye(m), Y=np.zeros(m))),
-            np.ones(m))
+        cov = classical_covariance(normal_modes(random_chain(rng, m, y_scale=None)),
+                                   np.ones(m))
         qq, pp = cov.qq, cov.pp
         scattered = np.ones(m)
         scattered[rng.choice(m - 1, size=(m - 1) // 2, replace=False)] = -1.0
@@ -406,8 +400,11 @@ def test_symplectic_spectrum_rejects_non_finite_entries():
 
 
 def test_symplectic_spectrum_rejects_indefinite():
-    with pytest.raises(NotPositiveDefiniteError):
-        symplectic_spectrum(np.diag([1.0, 0.0]))
+    # The second has a zero qq diagonal beside a live cross block: no
+    # unshear exists, and the general route refuses it.
+    for cov in (np.diag([1.0, 0.0]), np.array([[0.0, 0.1], [0.1, 1.0]])):
+        with pytest.raises(NotPositiveDefiniteError):
+            symplectic_spectrum(cov)
 
 
 def test_symplectic_spectrum_rejects_odd_dimension():

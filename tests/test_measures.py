@@ -18,6 +18,7 @@ from oscent.errors import (
     AlphaOutOfDomainError,
     DegenerateParametersError,
     NotPositiveDefiniteError,
+    SingularMatrixError,
     SubHeisenbergError,
 )
 from oscent.linalg import symplectic_spectrum
@@ -35,13 +36,13 @@ from oscent.measures import (
 )
 from oscent.models import (
     CircularLattice,
-    GeneralizedChain,
     TwoMode,
     TwoModeGeneralized,
     normal_modes,
     two_mode_angles,
 )
 
+from chains import random_chain
 from quadrature import angle_average_covariance
 
 # One-oscillator reduction of the A=5, B=20, C=10 pair at unit actions,
@@ -55,13 +56,6 @@ def reference_reduction():
     cov = classical_covariance(normal_modes(TwoMode(A=5.0, B=20.0, C=10.0)),
                                np.ones(2))
     return reduce_modes(cov, [0])
-
-
-def random_chain(rng, n, y_scale=0.5):
-    a = rng.normal(size=(n, n))
-    m = a @ a.T + 0.5 * np.eye(n)
-    y = rng.uniform(-y_scale, y_scale, size=n)
-    return GeneralizedChain(K=m + np.diag(y**2), Y=y)
 
 
 # --- sigma_tilde --------------------------------------------------------------
@@ -203,6 +197,11 @@ def test_whole_system_purity_is_one():
 def test_reduced_purity_reference_value():
     assert_allclose(purity_from_determinant(reference_reduction()), PURITY_REF,
                     rtol=1e-12)
+
+
+def test_purity_refuses_a_determinant_that_is_not_positive():
+    with pytest.raises(SingularMatrixError, match="determinant is not positive"):
+        purity_from_determinant(CovarianceMatrix(np.diag([1.0, -1.0])))
 
 
 def test_purity_equals_product_of_inverse_widths():

@@ -38,13 +38,7 @@ from oscent.models import (
 from oscent.covariance import classical_covariance
 from oscent.linalg import require_symmetric
 
-
-def random_chain(rng, n, y_scale=0.5):
-    # Build M positive definite first, then K = M + Y^2 so stability holds.
-    a = rng.normal(size=(n, n))
-    m = a @ a.T + 0.5 * np.eye(n)
-    y = rng.uniform(-y_scale, y_scale, size=n)
-    return GeneralizedChain(K=m + np.diag(y**2), Y=y)
+from chains import random_chain
 
 
 # --- assembly ---------------------------------------------------------------

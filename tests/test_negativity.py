@@ -49,10 +49,7 @@ from oscent.negativity import (
     stacked_log_negativities,
 )
 
-
-def random_chain(rng, n):
-    a = rng.normal(size=(n, n))
-    return GeneralizedChain(K=a @ a.T + 0.5 * np.eye(n), Y=np.zeros(n))
+from chains import random_chain
 
 
 def random_partition(rng, n):
@@ -186,7 +183,7 @@ def test_routes_agree_on_random_chains():
     rng = np.random.default_rng(131)
     for _ in range(10):
         n = int(rng.integers(2, 8))
-        cov = classical_covariance(normal_modes(random_chain(rng, n)), np.ones(n))
+        cov = classical_covariance(normal_modes(random_chain(rng, n, y_scale=None)), np.ones(n))
         part = random_partition(rng, n)
         r1 = log_negativity(cov, part)
         r2 = log_negativity_via_symplectic(cov, part)
@@ -199,7 +196,7 @@ def test_batch_equals_one_partition_at_a_time_bit_for_bit():
     rng = np.random.default_rng(163)
     for _ in range(5):
         n = int(rng.integers(3, 9))
-        cov = classical_covariance(normal_modes(random_chain(rng, n)), np.ones(n))
+        cov = classical_covariance(normal_modes(random_chain(rng, n, y_scale=None)), np.ones(n))
         # Several sign patterns over the same members, plus other member sets.
         parts = [random_partition(rng, n) for _ in range(4)]
         parts += [Bipartition([0], [n - 1]), Bipartition([1, 2], []),
@@ -692,7 +689,7 @@ def test_ill_conditioned_refusal_names_both_eigenvalues_and_the_bound():
 
 def test_lambdas_sorted_ascending_both_routes():
     rng = np.random.default_rng(137)
-    cov = classical_covariance(normal_modes(random_chain(rng, 6)), np.ones(6))
+    cov = classical_covariance(normal_modes(random_chain(rng, 6, y_scale=None)), np.ones(6))
     part = Bipartition([0, 2, 4], [1, 5])
     for result in (log_negativity(cov, part),
                    log_negativity_via_symplectic(cov, part)):
@@ -705,10 +702,7 @@ RING = CircularLattice(16, 0.1, 4.0)
 
 def pure_state_cuts():
     # Whole-system cuts of pure states: a subsystem against its complement.
-    rng = np.random.default_rng(211)
-    a = rng.normal(size=(12, 12))
-    y = rng.uniform(-0.5, 0.5, size=12)
-    chain = GeneralizedChain(K=a @ a.T + 0.5 * np.eye(12) + np.diag(y**2), Y=y)
+    chain = random_chain(np.random.default_rng(211), 12)
     return {
         "two-mode": (classical_covariance(normal_modes(TwoMode(5.0, 20.0, 15.0)), np.ones(2)),
                      [0], [1]),
@@ -739,7 +733,7 @@ def test_pure_state_cut_pins_the_doubled_convention(case):
 
 def test_swapping_groups_changes_nothing():
     rng = np.random.default_rng(139)
-    cov = classical_covariance(normal_modes(random_chain(rng, 5)), np.ones(5))
+    cov = classical_covariance(normal_modes(random_chain(rng, 5, y_scale=None)), np.ones(5))
     a = log_negativity(cov, Bipartition([0, 1], [3, 4]))
     b = log_negativity(cov, Bipartition([3, 4], [0, 1]))
     assert a.log_negativity == b.log_negativity
@@ -822,7 +816,7 @@ def test_nonuniform_actions_rejected():
 
 def test_negativity_matches_log_negativity():
     rng = np.random.default_rng(149)
-    cov = classical_covariance(normal_modes(random_chain(rng, 4)), np.ones(4))
+    cov = classical_covariance(normal_modes(random_chain(rng, 4, y_scale=None)), np.ones(4))
     result = log_negativity(cov, Bipartition([0, 1], [2, 3]))
     assert_allclose(result.negativity,
                     0.5 * (2.0**result.log_negativity - 1.0), rtol=1e-15)

@@ -26,6 +26,8 @@ from oscent.measures import measure_report, sigma_tilde
 from oscent.models import GeneralizedChain, TwoModeGeneralized, normal_modes
 from oscent.negativity import log_negativity, log_negativity_via_symplectic
 
+from chains import dominant_qp_chain, random_qp_chain
+
 RTOL = 1e-12
 # Values that vanish in exact arithmetic (a nearly pure subsystem, E_N of a
 # nearly decoupled cut) are compared absolutely: the entropies have infinite
@@ -35,11 +37,8 @@ ATOL_AT_ZERO = 1e-12
 
 def chain_pair(k_off, y, margin):
     """The Y-coupled chain and its unsheared twin with the same M = K - Y**2."""
-    n = y.size
-    k = 0.5 * (k_off + k_off.T)
-    np.fill_diagonal(k, 0.0)
-    k[np.diag_indices(n)] = np.sum(np.abs(k), axis=1) + margin + y**2
-    return GeneralizedChain(K=k, Y=y), GeneralizedChain(K=k - np.diag(y**2), Y=np.zeros(n))
+    coupled = dominant_qp_chain(k_off, y, margin)
+    return coupled, GeneralizedChain(K=coupled.K - np.diag(y**2), Y=np.zeros(y.size))
 
 
 def product_route(cov):
@@ -63,15 +62,8 @@ def random_spd_cross_block(rng, n):
 
 
 def chain_qp_covariance(seed, n=300):
-    # The seeded chain of the chain-qp benchmark workload: off-diagonal K in
-    # [-1, 1], Y in [-0.5, 0.5], rows of M diagonally dominant by 1.
-    rng = np.random.default_rng([seed, 0])
-    a = rng.uniform(-1.0, 1.0, size=(n, n))
-    k = 0.5 * (a + a.T)
-    np.fill_diagonal(k, 0.0)
-    y = rng.uniform(-0.5, 0.5, size=n)
-    k[np.diag_indices(n)] = np.sum(np.abs(k), axis=1) + 1.0 + y**2
-    return unit_state(GeneralizedChain(K=k, Y=y))
+    # The seeded chain of the chain-qp benchmark workload.
+    return unit_state(random_qp_chain(np.random.default_rng([seed, 0]), n))
 
 
 @settings(max_examples=60)

@@ -3,6 +3,7 @@ smoke run of the dump tool that the byte-identity gate rests on."""
 
 import importlib.util
 import os
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,76 +44,45 @@ def test_compare_outputs_reports_the_largest_change_per_column(tmp_path, capsys)
 
 def test_dump_outputs_runs_every_command_cleanly(tmp_path, monkeypatch):
     # A command that failed on both sides would leave its file missing from
-    # both trees, and diff -r would still report no difference.
+    # both trees, and diff -r would still report no difference. So the dump
+    # is checked against its own plan: every file, label and exit code.
     monkeypatch.setenv("COLUMNS", "200")  # wider than the tool's 80; restored after
     dump = load_tool("dump_outputs")
     assert dump.main([str(tmp_path)]) == 0
+    inputs, runs = dump.plan(str(tmp_path))
 
-    expected = {"status.txt", "fit_kappa.csv", "fit_kappa.json", "fit_kappa_unfittable.csv",
-                "lattice_size_uncertified.csv",
-                "lattice_size_mixed_certificate.csv", "lattice_adjacent_whole_ring.csv",
-                "lattice_adjacent_descending.csv"}
-    expected |= {f"{stem}.csv" for stem in dump.WHOLE_WINDOW}
-    for stem in ("twomode_sweep", "ghoc_sweep", "lattice_d", "lattice_adjacent",
-                 "lattice_size"):
-        expected |= {f"{stem}.csv", f"{stem}.json"}
-    expected |= {f"fit_cft_{kappa}.{ext}" for kappa in dump.KAPPAS for ext in ("csv", "json")}
-    for name in dump.MODELS:
-        expected.add(f"model_{name}.json")
-        expected |= {f"measures_{name}_{tag}.out" for tag in ("all", "sub", "all_json")}
-        expected |= {f"measures_{name}_{tag}{json}.out"
-                     for tag in dump.SUBSETS.get(name, {}) for json in ("", "_json")}
-        expected |= {f"negativity_{name}_{i}{tag}.out"
-                     for i in range(len(dump.CUTS[name])) for tag in ("", "_json")}
-    expected.add("model_soft_chain.json")
-    expected |= {f"{stem}.out" for stem in dump.SOFT_CHAIN_RUNS if not stem.startswith("refused_")}
-    expected |= {f"demo_{script[:-3]}.txt" for script in os.listdir(ROOT / "demos")
-                 if script.endswith(".py")}
-    parser_files = {"help.txt"} | {f"refusal_{name}.txt" for name in dump.REFUSALS}
-    parser_files |= {f"help_{command.replace('-', '_')}.txt" for command in dump.subcommands()}
-    for name in sorted(expected | parser_files):
+    # Every planned file and nothing else: a refused command writes no
+    # --out file, and no two runs share one.
+    outputs = [output for label, _, output, code in runs if label is None or code == 0]
+    assert len(set(outputs)) == len(outputs)
+    assert sorted(os.listdir(tmp_path)) == sorted([*inputs, *outputs, "status.txt"])
+    for name in [*inputs, *outputs]:
         assert (tmp_path / name).stat().st_size > 0, name
 
-    # Help on stdout with exit 0, refusals on stderr with exit 2, both at the
-    # fixed width of 80 columns.
-    for name in parser_files:
-        code, rest = (tmp_path / name).read_text(encoding="utf-8").split("\n", 1)
-        out, err = rest.split("--- stderr\n")
-        if name.startswith("help"):
-            assert code == "exit 0" and err == ""
-            assert out.startswith("--- stdout\nusage: oscent")
-        else:
-            assert code == "exit 2" and out == "--- stdout\n" and "error: " in err
-        for line in rest.splitlines():  # only a list of every command cannot wrap
-            assert len(line) <= 80 or "twomode-sweep" in line, (name, line)
-    assert len(dump.subcommands()) == 9
+    # One "label: exit code" line per labelled run, in the plan's order; a
+    # refusal adds one error line, and a clean run nothing.
+    text = (tmp_path / "status.txt").read_text(encoding="utf-8")
+    status = re.findall(r"(.*): exit (-?\d+)\n((?:error: .*\n)?)", text)
+    assert "".join(f"{label}: exit {code}\n{err}" for label, code, err in status) == text
+    assert ([(label, int(code)) for label, code, _ in status]
+            == [(label, code) for label, _, _, code in runs if label is not None])
+    assert all((err != "") == (code != "0") for _, code, err in status)
 
-    # One "label: exit 0" line per command and nothing on stderr: every file
-    # but status.txt, the model files (MODELS and SOFT_CHAIN) and the
-    # unfittable table comes from one command. Each refusal adds its
-    # "label: exit 2" line (3 for the unstable ring, the near-singular
-    # window, the singular qq block of the soft chain's sites 1, 2 and the
-    # unfittable table) and one error line, and writes no output file.
-    for name in dump.BAD_MODELS:
-        assert (tmp_path / f"model_bad_{name}.json").stat().st_size > 0, name
-    refused = [f"{command} bad {name}" for name in dump.BAD_MODELS
-               for command in ("measures", "negativity")]
-    refused += [f"refused {stem}" for stem in dump.REFUSED]
-    refused += [stem for stem in dump.SOFT_CHAIN_RUNS if stem.startswith("refused_")]
-    refused.append("refused fit_kappa_unfittable")
-    assert not list(tmp_path.glob("refused_*"))
-    lines = (tmp_path / "status.txt").read_text(encoding="utf-8").splitlines()
-    assert len(lines) == len(expected) - 3 - len(dump.MODELS) + 2 * len(refused)
-    codes = {}
-    for line, after in zip(lines, lines[1:] + [""]):
-        if not line.startswith("error: "):
-            label, code = line.rsplit(": exit ", 1)
-            codes[label] = int(code)
-            assert after.startswith("error: ") == (code != "0"), (line, after)
-    for label in refused:
-        numerical = any(word in label for word in ("unstable", "singular", "unfittable"))
-        assert codes.pop(label) == (3 if numerical else 2), label
-    assert set(codes.values()) == {0}
+    # Parser runs: help on stdout, refusals on stderr, both at the fixed
+    # width of 80 columns, where only the list of every command cannot wrap.
+    commands = "{" + ",".join(dump.subcommands()) + "}"
+    assert f"\n  {commands}\n" in (tmp_path / "help.txt").read_text(encoding="utf-8")
+    for _, _, output, code in [run for run in runs if run[0] is None]:
+        head, rest = (tmp_path / output).read_text(encoding="utf-8").split("\n", 1)
+        out, err = rest.split("--- stderr\n")
+        assert head == f"exit {code}", output
+        if code == 0:
+            assert err == "" and out.startswith("--- stdout\nusage: oscent"), output
+        else:
+            assert out == "--- stdout\n" and "error: " in err, output
+        for line in rest.splitlines():
+            every = all(command in line for command in dump.subcommands())
+            assert len(line) <= 80 or every, (output, line)
 
     # Every site of the chain, scrambled and with a repeat, is the whole
     # state: its report reads as the default one, label included.
@@ -122,6 +92,5 @@ def test_dump_outputs_runs_every_command_cleanly(tmp_path, monkeypatch):
 
     # The soft chain's pair 1, 2 fails the kernel's test, but the whole
     # chain is pure by construction and reads its exact values.
-    assert "refused_measures_soft_chain_singular_qq" in dump.SOFT_CHAIN_RUNS
     whole = (tmp_path / "measures_soft_chain_whole.out").read_text(encoding="utf-8")
     assert whole.splitlines()[1] == "1+2+3+4,1,0,0" + ",1,0,0,nan,0,0" + ",1,0,0" * 6

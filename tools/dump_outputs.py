@@ -3,61 +3,21 @@
     python3 tools/dump_outputs.py OUTDIR
 
 Run it from two checkouts and compare them with ``diff -r OUTDIR_A OUTDIR_B``:
-an empty diff means the two versions print the same bytes. The directory gets
-
-* the default CSV and ``--json`` output of ``twomode-sweep``, ``ghoc-sweep``,
-  ``lattice-d``, ``lattice-adjacent`` and ``lattice-size``, and of
-  ``fit-cft`` (every default kappa) and ``fit-kappa`` on those tables;
-* ``lattice-size`` on rings whose stack is not certified (``UNCERTIFIED``),
-  so that the negativity kernel's eigenvalue-only test runs, and on the
-  default grid at a k where only the smaller rings are certified
-  (``MIXED_CERTIFICATE``), so that the test runs on a sequence of stacks
-  some of which are certified;
-* ``lattice-size`` and ``lattice-d`` on windows of unequal size
-  (``WHOLE_WINDOW``), which no reflection of the ring maps onto each other,
-  so that both ring sweeps also take the whole-window route under the gate
-  (every default ``lattice-size`` and ``lattice-d`` window is split into
-  even and odd halves);
-* ``lattice-adjacent`` on a block that is the whole ring (``WHOLE_RING``),
-  where every rotation and reflection keeps the member set, so that the
-  symmetry classes of its splits come from the whole dihedral orbit, and
-  the split n1 = 20 is a mirror one;
-* ``lattice-adjacent`` on the grid n1 = 100, 99, ..., 0 (``DESCENDING``),
-  so that the splits of one kernel call come with falling column counts
-  c, the reverse of the order the kernel solves them in;
-* four model files written by ``save_model`` (two-mode, generalized
-  two-mode, a seeded 12-site chain with q-p coupling, a 16-site ring) and
-  the ``measures`` and ``negativity`` output on each, plus both on a
-  six-mode subset of the chain (``SUBSETS``), a multi-mode reduction with
-  a live q-p shear;
-* on the chain, ``measures --subsystem`` listing every site in scrambled
-  order with one site repeated (``SUBSETS``) and a ``negativity`` cut whose
-  two groups cover every site (the last of ``CUTS``), so that the whole
-  state reaches both reports through a covering index list as well as by
-  default;
-* a model file whose state is not certified (``SOFT_CHAIN``) and the
-  ``SOFT_CHAIN_RUNS`` on it, so that reports take the checked route;
-* the refusals of model files that ``save_model`` will not write
-  (``BAD_MODELS``, written as raw JSON, each run through ``measures`` and
-  ``negativity``) and of sweeps with parameters outside a model's domain
-  (``REFUSED``); their exit codes and messages go to ``status.txt``, and
-  a refused command writes no ``--out`` file;
-* a ``lattice-size`` table that ``fit-kappa`` cannot fit (``UNFITTABLE``,
-  written as ``fit_kappa_unfittable.csv``), so that ``status.txt`` holds
-  its refusal's standard error: one error line, no numpy warning;
-* the standard output of every script in ``demos/``;
-* the ``-h`` text of the top-level parser (``help.txt``) and of every
-  subcommand (``help_<command>.txt``), and the argparse refusals in
-  ``REFUSALS`` (``refusal_<name>.txt``), each with its exit code, standard
-  output and standard error; ``COLUMNS`` is set to 80 so that the text does
-  not depend on the terminal;
-* ``status.txt``: the exit code and standard error of every command.
+an empty diff means the two versions print the same bytes. ``plan`` lists
+what the dump writes: its input files (model files and a sweep table), then
+its runs in order, each with its status label, argv, output file and exit
+code. The runs cover the ``-h`` text of every parser and the argparse
+refusals, at ``COLUMNS=80``; the default CSV and ``--json`` output of every
+sweep and fit; sweeps and model files that take each route of the library;
+refusals of bad models and sweeps; and the standard output of every script
+in ``demos/``. ``status.txt`` gets the exit code and standard error of every
+labelled run, and a refused command writes no ``--out`` file.
+``tests/test_tools.py`` checks a dump against its plan.
 
 It imports ``oscent`` from this checkout's ``src/`` and uses nothing else
 beyond the standard library.
 """
 
-import argparse
 import contextlib
 import io
 import os
@@ -87,6 +47,7 @@ def qp_chain(n=12, seed=12):
     return models.model_from_dict({"variant": "GeneralizedChain", "K": k, "Y": y})
 
 
+# Each is saved with save_model and run through measures and negativity.
 MODELS = {
     "twomode": models.TwoMode(A=5.0, B=20.0, C=7.5),
     "ghoc": models.TwoModeGeneralized(X1=2.0, X2=2.0, Y1=0.0, Y2=1.2, Z=1.0),
@@ -94,7 +55,9 @@ MODELS = {
     "ring": models.CircularLattice(N=16, k=0.1, kappa=4.0),
 }
 
-# Two cuts per model, 1-based as on the command line.
+# Two cuts per model, 1-based as on the command line. The chain's last cut
+# covers every site, so the whole state reaches the negativity through a
+# covering index list.
 CUTS = {
     "twomode": [("1", "2"), ("2", "1")],
     "ghoc": [("1", "2"), ("2", "1")],
@@ -103,8 +66,9 @@ CUTS = {
     "ring": [("1,2,3,4", "5,6,7,8"), ("1,2", "9,10")],
 }
 
-
-# Extra ``measures --subsystem`` runs per model, by file tag.
+# Extra ``measures --subsystem`` runs per model, by file tag: "six" is a
+# multi-mode reduction with a live q-p shear, and "whole" lists every site
+# in scrambled order with one repeat, so that it reads as the default report.
 SUBSETS = {
     "chain_qp": {"six": "1,3,5,7,9,11", "whole": "7,3,12,1,9,5,11,2,8,4,10,6,3"},
 }
@@ -112,9 +76,7 @@ SUBSETS = {
 # A 4-site chain whose state is not certified: site 1 is very soft and
 # weakly coupled (omega runs from 9.9e-14 to 1.5), so the reports below take
 # the checked route, and the cut 2 | 3 undoes the live q-p shear of its
-# sites. The whole system is pure by construction and reads its exact
-# values without a solve; the qq block of sites 1, 2 fails the kernel's
-# test (exit 3).
+# sites.
 SOFT_CHAIN = models.model_from_dict({
     "variant": "GeneralizedChain",
     "K": [[1e-26, 1e-14, 0.0, 0.0], [1e-14, 1.0, 0.3, 0.0],
@@ -122,15 +84,19 @@ SOFT_CHAIN = models.model_from_dict({
     "Y": [0.0, 0.2, -0.1, 0.15],
 })
 
-# Runs on the SOFT_CHAIN file, by output stem (also the status label).
+# Runs on the SOFT_CHAIN file, by output stem (also the status label):
+# (exit code, argv).
 SOFT_CHAIN_RUNS = {
-    "measures_soft_chain_sub": ["measures", "--subsystem", "2,3"],
-    "negativity_soft_chain": ["negativity", "--group1", "2", "--group2", "3"],
-    "measures_soft_chain_whole": ["measures"],
-    "refused_measures_soft_chain_singular_qq": ["measures", "--subsystem", "1,2"],
+    "measures_soft_chain_sub": (0, ["measures", "--subsystem", "2,3"]),
+    "negativity_soft_chain": (0, ["negativity", "--group1", "2", "--group2", "3"]),
+    # Pure by construction: the exact values, without a solve.
+    "measures_soft_chain_whole": (0, ["measures"]),
+    # The qq block of sites 1, 2 fails the kernel's test.
+    "refused_measures_soft_chain_singular_qq": (3, ["measures", "--subsystem", "1,2"]),
 }
 
-# Model files outside each model's domain, by tag, as raw JSON text.
+# Model files outside each model's domain, by tag, as raw JSON text;
+# measures and negativity both refuse each (exit 2).
 BAD_MODELS = {
     "twomode_a_eq_b": '{"variant": "TwoMode", "A": 5.0, "B": 5.0, "C": 1.0}',
     "ghoc_overflow": '{"variant": "TwoModeGeneralized", "X1": 1e308, "X2": 2.0, '
@@ -142,51 +108,58 @@ BAD_MODELS = {
     "ring_n2": '{"variant": "CircularLattice", "N": 2, "k": 0.1, "kappa": 1.0}',
 }
 
-# lattice-size on rings below the certificate's margin (k = 1e-22): the
-# kernel tests every window's qq itself, and every window passes.
-UNCERTIFIED = ["lattice-size", "--k", "1e-22", "--grid", "40:200:2", "--kappas", "1,64"]
-
-# lattice-size on the default grid at k = 5e-22: the stacks of N = 20..220
-# are certified and those of N = 240..500 are not, so the sequence as a
-# whole is not and the kernel tests every window of every size.
-MIXED_CERTIFICATE = ["lattice-size", "--k", "5e-22", "--kappas", "1,64"]
-
-# The two ring sweeps on groups of unequal size, by file stem: no reflection
-# of the ring swaps them, so each window is solved whole.
-WHOLE_WINDOW = {
-    "lattice_size_n1_3_n2_4": ["lattice-size", "--n1", "3", "--n2", "4"],
-    "lattice_d_n1_50_n2_40": ["lattice-d", "--n1", "50", "--n2", "40"],
+# Sweeps beyond the defaults, by status label: (output stem, argv).
+SWEEPS = {
+    # Rings below the certificate's margin (k = 1e-22): the kernel tests
+    # every window's qq itself, and every window passes.
+    "lattice-size uncertified": ("lattice_size_uncertified",
+                                 ["lattice-size", "--k", "1e-22", "--grid", "40:200:2",
+                                  "--kappas", "1,64"]),
+    # The default grid at k = 5e-22: the stacks of N = 20..220 are certified
+    # and those of N = 240..500 are not, so the sequence as a whole is not
+    # and the kernel tests every window of every size.
+    "lattice-size mixed certificate": ("lattice_size_mixed_certificate",
+                                       ["lattice-size", "--k", "5e-22", "--kappas", "1,64"]),
+    # Groups of unequal size, which no reflection of the ring swaps, so both
+    # ring sweeps solve each window whole (every default window splits into
+    # even and odd halves).
+    "lattice_size_n1_3_n2_4": ("lattice_size_n1_3_n2_4",
+                               ["lattice-size", "--n1", "3", "--n2", "4"]),
+    "lattice_d_n1_50_n2_40": ("lattice_d_n1_50_n2_40",
+                              ["lattice-d", "--n1", "50", "--n2", "40"]),
+    # A block of all 40 sites: every rotation and reflection keeps it, so
+    # each split n1 | 40 - n1 shares its class with 40 - n1 | n1, and
+    # 20 | 20 is a mirror split.
+    "lattice-adjacent whole ring": ("lattice_adjacent_whole_ring",
+                                    ["lattice-adjacent", "--N", "40", "--block", "40",
+                                     "--grid", "0:40:41", "--kappas", "1,8"]),
+    # n1 falling from 100 to 0: the splits solved whole reach the kernel
+    # with c = 0, 99, 98, ..., 51, the reverse of the order it solves them in.
+    "lattice-adjacent descending": ("lattice_adjacent_descending",
+                                    ["lattice-adjacent", "--grid", "100:0:101"]),
 }
 
-# lattice-adjacent on a block of all 40 sites of the ring: each split n1 |
-# 40 - n1 shares its class with 40 - n1 | n1, and 20 | 20 is a mirror split.
-WHOLE_RING = ["lattice-adjacent", "--N", "40", "--block", "40", "--grid", "0:40:41",
-              "--kappas", "1,8"]
-
-# lattice-adjacent with n1 falling from 100 to 0: the splits solved whole
-# reach the kernel with c = 0, 99, 98, ..., 51.
-DESCENDING = ["lattice-adjacent", "--grid", "100:0:101"]
-
-# Sweeps that must be refused, by file stem. In the unstable-then-negative
-# one the first kappa is unstable (k = 0), the second invalid, and the first
-# is the one reported; the near-singular window is the whole ring, whose qq
-# fails the kernel's test (exit 3); the two orders print alike as 2.
+# Sweeps that must be refused, by file stem: (exit code, argv).
 REFUSED = {
-    "twomode_equal_ab": ["twomode-sweep", "--A", "5", "--B", "5"],
-    "twomode_equal_ab_inside_disc": ["twomode-sweep", "--A", "5", "--B", "5",
-                                     "--grid", "0:1:2"],
-    "ghoc_overflow": ["ghoc-sweep", "--X1", "1e308", "--Z", "1e308"],
-    "lattice_size_negative_kappa": ["lattice-size", "--kappas", "-1"],
-    "lattice_size_unstable_then_negative_kappa": ["lattice-size", "--k", "0",
-                                                  "--kappas", "1,-1"],
-    "lattice_size_near_singular_window": ["lattice-size", "--k", "1e-22",
-                                          "--grid", "20:20:1", "--kappas", "64"],
-    "twomode_alphas_one_column": ["twomode-sweep", "--grid", "0:1:2",
-                                  "--alphas", "2,2.0000001"],
+    "twomode_equal_ab": (2, ["twomode-sweep", "--A", "5", "--B", "5"]),
+    "twomode_equal_ab_inside_disc": (2, ["twomode-sweep", "--A", "5", "--B", "5",
+                                         "--grid", "0:1:2"]),
+    "ghoc_overflow": (2, ["ghoc-sweep", "--X1", "1e308", "--Z", "1e308"]),
+    "lattice_size_negative_kappa": (2, ["lattice-size", "--kappas", "-1"]),
+    # The first kappa is unstable (k = 0), the second invalid, and the first
+    # is the one reported.
+    "lattice_size_unstable_then_negative_kappa": (3, ["lattice-size", "--k", "0",
+                                                      "--kappas", "1,-1"]),
+    # The window is the whole ring, whose qq fails the kernel's test.
+    "lattice_size_near_singular_window": (3, ["lattice-size", "--k", "1e-22",
+                                              "--grid", "20:20:1", "--kappas", "64"]),
+    # Two orders that print alike.
+    "twomode_alphas_one_column": (2, ["twomode-sweep", "--grid", "0:1:2",
+                                      "--alphas", "2,2.0000001"]),
 }
 
 # A table on which fit-kappa's trial steps overflow kappa**c and the fit
-# gives up (exit 3).
+# gives up (exit 3) with one error line and no numpy warning.
 UNFITTABLE = ("N,kappa,log_negativity,negativity\n"
               + "".join(f"100,{2**j},{e},0\n"
                         for j, e in enumerate([0.9, -0.7, -1.3, -0.6, 0.0, -2.3, -0.2])))
@@ -203,29 +176,107 @@ REFUSALS = {
 
 def subcommands():
     """Names of the subcommands, in the order of the top-level help."""
-    parser = cli.build_parser()
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return list(action.choices)
+    return list(cli._COMMANDS)
 
 
-def run_parser(path, argv):
-    """Write the exit code, stdout and stderr of an argv that argparse ends."""
+def plan(out):
+    """What the dump into directory ``out`` writes: ``(inputs, runs)``.
+
+    ``inputs`` maps each file written before the runs to its model (written
+    by ``save_model``) or its exact text. ``runs`` lists ``(label, argv,
+    output, code)`` in order: the status label, the argv, the output file's
+    name in ``out`` and the exit code. A run labelled None runs the parser
+    alone and gets no status line; its output file records its exit code,
+    standard output and standard error. An argv that starts with
+    ``sys.executable`` runs as its own process in ``out``, its standard
+    output written to the output file. Any other argv goes to ``cli.main``
+    in process and writes its own ``--out`` file.
+    """
+    def path(name):
+        return os.path.join(out, name)
+
+    inputs = {}
+    runs = [(None, ["-h"], "help.txt", 0)]
+    runs += [(None, [command, "-h"], f"help_{command.replace('-', '_')}.txt", 0)
+             for command in subcommands()]
+    runs += [(None, argv, f"refusal_{name}.txt", 2) for name, argv in REFUSALS.items()]
+
+    def add(label, argv, output, code=0):
+        runs.append((label, argv + ["--out", path(output)], output, code))
+
+    formats = (("csv", []), ("json", ["--json"]))
+    for name in ("twomode-sweep", "ghoc-sweep", "lattice-d", "lattice-adjacent",
+                 "lattice-size"):
+        stem = name.replace("-", "_")
+        add(name, [name], f"{stem}.csv")
+        add(f"{name} --json", [name, "--json"], f"{stem}.json")
+    for label, (stem, argv) in SWEEPS.items():
+        add(label, argv, f"{stem}.csv")
+    for kappa in KAPPAS:
+        for ext, flag in formats:
+            add(f"fit-cft {kappa} {ext}",
+                    ["fit-cft", "--in", path("lattice_adjacent.csv"), "--kappa", kappa] + flag,
+                    f"fit_cft_{kappa}.{ext}")
+    for ext, flag in formats:
+        add(f"fit-kappa {ext}", ["fit-kappa", "--in", path("lattice_size.csv")] + flag,
+                f"fit_kappa.{ext}")
+
+    for name, model in MODELS.items():
+        inputs[f"model_{name}.json"] = model
+        on_model = ["--model", path(f"model_{name}.json")]
+        subsets = [("all", []), ("sub", ["--subsystem", "1,2"]), ("all_json", ["--json"])]
+        for tag, subset in SUBSETS.get(name, {}).items():
+            subsets += [(tag, ["--subsystem", subset]),
+                        (f"{tag}_json", ["--subsystem", subset, "--json"])]
+        for tag, extra in subsets:
+            add(f"measures {name} {tag}", ["measures"] + on_model + extra,
+                    f"measures_{name}_{tag}.out")
+        for i, (group1, group2) in enumerate(CUTS[name]):
+            for tag, extra in (("", []), ("_json", ["--json"])):
+                add(f"negativity {name} {i}{tag}",
+                        ["negativity"] + on_model
+                        + ["--group1", group1, "--group2", group2] + extra,
+                        f"negativity_{name}_{i}{tag}.out")
+
+    inputs["model_soft_chain.json"] = SOFT_CHAIN
+    for stem, (code, argv) in SOFT_CHAIN_RUNS.items():
+        add(stem, argv + ["--model", path("model_soft_chain.json")], f"{stem}.out", code)
+    for name, text in BAD_MODELS.items():
+        inputs[f"model_bad_{name}.json"] = text + "\n"
+        on_model = ["--model", path(f"model_bad_{name}.json")]
+        add(f"measures bad {name}", ["measures"] + on_model,
+                f"refused_measures_{name}.out", 2)
+        add(f"negativity bad {name}",
+                ["negativity"] + on_model + ["--group1", "1", "--group2", "2"],
+                f"refused_negativity_{name}.out", 2)
+    for stem, (code, argv) in REFUSED.items():
+        add(f"refused {stem}", argv, f"refused_{stem}.out", code)
+    inputs["fit_kappa_unfittable.csv"] = UNFITTABLE
+    add("refused fit_kappa_unfittable",
+            ["fit-kappa", "--in", path("fit_kappa_unfittable.csv")],
+            "refused_fit_kappa_unfittable.out", 3)
+
+    demos = os.path.join(ROOT, "demos")
+    runs += [(f"demo {script}", [sys.executable, os.path.join(demos, script)],
+              f"demo_{script[:-3]}.txt", 0)
+             for script in sorted(os.listdir(demos)) if script.endswith(".py")]
+    return inputs, runs
+
+
+def run_cli(argv):
+    """Exit code, stdout and stderr of one CLI call in process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def write_text(path, text):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
-
-
-def run(status, label, argv):
-    """Run one CLI command in process; record its exit code and stderr."""
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    status.append(f"{label}: exit {code}\n{err.getvalue()}")
+        fh.write(text)
 
 
 def main(argv=None):
@@ -235,97 +286,30 @@ def main(argv=None):
         return 2
     out = os.path.abspath(args[0])
     os.makedirs(out, exist_ok=True)
-
-    def path(name):
-        return os.path.join(out, name)
-
     os.environ["COLUMNS"] = "80"
-    run_parser(path("help.txt"), ["-h"])
-    for command in subcommands():
-        run_parser(path(f"help_{command.replace('-', '_')}.txt"), [command, "-h"])
-    for name, refused in REFUSALS.items():
-        run_parser(path(f"refusal_{name}.txt"), refused)
-
-    status = []
-    for command in ("twomode-sweep", "ghoc-sweep", "lattice-d", "lattice-adjacent",
-                    "lattice-size"):
-        stem = command.replace("-", "_")
-        run(status, command, [command, "--out", path(f"{stem}.csv")])
-        run(status, f"{command} --json", [command, "--json", "--out", path(f"{stem}.json")])
-    run(status, "lattice-size uncertified", UNCERTIFIED + ["--out",
-                                                           path("lattice_size_uncertified.csv")])
-    run(status, "lattice-size mixed certificate",
-        MIXED_CERTIFICATE + ["--out", path("lattice_size_mixed_certificate.csv")])
-    for stem, argv in WHOLE_WINDOW.items():
-        run(status, stem, argv + ["--out", path(f"{stem}.csv")])
-    run(status, "lattice-adjacent whole ring",
-        WHOLE_RING + ["--out", path("lattice_adjacent_whole_ring.csv")])
-    run(status, "lattice-adjacent descending",
-        DESCENDING + ["--out", path("lattice_adjacent_descending.csv")])
-    for kappa in KAPPAS:
-        for ext, flag in (("csv", []), ("json", ["--json"])):
-            run(status, f"fit-cft {kappa} {ext}",
-                ["fit-cft", "--in", path("lattice_adjacent.csv"), "--kappa", kappa,
-                 "--out", path(f"fit_cft_{kappa}.{ext}")] + flag)
-    for ext, flag in (("csv", []), ("json", ["--json"])):
-        run(status, f"fit-kappa {ext}",
-            ["fit-kappa", "--in", path("lattice_size.csv"),
-             "--out", path(f"fit_kappa.{ext}")] + flag)
-
-    for name, model in MODELS.items():
-        model_file = path(f"model_{name}.json")
-        models.save_model(model, model_file)
-        runs = [("all", []), ("sub", ["--subsystem", "1,2"]), ("all_json", ["--json"])]
-        for tag, subset in SUBSETS.get(name, {}).items():
-            runs += [(tag, ["--subsystem", subset]),
-                     (f"{tag}_json", ["--subsystem", subset, "--json"])]
-        for tag, extra in runs:
-            run(status, f"measures {name} {tag}",
-                ["measures", "--model", model_file,
-                 "--out", path(f"measures_{name}_{tag}.out")] + extra)
-        for i, (group1, group2) in enumerate(CUTS[name]):
-            for tag, extra in (("", []), ("_json", ["--json"])):
-                run(status, f"negativity {name} {i}{tag}",
-                    ["negativity", "--model", model_file, "--group1", group1,
-                     "--group2", group2,
-                     "--out", path(f"negativity_{name}_{i}{tag}.out")] + extra)
-
-    soft_file = path("model_soft_chain.json")
-    models.save_model(SOFT_CHAIN, soft_file)
-    for stem, argv in SOFT_CHAIN_RUNS.items():
-        run(status, stem, argv + ["--model", soft_file, "--out", path(f"{stem}.out")])
-
-    for name, text in BAD_MODELS.items():
-        model_file = path(f"model_bad_{name}.json")
-        with open(model_file, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
-        run(status, f"measures bad {name}",
-            ["measures", "--model", model_file, "--out", path(f"refused_measures_{name}.out")])
-        run(status, f"negativity bad {name}",
-            ["negativity", "--model", model_file, "--group1", "1", "--group2", "2",
-             "--out", path(f"refused_negativity_{name}.out")])
-    for stem, argv in REFUSED.items():
-        run(status, f"refused {stem}", argv + ["--out", path(f"refused_{stem}.out")])
-    with open(path("fit_kappa_unfittable.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(UNFITTABLE)
-    run(status, "refused fit_kappa_unfittable",
-        ["fit-kappa", "--in", path("fit_kappa_unfittable.csv"),
-         "--out", path("refused_fit_kappa_unfittable.out")])
-
     env = dict(os.environ, PYTHONPATH=SRC)
-    demos = os.path.join(ROOT, "demos")
-    for script in sorted(os.listdir(demos)):
-        if not script.endswith(".py"):
-            continue
-        done = subprocess.run([sys.executable, os.path.join(demos, script)],
-                              capture_output=True, env=env, cwd=out)
-        with open(path(f"demo_{script[:-3]}.txt"), "wb") as fh:
-            fh.write(done.stdout)
-        status.append(f"demo {script}: exit {done.returncode}\n"
-                      f"{done.stderr.decode('utf-8', 'replace')}")
 
-    with open(path("status.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(status))
+    inputs, runs = plan(out)
+    for name, content in inputs.items():
+        if isinstance(content, str):
+            write_text(os.path.join(out, name), content)
+        else:
+            models.save_model(content, os.path.join(out, name))
+    status = []
+    for label, argv, output, _ in runs:
+        if argv[:1] == [sys.executable]:
+            done = subprocess.run(argv, capture_output=True, env=env, cwd=out)
+            with open(os.path.join(out, output), "wb") as fh:
+                fh.write(done.stdout)
+            code, err = done.returncode, done.stderr.decode("utf-8", "replace")
+        else:
+            code, stdout, err = run_cli(argv)
+            if label is None:
+                write_text(os.path.join(out, output),
+                           f"exit {code}\n--- stdout\n{stdout}--- stderr\n{err}")
+                continue
+        status.append(f"{label}: exit {code}\n{err}")
+    write_text(os.path.join(out, "status.txt"), "".join(status))
     return 0
 
 
