@@ -88,58 +88,53 @@ def _fit_table(fit, key, value):
 
 
 def _add_alphas(parser):
-    parser.add_argument("--alphas", default=None,
+    parser.add_argument("--alphas",
                         help="comma list of entropy orders (default "
                              + ",".join(f"{a:g}" for a in DEFAULT_ALPHAS) + ")")
 
 
-def _add_common(parser, grid_help, grid_default):
-    parser.add_argument("--grid", default=grid_default, help=grid_help)
-    parser.add_argument("--out", default=None, help="output file (default stdout)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the same rows as JSON records")
-
+# A flag that sets a library keyword is stored under that keyword and states
+# no default: when it is left off, the library's default holds (see _given).
 
 def _add_twomode_sweep(p):
-    p.add_argument("--A", type=float, default=5.0)
-    p.add_argument("--B", type=float, default=20.0)
+    p.add_argument("--A", dest="a", type=float)
+    p.add_argument("--B", dest="b", type=float)
     _add_alphas(p)
-    _add_common(p, "C grid start:stop:steps", "0:19.9:100")
+    p.add_argument("--grid", default="0:19.9:100", help="C grid start:stop:steps")
 
 
 def _add_ghoc_sweep(p):
-    p.add_argument("--X1", type=float, default=2.0)
-    p.add_argument("--X2", type=float, default=2.0)
-    p.add_argument("--Y1", type=float, default=0.0)
-    p.add_argument("--Z", type=float, default=1.0)
+    p.add_argument("--X1", dest="x1", type=float)
+    p.add_argument("--X2", dest="x2", type=float)
+    p.add_argument("--Y1", dest="y1", type=float)
+    p.add_argument("--Z", dest="z", type=float)
     _add_alphas(p)
-    _add_common(p, "Y2 grid start:stop:steps", "0:1.6:100")
+    p.add_argument("--grid", default="0:1.6:100", help="Y2 grid start:stop:steps")
 
 
 def _add_lattice_d(p):
-    p.add_argument("--N", type=int, default=200)
-    p.add_argument("--k", type=float, default=0.1)
-    p.add_argument("--n1", type=int, default=50)
-    p.add_argument("--n2", type=int, default=50)
-    p.add_argument("--kappas", default="1,8,64", help="comma list of spring constants")
-    _add_common(p, "d grid start:stop:steps", "0:100:11")
+    p.add_argument("--N", dest="n", type=int)
+    p.add_argument("--k", type=float)
+    p.add_argument("--n1", type=int)
+    p.add_argument("--n2", type=int)
+    p.add_argument("--kappas", help="comma list of spring constants")
+    p.add_argument("--grid", default="0:100:11", help="d grid start:stop:steps")
 
 
 def _add_lattice_adjacent(p):
-    p.add_argument("--N", type=int, default=200)
-    p.add_argument("--k", type=float, default=1e-4)
-    p.add_argument("--block", type=int, default=100,
-                   help="size of the split block (must fit the ring)")
-    p.add_argument("--kappas", default="1,2,4,8,16,32,64")
-    _add_common(p, "n1 grid start:stop:steps", "0:100:101")
+    p.add_argument("--N", dest="n", type=int)
+    p.add_argument("--k", type=float)
+    p.add_argument("--block", type=int, help="size of the split block (must fit the ring)")
+    p.add_argument("--kappas")
+    p.add_argument("--grid", default="0:100:101", help="n1 grid start:stop:steps")
 
 
 def _add_lattice_size(p):
-    p.add_argument("--k", type=float, default=0.1)
-    p.add_argument("--n1", type=int, default=10)
-    p.add_argument("--n2", type=int, default=10)
-    p.add_argument("--kappas", default="1,2,4,8,16,32,64")
-    _add_common(p, "N grid start:stop:steps", "20:500:25")
+    p.add_argument("--k", type=float)
+    p.add_argument("--n1", type=int)
+    p.add_argument("--n2", type=int)
+    p.add_argument("--kappas")
+    p.add_argument("--grid", default="20:500:25", help="N grid start:stop:steps")
 
 
 def _add_fit_cft(p):
@@ -147,9 +142,7 @@ def _add_fit_cft(p):
                    help="CSV written by lattice-adjacent")
     p.add_argument("--kappa", type=float, required=True,
                    help="which kappa rows to fit")
-    p.add_argument("--block", type=int, default=100)
-    p.add_argument("--out", default=None)
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--block", type=int)
 
 
 def _add_fit_kappa(p):
@@ -157,8 +150,6 @@ def _add_fit_kappa(p):
                    help="CSV written by lattice-size")
     p.add_argument("--N", type=float, default=None,
                    help="which N rows to fit (default: the largest present)")
-    p.add_argument("--out", default=None)
-    p.add_argument("--json", action="store_true")
 
 
 def _add_measures(p):
@@ -167,16 +158,12 @@ def _add_measures(p):
                    help="comma list of 1-based oscillator indices "
                         "(default: the whole system)")
     _add_alphas(p)
-    p.add_argument("--out", default=None)
-    p.add_argument("--json", action="store_true")
 
 
 def _add_negativity(p):
     p.add_argument("--model", required=True, help="JSON model file")
     p.add_argument("--group1", required=True, help="comma list of 1-based indices")
     p.add_argument("--group2", required=True, help="comma list of 1-based indices")
-    p.add_argument("--out", default=None)
-    p.add_argument("--json", action="store_true")
 
 
 # Every subcommand, in help order: name -> (help text, adds its arguments).
@@ -211,7 +198,11 @@ def build_parser(command=None):
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments) in _COMMANDS.items():
         if command in (None, name):
-            add_arguments(sub.add_parser(name, help=help_text))
+            p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+            add_arguments(p)
+            p.add_argument("--out", default=None, help="output file (default stdout)")
+            p.add_argument("--json", action="store_true", default=False,
+                           help="emit the same rows as JSON records")
     return parser
 
 
@@ -228,10 +219,16 @@ def _parse_args(argv):
     return args
 
 
-def _alphas_from(args):
-    if args.alphas is None:
-        return DEFAULT_ALPHAS
-    return _parse_floats(args.alphas, "--alphas")
+def _given(args, *cli_only):
+    """The flags of ``args`` that the user gave, by library keyword, with
+    --kappas and --alphas parsed; leaves out the command, the flags that
+    every command has and ``cli_only``."""
+    skip = ("command", "grid", "out", "json") + cli_only
+    given = {key: value for key, value in vars(args).items() if key not in skip}
+    for key in ("kappas", "alphas"):
+        if key in given:
+            given[key] = _parse_floats(given[key], f"--{key}")
+    return given
 
 
 def _unit_action_state(path):
@@ -241,24 +238,18 @@ def _unit_action_state(path):
 
 def _run(args):
     if args.command == "twomode-sweep":
-        table = experiments.sweep_two_mode_coupling(
-            _parse_grid(args.grid), a=args.A, b=args.B, alphas=_alphas_from(args))
+        table = experiments.sweep_two_mode_coupling(_parse_grid(args.grid), **_given(args))
     elif args.command == "ghoc-sweep":
-        table = experiments.sweep_ghoc_y2(
-            _parse_grid(args.grid), x1=args.X1, x2=args.X2, y1=args.Y1,
-            z=args.Z, alphas=_alphas_from(args))
+        table = experiments.sweep_ghoc_y2(_parse_grid(args.grid), **_given(args))
     elif args.command == "lattice-d":
         table = experiments.lattice_disjoint_sweep(
-            _parse_int_grid(args.grid, "d"), kappas=_parse_floats(args.kappas, "--kappas"),
-            n=args.N, k=args.k, n1=args.n1, n2=args.n2)
+            _parse_int_grid(args.grid, "d"), **_given(args))
     elif args.command == "lattice-adjacent":
         table = experiments.lattice_adjacent_sweep(
-            _parse_int_grid(args.grid, "n1"), kappas=_parse_floats(args.kappas, "--kappas"),
-            n=args.N, k=args.k, block=args.block)
+            _parse_int_grid(args.grid, "n1"), **_given(args))
     elif args.command == "lattice-size":
         table = experiments.lattice_size_sweep(
-            _parse_int_grid(args.grid, "N"), kappas=_parse_floats(args.kappas, "--kappas"),
-            k=args.k, n1=args.n1, n2=args.n2)
+            _parse_int_grid(args.grid, "N"), **_given(args))
     elif args.command == "fit-cft":
         table = experiments.read_sweep_csv(args.infile)
         pick = table.column("kappa") == args.kappa
@@ -266,7 +257,7 @@ def _run(args):
             raise ValueError(f"no rows with kappa = {args.kappa} in {args.infile}")
         fit = experiments.fit_adjacent_cft(
             table.column("n1")[pick], table.column("log_negativity")[pick],
-            block=args.block)
+            **_given(args, "infile", "kappa"))
         table = _fit_table(fit, "kappa", args.kappa)
     elif args.command == "fit-kappa":
         table = experiments.read_sweep_csv(args.infile)
@@ -283,13 +274,11 @@ def _run(args):
         n = cov.n_modes
         indices = range(n) if args.subsystem is None else _parse_indices(args.subsystem, n)
         label = "+".join(str(i + 1) for i in sorted(set(indices)))
-        alphas = _alphas_from(args)
-        columns = ["subsystem", "purity", "linear_entropy", "von_neumann"]
-        columns += experiments._order_columns(alphas)
+        alphas = _given(args, "model", "subsystem").get("alphas", DEFAULT_ALPHAS)
+        columns = ("subsystem", *experiments._report_columns(alphas))
         report = measure_report(reduce_modes(cov, indices), alphas=alphas, label=label)
-        row = (label, report.purity, report.linear_entropy, report.von_neumann,
-               *experiments._order_cells(report, alphas))
-        table = experiments.SweepTable(tuple(columns), (row,))
+        table = experiments.SweepTable(
+            columns, ((label, *experiments._report_cells(report, alphas)),))
     elif args.command == "negativity":
         cov = _unit_action_state(args.model)
         n = cov.n_modes

@@ -116,13 +116,14 @@ def _floats(values, name):
     return values
 
 
-def _order_columns(alphas):
-    """Columns mu_<alpha>, tsallis_<alpha> and renyi_<alpha> per order, in order.
+def _report_columns(alphas):
+    """Columns of a measure row: purity, linear_entropy, von_neumann, then
+    mu_<alpha>, tsallis_<alpha> and renyi_<alpha> per order, in order.
 
     Orders whose names (six significant digits) coincide raise ValueError.
     """
-    columns, orders = [], {}   # orders: column tag -> the order it names
-    for alpha in alphas:
+    columns, orders = ["purity", "linear_entropy", "von_neumann"], {}
+    for alpha in alphas:   # orders: column tag -> the order it names
         tag = f"{alpha:g}"
         if tag in orders:
             if orders[tag] == alpha:
@@ -134,9 +135,9 @@ def _order_columns(alphas):
     return columns
 
 
-def _order_cells(report, alphas):
-    """The cells under _order_columns(alphas): mu, Tsallis and Renyi per order."""
-    cells = []
+def _report_cells(report, alphas):
+    """The cells of ``report`` under _report_columns(alphas)."""
+    cells = [report.purity, report.linear_entropy, report.von_neumann]
     for alpha in alphas:
         fam = report.families[alpha]
         cells += [fam.purity, fam.tsallis, fam.renyi]
@@ -150,15 +151,13 @@ def _first_oscillator_sweep(name, grid, model_at, alphas):
     point is evaluated.
     """
     alphas = tuple(_floats(alphas, "alphas"))
-    columns = [name, "sigma", "purity", "linear_entropy", "von_neumann"]
-    columns += _order_columns(alphas)
+    columns = (name, "sigma", *_report_columns(alphas))
     rows = []
     for x in grid:
         cov = classical_covariance(normal_modes(model_at(x)), np.ones(2))
         report = measure_report(reduce_modes(cov, [0]), alphas)
-        rows.append((x, float(report.sigma[0]), report.purity, report.linear_entropy,
-                     report.von_neumann, *_order_cells(report, alphas)))
-    return SweepTable(tuple(columns), tuple(rows))
+        rows.append((x, float(report.sigma[0]), *_report_cells(report, alphas)))
+    return SweepTable(columns, tuple(rows))
 
 
 def sweep_two_mode_coupling(c_grid, a=5.0, b=20.0, alphas=DEFAULT_ALPHAS):
@@ -248,6 +247,7 @@ def lattice_adjacent_sweep(n1_grid, kappas=DEFAULT_KAPPAS, n=200, k=1e-4,
     """
     n1_grid = [int(n1) for n1 in n1_grid]
     kappas = _floats(kappas, "kappas")
+    _check_ring(n, block=block)
     if block > n:
         raise ValueError(f"block of {block} sites does not fit a ring of {n}")
     for n1 in n1_grid:

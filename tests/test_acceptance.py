@@ -8,7 +8,6 @@ criterion scoreboard.
 import time
 
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
 from oscent.covariance import (

@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oscent import cli, experiments
-from oscent.cli import _parse_floats, build_parser, main
+from oscent.cli import build_parser, main
 from oscent.experiments import SweepTable, read_sweep_csv, saturation_curve
 from oscent.measures import DEFAULT_ALPHAS
 from oscent.models import TwoMode, GeneralizedChain, save_model
@@ -49,37 +49,6 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-# --- defaults ---------------------------------------------------------------
-
-# (argv, library function, {flag attribute: parameter}) for every default that
-# the parser and the library's signature both write down.
-SHARED_DEFAULTS = [
-    (["twomode-sweep"], experiments.sweep_two_mode_coupling, {"A": "a", "B": "b"}),
-    (["ghoc-sweep"], experiments.sweep_ghoc_y2,
-     {"X1": "x1", "X2": "x2", "Y1": "y1", "Z": "z"}),
-    (["lattice-d"], experiments.lattice_disjoint_sweep,
-     {"N": "n", "k": "k", "n1": "n1", "n2": "n2", "kappas": "kappas"}),
-    (["lattice-adjacent"], experiments.lattice_adjacent_sweep,
-     {"N": "n", "k": "k", "block": "block", "kappas": "kappas"}),
-    (["lattice-size"], experiments.lattice_size_sweep,
-     {"k": "k", "n1": "n1", "n2": "n2", "kappas": "kappas"}),
-    (["fit-cft", "--in", "adj.csv", "--kappa", "4"], experiments.fit_adjacent_cft,
-     {"block": "block"}),
-]
-DEFAULT_CASES = [(argv, fn, flag, param) for argv, fn, pairs in SHARED_DEFAULTS
-                 for flag, param in pairs.items()]
-
-
-@pytest.mark.parametrize("argv, fn, flag, param", DEFAULT_CASES,
-                         ids=[f"{argv[0]}--{flag}" for argv, _, flag, _ in DEFAULT_CASES])
-def test_cli_and_library_share_their_defaults(argv, fn, flag, param):
-    value = getattr(build_parser().parse_args(argv), flag)
-    if flag == "kappas":
-        value = _parse_floats(value, "--kappas")
-    default = inspect.signature(fn).parameters[param].default
-    assert value == default and type(value) is type(default)
 
 
 # --- the parser -------------------------------------------------------------
@@ -172,6 +141,49 @@ def test_argparse_refusals_are_the_full_parsers(argv, monkeypatch, capsys):
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr() == ("", want)
+
+
+# --- forwarding to the library ---------------------------------------------
+
+# Per command that forwards flags: the library function it calls, and the
+# keywords that EVERY_FLAG's values must arrive as, with their parsed types.
+FORWARDED = {
+    "twomode-sweep": ("sweep_two_mode_coupling", {"a": 1.0, "b": 2.0, "alphas": (2.0, 3.0)}),
+    "ghoc-sweep": ("sweep_ghoc_y2",
+                   {"x1": 1.0, "x2": 3.0, "y1": 0.5, "z": 2.0, "alphas": (2.0,)}),
+    "lattice-d": ("lattice_disjoint_sweep",
+                  {"n": 40, "k": 0.2, "n1": 5, "n2": 6, "kappas": (1.0, 2.0)}),
+    "lattice-adjacent": ("lattice_adjacent_sweep",
+                         {"n": 40, "k": 0.2, "block": 20, "kappas": (1.0,)}),
+    "lattice-size": ("lattice_size_sweep", {"k": 0.2, "n1": 5, "n2": 4, "kappas": (1.0,)}),
+    "fit-cft": ("fit_adjacent_cft", {"block": 50}),
+}
+
+
+@pytest.mark.parametrize("flags", [REQUIRED, EVERY_FLAG], ids=["defaults", "every-flag"])
+@pytest.mark.parametrize("command", list(FORWARDED))
+def test_flags_reach_the_library_as_its_keywords(command, flags, tmp_path, monkeypatch):
+    # A flag left off passes no keyword, so the library's default holds; a
+    # flag given arrives as its keyword, parsed, and none is dropped.
+    name, every = FORWARDED[command]
+    fn = getattr(experiments, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        inspect.signature(fn).bind(*args, **kwargs)
+        if name == "fit_adjacent_cft":
+            return experiments.FitResult({"b1": 1.0, "b2": 0.0}, 0.0, ())
+        return SweepTable(("x",), ((1.0,),))
+
+    monkeypatch.setattr(experiments, name, spy)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adj.csv").write_text("n1,kappa,log_negativity\n1,4,0.5\n")
+    argv = [command] + flags[command]
+    assert main(argv) == 0
+    want = every if flags is EVERY_FLAG else {}
+    assert calls == [want]
+    assert {k: type(v) for k, v in calls[0].items()} == {k: type(v) for k, v in want.items()}
 
 
 # --- happy paths ------------------------------------------------------------
@@ -725,18 +737,17 @@ def test_ring_of_fewer_than_three_sites_exits_two(n, capsys):
     assert "field 'N'" in err
 
 
-@pytest.mark.parametrize("flag", ["--n1", "--n2"])
-def test_negative_window_on_lattice_d_exits_two(flag, capsys):
-    code, out, err = run(["lattice-d", flag, "-5", "--grid", "0:0:1"], capsys)
-    assert code == 2 and out == "" and one_error_line(err)
-    assert f"{flag[2:]} = -5" in err
-
-
-@pytest.mark.parametrize("flag", ["--n1", "--n2"])
-def test_negative_window_on_lattice_size_exits_two(flag, capsys):
-    code, out, err = run(["lattice-size", flag, "-5", "--grid", "20:20:1"], capsys)
-    assert code == 2 and out == "" and one_error_line(err)
-    assert f"{flag[2:]} = -5" in err
+@pytest.mark.parametrize("argv", [
+    ["lattice-d", "--n1", "-5", "--grid", "0:0:1"],
+    ["lattice-d", "--n2", "-5", "--grid", "0:0:1"],
+    ["lattice-size", "--n1", "-5", "--grid", "20:20:1"],
+    ["lattice-size", "--n2", "-5", "--grid", "20:20:1"],
+    ["lattice-adjacent", "--block", "-5", "--grid", "0:0:1"],
+], ids=lambda argv: f"{argv[0]}{argv[1]}")
+def test_negative_window_exits_two(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {argv[1][2:]} = -5: a window cannot have negative size\n"
 
 
 def test_empty_window_is_still_a_group(capsys):

@@ -31,7 +31,6 @@ from oscent.models import (
     CircularLattice,
     GeneralizedChain,
     TwoMode,
-    TwoModeGeneralized,
     m_matrix,
     normal_modes,
     two_mode_angles,

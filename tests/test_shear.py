@@ -9,7 +9,6 @@ the general symplectic route, which undoes nothing.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal

@@ -29,9 +29,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 sys.path.insert(0, SRC)
 
-from oscent import cli, models  # noqa: E402
+from oscent import cli, experiments, models  # noqa: E402
 
-KAPPAS = ("1", "2", "4", "8", "16", "32", "64")
+KAPPAS = tuple(f"{k:g}" for k in experiments.DEFAULT_KAPPAS)
 
 
 def qp_chain(n=12, seed=12):
