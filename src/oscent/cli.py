@@ -19,7 +19,8 @@ import numpy as np
 
 from . import experiments
 from .covariance import Bipartition, classical_covariance, reduce_modes
-from .errors import IndexOutOfRangeError, OscentInputError, OscentNumericalError
+from .errors import (IndexOutOfRangeError, OscentInputError, OscentNumericalError,
+                     OverlappingGroupsError)
 from .measures import DEFAULT_ALPHAS, measure_report
 from .models import load_model, normal_modes
 from .negativity import log_negativity
@@ -282,7 +283,11 @@ def _run(args):
     elif args.command == "negativity":
         cov = _unit_action_state(args.model)
         n = cov.n_modes
-        part = Bipartition(_parse_indices(args.group1, n), _parse_indices(args.group2, n))
+        group1, group2 = _parse_indices(args.group1, n), _parse_indices(args.group2, n)
+        common = sorted(i + 1 for i in set(group1) & set(group2))
+        if common:   # named as typed, 1-based
+            raise OverlappingGroupsError(f"groups share oscillators {common}")
+        part = Bipartition(group1, group2)
         res = log_negativity(cov, part)
         table = experiments.SweepTable(
             ("group1", "group2", "log_negativity", "negativity"),

@@ -7,6 +7,7 @@ byte-identical CSV files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -186,32 +187,44 @@ def sweep_ghoc_y2(y2_grid, x1=2.0, x2=2.0, y1=0.0, z=1.0, alphas=DEFAULT_ALPHAS)
                                    alphas)
 
 
-def _ring_rows(keys, partitions, kappas, n, k):
-    """Rows (key, kappa, E_N, N) on the ring (n, k): key outer, kappa inner.
+def _ring_table(name, keys, kappas, stacks, partitions):
+    """The table (name, kappa, log_negativity, negativity) of a ring sweep,
+    one row per (key, kappa) of itertools.product(keys, kappas).
 
-    ``partitions[i]`` belongs to ``keys[i]``. The states at all kappas form
-    one stack, across which stacked_log_negativities solves one partition
-    per symmetry class.
+    ``stacked_log_negativities(stacks, partitions)`` gives ``results[i][s]``,
+    partition i in state s; read partition outer, state inner, they follow
+    that product. No stacks (an empty grid of ring sizes) give no rows.
     """
+    results = stacked_log_negativities(stacks, partitions) if stacks else []
+    cells = itertools.chain.from_iterable(results)
+    rows = tuple((float(key), kappa, res.log_negativity, res.negativity)
+                 for (key, kappa), res in zip(itertools.product(keys, kappas), cells))
+    return SweepTable((name, "kappa", "log_negativity", "negativity"), rows)
+
+
+def _kappa_stack(n, k, kappas):
+    """The ring (n, k) at every kappa as one stack of states."""
     # A generator: each ring is built just before its stability test, so the
     # first bad kappa in list order is reported, invalid or unstable.
-    states = RingCovariance(CircularLattice(n, k, kappa) for kappa in kappas)
-    return [(float(key), kappa, res.log_negativity, res.negativity)
-            for key, per_state in zip(keys, stacked_log_negativities(states, partitions))
-            for kappa, res in zip(kappas, per_state)]
+    return RingCovariance(CircularLattice(n, k, kappa) for kappa in kappas)
 
 
 def _ring_group(start, count, n):
     return tuple(int((start + j) % n) for j in range(count))
 
 
-def _check_ring(n, **windows):
-    """Refuse a ring of fewer than 3 sites or a window of negative size
-    before any group is built; a window of 0 sites is an empty group."""
-    CircularLattice(n, 0.0, 0.0)
+def _check_windows(**windows):
+    """Refuse a window of negative size; a window of 0 sites is an empty group."""
     for name, size in windows.items():
         if size < 0:
             raise ValueError(f"{name} = {size}: a window cannot have negative size")
+
+
+def _check_ring(n, **windows):
+    """Refuse a ring of fewer than 3 sites or a window of negative size
+    before any group is built."""
+    CircularLattice(n, 0.0, 0.0)
+    _check_windows(**windows)
 
 
 def lattice_disjoint_sweep(d_grid, kappas=(1.0, 8.0, 64.0), n=200, k=0.1,
@@ -233,8 +246,7 @@ def lattice_disjoint_sweep(d_grid, kappas=(1.0, 8.0, 64.0), n=200, k=0.1,
                 f"separation d = {d} makes the windows overlap"
             )
         parts.append(Bipartition(group1, group2))
-    rows = _ring_rows(d_grid, parts, kappas, n, k)
-    return SweepTable(("d", "kappa", "log_negativity", "negativity"), tuple(rows))
+    return _ring_table("d", d_grid, kappas, [_kappa_stack(n, k, kappas)], parts)
 
 
 def lattice_adjacent_sweep(n1_grid, kappas=DEFAULT_KAPPAS, n=200, k=1e-4,
@@ -254,8 +266,7 @@ def lattice_adjacent_sweep(n1_grid, kappas=DEFAULT_KAPPAS, n=200, k=1e-4,
         if n1 < 0 or n1 > block:
             raise ValueError(f"n1 = {n1} outside [0, {block}]")
     parts = [Bipartition(tuple(range(n1)), tuple(range(n1, block))) for n1 in n1_grid]
-    rows = _ring_rows(n1_grid, parts, kappas, n, k)
-    return SweepTable(("n1", "kappa", "log_negativity", "negativity"), tuple(rows))
+    return _ring_table("n1", n1_grid, kappas, [_kappa_stack(n, k, kappas)], parts)
 
 
 def lattice_size_sweep(n_grid, kappas=DEFAULT_KAPPAS, k=0.1, n1=10, n2=10):
@@ -273,13 +284,8 @@ def lattice_size_sweep(n_grid, kappas=DEFAULT_KAPPAS, k=0.1, n1=10, n2=10):
         if n < n1 + n2:
             raise ValueError(f"N = {n} cannot hold two windows of {n1} and {n2}")
     part = Bipartition(tuple(range(n1)), tuple(range(n1, n1 + n2)))
-    stacks = [RingCovariance(CircularLattice(n, k, kappa) for kappa in kappas)
-              for n in n_grid]  # generators, as in _ring_rows
-    per_state = stacked_log_negativities(stacks, [part])[0] if stacks else []
-    keys = [(n, kappa) for n in n_grid for kappa in kappas]
-    rows = [(float(n), kappa, res.log_negativity, res.negativity)
-            for (n, kappa), res in zip(keys, per_state)]
-    return SweepTable(("N", "kappa", "log_negativity", "negativity"), tuple(rows))
+    stacks = [_kappa_stack(n, k, kappas) for n in n_grid]
+    return _ring_table("N", n_grid, kappas, stacks, [part])
 
 
 def _require_finite(e, key, keys):
@@ -298,6 +304,7 @@ def fit_adjacent_cft(n1_values, e_values, block=100):
     points are required. An n1 outside [0, block] (or NaN) belongs to
     another block size and raises ValueError, as does a non-finite E_N.
     """
+    _check_windows(block=block)
     n1 = np.asarray(n1_values, dtype=float)
     e = np.asarray(e_values, dtype=float)
     if n1.size != e.size:

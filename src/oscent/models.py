@@ -376,7 +376,9 @@ def model_from_dict(data):
 
 
 def _model_fields(model):
-    # The model file's fields in order, arrays as C-contiguous float arrays.
+    # The model file's fields in order: numpy scalars as the Python numbers
+    # they hold (a float32 is not written in float32's short form), arrays
+    # as C-contiguous float64 arrays (orjson refuses any other order).
     if not isinstance(model, _MODEL_TYPES):
         raise InvalidModelError(f"unknown model type {type(model).__name__}")
     doc = {"variant": type(model).__name__}
@@ -409,51 +411,16 @@ def load_model(path):
     return model_from_dict(data)
 
 
-def _number_row(row, separator):
-    # The numbers of a 1-D float array joined by ``separator``, each as
-    # repr writes it. orjson writes repr's text for 0 and for 1e-4 <= |x| <
-    # 1e16, where repr uses no exponent; a row with any other number takes
-    # json's C encoder.
+def save_model(model, path):
+    """Write ``model`` as a JSON model file: orjson's indent-2 layout, fields
+    in declaration order after ``variant``, and a trailing newline.
+
+    The whole file is encoded before it is opened, so a model orjson cannot
+    encode raises TypeError and leaves an existing file unchanged.
+    """
     import orjson  # here, not at the top, as in load_model
 
-    magnitude = np.abs(row)
-    if np.all((magnitude == 0.0) | ((magnitude >= 1e-4) & (magnitude < 1e16))):
-        return orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].replace(
-            b",", separator.encode("ascii"))
-    return json.dumps(row.tolist(), separators=(separator, ": "))[1:-1].encode("ascii")
-
-
-def _encode_indented(out, value, pad):
-    # Append value laid out as json.JSONEncoder(indent=2) lays it out; pad is
-    # the newline and indent of the line value starts on. That encoder runs
-    # in pure Python whenever indent is set, so each row of numbers here is
-    # one call to a C encoder (_number_row), taken straight from its array;
-    # the arrays of a model are never empty.
-    inner = pad + "  "
-    if isinstance(value, dict) and value:
-        for i, (key, item) in enumerate(value.items()):
-            out += f"{',' if i else '{'}{inner}{json.dumps(key)}: ".encode("ascii")
-            _encode_indented(out, item, inner)
-        out += f"{pad}}}".encode("ascii")
-    elif isinstance(value, np.ndarray) and value.ndim == 2:
-        for i, row in enumerate(value):
-            out += f"{',' if i else '['}{inner}".encode("ascii")
-            _encode_indented(out, row, inner)
-        out += f"{pad}]".encode("ascii")
-    elif isinstance(value, np.ndarray) and value.ndim == 1:
-        out += f"[{inner}".encode("ascii") + _number_row(value, "," + inner)
-        out += f"{pad}]".encode("ascii")
-    else:
-        out += json.dumps(value).encode("ascii")
-
-
-def save_model(model, path):
-    # The whole file is encoded before it is opened, so a value json cannot
-    # encode raises and leaves an existing file unchanged. A bytearray holds
-    # the ASCII text at one byte a character; one joined str of the whole
-    # file would peak about 7 MiB higher on a 300-site chain.
-    data = bytearray()
-    _encode_indented(data, _model_fields(model), "\n")
-    data += b"\n"
+    data = orjson.dumps(_model_fields(model),
+                        option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY) + b"\n"
     with open(path, "wb") as fh:
         fh.write(data)

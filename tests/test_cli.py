@@ -501,6 +501,14 @@ def test_overlapping_groups(chain_file, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_overlapping_groups_are_named_as_typed(two_mode_file, capsys):
+    # Indices on the command line are 1-based, and so is the refusal.
+    code, out, err = run(["negativity", "--model", two_mode_file,
+                          "--group1", "1", "--group2", "1,2"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: groups share oscillators [1]\n"
+
+
 def test_zero_index_rejected(chain_file, capsys):
     code, _, err = run(["negativity", "--model", chain_file,
                         "--group1", "0", "--group2", "2"], capsys)
@@ -748,6 +756,17 @@ def test_negative_window_exits_two(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert err == f"error: {argv[1][2:]} = -5: a window cannot have negative size\n"
+
+
+def test_fit_cft_refuses_a_negative_block(tmp_path, capsys):
+    # Before the rows are read against it: they fit no block of -1 sites.
+    path = tmp_path / "adj.csv"
+    assert main(["lattice-adjacent", "--N", "20", "--block", "10", "--kappas", "4",
+                 "--grid", "0:10:11", "--out", str(path)]) == 0
+    code, out, err = run(["fit-cft", "--in", str(path), "--kappa", "4", "--block", "-1"],
+                         capsys)
+    assert code == 2 and out == ""
+    assert err == "error: block = -1: a window cannot have negative size\n"
 
 
 def test_empty_window_is_still_a_group(capsys):

@@ -497,25 +497,38 @@ def test_model_round_trip_all_variants(tmp_path):
             assert loaded == model
 
 
-PINNED_MODEL_FILES = [
-    (TwoMode(A=5.0, B=20.0, C=10.0),
-     '{\n  "variant": "TwoMode",\n  "A": 5.0,\n  "B": 20.0,\n  "C": 10.0\n}\n'),
-    (TwoModeGeneralized(X1=2.0, X2=2.5, Y1=0.0, Y2=-0.25, Z=1.0),
-     '{\n  "variant": "TwoModeGeneralized",\n  "X1": 2.0,\n  "X2": 2.5,\n'
-     '  "Y1": 0.0,\n  "Y2": -0.25,\n  "Z": 1.0\n}\n'),
+PINNED_MODEL_FILES = {
+    "TwoMode": (
+        TwoMode(A=5.0, B=20.0, C=10.0),
+        '{\n  "variant": "TwoMode",\n  "A": 5.0,\n  "B": 20.0,\n  "C": 10.0\n}\n'),
+    "TwoModeGeneralized": (
+        TwoModeGeneralized(X1=2.0, X2=2.5, Y1=0.0, Y2=-0.25, Z=1.0),
+        '{\n  "variant": "TwoModeGeneralized",\n  "X1": 2.0,\n  "X2": 2.5,\n'
+        '  "Y1": 0.0,\n  "Y2": -0.25,\n  "Z": 1.0\n}\n'),
     # Integer arrays are written as float lists.
-    (GeneralizedChain(K=np.array([[2, -1], [-1, 3]]), Y=np.array([0, 1])),
-     '{\n  "variant": "GeneralizedChain",\n  "K": [\n    [\n      2.0,\n      -1.0\n'
-     '    ],\n    [\n      -1.0,\n      3.0\n    ]\n  ],\n  "Y": [\n    0.0,\n'
-     '    1.0\n  ]\n}\n'),
+    "GeneralizedChain": (
+        GeneralizedChain(K=np.array([[2, -1], [-1, 3]]), Y=np.array([0, 1])),
+        '{\n  "variant": "GeneralizedChain",\n  "K": [\n    [\n      2.0,\n      -1.0\n'
+        '    ],\n    [\n      -1.0,\n      3.0\n    ]\n  ],\n  "Y": [\n    0.0,\n'
+        '    1.0\n  ]\n}\n'),
     # A numpy integer N is written as a plain JSON integer.
-    (CircularLattice(N=np.int64(6), k=0.1, kappa=2.0),
-     '{\n  "variant": "CircularLattice",\n  "N": 6,\n  "k": 0.1,\n  "kappa": 2.0\n}\n'),
-]
+    "CircularLattice": (
+        CircularLattice(N=np.int64(6), k=0.1, kappa=2.0),
+        '{\n  "variant": "CircularLattice",\n  "N": 6,\n  "k": 0.1,\n  "kappa": 2.0\n}\n'),
+    # Outside 1e-4 <= |x| < 1e16 a number is spelled as orjson spells it, not
+    # as repr does (1e+22, 7.274058797024363e-06, 1.6761404080356535e-05).
+    "orjson_spelling": (
+        GeneralizedChain(K=np.array([[1e22, 7.274058797024363e-06],
+                                     [7.274058797024363e-06, 2.0]]),
+                         Y=np.array([5e-324, 1.6761404080356535e-05])),
+        '{\n  "variant": "GeneralizedChain",\n  "K": [\n    [\n      1e22,\n'
+        '      7.274058797024363e-6\n    ],\n    [\n      7.274058797024363e-6,\n'
+        '      2.0\n    ]\n  ],\n  "Y": [\n    5e-324,\n    0.000016761404080356535\n'
+        '  ]\n}\n'),
+}
 
 
-@pytest.mark.parametrize("model,text", PINNED_MODEL_FILES,
-                         ids=[type(m).__name__ for m, _ in PINNED_MODEL_FILES])
+@pytest.mark.parametrize("model,text", PINNED_MODEL_FILES.values(), ids=PINNED_MODEL_FILES)
 def test_saved_model_file_layout_is_pinned(tmp_path, model, text):
     # Key order, 2-space indent and the trailing newline are part of the format.
     path = tmp_path / "model.json"
@@ -540,8 +553,18 @@ def test_unencodable_model_leaves_an_existing_file_unchanged(tmp_path):
     path = tmp_path / "model.json"
     save_model(TwoMode(A=5.0, B=20.0, C=10.0), path)
     before = path.read_bytes()
-    with pytest.raises(TypeError, match="ndarray"):
+    with pytest.raises(TypeError, match="unsupported datatype in numpy array"):
         save_model(TwoMode(np.array(5.0), 20.0, 10.0), path)
+    assert path.read_bytes() == before
+
+
+def test_ring_size_beyond_64_bits_is_refused_when_saved(tmp_path):
+    # load_model could not read it back: it reads such an N as a float.
+    path = tmp_path / "model.json"
+    save_model(TwoMode(A=5.0, B=20.0, C=10.0), path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError, match="Integer exceeds 64-bit range"):
+        save_model(CircularLattice(N=2**64, k=0.1, kappa=1.0), path)
     assert path.read_bytes() == before
 
 
@@ -611,13 +634,19 @@ def test_load_model_refuses_a_byte_order_mark(tmp_path):
 
 # --- model files against the standard library --------------------------------
 #
-# save_model encodes each list of numbers with json's C encoder and load_model
-# parses with orjson; the references below are the stdlib routes they replace.
+# save_model encodes with orjson and load_model parses with orjson; the
+# references below are the standard library's indent=2 layout and parser.
 
 def indent2_oracle(model):
     """The model file as json's pure-Python encoder writes it at indent=2."""
     return "".join(json.JSONEncoder(indent=2).iterencode(model_to_dict(model))).encode(
         "ascii") + b"\n"
+
+
+def numbers_masked(text):
+    """``text`` with every number replaced by one placeholder: in the indent=2
+    layout each number follows a space or a newline, and no key does."""
+    return re.sub(rb"(?<=\s)-?[0-9][0-9.eE+-]*", b"#", text)
 
 
 def field_bits(model):
@@ -633,8 +662,8 @@ def field_bits(model):
     return bits
 
 
-# 1e-4 and 1e16 bound the range where save_model's rows take orjson: repr
-# writes the doubles just below 1e-4, and 1e16 itself, with an exponent.
+# 1e-4 and 1e16 bound the range where orjson writes repr's text: the two
+# spell the doubles just below 1e-4, and 1e16 itself, differently.
 EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
                 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e-300, 1e22, 1e23,
                 1e-4, float(np.nextafter(1e-4, 0.0)), float(np.nextafter(1e16, 0.0)), 1e16]
@@ -674,11 +703,14 @@ def model_strategy(draw):
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(model=model_strategy())
 def test_model_files_match_the_stdlib_encoder_and_decoder(tmp_path_factory, model):
+    # The layout is json's indent=2 layout, numbers aside (orjson spells an
+    # exponent its own way), and both parsers read back every field's bits.
     path = tmp_path_factory.mktemp("model") / "model.json"
     save_model(model, path)
-    assert path.read_bytes() == indent2_oracle(model)
-    reference = model_from_dict(json.loads(path.read_text(encoding="utf-8")))
-    assert field_bits(load_model(path)) == field_bits(reference)
+    text = path.read_bytes()
+    assert numbers_masked(text) == numbers_masked(indent2_oracle(model))
+    assert field_bits(load_model(path)) == field_bits(model)
+    assert field_bits(model_from_dict(json.loads(text.decode("utf-8")))) == field_bits(model)
 
 
 @settings(max_examples=200)
