@@ -231,7 +231,7 @@ def _general_spectrum(a):
     return _pair_up(np.sqrt(np.maximum(squared, 0.0)), float(np.max(np.abs(a))))
 
 
-def symplectic_spectrum(cov, *, _certified=False):
+def symplectic_spectrum(cov, *, _certified=False, _blocks=None):
     """Symplectic eigenvalues of a positive-definite phase-space matrix.
 
     These are the moduli of the eigenvalues of ``i J^-1 cov`` (which occur
@@ -265,8 +265,14 @@ def symplectic_spectrum(cov, *, _certified=False):
     reduction of one, see ``CovarianceMatrix._certified``). Such a matrix
     always takes the fast route, with no symmetry, scale or shear scan and
     no eigenvalue test; it is trusted, not checked.
+
+    The private ``_blocks`` is ``_unsheared_blocks(cov, "covariance",
+    certified=_certified)`` as the caller already holds it (a report takes
+    its determinant from the same blocks); ``cov`` is then not read again.
     """
-    a, qq, pp = _unsheared_blocks(cov, "covariance", certified=_certified)
+    if _blocks is None:
+        _blocks = _unsheared_blocks(cov, "covariance", certified=_certified)
+    a, qq, pp = _blocks
     if pp is None:
         return _general_spectrum(a)
     (lam,) = _block_product_eigvals(qq, pp, [np.ones(qq.shape[0])], certified=_certified)

@@ -42,7 +42,7 @@ from oscent.models import (
     two_mode_angles,
 )
 
-from chains import random_chain
+from chains import random_chain, random_qp_chain
 from quadrature import angle_average_covariance
 
 # One-oscillator reduction of the A=5, B=20, C=10 pair at unit actions,
@@ -50,6 +50,8 @@ from quadrature import angle_average_covariance
 SIGMA_REF = 0.5167716231557249
 PURITY_REF = 0.967545386773935
 ENTROPY_REF = 0.08547500487489379
+
+EPS = np.finfo(float).eps
 
 
 def reference_reduction():
@@ -155,6 +157,89 @@ def test_alpha_family_refuses_a_repeated_order(alphas, order):
         alpha_family(np.array([0.5, 0.7]), alphas)
 
 
+def per_order_family(sigma, alphas):
+    """(mu, tsallis, renyi) per order by the formula alpha_family used before
+    it became one array expression: one g_alpha per order, refused in the
+    order given."""
+    out = {}
+    for alpha in alphas:
+        alpha = float(alpha)
+        if alpha in out:
+            raise ValueError(f"alphas repeat the order {alpha:g}")
+        if alpha == 1.0:
+            s = von_neumann_entropy(sigma)
+            out[alpha] = (float("nan"), s, s)
+            continue
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            g = g_alpha(sigma, alpha)
+            mu = float(np.prod(g))
+            tsallis = (1.0 - mu) / (alpha - 1.0) + 0.0
+            renyi = float(np.sum(np.log(g))) / (1.0 - alpha) + 0.0
+        if not (np.isfinite(mu) and np.isfinite(tsallis) and np.isfinite(renyi)):
+            raise AlphaOutOfDomainError(f"order {alpha:g} leaves the double range")
+        out[alpha] = (mu, tsallis, renyi)
+    return out
+
+
+def test_alpha_family_keeps_the_bits_of_the_per_order_formula():
+    # numpy takes x ** 2.0 and x ** 0.5 as square and sqrt, whose bits can
+    # differ from pow's; a plain broadcast power moved the alpha = 2 cells.
+    rng = np.random.default_rng(3504)
+    alphas = DEFAULT_ALPHAS + (0.5, 3000.0)
+    for trial in range(200):
+        m = int(rng.integers(1, 160))
+        sigma = 0.5 + rng.exponential(size=m) * rng.choice([1e-9, 1e-2, 1.0, 30.0])
+        if trial % 4 == 0:
+            sigma[rng.random(m) < 0.5] = 0.5
+        order = list(rng.permutation(alphas)) if trial % 2 else list(alphas)
+        try:
+            want = per_order_family(sigma, order)
+        except AlphaOutOfDomainError:   # order 3000 on wide modes
+            order.remove(3000.0)
+            want = per_order_family(sigma, order)
+        got = alpha_family(sigma, order)
+        assert list(got) == list(want)
+        for alpha, (mu, tsallis, renyi) in want.items():
+            fam = got[alpha]
+            assert np.array([fam.purity, fam.tsallis, fam.renyi]).tobytes() == \
+                np.array([mu, tsallis, renyi]).tobytes(), alpha
+
+
+@pytest.mark.parametrize("alphas", [
+    (2.0, 5000.0, 2.0),             # the overflow comes first
+    (2.0, 2.0, 5000.0),             # the repeat comes first
+    (4.0, float("inf"), 5000.0),    # the domain comes first
+    (5000.0, 0.0),
+    (1.0, -1.0, 1.0),
+    (0.9, 1.0, 1.0, float("nan")),
+    (3.0, 1e-320, float("inf")),
+])
+def test_alpha_family_refuses_orders_in_the_order_given(alphas):
+    sigma = np.array([0.6, 0.7, 2.5])
+    with pytest.raises((ValueError, AlphaOutOfDomainError)) as want:
+        per_order_family(sigma, alphas)
+    with pytest.raises(type(want.value)) as got:
+        alpha_family(sigma, alphas)
+    assert str(got.value).startswith(str(want.value))
+
+
+@pytest.mark.parametrize("sigma", [[0.3], [0.9, 0.5 - 2e-9], [np.nan], [0.7, np.nan]])
+@pytest.mark.parametrize("alphas", [DEFAULT_ALPHAS, (2.0,), (1.0,), ()])
+def test_alpha_family_refuses_nan_and_sub_heisenberg_widths(sigma, alphas):
+    # [0.3] used to give mu_2 = 1.5625 and Tsallis -0.5625, and [nan] an
+    # AlphaOutOfDomainError saying the order leaves the double range.
+    with pytest.raises(SubHeisenbergError, match="^entropy undefined below sigma = 1/2$"):
+        alpha_family(np.array(sigma), alphas)
+
+
+def test_alpha_family_clamps_widths_within_the_floor_tolerance():
+    near = alpha_family(np.array([0.5 - 0.5e-9, 0.8]))
+    exact = alpha_family(np.array([0.5, 0.8]))
+    for alpha, fam in exact.items():
+        assert np.array([near[alpha].purity, near[alpha].tsallis, near[alpha].renyi]).tobytes() \
+            == np.array([fam.purity, fam.tsallis, fam.renyi]).tobytes()
+
+
 # --- entropy ------------------------------------------------------------------
 
 def test_entropy_zero_on_pure_floor():
@@ -176,6 +261,13 @@ def test_entropy_adds_over_modes():
 def test_entropy_reference_value():
     sigma = sigma_tilde(reference_reduction())
     assert_allclose(von_neumann_entropy(sigma), ENTROPY_REF, rtol=1e-12)
+
+
+def test_entropy_refuses_a_nan_width():
+    # It used to return nan.
+    for sigma in (np.nan, [0.8, np.nan]):
+        with pytest.raises(SubHeisenbergError, match="^entropy undefined below sigma = 1/2$"):
+            von_neumann_entropy(sigma)
 
 
 def test_entropy_below_floor_raises():
@@ -202,6 +294,146 @@ def test_reduced_purity_reference_value():
 def test_purity_refuses_a_determinant_that_is_not_positive():
     with pytest.raises(SingularMatrixError, match="determinant is not positive"):
         purity_from_determinant(CovarianceMatrix(np.diag([1.0, -1.0])))
+
+
+def test_purity_refuses_an_indefinite_matrix_with_a_positive_determinant():
+    # det = 1 and qq = -I has sign +1, so neither the sign test nor the
+    # block route saw it: this used to return purity 1.0.
+    with pytest.raises(NotPositiveDefiniteError, match="^covariance has no Cholesky factor"):
+        purity_from_determinant(CovarianceMatrix(np.diag([-1.0, -1.0, 1.0, 1.0])))
+
+
+def test_purity_tests_only_uncertified_matrices_for_positive_definiteness(monkeypatch):
+    # The test is one Cholesky factor of the whole matrix. A certified state
+    # is trusted, as by symplectic_spectrum; inside measure_report the
+    # spectrum's own tests cover it, so the only factor there is the
+    # kernel's of qq.
+    shapes, cholesky = [], np.linalg.cholesky
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    chain = random_chain(np.random.default_rng(3501), 6)
+    red = reduce_modes(classical_covariance(normal_modes(chain), np.ones(6)), [0, 2, 5])
+    twin = CovarianceMatrix(red.matrix)
+    assert red._certified and not twin._certified
+    purity_from_determinant(red)
+    assert shapes == []
+    purity_from_determinant(twin)
+    assert shapes == [(6, 6)]
+    shapes.clear()
+    measure_report(twin)
+    assert shapes == [(3, 3)]
+
+
+def log_det_error(x):
+    # slogdet's LU factor is exact for x + E with ||E|| about d eps ||x||
+    # (Higham, ch. 9; no growth on a positive-definite matrix), d the
+    # dimension, and ln det moves by tr(x^-1 E) <= d ||E|| / w_min to first
+    # order.
+    w = np.linalg.eigvalsh(x)
+    return w.size * (w.size * EPS * w[-1]) / w[0]
+
+
+def block_purity_bound(red):
+    # Bound on |purity_from_determinant - the whole-matrix slogdet oracle| /
+    # purity. purity = c**m / sqrt(det), so each ln det error counts half:
+    # the whole LU, the LUs of qq and of the unsheared pp' = pp - Y qq Y,
+    # and the unshear itself, whose entries round within eps (|pp| +
+    # |Y qq Y|), so ||E|| <= m eps (max|pp| + max|Y qq Y|) and ln det pp'
+    # moves by m ||E|| / w_min(pp').
+    m = red.n_modes
+    y = -np.diag(red.qp) / np.diag(red.qq)
+    yqqy = (y[:, np.newaxis] * red.qq) * y
+    unsheared = red.pp - yqqy
+    w_min = np.linalg.eigvalsh(unsheared)[0]
+    unshear = m * m * EPS * (np.max(np.abs(red.pp)) + np.max(np.abs(yqqy))) / w_min
+    return 0.5 * (log_det_error(red.matrix) + log_det_error(red.qq)
+                  + log_det_error(unsheared) + unshear)
+
+
+def slogdet_purity(cov):
+    sign, logdet = np.linalg.slogdet(cov.matrix)
+    assert sign > 0.0
+    return float(np.exp(cov.n_modes * np.log(cov.action) - 0.5 * logdet))
+
+
+def block_route_cases():
+    rng = np.random.default_rng(3502)
+    for n, chain in ((14, random_chain(rng, 14, y_scale=0.5)), (40, random_qp_chain(rng, 40)),
+                     (9, random_chain(rng, 9, y_scale=0.0))):
+        cov = classical_covariance(normal_modes(chain), np.ones(n))
+        for size in (1, 3, n // 2, n - 1):
+            yield reduce_modes(cov, rng.choice(n, size, replace=False))
+    for model in (TwoModeGeneralized(X1=2.0, X2=3.0, Y1=0.5, Y2=1.2, Z=1.0),
+                  TwoModeGeneralized(X1=2.0, X2=2.0, Y1=0.0, Y2=1.2, Z=1.0)):
+        cov = classical_covariance(normal_modes(model), np.array([1.0, 1.0]))
+        yield from (reduce_modes(cov, [0]), reduce_modes(cov, [1]))
+    for n, k, kappa in ((16, 0.1, 4.0), (64, 1e-3, 1.0), (200, 1e-6, 64.0)):
+        cov = classical_covariance(normal_modes(CircularLattice(N=n, k=k, kappa=kappa)),
+                                   np.ones(n))
+        for window in (range(n // 4), range(n // 2), [0, 1, 2] + list(range(n // 2, n // 2 + 5))):
+            yield reduce_modes(cov, window)
+
+
+def test_block_purity_matches_the_whole_matrix_slogdet(monkeypatch):
+    # A shear has determinant 1, so det cov = det qq det pp'; the purity
+    # takes the two m x m LUs, the oracle the LU of the whole 2m x 2m matrix.
+    shapes, slogdet = [], np.linalg.slogdet
+
+    def spy(a):
+        shapes.append(np.shape(a))
+        return slogdet(a)
+
+    widest = 0.0
+    for red in block_route_cases():
+        want = slogdet_purity(red)
+        bound = block_purity_bound(red)
+        m = red.n_modes
+        for cov in (red, CovarianceMatrix(red.matrix)):
+            monkeypatch.setattr(np.linalg, "slogdet", spy)
+            got = purity_from_determinant(cov)
+            monkeypatch.setattr(np.linalg, "slogdet", slogdet)
+            assert shapes == [(m, m), (m, m)]
+            shapes.clear()
+            assert abs(got - want) <= bound * want
+            widest = max(widest, abs(got - want) / want)
+    assert 0.0 < widest
+
+
+def test_purity_of_a_non_shear_cross_block_takes_the_whole_matrix(monkeypatch):
+    # A local rotation q_j, p_j -> cos q_j + sin p_j, -sin q_j + cos p_j is
+    # symplectic with determinant 1 but mixes q and p into a cross block no
+    # local shear makes, so the purity is the oracle's own LU of the whole
+    # matrix, bit for bit. It is also the unrotated state's purity, within
+    # the two LUs' bounds and the rotation's rounding: R a R^T is within
+    # ||E|| <= 2 d eps ||a|| of exact (two products of d terms, R
+    # orthogonal), which moves ln det by 2 d**2 eps ||a|| / w_min.
+    rng = np.random.default_rng(3503)
+    n = 5
+    cov = classical_covariance(normal_modes(random_chain(rng, n)), np.ones(n))
+    red = reduce_modes(cov, [0, 1, 3])
+    m = red.n_modes
+    theta = rng.uniform(0.2, 1.2, size=m)
+    c, s = np.diag(np.cos(theta)), np.diag(np.sin(theta))
+    rotation = np.block([[c, s], [-s, c]])
+    moved = rotation @ red.matrix @ rotation.T
+    moved = CovarianceMatrix(0.5 * (moved + moved.T))
+    shapes, slogdet = [], np.linalg.slogdet
+
+    def spy(a):
+        shapes.append(np.shape(a))
+        return slogdet(a)
+
+    monkeypatch.setattr(np.linalg, "slogdet", spy)
+    got = purity_from_determinant(moved)
+    monkeypatch.setattr(np.linalg, "slogdet", slogdet)
+    assert shapes == [(2 * m, 2 * m)]
+    assert got == slogdet_purity(moved)
+    bound = 0.5 * (log_det_error(moved.matrix) + 3.0 * log_det_error(red.matrix))
+    assert abs(got - slogdet_purity(red)) <= bound * got
 
 
 def test_purity_equals_product_of_inverse_widths():
