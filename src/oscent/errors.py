@@ -57,7 +57,8 @@ class CrossBlockNotZeroError(ValueError, OscentNumericalError):
 
 
 class SubHeisenbergError(ValueError, OscentNumericalError):
-    """A normalized symplectic eigenvalue lies below the 1/2 floor."""
+    """A normalized symplectic eigenvalue lies below the 1/2 floor, or a
+    width handed to an entropy is NaN or infinite."""
 
 
 class AlphaOutOfDomainError(ValueError, OscentInputError):

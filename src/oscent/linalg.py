@@ -90,7 +90,7 @@ def _checked_cholesky(a, label, *, certified=False):
     # Lower Cholesky factor of a symmetric block or (S, m, m) stack, refused
     # unless every smallest eigenvalue exceeds POSDEF_RTOL times the largest.
     # ``certified`` says the caller has already shown that every block
-    # passes that test, which is then not run again.
+    # passes that test, or needs only the factor; the test is then not run.
     if not certified:
         w = np.linalg.eigvalsh(a)
         bad = ~(w[..., 0] > POSDEF_RTOL * w[..., -1])
@@ -159,7 +159,8 @@ def _unsheared_blocks(mat, name, *, certified=False):
     return a, qq, pp - (y[:, np.newaxis] * qq) * y
 
 
-def _block_product_eigvals(qq, pp, sign_patterns, name="covariance", *, certified=False):
+def _block_product_eigvals(qq, pp, sign_patterns, name="covariance", *, certified=False,
+                           low=None):
     """Ascending eigenvalues of ``qq P pp P``, one array per pattern.
 
     ``qq`` and ``pp`` are ``(m, m)`` blocks or ``(S, m, m)`` stacks, ``qq``
@@ -169,7 +170,9 @@ def _block_product_eigvals(qq, pp, sign_patterns, name="covariance", *, certifie
     ``qq = L L^T``; ``L^T P pp P L`` is similar to ``qq P pp P``, so its
     symmetric eigensolve gives the eigenvalues. No eigenvectors are computed.
     ``certified`` skips the eigenvalue test for a stack whose caller has
-    already shown that it passes (see :func:`_spectrum_posdef`).
+    already shown that it passes (see :func:`_spectrum_posdef`). ``low``
+    is the factor ``L`` when the caller has already made it with
+    :func:`_checked_cholesky`; neither the test nor the factor runs again.
 
     ``P pp P = T pp T`` with ``T = P * pattern[-1]``, so ``P`` and ``-P``
     give the same bits. ``B = pp L`` is formed once per call; ``T`` flips
@@ -190,7 +193,8 @@ def _block_product_eigvals(qq, pp, sign_patterns, name="covariance", *, certifie
     ``L^T Z``, not a difference from ``X0``. Only the first ``max(c)``
     columns of ``B`` are kept beside ``X``.
     """
-    low = _checked_cholesky(qq, f"{name} qq block", certified=certified)
+    if low is None:
+        low = _checked_cholesky(qq, f"{name} qq block", certified=certified)
     low_t = np.swapaxes(low, -1, -2)
     pp = np.ascontiguousarray(pp)
     b = pp @ low
@@ -220,18 +224,56 @@ def _block_product_eigvals(qq, pp, sign_patterns, name="covariance", *, certifie
     return out
 
 
-def _general_spectrum(a):
+def _general_spectrum(a, low=None):
     # With the Cholesky factor a = L L^T, the antisymmetric K = L^T J L is
     # similar to J a, so the symplectic eigenvalues are the singular values
-    # of K, each twice. ``a`` is symmetric and 2n x 2n.
+    # of K, each twice. ``a`` is symmetric and 2n x 2n; ``low`` is its
+    # factor when the caller has already made it with _checked_cholesky.
     n = a.shape[0] // 2
-    low = _checked_cholesky(a, "covariance")
+    if low is None:
+        low = _checked_cholesky(a, "covariance")
     k = low.T @ np.concatenate([low[n:], -low[:n]])   # L^T J L, antisymmetric
     squared = np.linalg.eigvalsh(k.T @ k)
     return _pair_up(np.sqrt(np.maximum(squared, 0.0)), float(np.max(np.abs(a))))
 
 
-def symplectic_spectrum(cov, *, _certified=False, _blocks=None):
+def _fast_spectrum(qq, pp, *, certified=False, low=None):
+    # sqrt(eig(qq @ pp)) by the kernel, refused unless every eigenvalue is
+    # positive; ``certified`` and ``low`` as for _block_product_eigvals.
+    (lam,) = _block_product_eigvals(qq, pp, [np.ones(qq.shape[0])], certified=certified,
+                                    low=low)
+    if lam[0] <= 0.0:
+        raise NotPositiveDefiniteError(
+            "covariance pp block is not positive definite on the fast path"
+        )
+    return np.sqrt(lam)
+
+
+def _cholesky_log_det(low):
+    # log det of L L^T: twice the log of the product of L's diagonal
+    # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10).
+    return 2.0 * float(np.sum(np.log(np.diagonal(low))))
+
+
+def _spectrum_and_log_det(cov, *, certified=False):
+    # symplectic_spectrum(cov, _certified=certified) and log det cov, with
+    # one Cholesky factor per block. A shear has determinant 1, so
+    # det = det qq det pp' with qq = L L^T (the kernel's factor, tested as
+    # by symplectic_spectrum) and the unsheared pp' = R R^T; pp' needs no
+    # eigenvalue test, since the spectrum's lambda > 0 shows L^T pp' L, and
+    # so pp', positive definite. Any other cross block takes the factor of
+    # the whole matrix that the general route makes.
+    a, qq, pp = _unsheared_blocks(cov, "covariance", certified=certified)
+    if pp is None:
+        low = _checked_cholesky(a, "covariance")
+        return _general_spectrum(a, low), _cholesky_log_det(low)
+    low = _checked_cholesky(qq, "covariance qq block", certified=certified)
+    nu = _fast_spectrum(qq, pp, low=low)
+    right = _checked_cholesky(pp, "covariance pp block", certified=True)
+    return nu, _cholesky_log_det(low) + _cholesky_log_det(right)
+
+
+def symplectic_spectrum(cov, *, _certified=False):
     """Symplectic eigenvalues of a positive-definite phase-space matrix.
 
     These are the moduli of the eigenvalues of ``i J^-1 cov`` (which occur
@@ -265,19 +307,8 @@ def symplectic_spectrum(cov, *, _certified=False, _blocks=None):
     reduction of one, see ``CovarianceMatrix._certified``). Such a matrix
     always takes the fast route, with no symmetry, scale or shear scan and
     no eigenvalue test; it is trusted, not checked.
-
-    The private ``_blocks`` is ``_unsheared_blocks(cov, "covariance",
-    certified=_certified)`` as the caller already holds it (a report takes
-    its determinant from the same blocks); ``cov`` is then not read again.
     """
-    if _blocks is None:
-        _blocks = _unsheared_blocks(cov, "covariance", certified=_certified)
-    a, qq, pp = _blocks
+    a, qq, pp = _unsheared_blocks(cov, "covariance", certified=_certified)
     if pp is None:
         return _general_spectrum(a)
-    (lam,) = _block_product_eigvals(qq, pp, [np.ones(qq.shape[0])], certified=_certified)
-    if lam[0] <= 0.0:
-        raise NotPositiveDefiniteError(
-            "covariance pp block is not positive definite on the fast path"
-        )
-    return np.sqrt(lam)
+    return _fast_spectrum(qq, pp, certified=_certified)

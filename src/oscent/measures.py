@@ -29,7 +29,7 @@ from .errors import (
     SingularMatrixError,
     SubHeisenbergError,
 )
-from .linalg import _unsheared_blocks, symplectic_spectrum
+from .linalg import _spectrum_and_log_det, _unsheared_blocks, symplectic_spectrum
 from .models import TwoMode, TwoModeGeneralized, two_mode_angles
 
 DEFAULT_ALPHAS = (0.9, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
@@ -81,33 +81,41 @@ def _checked_order(alpha):
     return alpha
 
 
-def g_alpha(sigma, alpha):
-    """Per-mode generalized-purity factor g_alpha(sigma).
-
-    Defined for finite alpha > 0, alpha != 1; g_alpha(1/2) = 1 for every
-    alpha, and g_2(sigma) = 1/(2 sigma).
-    """
-    alpha = _checked_order(alpha)
-    sigma = np.asarray(sigma, dtype=float)
-    return 1.0 / ((sigma + 0.5) ** alpha - np.maximum(sigma - 0.5, 0.0) ** alpha)
-
-
 def _checked_widths(sigma):
-    # The widths as a float array, refused when NaN or more than
+    # The widths as a float array, refused when NaN, infinite or more than
     # SIGMA_FLOOR_TOL below 1/2, and clamped to 1/2 within that tolerance.
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     # The least width is NaN when any width is, and then fails the test.
     if not np.min(sigma, initial=np.inf) >= 0.5 - SIGMA_FLOOR_TOL:
         raise SubHeisenbergError("entropy undefined below sigma = 1/2")
+    widest = np.max(sigma, initial=0.5)
+    if widest == np.inf:
+        raise SubHeisenbergError(f"entropy undefined at the width {widest}: it is not finite")
     return np.maximum(sigma, 0.5)
+
+
+def g_alpha(sigma, alpha):
+    """Per-mode generalized-purity factor g_alpha(sigma), in sigma's shape.
+
+    Defined for finite alpha > 0, alpha != 1; g_alpha(1/2) = 1 for every
+    alpha, and g_2(sigma) = 1/(2 sigma). The widths are checked first, as
+    by alpha_family: a NaN or infinite width, or one more than
+    SIGMA_FLOOR_TOL below 1/2, raises SubHeisenbergError, and closer ones
+    count as 1/2.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    sigma = _checked_widths(sigma).reshape(sigma.shape)
+    alpha = _checked_order(alpha)
+    return 1.0 / ((sigma + 0.5) ** alpha - (sigma - 0.5) ** alpha)
 
 
 def von_neumann_entropy(sigma):
     """Entropy (sigma+1/2)ln(sigma+1/2) - (sigma-1/2)ln(sigma-1/2), summed.
 
     The x ln x term is continued by 0 at sigma = 1/2, so pure modes
-    contribute exactly zero. A NaN width, or one more than SIGMA_FLOOR_TOL
-    below 1/2, raises SubHeisenbergError; closer ones count as 1/2.
+    contribute exactly zero. A NaN or infinite width, or one more than
+    SIGMA_FLOOR_TOL below 1/2, raises SubHeisenbergError; closer ones count
+    as 1/2.
     """
     sigma = _checked_widths(sigma)
     plus = sigma + 0.5
@@ -141,10 +149,12 @@ def purity_from_determinant(cov: CovarianceMatrix):
 
     With the cross block zero or a local shear the determinant is the
     product of those of qq and the unsheared pp (see _log_det); any other
-    cross block takes the LU of the whole matrix. A matrix that is not
-    certified is first checked for symmetry, as by symplectic_spectrum, and
-    refused with NotPositiveDefiniteError when it has no Cholesky factor; a
-    certified one (CovarianceMatrix._certified) is trusted.
+    cross block takes the LU of the whole matrix. These LUs are a route
+    independent of the Cholesky factors that measure_report reads its
+    purity from. A matrix that is not certified is first checked for
+    symmetry, as by symplectic_spectrum, and refused with
+    NotPositiveDefiniteError when it has no Cholesky factor; a certified
+    one (CovarianceMatrix._certified) is trusted.
     """
     _require_dense(cov, "purity_from_determinant")
     action = _require_action(cov)
@@ -189,8 +199,8 @@ def alpha_family(sigma, alphas=DEFAULT_ALPHAS):
     """AlphaMeasures for each requested order, alpha = 1 via the limit.
 
     The widths are checked as by von_neumann_entropy, whatever the orders:
-    a NaN width, or one more than SIGMA_FLOOR_TOL below 1/2, raises
-    SubHeisenbergError, and closer ones count as 1/2. Every order other
+    a NaN or infinite width, or one more than SIGMA_FLOOR_TOL below 1/2,
+    raises SubHeisenbergError, and closer ones count as 1/2. Every order other
     than 1 is evaluated in one (orders x widths) array expression, with the
     bits of g_alpha at that order alone. The Renyi value is accumulated as
     a sum of logs so that large orders on many modes underflow gracefully
@@ -247,21 +257,22 @@ def measure_report(cov: CovarianceMatrix, alphas=DEFAULT_ALPHAS, label=""):
 
     A pure whole state (``cov._pure``) reads widths 1/2 and purity exactly
     1 with no solve. Any other state is unsheared once
-    (linalg._unsheared_blocks), and the symplectic spectrum and the
-    determinant of purity_from_determinant both read those blocks, with no
-    second symmetry scan. The spectrum's own tests refuse a matrix that is
-    not positive definite, so the determinant runs none. The entropy is the
-    alpha = 1 entry of the family when that order is asked for.
+    (linalg._unsheared_blocks) and factored once per block: the widths are
+    sigma_tilde's, bit for bit, and log det is read from the Cholesky
+    diagonals of qq and the unsheared pp, or of the whole matrix when its
+    cross block is no local shear; no LU runs (purity_from_determinant
+    keeps them, as an independent route). The spectrum's own tests refuse
+    a matrix that is not positive definite, and a pp with no Cholesky
+    factor raises NotPositiveDefiniteError. The entropy is the alpha = 1
+    entry of the family when that order is asked for.
     """
     _require_dense(cov, "sigma_tilde")
     action = _require_action(cov)
     if cov._pure:
         sigma, purity = np.full(cov.n_modes, 0.5), 1.0
     else:
-        blocks = _unsheared_blocks(cov.matrix, "covariance", certified=cov._certified)
-        nu = symplectic_spectrum(blocks[0], _certified=cov._certified, _blocks=blocks)
-        sigma = _widths(nu, action)
-        purity = _purity(cov.n_modes, action, _log_det(*blocks))
+        nu, logdet = _spectrum_and_log_det(cov.matrix, certified=cov._certified)
+        sigma, purity = _widths(nu, action), _purity(cov.n_modes, action, logdet)
     families = alpha_family(sigma, alphas)
     von_neumann = families[1.0].tsallis if 1.0 in families else von_neumann_entropy(sigma)
     return MeasureReport(

@@ -729,7 +729,7 @@ def test_large_order_inside_the_double_range_keeps_its_row(tmp_path):
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout == (
         "C,sigma,purity,linear_entropy,von_neumann,mu_3000,tsallis_3000,renyi_3000\n"
-        "19,0.69373054627751918,0.72074093130675054,0.27925906869324946,"
+        "19,0.69373054627751918,0.72074093130675043,0.27925906869324957,"
         "0.52935719537409853,1.9101989093404177e-231,0.00033344448149383126,"
         "0.17714236382259835\n")
 

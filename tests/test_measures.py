@@ -131,6 +131,21 @@ def test_g_alpha_domain():
             g_alpha(1.0, alpha)
 
 
+def test_g_alpha_checks_its_widths():
+    # g_alpha(0.3, 2.0) used to return 1.5625 and g_alpha(nan, 2.0) nan.
+    for sigma in (0.3, np.nan, [0.7, 0.5 - 2e-9]):
+        with pytest.raises(SubHeisenbergError, match="^entropy undefined below sigma = 1/2$"):
+            g_alpha(sigma, 2.0)
+    with pytest.raises(SubHeisenbergError, match="^entropy undefined at the width inf: "):
+        g_alpha([0.7, np.inf], 2.0)
+    # The widths come first, whatever the order; the shape is sigma's, and
+    # a width within the floor tolerance counts as 1/2.
+    with pytest.raises(SubHeisenbergError):
+        g_alpha(0.3, -1.0)
+    assert np.shape(g_alpha(0.7, 2.0)) == () and np.shape(g_alpha([[0.7, 0.9]], 2.0)) == (1, 2)
+    assert g_alpha(0.5 - 0.5e-9, 3.0) == g_alpha(0.5, 3.0) == 1.0
+
+
 def test_alpha_family_rejects_infinite_order():
     with pytest.raises(AlphaOutOfDomainError):
         alpha_family(np.array([0.5, 0.7]), [2.0, float("inf")])
@@ -232,6 +247,13 @@ def test_alpha_family_refuses_nan_and_sub_heisenberg_widths(sigma, alphas):
         alpha_family(np.array(sigma), alphas)
 
 
+@pytest.mark.parametrize("alphas", [DEFAULT_ALPHAS, (2.0,), (1.0,), (), (-1.0,), (2.0, 2.0)])
+def test_alpha_family_refuses_an_infinite_width_before_any_order(alphas):
+    # [inf] used to say that order 0.9 leaves the double range.
+    with pytest.raises(SubHeisenbergError, match="^entropy undefined at the width inf: "):
+        alpha_family(np.array([0.7, np.inf]), alphas)
+
+
 def test_alpha_family_clamps_widths_within_the_floor_tolerance():
     near = alpha_family(np.array([0.5 - 0.5e-9, 0.8]))
     exact = alpha_family(np.array([0.5, 0.8]))
@@ -267,6 +289,13 @@ def test_entropy_refuses_a_nan_width():
     # It used to return nan.
     for sigma in (np.nan, [0.8, np.nan]):
         with pytest.raises(SubHeisenbergError, match="^entropy undefined below sigma = 1/2$"):
+            von_neumann_entropy(sigma)
+
+
+def test_entropy_refuses_an_infinite_width():
+    # It used to return nan with a numpy RuntimeWarning.
+    for sigma in (np.inf, [0.8, np.inf]):
+        with pytest.raises(SubHeisenbergError, match="^entropy undefined at the width inf: "):
             von_neumann_entropy(sigma)
 
 
@@ -306,8 +335,8 @@ def test_purity_refuses_an_indefinite_matrix_with_a_positive_determinant():
 def test_purity_tests_only_uncertified_matrices_for_positive_definiteness(monkeypatch):
     # The test is one Cholesky factor of the whole matrix. A certified state
     # is trusted, as by symplectic_spectrum; inside measure_report the
-    # spectrum's own tests cover it, so the only factor there is the
-    # kernel's of qq.
+    # spectrum's own tests cover it, so the only factors there are those
+    # its determinant reads: the kernel's of qq and the one of pp.
     shapes, cholesky = [], np.linalg.cholesky
 
     def spy(a, *args, **kwargs):
@@ -325,7 +354,7 @@ def test_purity_tests_only_uncertified_matrices_for_positive_definiteness(monkey
     assert shapes == [(6, 6)]
     shapes.clear()
     measure_report(twin)
-    assert shapes == [(3, 3)]
+    assert shapes == [(3, 3), (3, 3)]
 
 
 def log_det_error(x):
@@ -403,6 +432,37 @@ def test_block_purity_matches_the_whole_matrix_slogdet(monkeypatch):
     assert 0.0 < widest
 
 
+def cholesky_log_det_error(x):
+    # Cholesky's factor is exact for x + E with |E| <= gamma_{d+1} |L||L^T|
+    # (Higham, Thm 10.3) and || |L||L^T| || <= d ||x||, so ||E|| is within
+    # (d + 1) times log_det_error's ||E|| and ln det within (d + 1) times its
+    # shift. The sum of the d logs of diag L rounds within d eps of the sum
+    # of their moduli.
+    d = np.shape(x)[0]
+    logs = np.log(np.diagonal(np.linalg.cholesky(x)))
+    return (d + 1) * log_det_error(x) + 2.0 * d * EPS * np.sum(np.abs(logs))
+
+
+def unsheared_pp(red):
+    y = -np.diag(red.qp) / np.diag(red.qq)
+    return red.pp - (y[:, np.newaxis] * red.qq) * y
+
+
+def locally_rotated(seed):
+    # A certified reduction and the same state moved by a local rotation
+    # q_j, p_j -> cos q_j + sin p_j, -sin q_j + cos p_j, which is symplectic
+    # but mixes q and p into a cross block no local shear makes.
+    rng = np.random.default_rng(seed)
+    n = 5
+    cov = classical_covariance(normal_modes(random_chain(rng, n)), np.ones(n))
+    red = reduce_modes(cov, [0, 1, 3])
+    theta = rng.uniform(0.2, 1.2, size=red.n_modes)
+    c, s = np.diag(np.cos(theta)), np.diag(np.sin(theta))
+    rotation = np.block([[c, s], [-s, c]])
+    moved = rotation @ red.matrix @ rotation.T
+    return red, CovarianceMatrix(0.5 * (moved + moved.T))
+
+
 def test_purity_of_a_non_shear_cross_block_takes_the_whole_matrix(monkeypatch):
     # A local rotation q_j, p_j -> cos q_j + sin p_j, -sin q_j + cos p_j is
     # symplectic with determinant 1 but mixes q and p into a cross block no
@@ -411,16 +471,8 @@ def test_purity_of_a_non_shear_cross_block_takes_the_whole_matrix(monkeypatch):
     # the two LUs' bounds and the rotation's rounding: R a R^T is within
     # ||E|| <= 2 d eps ||a|| of exact (two products of d terms, R
     # orthogonal), which moves ln det by 2 d**2 eps ||a|| / w_min.
-    rng = np.random.default_rng(3503)
-    n = 5
-    cov = classical_covariance(normal_modes(random_chain(rng, n)), np.ones(n))
-    red = reduce_modes(cov, [0, 1, 3])
+    red, moved = locally_rotated(3503)
     m = red.n_modes
-    theta = rng.uniform(0.2, 1.2, size=m)
-    c, s = np.diag(np.cos(theta)), np.diag(np.sin(theta))
-    rotation = np.block([[c, s], [-s, c]])
-    moved = rotation @ red.matrix @ rotation.T
-    moved = CovarianceMatrix(0.5 * (moved + moved.T))
     shapes, slogdet = [], np.linalg.slogdet
 
     def spy(a):
@@ -434,6 +486,95 @@ def test_purity_of_a_non_shear_cross_block_takes_the_whole_matrix(monkeypatch):
     assert got == slogdet_purity(moved)
     bound = 0.5 * (log_det_error(moved.matrix) + 3.0 * log_det_error(red.matrix))
     assert abs(got - slogdet_purity(red)) <= bound * got
+
+
+def test_report_purity_matches_the_lu_route():
+    # The report reads ln det from Cholesky diagonals: of qq and the
+    # unsheared pp', or of the whole matrix for a general cross block.
+    # purity_from_determinant takes the LUs of the same blocks, so the two
+    # agree within half the sum of both factorizations' ln det errors.
+    widest = 0.0
+    for red in block_route_cases():
+        pp = unsheared_pp(red)
+        bound = 0.5 * (log_det_error(red.qq) + log_det_error(pp)
+                       + cholesky_log_det_error(red.qq) + cholesky_log_det_error(pp))
+        for cov in (red, CovarianceMatrix(red.matrix)):
+            got, want = measure_report(cov).purity, purity_from_determinant(cov)
+            assert abs(got - want) <= bound * want
+            widest = max(widest, abs(got - want) / (bound * want))
+    _, moved = locally_rotated(3503)
+    got, want = measure_report(moved).purity, purity_from_determinant(moved)
+    bound = 0.5 * (log_det_error(moved.matrix) + cholesky_log_det_error(moved.matrix))
+    assert abs(got - want) <= bound * want
+    assert 0.0 < widest < 1.0
+
+
+def test_report_widths_and_families_keep_the_bits_of_sigma_tilde():
+    # The report hands its factor of qq to the kernel, which then computes
+    # what sigma_tilde's own call computes.
+    cases = list(block_route_cases()) + [locally_rotated(3503)[1]]
+    for red in cases:
+        for cov in (red, CovarianceMatrix(red.matrix)):
+            report = measure_report(cov)
+            sigma = sigma_tilde(cov)
+            assert report.sigma.tobytes() == sigma.tobytes()
+            want = alpha_family(sigma)
+            assert list(report.families) == list(want)
+            for alpha, fam in want.items():
+                got = report.families[alpha]
+                assert np.array([got.purity, got.tsallis, got.renyi]).tobytes() == \
+                    np.array([fam.purity, fam.tsallis, fam.renyi]).tobytes(), alpha
+            assert report.von_neumann == von_neumann_entropy(sigma)
+
+
+def test_certified_report_factors_each_block_once(monkeypatch):
+    # One Cholesky factor of qq (the kernel's), one of the unsheared pp',
+    # the product's eigvalsh and no LU.
+    red = reduce_modes(classical_covariance(normal_modes(random_qp_chain(
+        np.random.default_rng(3601), 10)), np.ones(10)), [0, 2, 3, 7, 8])
+    assert red._certified and np.any(red.qp)
+    factored, solved = [], []
+    cholesky, eigvalsh = np.linalg.cholesky, np.linalg.eigvalsh
+
+    def cholesky_spy(a, *args, **kwargs):
+        factored.append(np.array(a))
+        return cholesky(a, *args, **kwargs)
+
+    def eigvalsh_spy(a, *args, **kwargs):
+        solved.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    def no_lu(*args, **kwargs):
+        raise AssertionError("a report runs no LU")
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky_spy)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
+    monkeypatch.setattr(np.linalg, "slogdet", no_lu)
+    measure_report(red)
+    assert solved == [(5, 5)]
+    assert len(factored) == 2
+    assert np.array_equal(factored[0], red.qq)
+    assert np.array_equal(factored[1], unsheared_pp(red))
+
+
+def test_report_maps_a_pp_block_with_no_cholesky_factor(monkeypatch):
+    # Positive eigenvalues of L^T pp' L make pp' positive definite, but a
+    # pp' at the edge of the doubles may still fail its factor; that is a
+    # numerical failure (exit 3), as for every other factor.
+    red = reduce_modes(classical_covariance(normal_modes(random_chain(
+        np.random.default_rng(3602), 6, y_scale=0.5)), np.ones(6)), [1, 4])
+    cholesky = np.linalg.cholesky
+
+    def fail_on_pp(a, *args, **kwargs):
+        if np.array_equal(a, red.qq):
+            return cholesky(a, *args, **kwargs)
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail_on_pp)
+    for cov in (red, CovarianceMatrix(red.matrix)):
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="^covariance pp block has no Cholesky factor: Matrix is not"):
+            measure_report(cov)
 
 
 def test_purity_equals_product_of_inverse_widths():
@@ -567,7 +708,8 @@ def test_whole_normal_mode_states_read_exact_values_without_a_solve(monkeypatch)
         raise AssertionError("a pure whole state needs no solve")
 
     monkeypatch.setattr(measures, "symplectic_spectrum", no_solve)
-    monkeypatch.setattr(np.linalg, "slogdet", no_solve)
+    for solve in ("slogdet", "cholesky", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, solve, no_solve)
     for cov in states:
         n = cov.n_modes
         for whole in (cov, reduce_modes(cov, range(n - 1, -1, -1))):

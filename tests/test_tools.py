@@ -94,3 +94,14 @@ def test_dump_outputs_runs_every_command_cleanly(tmp_path, monkeypatch):
     # chain is pure by construction and reads its exact values.
     whole = (tmp_path / "measures_soft_chain_whole.out").read_text(encoding="utf-8")
     assert whole.splitlines()[1] == "1+2+3+4,1,0,0" + ",1,0,0,nan,0,0" + ",1,0,0" * 6
+
+
+def test_blas_info_reads_the_library_numpy_loaded(capsys):
+    assert load_tool("blas_info").main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    fields = dict(line.split(": ", 1) for line in lines)
+    assert list(fields) == ["library", "numpy", "config", "core", "threads"]
+    assert "openblas" in fields["library"] and fields["config"].startswith("OpenBLAS ")
+    # The run-time core is one word, and the configuration names it.
+    assert re.fullmatch(r"\w+", fields["core"]) and fields["core"] in fields["config"].split()
+    assert int(fields["threads"]) >= 1
